@@ -15,9 +15,14 @@ black vertex takes the adjacent strands off a stack), and finally run the
 full even-Schnyder validator, which makes acceptance sound unconditionally.
 
 Since every valid triple has probability 8^-n under independent 2-geometric
-draws, conditioning on validity by rejection yields a uniform pair.  The
-module also houses the exhaustive small-n enumeration used as the oracle for
-uniformity tests, and the grid-concentration experiment.
+draws, conditioning on validity by rejection yields a uniform pair.
+rejection_sample_fast conditions on the three sums being n exactly instead
+of by rejection: reading each sequence from n coin flips, that event fixes
+the popcounts of the three flip words, so it draws the common popcount from
+its exact binomial weights and then three uniform fixed-popcount words, and
+rejects only triples that fail to decode.  The module also houses the
+exhaustive small-n enumeration used as the oracle for uniformity tests, and
+the grid-concentration experiment.
 """
 
 from __future__ import annotations
@@ -25,8 +30,11 @@ from __future__ import annotations
 import csv
 import io
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
+from math import comb
 
 from .errors import EvenError, MapError, SamplerError
 from .planar_map import PlaneMap, as_angulation
@@ -136,13 +144,15 @@ def _rebuild_tree(t):
     """Plane tree of T1' from the interleaved degree word (preorder along
     the clockwise contour).  Returns (color, parent, children, gamma_of)."""
     alpha, beta, gamma = t.alpha, t.beta, t.gamma
-    n = sum(alpha)
     if not alpha or not beta or not gamma:
         raise _invalid("TreeReconstructionFailed", "empty degree sequence")
     for seq in (alpha, beta, gamma):
-        if any(not isinstance(x, int) or x < 1 for x in seq):
+        ints = set(map(type, seq)) == {int} or \
+            all(isinstance(x, int) for x in seq)
+        if not ints or min(seq) < 1:
             raise _invalid("TreeReconstructionFailed",
                            "degrees must be positive integers")
+    n = sum(alpha)
     if len(beta) != len(gamma):
         raise _invalid("TreeReconstructionFailed",
                        "beta and gamma have different lengths")
@@ -377,37 +387,46 @@ def rejection_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
 
 def _word_to_runs(word, n):
     """Geometric sequence from n coin flips (bit i = flip i; 0 ends a run)."""
-    runs = []
-    length = 0
-    for i in range(n):
-        length += 1
-        if not word >> i & 1:
-            runs.append(length)
-            length = 0
-    return runs
+    flips = format(word, f"0{n}b")[::-1]
+    return [len(ones) + 1 for ones in flips.split("0")[:-1]]
+
+
+def _popcount_table(n):
+    """Cumulative weights C(n-1, s)^3 for s = 0..n-1: the number of word
+    triples (a, b, c) with top bits 0, popcount(a) = s and popcount(b) =
+    popcount(c) = n-1-s."""
+    return list(accumulate(comb(n - 1, s) ** 3 for s in range(n)))
+
+
+def _fixed_popcount_word(rng, width, k):
+    """A uniform width-bit word with exactly k one bits (retry until the
+    popcount matches; a class near the middle holds a large share)."""
+    while True:
+        w = rng.getrandbits(width)
+        if w.bit_count() == k:
+            return w
 
 
 def rejection_sample_fast(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
-    """Same accepted-pair distribution as rejection_sample, but each attempt
-    draws its coin flips in three n-bit words: a geometric sequence sums to
-    exactly n iff flip n-1 ends a run, and the run count is the number of
-    zero flips, so the sum checks need only bit tests.  (The random stream
-    is consumed in a different order, so individual draws differ from
-    rejection_sample at equal seeds.)"""
+    """Same accepted-pair distribution as rejection_sample, drawing only
+    triples whose sums are already n.
+
+    Each sequence is read from n coin flips (_word_to_runs): it sums to
+    exactly n iff flip n-1 ends a run, and its length is the number of zero
+    flips.  Conditioned on all three sums being n, the words (a, b, c) are
+    uniform over triples with top bits 0, popcount(a) = s and popcount(b) =
+    popcount(c) = n-1-s, so s has weight C(n-1, s)^3.  Each attempt draws s
+    from these integer weights, then three uniform fixed-popcount words, and
+    decodes them; attempts (and max_attempts) count decoded triples.  Draws
+    at a given seed differ from rejection_sample's."""
     if n < 1:
         raise SamplerError("BadParameter", f"n = {n} must be positive")
-    top = 1 << (n - 1)
+    cum = _popcount_table(n)
     for attempt in range(1, max_attempts + 1):
-        a = rng.getrandbits(n)
-        if a & top:
-            continue
-        s = a.bit_count()          # zeros of a = r = n - s
-        b = rng.getrandbits(n)
-        if b & top or b.bit_count() != n - s - 1:
-            continue
-        c = rng.getrandbits(n)
-        if c & top or c.bit_count() != n - s - 1:
-            continue
+        s = bisect_right(cum, rng.randrange(cum[-1]))
+        a = _fixed_popcount_word(rng, n - 1, s)
+        b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
+        c = _fixed_popcount_word(rng, n - 1, n - 1 - s)
         t = EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
                            beta=tuple(_word_to_runs(b, n)),
                            gamma=tuple(_word_to_runs(c, n)))
@@ -727,6 +746,9 @@ def concentration_experiment(n, sample_count, seed,
     vertices, both colors) and of the balanced-reduction grid dimensions.
     Per-sample streams derive from (seed, index), so results do not depend
     on evaluation order or parallelism."""
+    if sample_count < 1:
+        raise SamplerError("BadParameter",
+                           f"sample count = {sample_count} must be positive")
     tasks = [(n, seed, i, max_attempts) for i in range(sample_count)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

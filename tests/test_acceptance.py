@@ -478,4 +478,5 @@ def test_criterion_11_concentration():
     print(f"CRITERION 11: PASS - n={n}, {count} samples, seed {seed}: "
           f"part/n={part:.4f} full/n={full:.4f} width/n={width:.4f} "
           f"height/n={height:.4f}, dispersion reported ({elapsed:.0f}s); "
-          f"note: full/n sits at the band edge at this n - see the ledger")
+          f"note: full/n sits near its lower band edge at this n - see "
+          f"\"Criterion 11 at n = 40\" in README.md")

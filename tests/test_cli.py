@@ -147,6 +147,14 @@ def test_sample_deterministic_with_report(tmp_path):
                                     "reduced_height", "acceptance_rate"}
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_sample_rejects_nonpositive_count(count):
+    rc, text = run(["sample", "--n", "6", "--count", count])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert err["kind"] == "BadParameter" and err["stage"] == "sampler"
+
+
 def test_enumerate_outputs_validate(tmp_path):
     rc, text = run(["enumerate", "--n", "3"])
     assert rc == 0

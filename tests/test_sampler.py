@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -12,6 +13,7 @@ import schnyder_kit.drawing as DR
 import schnyder_kit.sampler as SA
 
 import instances as I
+from oracles import bit_filter_sample
 
 
 def even_pairs(m):
@@ -96,6 +98,12 @@ def test_decode_error_stages():
         SA.decode(SA.EncodingTriple((2, 2), (1, 2, 1), (1, 2, 1)))
     assert ei.value.stage == "ClosureFailed"
     assert ei.value.as_object()["kind"] == "Invalid"
+    for bad in ((3, 1.0), (3, 0, 1), (3, "1"), (None,)):
+        for t in (SA.EncodingTriple((2, 2), bad, (2, 1, 1)),
+                  SA.EncodingTriple(bad, (2, 2), (2, 2))):
+            with pytest.raises(SamplerError) as ei:
+                SA.decode(t)
+            assert ei.value.detail == "degrees must be positive integers"
 
 
 def test_triple_json_round_trip():
@@ -117,22 +125,91 @@ def test_geometric_marginal_and_determinism():
     assert sum(t1.alpha) >= 12
 
 
+def accepted_histogram(fn, n, seed, k):
+    rng = random.Random(seed)
+    c = Counter()
+    for _ in range(k):
+        _, t, _ = fn(n, rng)
+        c[(t.alpha, t.beta, t.gamma)] += 1
+    return c
+
+
 def test_fast_sampler_matches_reference_distribution():
-    # both rejection paths accept with the same distribution; compare
-    # accepted-triple frequencies at n = 4 (6 valid pairs)
-    def histogram(fn, seed, k):
-        rng = random.Random(seed)
-        c = Counter()
-        for _ in range(k):
-            _, t, _ = fn(4, rng)
-            c[(t.alpha, t.beta, t.gamma)] += 1
-        return c
+    # the geometric rejection path and the exactly conditioned path accept
+    # with the same distribution; compare accepted-triple frequencies at
+    # n = 4 (6 valid pairs)
     k = 1500
-    h_slow = histogram(SA.rejection_sample, 11, k)
-    h_fast = histogram(SA.rejection_sample_fast, 11, k)
+    h_slow = accepted_histogram(SA.rejection_sample, 4, 11, k)
+    h_fast = accepted_histogram(SA.rejection_sample_fast, 4, 11, k)
     assert set(h_slow) == set(h_fast) and len(h_slow) == 6
     for key in h_slow:
         assert abs(h_slow[key] - h_fast[key]) / k < 0.05
+
+
+@pytest.mark.parametrize("n, pairs", [(5, 22), (6, 92)])
+def test_fast_sampler_matches_bit_filter_oracle(n, pairs):
+    k = 1500
+    h_filter = accepted_histogram(bit_filter_sample, n, 12, k)
+    h_fast = accepted_histogram(SA.rejection_sample_fast, n, 12, k)
+    assert set(h_filter) == set(h_fast) and len(h_fast) == pairs
+    for key in h_filter:
+        assert abs(h_filter[key] - h_fast[key]) / k < 0.05
+
+
+def test_exact_conditioning_weights_match_the_bit_filter():
+    # The bit filter keeps a word triple iff its words pass independent
+    # per-word tests once s = popcount(a) is fixed, so the triples it keeps
+    # for each s number (words a passing) * (words b passing)^2.  Count
+    # them from all n-bit words, both with the filter's bit tests and with
+    # the run sums they stand for (r runs in a, n-r+1 in b and c, all
+    # summing to n), and compare with the weights the sampler draws s from.
+    for n in range(1, 9):
+        top = 1 << (n - 1)
+        by_popcount = Counter()
+        by_runs = Counter()
+        for w in range(1 << n):
+            if not w & top:
+                by_popcount[w.bit_count()] += 1
+            runs = SA._word_to_runs(w, n)
+            if sum(runs) == n:
+                by_runs[len(runs)] += 1
+        cum = SA._popcount_table(n)
+        weights = [cum[0]] + [hi - lo for lo, hi in zip(cum, cum[1:])]
+        for s in range(n):
+            r = n - s
+            filtered = by_popcount[s] * by_popcount[n - 1 - s] ** 2
+            summed = by_runs[r] * by_runs[n - r + 1] ** 2
+            assert filtered == summed == weights[s] == comb(n - 1, s) ** 3, \
+                (n, s)
+
+
+def test_fixed_popcount_draw_reaches_exactly_its_class():
+    width = 3                                   # the flip words at n = 4
+    for k in range(width + 1):
+        cls = {w for w in range(1 << width) if w.bit_count() == k}
+        seen = {SA._fixed_popcount_word(random.Random(seed), width, k)
+                for seed in range(200)}
+        assert seen == cls, (k, seen)
+
+
+def test_attempts_count_decoded_triples(monkeypatch):
+    decoded = []
+    original = SA.decode
+
+    def counting_decode(t):
+        decoded.append(t)
+        return original(t)
+
+    monkeypatch.setattr(SA, "decode", counting_decode)
+    _, t, attempts = SA.rejection_sample_fast(10, random.Random(4))
+    assert attempts == len(decoded) and decoded[-1] == t
+    for seq in (t.alpha, t.beta, t.gamma):
+        assert sum(seq) == 10
+    decoded.clear()
+    with pytest.raises(SamplerError) as ei:
+        SA.rejection_sample_fast(24, random.Random(0), max_attempts=3)
+    assert ei.value.kind == "RejectionLimitExceeded"
+    assert len(decoded) == 3
 
 
 def test_rejection_sample_validates_and_limits():
