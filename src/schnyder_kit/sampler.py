@@ -407,7 +407,14 @@ def _fixed_popcount_word(rng, width, k):
             return w
 
 
-def rejection_sample_fast(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
+def default_max_decodes(n):
+    """Default cap on decoded triples for rejection_sample_fast: the number
+    of triples with all sums n among DEFAULT_MAX_ATTEMPTS uniform word
+    triples, on average -- the budget the bit filter had (1968 at n = 24)."""
+    return max(1, DEFAULT_MAX_ATTEMPTS * _popcount_table(n)[-1] // 8 ** n)
+
+
+def rejection_sample_fast(n, rng, max_attempts=None):
     """Same accepted-pair distribution as rejection_sample, drawing only
     triples whose sums are already n.
 
@@ -417,11 +424,14 @@ def rejection_sample_fast(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
     uniform over triples with top bits 0, popcount(a) = s and popcount(b) =
     popcount(c) = n-1-s, so s has weight C(n-1, s)^3.  Each attempt draws s
     from these integer weights, then three uniform fixed-popcount words, and
-    decodes them; attempts (and max_attempts) count decoded triples.  Draws
-    at a given seed differ from rejection_sample's."""
+    decodes them; attempts (and max_attempts, default default_max_decodes(n))
+    count decoded triples.  Draws at a given seed differ from
+    rejection_sample's."""
     if n < 1:
         raise SamplerError("BadParameter", f"n = {n} must be positive")
     cum = _popcount_table(n)
+    if max_attempts is None:
+        max_attempts = default_max_decodes(n)
     for attempt in range(1, max_attempts + 1):
         s = bisect_right(cum, rng.randrange(cum[-1]))
         a = _fixed_popcount_word(rng, n - 1, s)
@@ -740,15 +750,20 @@ def _one_sample(args):
     return index, part, full, width, height, attempts
 
 
-def concentration_experiment(n, sample_count, seed,
-                             max_attempts=DEFAULT_MAX_ATTEMPTS, jobs=1):
+def concentration_experiment(n, sample_count, seed, max_attempts=None,
+                             jobs=1):
     """Accepted-sample statistics of part/full counts (all internal
     vertices, both colors) and of the balanced-reduction grid dimensions.
-    Per-sample streams derive from (seed, index), so results do not depend
-    on evaluation order or parallelism."""
+    max_attempts caps the decoded triples of each sample (default
+    default_max_decodes(n)).  Per-sample streams derive from (seed, index),
+    so results do not depend on evaluation order or parallelism."""
+    if n < 1:
+        raise SamplerError("BadParameter", f"n = {n} must be positive")
     if sample_count < 1:
         raise SamplerError("BadParameter",
                            f"sample count = {sample_count} must be positive")
+    if max_attempts is None:
+        max_attempts = default_max_decodes(n)
     tasks = [(n, seed, i, max_attempts) for i in range(sample_count)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -210,6 +210,20 @@ def test_attempts_count_decoded_triples(monkeypatch):
         SA.rejection_sample_fast(24, random.Random(0), max_attempts=3)
     assert ei.value.kind == "RejectionLimitExceeded"
     assert len(decoded) == 3
+    decoded.clear()
+    monkeypatch.setattr(SA, "default_max_decodes", lambda n: 2)
+    with pytest.raises(SamplerError) as ei:
+        SA.rejection_sample_fast(24, random.Random(0))
+    assert ei.value.kind == "RejectionLimitExceeded"
+    assert len(decoded) == 2
+
+
+def test_default_decode_cap_keeps_the_filter_budget():
+    # 10**6 uniform word triples hold 10**6 * sum_s C(n-1, s)**3 / 8**n
+    # triples with all sums n on average
+    assert SA.default_max_decodes(1) == 10 ** 6 // 8
+    assert SA.default_max_decodes(6) == 10 ** 6 * 2252 // 8 ** 6
+    assert SA.default_max_decodes(24) == 1968
 
 
 def test_rejection_sample_validates_and_limits():
