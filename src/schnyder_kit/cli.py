@@ -37,7 +37,15 @@ def _dump(obj):
 
 def _load_doc(path):
     with open(path) as f:
-        obj = json.load(f)
+        try:
+            obj = json.load(f)
+        except ValueError as exc:      # malformed JSON or not UTF-8
+            raise KitError("BadDocument", f"not a JSON document: {exc}",
+                           stage="cli") from exc
+    if not isinstance(obj, dict):
+        raise KitError("BadDocument",
+                       f"a document is a JSON object, not {type(obj).__name__}",
+                       stage="cli")
     if "map" not in obj:
         obj = {"map": obj}
     return obj
@@ -312,10 +320,10 @@ def build_parser():
     q.add_argument("--count", type=int, required=True)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     q.add_argument("--max-attempts", type=int,
-                   help="cap on decoded triples per sample (default: as many "
+                   help="cap on drawn triples per sample (default: as many "
                         "as 10^6 random word triples hold on average, 1968 "
                         "at n=24); the reported attempts and acceptance_rate "
-                        "count decoded triples")
+                        "count drawn triples")
     q.add_argument("--jobs", type=int, default=_default_jobs())
     q.add_argument("--report")
     q.set_defaults(fn=_cmd_sample)

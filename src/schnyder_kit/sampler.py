@@ -19,10 +19,13 @@ draws, conditioning on validity by rejection yields a uniform pair.
 rejection_sample_fast conditions on the three sums being n exactly instead
 of by rejection: reading each sequence from n coin flips, that event fixes
 the popcounts of the three flip words, so it draws the common popcount from
-its exact binomial weights and then three uniform fixed-popcount words, and
-rejects only triples that fail to decode.  The module also houses the
-exhaustive small-n enumeration used as the oracle for uniformity tests, and
-the grid-concentration experiment.
+its exact binomial weights and then three uniform fixed-popcount words.  It
+rejects a triple whose tree stage fails (alpha[0] = 1, or a degree word
+that does not close the contour, _contour_closes) before building it, and
+decodes the rest.  The geometric-draw sampler itself is the test oracle
+tests/oracles.rejection_sample.  The module also houses the exhaustive
+small-n enumeration used as the oracle for uniformity tests, and the
+grid-concentration experiment.
 """
 
 from __future__ import annotations
@@ -140,6 +143,42 @@ def _invalid(stage, detail):
     return SamplerError("Invalid", detail, stage=stage)
 
 
+def _contour_closes(alpha, beta):
+    """Whether the degree word closes the clockwise contour of T1' exactly.
+
+    Walks the preorder that _rebuild_tree builds, keeping only the child
+    counts still owed by the current node (top) and by its ancestors (the
+    stack): a node at even depth is black and takes the next alpha degree,
+    one at odd depth is white and takes the next beta degree, and every
+    degree but the root's counts its parent edge.  True iff neither
+    sequence runs out before the walk returns to the root with nothing owed,
+    and both are used up when it does."""
+    ia, ib, ra, rb = 1, 0, len(alpha), len(beta)
+    top = alpha[0]
+    white = True                           # top's children are white
+    stack = []
+    while True:
+        if top:
+            if white:
+                if ib == rb:
+                    return False
+                deg = beta[ib]
+                ib += 1
+            else:
+                if ia == ra:
+                    return False
+                deg = alpha[ia]
+                ia += 1
+            stack.append(top - 1)
+            top = deg - 1
+            white = not white
+        elif stack:
+            top = stack.pop()
+            white = not white
+        else:
+            return ia == ra and ib == rb
+
+
 def _rebuild_tree(t):
     """Plane tree of T1' from the interleaved degree word (preorder along
     the clockwise contour).  Returns (color, parent, children, gamma_of)."""
@@ -165,6 +204,10 @@ def _rebuild_tree(t):
     if alpha[0] < 2:
         raise _invalid("TreeReconstructionFailed",
                        "u1 needs distinct neighbors u2 and u4")
+    if not _contour_closes(alpha, beta):
+        raise _invalid("TreeReconstructionFailed",
+                       "the degree sequences do not close the contour "
+                       "exactly")
     color = [True]                 # True = black; node 0 is u1
     parent = [None]
     children = [[]]
@@ -184,23 +227,14 @@ def _rebuild_tree(t):
         children[v].append(c)
         children.append([])
         if color[c]:
-            if ia >= len(alpha):
-                raise _invalid("TreeReconstructionFailed",
-                               "alpha exhausted before the contour closed")
             deg = alpha[ia]
             ia += 1
             gamma_of.append(None)
         else:
-            if ib >= len(beta):
-                raise _invalid("TreeReconstructionFailed",
-                               "beta exhausted before the contour closed")
             deg = beta[ib]
             gamma_of.append(gamma[ib])
             ib += 1
         stack.append([c, deg - 1])
-    if ia != len(alpha) or ib != len(beta):
-        raise _invalid("TreeReconstructionFailed",
-                       "degree sequences outlast the contour")
     return color, parent, children, gamma_of
 
 
@@ -343,48 +377,6 @@ def decode(t):
 
 # -- sampling --------------------------------------------------------------
 
-def _geometric(rng):
-    k = 1
-    while rng.getrandbits(1):
-        k += 1
-    return k
-
-
-def sample_geometric_triple(n, rng):
-    """A triple of independent 2-geometric sequences: alpha stops at the
-    first partial sum >= n (r terms), beta and gamma have n - r + 1 terms."""
-    if n < 1:
-        raise SamplerError("BadParameter", f"n = {n} must be positive")
-    alpha = []
-    total = 0
-    while total < n:
-        a = _geometric(rng)
-        alpha.append(a)
-        total += a
-    s = n - len(alpha)
-    beta = tuple(_geometric(rng) for _ in range(s + 1))
-    gamma = tuple(_geometric(rng) for _ in range(s + 1))
-    return EncodingTriple(alpha=tuple(alpha), beta=tuple(beta), gamma=gamma)
-
-
-def rejection_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
-    """Sample triples until one decodes; the result is uniform over valid
-    pairs.  Returns ((Q, F), triple, attempts)."""
-    for attempt in range(1, max_attempts + 1):
-        t = sample_geometric_triple(n, rng)
-        if sum(t.alpha) != n or sum(t.beta) != n or sum(t.gamma) != n:
-            continue
-        try:
-            pair = decode(t)
-        except SamplerError as exc:
-            if exc.kind != "Invalid":
-                raise
-            continue
-        return pair, t, attempt
-    raise SamplerError("RejectionLimitExceeded",
-                       f"no valid triple in {max_attempts} attempts at n={n}")
-
-
 def _word_to_runs(word, n):
     """Geometric sequence from n coin flips (bit i = flip i; 0 ends a run)."""
     flips = format(word, f"0{n}b")[::-1]
@@ -408,25 +400,30 @@ def _fixed_popcount_word(rng, width, k):
 
 
 def default_max_decodes(n):
-    """Default cap on decoded triples for rejection_sample_fast: the number
+    """Default cap on the triples rejection_sample_fast draws: the number
     of triples with all sums n among DEFAULT_MAX_ATTEMPTS uniform word
     triples, on average -- the budget the bit filter had (1968 at n = 24)."""
     return max(1, DEFAULT_MAX_ATTEMPTS * _popcount_table(n)[-1] // 8 ** n)
 
 
 def rejection_sample_fast(n, rng, max_attempts=None):
-    """Same accepted-pair distribution as rejection_sample, drawing only
-    triples whose sums are already n.
+    """A uniform pair with n faces: draw triples whose sums are already n,
+    test their tree stage, and decode those that pass, until one decodes.
 
     Each sequence is read from n coin flips (_word_to_runs): it sums to
     exactly n iff flip n-1 ends a run, and its length is the number of zero
     flips.  Conditioned on all three sums being n, the words (a, b, c) are
     uniform over triples with top bits 0, popcount(a) = s and popcount(b) =
-    popcount(c) = n-1-s, so s has weight C(n-1, s)^3.  Each attempt draws s
-    from these integer weights, then three uniform fixed-popcount words, and
-    decodes them; attempts (and max_attempts, default default_max_decodes(n))
-    count decoded triples.  Draws at a given seed differ from
-    rejection_sample's."""
+    popcount(c) = n-1-s, so s has weight C(n-1, s)^3; under independent
+    2-geometric draws every such triple is equally likely, so keeping those
+    that decode gives a uniform pair.  Each attempt draws s from these
+    integer weights, then the three fixed-popcount words a, b, c, always in
+    this order.  A triple whose tree stage fails is rejected before it is
+    built: bit 0 of a is 0 (alpha[0] = 1), or _contour_closes(alpha, beta)
+    is false, which is exactly when _rebuild_tree would fail.  Only the
+    others are decoded.  attempts (and max_attempts, default
+    default_max_decodes(n)) count drawn triples, so the result at a given
+    seed is the one that decoding every drawn triple gives."""
     if n < 1:
         raise SamplerError("BadParameter", f"n = {n} must be positive")
     cum = _popcount_table(n)
@@ -437,8 +434,13 @@ def rejection_sample_fast(n, rng, max_attempts=None):
         a = _fixed_popcount_word(rng, n - 1, s)
         b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
         c = _fixed_popcount_word(rng, n - 1, n - 1 - s)
-        t = EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
-                           beta=tuple(_word_to_runs(b, n)),
+        if not a & 1:
+            continue
+        alpha = _word_to_runs(a, n)
+        beta = _word_to_runs(b, n)
+        if not _contour_closes(alpha, beta):
+            continue
+        t = EncodingTriple(alpha=tuple(alpha), beta=tuple(beta),
                            gamma=tuple(_word_to_runs(c, n)))
         try:
             pair = decode(t)
@@ -754,7 +756,7 @@ def concentration_experiment(n, sample_count, seed, max_attempts=None,
                              jobs=1):
     """Accepted-sample statistics of part/full counts (all internal
     vertices, both colors) and of the balanced-reduction grid dimensions.
-    max_attempts caps the decoded triples of each sample (default
+    max_attempts caps the drawn triples of each sample (default
     default_max_decodes(n)).  Per-sample streams derive from (seed, index),
     so results do not depend on evaluation order or parallelism."""
     if n < 1:

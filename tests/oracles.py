@@ -1,11 +1,13 @@
 """Independent brute-force oracles used to freeze expected values."""
 
+from bisect import bisect_right
 from itertools import product
 
 from schnyder_kit.errors import SamplerError
 from schnyder_kit.orientation import FracOrientation
 from schnyder_kit.sampler import (
-    DEFAULT_MAX_ATTEMPTS, EncodingTriple, _word_to_runs, decode,
+    DEFAULT_MAX_ATTEMPTS, EncodingTriple, _fixed_popcount_word,
+    _popcount_table, _word_to_runs, decode, default_max_decodes,
 )
 
 
@@ -62,3 +64,92 @@ def bit_filter_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
         return pair, t, attempt
     raise SamplerError("RejectionLimitExceeded",
                        f"no valid triple in {max_attempts} attempts at n={n}")
+
+
+def _geometric(rng):
+    k = 1
+    while rng.getrandbits(1):
+        k += 1
+    return k
+
+
+def sample_geometric_triple(n, rng):
+    """A triple of independent 2-geometric sequences: alpha stops at the
+    first partial sum >= n (r terms), beta and gamma have n - r + 1 terms."""
+    if n < 1:
+        raise SamplerError("BadParameter", f"n = {n} must be positive")
+    alpha = []
+    total = 0
+    while total < n:
+        a = _geometric(rng)
+        alpha.append(a)
+        total += a
+    s = n - len(alpha)
+    beta = tuple(_geometric(rng) for _ in range(s + 1))
+    gamma = tuple(_geometric(rng) for _ in range(s + 1))
+    return EncodingTriple(alpha=tuple(alpha), beta=tuple(beta), gamma=gamma)
+
+
+def rejection_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
+    """The reference sampler: independent 2-geometric triples until one
+    decodes; the result is uniform over valid pairs.  Returns ((Q, F),
+    triple, attempts)."""
+    for attempt in range(1, max_attempts + 1):
+        t = sample_geometric_triple(n, rng)
+        if sum(t.alpha) != n or sum(t.beta) != n or sum(t.gamma) != n:
+            continue
+        try:
+            pair = decode(t)
+        except SamplerError as exc:
+            if exc.kind != "Invalid":
+                raise
+            continue
+        return pair, t, attempt
+    raise SamplerError("RejectionLimitExceeded",
+                       f"no valid triple in {max_attempts} attempts at n={n}")
+
+
+def decode_every_triple_sample(n, rng, max_attempts=None):
+    """rejection_sample_fast without its tree-stage pre-test: the same
+    draws (s, then words a, b, c per attempt), but every drawn triple is
+    decoded.  Returns ((Q, F), triple, attempts)."""
+    if n < 1:
+        raise SamplerError("BadParameter", f"n = {n} must be positive")
+    cum = _popcount_table(n)
+    if max_attempts is None:
+        max_attempts = default_max_decodes(n)
+    for attempt in range(1, max_attempts + 1):
+        s = bisect_right(cum, rng.randrange(cum[-1]))
+        a = _fixed_popcount_word(rng, n - 1, s)
+        b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
+        c = _fixed_popcount_word(rng, n - 1, n - 1 - s)
+        t = EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
+                           beta=tuple(_word_to_runs(b, n)),
+                           gamma=tuple(_word_to_runs(c, n)))
+        try:
+            pair = decode(t)
+        except SamplerError as exc:
+            if exc.kind != "Invalid":
+                raise
+            continue
+        return pair, t, attempt
+    raise SamplerError("RejectionLimitExceeded",
+                       f"no valid triple in {max_attempts} attempts at n={n}")
+
+
+def tree_word_closes(alpha, beta):
+    """Whether the degree word (alpha, beta) is the preorder degree word of
+    a plane tree with a black root, by growing the tree recursively: each
+    node takes its degree from the next entry of its color's sequence, and
+    a non-root node's degree counts its parent edge."""
+    seqs = {True: iter(alpha), False: iter(beta)}
+
+    def grow(black, kids):
+        for _ in range(kids):
+            deg = next(seqs[not black], None)
+            if deg is None or not grow(not black, deg - 1):
+                return False
+        return True
+
+    return grow(True, next(seqs[True])) and \
+        next(seqs[True], None) is None and next(seqs[False], None) is None

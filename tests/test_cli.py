@@ -185,6 +185,16 @@ def test_error_objects_and_exit_codes(cube_doc, tmp_path):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("text", ['{"map": ', "[1, 2]"])
+def test_validate_rejects_a_bad_document(tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    rc, out = run(["validate", str(p)])
+    assert rc == 1
+    err = json.loads(out)["error"]
+    assert err["stage"] == "cli" and err["kind"] == "BadDocument"
+
+
 def test_jobs_default_env(monkeypatch):
     monkeypatch.delenv("SCHNYDER_KIT_JOBS", raising=False)
     assert _default_jobs() == 1

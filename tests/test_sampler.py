@@ -13,7 +13,10 @@ import schnyder_kit.drawing as DR
 import schnyder_kit.sampler as SA
 
 import instances as I
-from oracles import bit_filter_sample
+from oracles import (
+    _geometric, bit_filter_sample, decode_every_triple_sample, rejection_sample,
+    sample_geometric_triple, tree_word_closes,
+)
 
 
 def even_pairs(m):
@@ -116,10 +119,10 @@ def test_triple_json_round_trip():
 
 def test_geometric_marginal_and_determinism():
     rng = random.Random(99)
-    draws = [SA._geometric(rng) for _ in range(10 ** 5)]
+    draws = [_geometric(rng) for _ in range(10 ** 5)]
     assert abs(draws.count(1) / len(draws) - 0.5) < 0.01
-    t1 = SA.sample_geometric_triple(12, random.Random(5))
-    t2 = SA.sample_geometric_triple(12, random.Random(5))
+    t1 = sample_geometric_triple(12, random.Random(5))
+    t2 = sample_geometric_triple(12, random.Random(5))
     assert t1 == t2
     assert t1.r <= 12 and len(t1.beta) == len(t1.gamma) == 12 - t1.r + 1
     assert sum(t1.alpha) >= 12
@@ -139,7 +142,7 @@ def test_fast_sampler_matches_reference_distribution():
     # with the same distribution; compare accepted-triple frequencies at
     # n = 4 (6 valid pairs)
     k = 1500
-    h_slow = accepted_histogram(SA.rejection_sample, 4, 11, k)
+    h_slow = accepted_histogram(rejection_sample, 4, 11, k)
     h_fast = accepted_histogram(SA.rejection_sample_fast, 4, 11, k)
     assert set(h_slow) == set(h_fast) and len(h_slow) == 6
     for key in h_slow:
@@ -192,30 +195,83 @@ def test_fixed_popcount_draw_reaches_exactly_its_class():
         assert seen == cls, (k, seen)
 
 
-def test_attempts_count_decoded_triples(monkeypatch):
+def test_attempts_count_drawn_triples(monkeypatch):
+    words = []
     decoded = []
-    original = SA.decode
+    draw_word, decode = SA._fixed_popcount_word, SA.decode
+
+    def counting_word(*args):
+        words.append(args)
+        return draw_word(*args)
 
     def counting_decode(t):
         decoded.append(t)
-        return original(t)
+        return decode(t)
 
+    monkeypatch.setattr(SA, "_fixed_popcount_word", counting_word)
     monkeypatch.setattr(SA, "decode", counting_decode)
     _, t, attempts = SA.rejection_sample_fast(10, random.Random(4))
-    assert attempts == len(decoded) and decoded[-1] == t
+    assert len(words) == 3 * attempts
+    assert 1 <= len(decoded) <= attempts and decoded[-1] == t
     for seq in (t.alpha, t.beta, t.gamma):
         assert sum(seq) == 10
+    words.clear()
     decoded.clear()
     with pytest.raises(SamplerError) as ei:
         SA.rejection_sample_fast(24, random.Random(0), max_attempts=3)
     assert ei.value.kind == "RejectionLimitExceeded"
-    assert len(decoded) == 3
+    assert len(words) == 9 and len(decoded) <= 3
+    words.clear()
     decoded.clear()
     monkeypatch.setattr(SA, "default_max_decodes", lambda n: 2)
     with pytest.raises(SamplerError) as ei:
         SA.rejection_sample_fast(24, random.Random(0))
     assert ei.value.kind == "RejectionLimitExceeded"
-    assert len(decoded) == 2
+    assert len(words) == 6 and len(decoded) <= 2
+
+
+@pytest.mark.parametrize("n", [4, 6, 10, 24])
+@pytest.mark.parametrize("cap", [None, 3])
+def test_pretest_keeps_the_draws_and_results(n, cap):
+    # the tree-stage pre-test only skips decodes that would fail, so the
+    # sampler returns what decoding every drawn triple returns
+    def outcome(fn, seed):
+        try:
+            _, t, attempts = fn(n, random.Random(seed), cap)
+        except SamplerError as exc:
+            return exc.kind, exc.detail
+        return t, attempts
+
+    for seed in range(40):
+        assert outcome(SA.rejection_sample_fast, seed) == \
+            outcome(decode_every_triple_sample, seed), seed
+
+
+def test_pretest_fails_exactly_when_the_tree_does():
+    # every pair of flip words (a, b) with the conditioned popcounts, n <= 8;
+    # the pre-test also agrees with growing the tree recursively
+    for n in range(1, 9):
+        width = n - 1
+        by_popcount = [[] for _ in range(n)]
+        for w in range(1 << width):
+            by_popcount[w.bit_count()].append(w)
+        for s in range(n):
+            for a in by_popcount[s]:
+                alpha = SA._word_to_runs(a, n)
+                for b in by_popcount[n - 1 - s]:
+                    beta = SA._word_to_runs(b, n)
+                    passes = bool(a & 1) and SA._contour_closes(alpha, beta)
+                    assert passes == (alpha[0] >= 2 and
+                                      tree_word_closes(alpha, beta))
+                    t = SA.EncodingTriple(tuple(alpha), tuple(beta),
+                                          tuple(beta))
+                    try:
+                        SA._rebuild_tree(t)
+                        fails = False
+                    except SamplerError as exc:
+                        assert exc.stage == "TreeReconstructionFailed"
+                        fails = True
+                    assert passes != fails, (n, a, b)
 
 
 def test_default_decode_cap_keeps_the_filter_budget():
@@ -227,7 +283,7 @@ def test_default_decode_cap_keeps_the_filter_budget():
 
 
 def test_rejection_sample_validates_and_limits():
-    pair, t, attempts = SA.rejection_sample(6, random.Random(3))
+    pair, t, attempts = rejection_sample(6, random.Random(3))
     ang, s = pair
     assert attempts >= 1
     assert ang.map.n_faces == 6
@@ -235,7 +291,7 @@ def test_rejection_sample_validates_and_limits():
     assert (t.alpha, t.beta, t.gamma) == \
         tuple((u.alpha, u.beta, u.gamma) for u in (SA.encode(ang, s),))[0]
     with pytest.raises(SamplerError) as ei:
-        SA.rejection_sample(8, random.Random(0), max_attempts=1)
+        rejection_sample(8, random.Random(0), max_attempts=1)
     assert ei.value.kind == "RejectionLimitExceeded"
 
 
