@@ -59,6 +59,9 @@ def _doc_d(doc, args):
     d = getattr(args, "d", None) or doc.get("d")
     if d is None:
         raise MapError("NotDAngulation", "no face degree given (use --d)")
+    if type(d) is not int:
+        raise KitError("BadDocument", "the face degree 'd' must be an "
+                                      "integer", stage="cli")
     return d
 
 
@@ -229,9 +232,10 @@ def _cmd_draw(args, out):
 
 
 def _cmd_sample(args, out):
+    jobs = args.jobs if args.jobs is not None else _default_jobs()
     stats = sampler_mod.concentration_experiment(
         args.n, args.count, seed=args.seed,
-        max_attempts=args.max_attempts, jobs=args.jobs)
+        max_attempts=args.max_attempts, jobs=jobs)
     text = _dump(stats.to_json_obj())
     if args.report:
         with open(args.report, "w") as f:
@@ -324,7 +328,9 @@ def build_parser():
                         "as 10^6 random word triples hold on average, 1968 "
                         "at n=24); the reported attempts and acceptance_rate "
                         "count drawn triples")
-    q.add_argument("--jobs", type=int, default=_default_jobs())
+    q.add_argument("--jobs", type=int,
+                   help="worker processes (default: $SCHNYDER_KIT_JOBS, "
+                        "else 1)")
     q.add_argument("--report")
     q.set_defaults(fn=_cmd_sample)
 
@@ -334,10 +340,15 @@ def build_parser():
     return p
 
 
+_parser = None
+
+
 def main(argv=None, out=None):
+    global _parser
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:            # built once per process and reused
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args, out)
     except KitError as exc:

@@ -72,6 +72,9 @@ class PlaneMap:
             if not (0 <= t < n) or self.twin[t] != d or t == d:
                 raise MapError("MalformedRotation",
                                f"twin is not a fixed-point-free involution at dart {d}")
+            if not (0 <= self.origin[d] < n):
+                raise MapError("MalformedRotation",
+                               f"origin out of range at dart {d}")
             if self.origin[t] == self.origin[d]:
                 raise MapError("MalformedRotation", f"loop edge at dart {d}")
             nc = self.next_cw[d]
@@ -373,14 +376,38 @@ class PlaneMap:
 
     @classmethod
     def from_json_obj(cls, obj):
-        darts = obj["darts"]
-        return cls(
-            [r["twin"] for r in darts],
-            [r["next_cw"] for r in darts],
-            [r["origin"] for r in darts],
-            outer_dart=obj["outer_dart"],
-            root_vertex=obj.get("root_vertex"),
-        )
+        """The map of a JSON object {"darts": [{"twin", "next_cw",
+        "origin"}, ...], "outer_dart", "root_vertex"}, after checking its
+        shape: every dart field and outer_dart is an integer (a bool is
+        not), root_vertex an integer or null.  Anything else raises
+        MapError("MalformedMap")."""
+        if not isinstance(obj, dict):
+            raise MapError("MalformedMap", "a plane map is a JSON object, "
+                                           f"not {type(obj).__name__}")
+        darts = obj.get("darts")
+        if not isinstance(darts, list):
+            raise MapError("MalformedMap",
+                           "'darts' must be a list of dart records")
+        for d, r in enumerate(darts):
+            if not isinstance(r, dict):
+                raise MapError("MalformedMap", f"dart {d} is not a record")
+        tables = []
+        for key in ("twin", "next_cw", "origin"):
+            col = [r.get(key) for r in darts]
+            if set(map(type, col)) - {int}:
+                d = next(d for d, x in enumerate(col) if type(x) is not int)
+                raise MapError("MalformedMap",
+                               f"dart {d} needs an integer '{key}'")
+            tables.append(col)
+        outer = obj.get("outer_dart")
+        if type(outer) is not int:
+            raise MapError("MalformedMap", "the map needs an integer "
+                                           "'outer_dart'")
+        root = obj.get("root_vertex")
+        if root is not None and type(root) is not int:
+            raise MapError("MalformedMap",
+                           "'root_vertex' must be an integer or null")
+        return cls(*tables, outer_dart=outer, root_vertex=root)
 
     @classmethod
     def from_json(cls, text):

@@ -11,8 +11,9 @@ white vertices (beta, gamma) in discovery order encodes the pair completely.
 decode reverses this: rebuild T1' as a plane tree from the interleaved
 degree word, then reattach T2' by a planar matching sweep along the contour
 (each white vertex offers its parent strand and gamma-1 child slots; each
-black vertex takes the adjacent strands off a stack), and finally run the
-full even-Schnyder validator, which makes acceptance sound unconditionally.
+black vertex takes the adjacent strands off a stack) once the count-only
+_strands_close has found that the sweep closes, and finally run the full
+even-Schnyder validator, which makes acceptance sound unconditionally.
 
 Since every valid triple has probability 8^-n under independent 2-geometric
 draws, conditioning on validity by rejection yields a uniform pair.
@@ -21,8 +22,9 @@ of by rejection: reading each sequence from n coin flips, that event fixes
 the popcounts of the three flip words, so it draws the common popcount from
 its exact binomial weights and then three uniform fixed-popcount words.  It
 rejects a triple whose tree stage fails (alpha[0] = 1, or a degree word
-that does not close the contour, _contour_closes) before building it, and
-decodes the rest.  The geometric-draw sampler itself is the test oracle
+that does not close the contour, _contour_closes) or whose closure stage
+fails (_strands_close) before building it, and decodes the rest, about one
+per sample.  The geometric-draw sampler itself is the test oracle
 tests/oracles.rejection_sample.  The module also houses the exhaustive
 small-n enumeration used as the oracle for uniformity tests, and the
 grid-concentration experiment.
@@ -50,6 +52,7 @@ from .even import (
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
 ENUMERATION_CAP = 12
+_SLOT = -1                       # an incoming T2' slot on the strand stack
 
 
 # -- the encoding triple ---------------------------------------------------
@@ -238,13 +241,63 @@ def _rebuild_tree(t):
     return color, parent, children, gamma_of
 
 
+def _strands_close(alpha, beta, gamma):
+    """Whether the T2' strands close along the clockwise contour of T1'.
+
+    The count-only form of _closure_sweep and its check that the strands
+    left for u3 come from u2 and u4.  Walks the preorder of _contour_closes
+    (which must hold) and keeps the sweep's stack of strands: outs are
+    white ids, slots are _SLOT.  When a white vertex's subtree ends it
+    pushes its out and then gamma-1 slots; a non-root black vertex pops the
+    trailing outs and then needs one slot.  True iff every black vertex
+    finds its slot and only outs remain, the bottom one from u2 (white 0,
+    the first child of u1) and the top one from u4 (the last child)."""
+    ia, ib = 1, 0
+    top = alpha[0]
+    white = True                           # top's children are white
+    stack = []
+    whites = []                            # the open white vertices
+    strands = []
+    u4 = 0
+    while True:
+        if top:
+            if white:
+                if not stack:
+                    u4 = ib
+                whites.append(ib)
+                deg = beta[ib]
+                ib += 1
+            else:
+                deg = alpha[ia]
+                ia += 1
+                while strands and strands[-1] != _SLOT:
+                    strands.pop()
+                if not strands:
+                    return False
+                strands.pop()
+            stack.append(top - 1)
+            top = deg - 1
+            white = not white
+        elif stack:
+            if not white:                  # a white vertex's subtree ends
+                w = whites.pop()
+                strands.append(w)
+                strands.extend([_SLOT] * (gamma[w] - 1))
+            top = stack.pop()
+            white = not white
+        else:
+            return bool(strands) and strands[0] == 0 and \
+                strands[-1] == u4 and _SLOT not in strands
+
+
 def _closure_sweep(color, children, gamma_of):
     """Match T2' strands to slots along the clockwise contour.
 
     Each white vertex, at its last contour corner, pushes its outgoing T2'
     strand and then gamma-1 incoming slots; each black vertex, at its first
     corner, pops the adjacent strands as its T2' children and one slot as
-    its T2' parent.  Strands left over attach to u3.  Returns
+    its T2' parent.  Strands left over attach to u3.  The caller has
+    checked _strands_close, so every black vertex finds its slot.  Returns
     (t2_parent, t2_in per black in pop order, slot_fill, leftover whites
     bottom to top)."""
     stack = []
@@ -257,11 +310,8 @@ def _closure_sweep(color, children, gamma_of):
         if not done:
             if color[v] and v != 0:
                 outs = []
-                while stack and stack[-1][0] == "out":
+                while stack[-1][0] == "out":
                     outs.append(stack.pop()[1])
-                if not stack:
-                    raise _invalid("ClosureFailed",
-                                   f"black vertex {v} finds no parent slot")
                 _, wp, k = stack.pop()
                 t2_parent[v] = wp
                 slot_fill[(wp, k)] = v
@@ -275,8 +325,6 @@ def _closure_sweep(color, children, gamma_of):
             stack.append(("out", v))
             for k in range(gamma_of[v] - 1):
                 stack.append(("slot", v, k))
-    if any(entry[0] != "out" for entry in stack):
-        raise _invalid("ClosureFailed", "unmatched slots remain at u3")
     leftover = [entry[1] for entry in stack]
     return t2_parent, t2_in, slot_fill, leftover
 
@@ -285,13 +333,14 @@ def decode(t):
     """The pair (quadrangulation, even Schnyder decomposition) encoded by a
     triple, or SamplerError(kind="Invalid") with the failing stage."""
     color, parent, children, gamma_of = _rebuild_tree(t)
+    if not _strands_close(t.alpha, t.beta, t.gamma):
+        raise _invalid("ClosureFailed",
+                       "the T2' strands do not close with u2 and u4 "
+                       "reaching u3")
     t2_parent, t2_in, slot_fill, leftover = _closure_sweep(
         color, children, gamma_of)
     u2 = children[0][0]
     u4 = children[0][-1]
-    if not leftover or leftover[0] != u2 or leftover[-1] != u4:
-        raise _invalid("ClosureFailed",
-                       "the external strands of u2 and u4 must reach u3")
     n_nodes = len(color)
     u3 = n_nodes                   # one extra vertex beyond the tree
     for w in leftover:
@@ -408,7 +457,8 @@ def default_max_decodes(n):
 
 def rejection_sample_fast(n, rng, max_attempts=None):
     """A uniform pair with n faces: draw triples whose sums are already n,
-    test their tree stage, and decode those that pass, until one decodes.
+    test their tree and closure stages, and decode those that pass, until
+    one decodes.
 
     Each sequence is read from n coin flips (_word_to_runs): it sums to
     exactly n iff flip n-1 ends a run, and its length is the number of zero
@@ -420,8 +470,10 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     integer weights, then the three fixed-popcount words a, b, c, always in
     this order.  A triple whose tree stage fails is rejected before it is
     built: bit 0 of a is 0 (alpha[0] = 1), or _contour_closes(alpha, beta)
-    is false, which is exactly when _rebuild_tree would fail.  Only the
-    others are decoded.  attempts (and max_attempts, default
+    is false, which is exactly when _rebuild_tree would fail.  So is one
+    whose closure stage fails: _strands_close(alpha, beta, gamma) is false,
+    which is exactly when decode's strand sweep would fail.  Only the others
+    are decoded.  attempts (and max_attempts, default
     default_max_decodes(n)) count drawn triples, so the result at a given
     seed is the one that decoding every drawn triple gives."""
     if n < 1:
@@ -440,8 +492,11 @@ def rejection_sample_fast(n, rng, max_attempts=None):
         beta = _word_to_runs(b, n)
         if not _contour_closes(alpha, beta):
             continue
+        gamma = _word_to_runs(c, n)
+        if not _strands_close(alpha, beta, gamma):
+            continue
         t = EncodingTriple(alpha=tuple(alpha), beta=tuple(beta),
-                           gamma=tuple(_word_to_runs(c, n)))
+                           gamma=tuple(gamma))
         try:
             pair = decode(t)
         except SamplerError as exc:

@@ -110,7 +110,7 @@ def rejection_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
 
 
 def decode_every_triple_sample(n, rng, max_attempts=None):
-    """rejection_sample_fast without its tree-stage pre-test: the same
+    """rejection_sample_fast without its pre-tests: the same
     draws (s, then words a, b, c per attempt), but every drawn triple is
     decoded.  Returns ((Q, F), triple, attempts)."""
     if n < 1:
@@ -153,3 +153,34 @@ def tree_word_closes(alpha, beta):
 
     return grow(True, next(seqs[True])) and \
         next(seqs[True], None) is None and next(seqs[False], None) is None
+
+
+def sweep_closes(color, children, gamma_of):
+    """Whether the T2' strands of a rebuilt tree close, by the full
+    matching sweep along the contour: each white vertex, at its last
+    corner, pushes its out and gamma-1 slots; each non-root black vertex,
+    at its first corner, pops the adjacent outs and must find a slot below
+    them.  Closes iff every black vertex finds its slot, no slot is left
+    over, and the outs left for u3 run from u2 (bottom) to u4 (top)."""
+    stack = []
+    todo = [(0, False)]
+    while todo:
+        v, done = todo.pop()
+        if not done:
+            if color[v] and v != 0:
+                while stack and stack[-1][0] == "out":
+                    stack.pop()
+                if not stack:
+                    return False
+                stack.pop()
+            todo.append((v, True))
+            for c in reversed(children[v]):
+                todo.append((c, False))
+        elif not color[v]:
+            stack.append(("out", v))
+            stack.extend([("slot", v)] * (gamma_of[v] - 1))
+    if any(kind != "out" for kind, _ in stack):
+        return False
+    leftover = [v for _, v in stack]
+    return bool(leftover) and leftover[0] == children[0][0] and \
+        leftover[-1] == children[0][-1]

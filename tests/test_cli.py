@@ -3,7 +3,9 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import schnyder_kit.cli as cli
 from schnyder_kit.cli import main, _default_jobs
 
 import instances as I
@@ -200,3 +202,145 @@ def test_jobs_default_env(monkeypatch):
     assert _default_jobs() == 1
     monkeypatch.setenv("SCHNYDER_KIT_JOBS", "3")
     assert _default_jobs() == 3
+
+
+def test_sample_reads_the_jobs_env_on_every_call(monkeypatch):
+    # the parser is built once, but the --jobs default is resolved per call
+    seen = []
+    real = cli.sampler_mod.concentration_experiment
+
+    def recording(*args, jobs, **kwargs):
+        seen.append(jobs)
+        return real(*args, jobs=1, **kwargs)
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli.sampler_mod, "concentration_experiment",
+                        recording)
+    argv = ["sample", "--n", "4", "--count", "1", "--seed", "3"]
+    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "2")
+    rc1, t1 = run(argv)
+    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "5")
+    rc2, t2 = run(argv)
+    rc3, _ = run(argv + ["--jobs", "1"])
+    assert rc1 == rc2 == rc3 == 0 and t1 == t2
+    assert seen == [2, 5, 1]
+    assert len(builds) == 1
+
+
+def cube_document():
+    return {"map": I.cube().to_json_obj(), "d": 4}
+
+
+def _drop(key):
+    def edit(doc):
+        del doc["map"]["darts"][3][key]
+    return edit
+
+
+def _set(field, value):
+    def edit(doc):
+        doc["map"]["darts"][3][field] = value
+    return edit
+
+
+def _set_d(value):
+    return lambda doc: doc.update(d=value)
+
+
+MALFORMED = {
+    "dart record without twin": _drop("twin"),
+    "dart record without origin": _drop("origin"),
+    "no outer_dart": lambda doc: doc["map"].pop("outer_dart"),
+    "darts not a list": lambda doc: doc["map"].update(darts={"0": 1}),
+    "dart not a record": lambda doc: doc["map"]["darts"].__setitem__(3, 2),
+    "float origin": _set("origin", 2.0),
+    "bool twin": lambda doc: doc["map"]["darts"][0].update(twin=True),
+    "bool outer_dart": lambda doc: doc["map"].update(outer_dart=False),
+    "string root_vertex": lambda doc: doc["map"].update(root_vertex="0"),
+    "map not an object": lambda doc: doc.update(map=[1, 2]),
+    "origin past the darts": _set("origin", 10 ** 12),
+    "string d": _set_d("4"),
+    "float d": _set_d(4.0),
+    "bool d": _set_d(True),
+    "list d": _set_d([4]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_rejects_a_malformed_document(tmp_path, case):
+    doc = cube_document()
+    MALFORMED[case](doc)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    rc, out = run(["validate", str(p)])
+    assert rc == 1
+    err = json.loads(out)["error"]
+    if case.endswith(" d"):
+        assert (err["stage"], err["kind"]) == ("cli", "BadDocument"), err
+    else:
+        assert err["stage"] == "planar_map", err
+        assert err["kind"] in {"MalformedMap", "MalformedRotation"}, err
+
+
+DART_FIELDS = ("twin", "next_cw", "origin")
+PATHS = [("d",), ("map",), ("map", "darts"), ("map", "outer_dart"),
+         ("map", "root_vertex"), ("map", "darts", None)] + \
+    [("map", "darts", None, f) for f in DART_FIELDS]
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.just(10 ** 12),
+    st.floats(-4, 40), st.text(max_size=3), st.just([]), st.just({}),
+    st.lists(st.integers(0, 30), max_size=3))
+
+
+@st.composite
+def mutated_cube_documents(draw):
+    """The cube document with 1-3 edits: a key or dart dropped, a value
+    replaced by one of another JSON type, or the dart list truncated."""
+    doc = cube_document()
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("drop", "swap", "truncate")))
+        darts = doc.get("map", {}).get("darts") \
+            if isinstance(doc.get("map"), dict) else None
+        if op == "truncate":
+            if isinstance(darts, list):
+                del darts[draw(st.integers(0, len(darts))):]
+            continue
+        path = [step if step is not None else draw(st.integers(0, 23))
+                for step in draw(st.sampled_from(PATHS))]
+        parent = doc
+        for step in path[:-1]:
+            ok = isinstance(parent, dict) and step in parent or \
+                isinstance(parent, list) and type(step) is int and \
+                step < len(parent)
+            if not ok:
+                break
+            parent = parent[step]
+        else:
+            last = path[-1]
+            if isinstance(parent, dict) and type(last) is str or \
+                    isinstance(parent, list) and type(last) is int and \
+                    last < len(parent):
+                if op == "drop":
+                    if isinstance(parent, list) or last in parent:
+                        del parent[last]
+                else:
+                    parent[last] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_cube_documents())
+def test_validate_fuzzed_cube_documents(tmp_path, doc):
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(doc))
+    rc, out = run(["validate", str(p)])
+    assert rc in (0, 1, 2)
+    obj = json.loads(out)                # exactly one JSON value
+    assert isinstance(obj, dict)
+    if "error" in obj:
+        assert rc == 1 and {"stage", "kind"} <= set(obj["error"])

@@ -15,7 +15,7 @@ import schnyder_kit.sampler as SA
 import instances as I
 from oracles import (
     _geometric, bit_filter_sample, decode_every_triple_sample, rejection_sample,
-    sample_geometric_triple, tree_word_closes,
+    sample_geometric_triple, sweep_closes, tree_word_closes,
 )
 
 
@@ -272,6 +272,41 @@ def test_pretest_fails_exactly_when_the_tree_does():
                         assert exc.stage == "TreeReconstructionFailed"
                         fails = True
                     assert passes != fails, (n, a, b)
+
+
+def test_strands_pretest_fails_exactly_when_the_sweep_does():
+    # every triple of flip words with the conditioned popcounts, n <= 8,
+    # that passes the tree stage: the count-only strand test fails exactly
+    # when the full matching sweep over the rebuilt tree does, counting its
+    # u2/u4 check; the sweep and _rebuild_tree are called directly, not
+    # through decode.  The triples that pass number the pairs with n faces
+    # (Baxter numbers, as counted by test_enumerate_pairs_counts).
+    closing = []
+    for n in range(1, 9):
+        by_popcount = [[] for _ in range(n)]
+        for w in range(1 << (n - 1)):
+            by_popcount[w.bit_count()].append(w)
+        closing.append(0)
+        for s in range(n):
+            words = by_popcount[n - 1 - s]
+            for a in by_popcount[s]:
+                if not a & 1:
+                    continue
+                alpha = SA._word_to_runs(a, n)
+                for b in words:
+                    beta = SA._word_to_runs(b, n)
+                    if not SA._contour_closes(alpha, beta):
+                        continue
+                    for c in words:
+                        gamma = SA._word_to_runs(c, n)
+                        t = SA.EncodingTriple(tuple(alpha), tuple(beta),
+                                              tuple(gamma))
+                        color, _, children, gamma_of = SA._rebuild_tree(t)
+                        closes = SA._strands_close(alpha, beta, gamma)
+                        assert closes == sweep_closes(
+                            color, children, gamma_of), (n, a, b, c)
+                        closing[-1] += closes
+    assert closing == [0, 1, 2, 6, 22, 92, 422, 2074]
 
 
 def test_default_decode_cap_keeps_the_filter_budget():
