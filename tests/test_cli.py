@@ -292,8 +292,15 @@ PATHS = [("d",), ("map",), ("map", "darts"), ("map", "outer_dart"),
     [("map", "darts", None, f) for f in DART_FIELDS]
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 40), st.just(10 ** 12),
-    st.floats(-4, 40), st.text(max_size=3), st.just([]), st.just({}),
+    st.floats(-4, 40), st.text(max_size=3), st.builds(dict),
     st.lists(st.integers(0, 30), max_size=3))
+
+
+def _has(obj, key):
+    """Whether obj[key] exists: a key of a dict or an index into a list."""
+    if isinstance(obj, dict):
+        return key in obj
+    return isinstance(obj, list) and type(key) is int and key < len(obj)
 
 
 @st.composite
@@ -303,32 +310,22 @@ def mutated_cube_documents(draw):
     doc = cube_document()
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("drop", "swap", "truncate")))
-        darts = doc.get("map", {}).get("darts") \
-            if isinstance(doc.get("map"), dict) else None
-        if op == "truncate":
-            if isinstance(darts, list):
-                del darts[draw(st.integers(0, len(darts))):]
-            continue
-        path = [step if step is not None else draw(st.integers(0, 23))
-                for step in draw(st.sampled_from(PATHS))]
+        path = ("map", "darts") if op == "truncate" else \
+            draw(st.sampled_from(PATHS))
+        path = [draw(st.integers(0, 23)) if step is None else step
+                for step in path]
         parent = doc
         for step in path[:-1]:
-            ok = isinstance(parent, dict) and step in parent or \
-                isinstance(parent, list) and type(step) is int and \
-                step < len(parent)
-            if not ok:
-                break
-            parent = parent[step]
-        else:
-            last = path[-1]
-            if isinstance(parent, dict) and type(last) is str or \
-                    isinstance(parent, list) and type(last) is int and \
-                    last < len(parent):
-                if op == "drop":
-                    if isinstance(parent, list) or last in parent:
-                        del parent[last]
-                else:
-                    parent[last] = draw(JSON_VALUES)
+            parent = parent[step] if _has(parent, step) else None
+        last = path[-1]
+        if op == "truncate":
+            if _has(parent, last) and isinstance(parent[last], list):
+                del parent[last][draw(st.integers(0, len(parent[last]))):]
+        elif op == "drop":
+            if _has(parent, last):
+                del parent[last]
+        elif isinstance(parent, dict) or _has(parent, last):
+            parent[last] = draw(JSON_VALUES)
     return doc
 
 
