@@ -8,19 +8,20 @@ rays from their endpoints; color 1 rays point down (-y), color 2 left (-x),
 color 3 up (+y), color 4 right (+x).
 
 The same placement falls out of the two equatorial lines (x = rank along L_1,
-y = rank along L_4), which is the linear-time path; face counting is kept as
-the oracle.  Face classification, grid reduction, root completion, planarity
-oracles and SVG/JSON emitters round out the pipeline.
+y = rank along L_4), which is the linear-time path this module takes; the
+tests keep face counting as its oracle.  Face classification, grid
+reduction, root completion, planarity oracles and SVG/JSON emitters round
+out the pipeline.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 from .errors import DrawingError
 from .duality import RegularDecomposition
 from .even import black_faces
-from .orientation import _left_faces
 
 
 def _mod4(c):
@@ -42,53 +43,6 @@ def _color_dart(rd, v, i):
             return h
     raise DrawingError("InvalidDecomposition",
                        f"vertex {v} has no outgoing arc of color {i}")
-
-
-def path_to_root(rd, v, i):
-    """Darts of the color-i path P_i(v) from v to the root vertex."""
-    m = rd.host.map
-    darts = []
-    w = v
-    while w != rd.host.root_vertex:
-        h = _color_dart(rd, w, i)
-        darts.append(h)
-        w = m.target(h)
-        if len(darts) > m.n_vertices:
-            raise DrawingError("InvalidDecomposition", f"color {i} cycle at {v}")
-    return darts
-
-
-def region_faces(rd, v, i):
-    """Faces of the region R_{i,i+2}(v) bounded by P_i(v) + P_{i+2}(v) and
-    containing the root edge e_{i+1}*."""
-    rv = rd.host
-    m = rv.map
-    p1 = path_to_root(rd, v, i)
-    p2 = path_to_root(rd, v, _mod4(i + 2))
-    mid1 = {m.target(h) for h in p1[:-1]}
-    mid2 = {m.target(h) for h in p2[:-1]}
-    if mid1 & mid2:
-        raise DrawingError("InvalidDecomposition",
-                           f"paths {i} and {_mod4(i + 2)} from {v} meet at "
-                           f"{sorted(mid1 & mid2)}")
-    cycle = p1 + [m.twin[h] for h in reversed(p2)]
-    left = _left_faces(m, cycle)
-    marker = m.face_of[rv.root_darts[i % 4]]  # a face beside e_{i+1}*
-    if marker in left:
-        return left
-    return set(range(m.n_faces)) - left
-
-
-def place_by_face_counting(rd):
-    """p(v) by counting non-root faces region by region (quadratic oracle)."""
-    rv = rd.host
-    non_root = set(rv.non_root_faces())
-    coords = {}
-    for v in rv.non_root_vertices():
-        x = len(region_faces(rd, v, 1) & non_root)
-        y = len(region_faces(rd, v, 4) & non_root)
-        coords[v] = (x, y)
-    return coords
 
 
 # -- equatorial lines ------------------------------------------------------
@@ -452,11 +406,8 @@ def apply_reduction(gd, rc):
         raise DrawingError("InternalInvariantViolation",
                            "reduce before adding the root")
     rd = gd.decomposition
-
-    def shrink(v, erased):
-        return v - sum(1 for t in erased if t < v)
-
-    coords = {v: (shrink(x, rc.X), shrink(y, rc.Y))
+    xs, ys = sorted(rc.X), sorted(rc.Y)
+    coords = {v: (x - bisect_left(xs, x), y - bisect_left(ys, y))
               for v, (x, y) in gd.coords.items()}
     bends = {e: _bend_point(rd, coords, e) for e in gd.bends}
     return GridDrawing(decomposition=rd, coords=coords, bends=bends,

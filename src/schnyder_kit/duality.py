@@ -13,13 +13,12 @@ one color, encoded as a one-bit mask.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .errors import DualityError
-from .planar_map import AngulationView, RegularView, as_regular
+from .planar_map import as_regular
 from .schnyder import (
-    CornerLabelling, SchnyderDecomposition, _mod, colors_of,
-    phi, phi_inverse, validate_labelling, validate_schnyder,
+    CornerLabelling, DartTable, _mod, phi, validate_labelling,
+    validate_schnyder,
 )
 
 
@@ -45,56 +44,18 @@ def dual_face_of_vertex(ang, rv, v):
     return rv.map.face_of[h]
 
 
-@dataclass(frozen=True)
-class RegularLabelling:
-    host: RegularView
-    colors: tuple  # colors[h] = color of corner(h) in the dual map, in 1..d
-    primal: AngulationView = field(default=None, compare=False)
-
-    def color(self, dart):
-        return self.colors[dart]
-
-    def to_json_obj(self):
-        return {"host": "dual", "corner_colors": list(self.colors)}
-
-    @classmethod
-    def from_json_obj(cls, obj, host, primal=None):
-        if obj.get("host") != "dual":
-            raise DualityError("InvalidLabelling", "expected a dual-host labelling")
-        return cls(host=host, colors=tuple(obj["corner_colors"]), primal=primal)
+class RegularLabelling(DartTable):
+    """colors[h] = color of corner(h) in the dual map, in 1..d."""
+    HOST = "dual"
+    KEY = "corner_colors"
+    ERROR = DualityError
+    KIND = "InvalidLabelling"
 
 
-@dataclass(frozen=True)
-class RegularDecomposition:
-    host: RegularView
-    masks: tuple  # masks[h] = one-bit color mask (0 on darts leaving v*)
-    primal: AngulationView = field(default=None, compare=False)
-
-    def dart_colors(self, dart):
-        return colors_of(self.masks[dart], self.host.d)
-
-    def arcs_of_color(self, i):
-        bit = 1 << (i - 1)
-        return [h for h in range(len(self.masks)) if self.masks[h] & bit]
-
-    def to_json_obj(self):
-        return {"host": "dual", "d": self.host.d,
-                "dart_colors": [self.dart_colors(h) for h in range(len(self.masks))]}
-
-    @classmethod
-    def from_json_obj(cls, obj, host, primal=None):
-        if obj.get("host") != "dual":
-            raise DualityError("InvalidDecomposition",
-                               "expected a dual-host decomposition")
-        if obj["d"] != host.d:
-            raise DualityError("InvalidDecomposition", "d mismatch with host")
-        masks = []
-        for cs in obj["dart_colors"]:
-            m = 0
-            for c in cs:
-                m |= 1 << (c - 1)
-            masks.append(m)
-        return cls(host=host, masks=tuple(masks), primal=primal)
+class RegularDecomposition(DartTable):
+    """masks[h] = one-bit color mask (0 on darts leaving v*)."""
+    HOST = "dual"
+    ERROR = DualityError
 
 
 # -- labelling transfer ---------------------------------------------------
@@ -108,11 +69,7 @@ def dual_labelling(l):
     rv = dualize(ang)
     prev = ang.map.prev_cw
     colors = tuple(l.colors[prev[h]] for h in range(ang.map.n_darts))
-    r = RegularLabelling(host=rv, colors=colors, primal=ang)
-    bad = validate_regular_labelling(r)
-    if bad:
-        raise DualityError("InvalidLabelling", f"dual transfer failed: {bad[:3]}")
-    return r
+    return RegularLabelling(host=rv, colors=colors, primal=ang)
 
 
 def primal_labelling(r):
@@ -125,11 +82,7 @@ def primal_labelling(r):
         raise DualityError("InvalidLabelling", str(bad[:3]))
     nxt = r.primal.map.next_cw
     colors = tuple(r.colors[nxt[h]] for h in range(r.primal.map.n_darts))
-    l = CornerLabelling(host=r.primal, colors=colors)
-    bad = validate_labelling(l)
-    if bad:
-        raise DualityError("InvalidLabelling", f"primal transfer failed: {bad[:3]}")
-    return l
+    return CornerLabelling(host=r.primal, colors=colors)
 
 
 # -- regular labelling validation ----------------------------------------
@@ -294,18 +247,17 @@ def validate_regular_decomposition(rd):
         if [seq[(start + t) % len(seq)] for t in range(len(seq))] != \
                 list(range(1, d + 1)):
             out.append(("iii", v, f"outgoing colors not clockwise at {v}: {seq}"))
-    # each color class is a spanning tree oriented toward v*
-    for i in range(1, d + 1):
-        parent = {m.origin[h]: h for h in rd.arcs_of_color(i)}
-        for v in rv.non_root_vertices():
-            seen = set()
-            w = v
-            while w != rv.root_vertex:
-                if w in seen or w not in parent:
-                    out.append(("tree", v, f"color {i} path from {v} breaks at {w}"))
-                    break
-                seen.add(w)
-                w = m.target(parent[w])
+    return out + _tree_violations(rd)
+
+
+def _tree_violations(rd):
+    """Each color class of rd must be a spanning tree oriented toward v*."""
+    rv = rd.host
+    out = []
+    for i in range(1, rd.n_colors + 1):
+        ends = rd.path_ends(i, root=rv.root_vertex)
+        out.extend(("tree", v, f"color {i} path from {v} misses the root")
+                   for v in rv.non_root_vertices() if ends[v] != rv.root_vertex)
     return out
 
 
@@ -353,9 +305,4 @@ def chi(s):
 
 def chi_inverse(rd):
     """The Schnyder decomposition s with chi(s) = rd."""
-    s = phi(primal_labelling(xi_inverse(rd)))
-    bad = validate_schnyder(s)
-    if bad:
-        raise DualityError("InvalidDecomposition",
-                           f"recovered decomposition fails: {bad[:3]}")
-    return s
+    return phi(primal_labelling(xi_inverse(rd)))

@@ -16,17 +16,16 @@ anchored at the root face f_1* (black).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .errors import EvenError, MapError, OrientationError
-from .planar_map import AngulationView, RegularView, as_angulation, as_regular
+from .planar_map import as_angulation
 from .duality import (
-    RegularDecomposition, dualize, validate_regular_decomposition,
+    RegularDecomposition, _tree_violations, validate_regular_decomposition,
 )
 from .orientation import compute_p_p1_orientation, double
 from .schnyder import (
-    SchnyderDecomposition, _mod, _strictly_between_cw, colors_of,
-    phi, psi_inverse, validate_schnyder,
+    DartTable, SchnyderDecomposition, _forest_violations, _mod,
+    _strictly_between_cw, colors_of, phi, psi_inverse, validate_schnyder,
 )
 from . import duality as _duality
 
@@ -107,73 +106,24 @@ def is_even_regular(rd):
 
 # -- reduced types ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReducedSchnyderDecomposition:
+class ReducedSchnyderDecomposition(DartTable):
     """Covering of the internal edges by p oriented forests F_1'..F_p';
     masks hold p-bit color sets per dart."""
-
-    host: AngulationView
-    masks: tuple
-
-    @property
-    def p(self):
-        return self.host.d // 2
-
-    def dart_colors(self, dart):
-        return colors_of(self.masks[dart], self.p)
-
-    def arcs_of_color(self, i):
-        bit = 1 << (i - 1)
-        return [h for h in range(len(self.masks)) if self.masks[h] & bit]
-
-    def to_json_obj(self):
-        return {"host": "primal", "reduced": True, "d": self.p,
-                "dart_colors": [self.dart_colors(h) for h in range(len(self.masks))]}
-
-    @classmethod
-    def from_json_obj(cls, obj, host):
-        if not obj.get("reduced") or obj.get("host", "primal") != "primal":
-            raise EvenError("NotEven", "expected a reduced primal decomposition")
-        if obj["d"] != host.d // 2:
-            raise EvenError("NotEven", "color range mismatch with host")
-        masks = tuple(sum(1 << (c - 1) for c in cs) for cs in obj["dart_colors"])
-        return cls(host=host, masks=masks)
+    REDUCED = True
+    ERROR = EvenError
+    KIND = "NotEven"
+    p = DartTable.n_colors
 
 
-@dataclass(frozen=True)
-class ReducedRegularDecomposition:
+class ReducedRegularDecomposition(DartTable):
     """Partition of the dual edges except e_1*, e_3*, ... into p spanning
-    trees toward v*; one color per dart, plus the black/white face split."""
-
-    host: RegularView
-    masks: tuple
-    face_black: tuple = field(compare=False)
-    primal: AngulationView = field(default=None, compare=False)
-
-    @property
-    def p(self):
-        return self.host.d // 2
-
-    def dart_colors(self, dart):
-        return colors_of(self.masks[dart], self.p)
-
-    def arcs_of_color(self, i):
-        bit = 1 << (i - 1)
-        return [h for h in range(len(self.masks)) if self.masks[h] & bit]
-
-    def to_json_obj(self):
-        return {"host": "dual", "reduced": True, "d": self.p,
-                "dart_colors": [self.dart_colors(h) for h in range(len(self.masks))]}
-
-    @classmethod
-    def from_json_obj(cls, obj, host, primal=None):
-        if not obj.get("reduced") or obj.get("host") != "dual":
-            raise EvenError("NotEven", "expected a reduced dual decomposition")
-        if obj["d"] != host.d // 2:
-            raise EvenError("NotEven", "color range mismatch with host")
-        masks = tuple(sum(1 << (c - 1) for c in cs) for cs in obj["dart_colors"])
-        return cls(host=host, masks=masks, face_black=black_faces(host),
-                   primal=primal)
+    trees toward v*; one color per dart.  The black/white face split is
+    black_faces(host)."""
+    HOST = "dual"
+    REDUCED = True
+    ERROR = EvenError
+    KIND = "NotEven"
+    p = DartTable.n_colors
 
 
 def _spread_even(mask, p):
@@ -238,45 +188,10 @@ def validate_reduced_schnyder(rs):
             if a & b or bin(a | b).count("1") != p - 1:
                 out.append(("i'", h, "edge must lie in p-1 forests, once each"))
     for i in range(1, p + 1):
-        out.extend(_validate_reduced_forest(rs, i))
+        avoid = {ang.external[2 * i - 1], ang.external[(2 * i) % ang.d]}
+        out.extend(_forest_violations(rs, i, avoid, "ii'"))
     for v in ang.internal_vertices():
         out.extend(_validate_reduced_vertex_rule(rs, v, black[v]))
-    return out
-
-
-def _validate_reduced_forest(rs, i):
-    ang = rs.host
-    m = ang.map
-    out = []
-    avoid = {ang.external[2 * i - 1], ang.external[(2 * i) % ang.d]}
-    parent = {}
-    covered = set()
-    for h in rs.arcs_of_color(i):
-        v = m.origin[h]
-        if v in parent:
-            out.append(("ii'", v, f"color {i}: two outgoing arcs at {v}"))
-        parent[v] = h
-        covered.update((v, m.target(h)))
-    for v in avoid & covered:
-        out.append(("ii'", v, f"color {i} touches u_{{2i}} or u_{{2i+1}}"))
-    ext = set(ang.external)
-    for u in ext & set(parent):
-        out.append(("ii'", u, f"color {i}: outgoing arc at external {u}"))
-    for v0 in ang.internal_vertices():
-        if v0 not in parent:
-            out.append(("ii'", v0, f"color {i}: no outgoing arc at internal {v0}"))
-            continue
-        seen = set()
-        v = v0
-        while v in parent:
-            if v in seen:
-                out.append(("ii'", v0, f"color {i}: cycle through {v}"))
-                break
-            seen.add(v)
-            v = m.target(parent[v])
-        else:
-            if v not in ext or v in avoid:
-                out.append(("ii'", v0, f"color {i}: path ends at {v}"))
     return out
 
 
@@ -321,9 +236,7 @@ def lambda_star(rd):
     masks = tuple(
         sum(1 << (i - 1) for i in range(1, p + 1) if mk >> (2 * i - 1) & 1)
         for mk in rd.masks)
-    return ReducedRegularDecomposition(host=rv, masks=masks,
-                                       face_black=black_faces(rv),
-                                       primal=rd.primal)
+    return ReducedRegularDecomposition(host=rv, masks=masks, primal=rd.primal)
 
 
 def lambda_star_inverse(rrd):
@@ -340,9 +253,6 @@ def lambda_star_inverse(rrd):
         for i in rrd.dart_colors(h):
             full[m.prev_cw[h]] |= 1 << (2 * i - 2)
     rd = RegularDecomposition(host=rv, masks=tuple(full), primal=rrd.primal)
-    bad = validate_regular_decomposition(rd)
-    if bad:
-        raise EvenError("NotEven", f"odd-color reinstatement fails: {bad[:3]}")
     if not is_even_regular(rd):
         raise EvenError("NotEven", "reinstated decomposition is not even")
     return rd
@@ -376,8 +286,9 @@ def validate_reduced_regular(rrd):
         if rrd.masks[x] != 1 << (i - 1):
             out.append(("ii'", x, f"root edge e_{{2i}}* of tree {i} miscolored"))
     # (i') black face on the right of every arc
+    face_black = black_faces(rv)
     for h in range(m.n_darts):
-        if rrd.masks[h] and not rrd.face_black[m.face_of[m.twin[h]]]:
+        if rrd.masks[h] and not face_black[m.face_of[m.twin[h]]]:
             out.append(("i'", h, f"arc {h} has a white face on its right"))
     # (iii') parent arcs clockwise around non-root vertices
     for v in rv.non_root_vertices():
@@ -395,19 +306,7 @@ def validate_reduced_regular(rrd):
         turns = sum((pos[_mod(i + 1, p)] - pos[i]) % n for i in range(1, p + 1))
         if turns not in (0, n):
             out.append(("iii'", v, f"parent arcs not clockwise at {v}"))
-    # spanning trees toward v*
-    for i in range(1, p + 1):
-        parent = {m.origin[h]: h for h in rrd.arcs_of_color(i)}
-        for v in rv.non_root_vertices():
-            seen = set()
-            w = v
-            while w != rv.root_vertex:
-                if w in seen or w not in parent:
-                    out.append(("tree", v, f"color {i} path from {v} breaks at {w}"))
-                    break
-                seen.add(w)
-                w = m.target(parent[w])
-    return out
+    return out + _tree_violations(rrd)
 
 
 # -- the p = 2 construction pipeline --------------------------------------

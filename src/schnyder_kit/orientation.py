@@ -62,7 +62,20 @@ class FracOrientation:
 
     @classmethod
     def from_json_obj(cls, obj, m, host=None):
-        return cls(map=m, k=obj["k"], values=tuple(obj["values"]), host=host)
+        """The orientation of a JSON object {"k", "values"} on m, after
+        checking its shape: k a non-negative integer and values one integer
+        in [-1, k] per dart.  Anything else raises InvalidOrientation."""
+        k = obj.get("k") if isinstance(obj, dict) else None
+        if type(k) is not int or k < 0:
+            raise OrientationError("InvalidOrientation", "an orientation is "
+                                   "an object with an integer 'k' >= 0")
+        values = obj.get("values")
+        if not isinstance(values, list) or len(values) != m.n_darts or \
+                any(type(x) is not int or not -1 <= x <= k for x in values):
+            raise OrientationError("InvalidOrientation", "'values' must hold "
+                                   f"one integer in [-1, {k}] per dart "
+                                   f"({m.n_darts} darts)")
+        return cls(map=m, k=k, values=tuple(values), host=host)
 
 
 # -- max flow -------------------------------------------------------------

@@ -30,14 +30,12 @@ from .errors import MapError
 class PlaneMap:
     __slots__ = (
         "twin", "next_cw", "origin", "outer_dart", "root_vertex",
-        "vertex_bipartition",
         "prev_cw", "n_vertices", "n_edges", "n_faces",
         "face_of", "faces", "vertex_darts", "outer_face",
         "_frozen",
     )
 
-    def __init__(self, twin, next_cw, origin, outer_dart, root_vertex=None,
-                 vertex_bipartition=None):
+    def __init__(self, twin, next_cw, origin, outer_dart, root_vertex=None):
         self.twin = tuple(twin)
         self.next_cw = tuple(next_cw)
         self.origin = tuple(origin)
@@ -46,11 +44,6 @@ class PlaneMap:
         self._validate_permutations()
         self._build_derived()
         self._validate_topology()
-        self.vertex_bipartition = (
-            tuple(vertex_bipartition) if vertex_bipartition is not None else None
-        )
-        if self.vertex_bipartition is not None:
-            self._validate_bipartition()
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -165,15 +158,6 @@ class PlaneMap:
                 f"v-e+f = {self.n_vertices}-{self.n_edges}+{self.n_faces} != 2")
         if self.root_vertex is not None and not (0 <= self.root_vertex < self.n_vertices):
             raise MapError("MalformedRotation", "root vertex out of range")
-
-    def _validate_bipartition(self):
-        bp = self.vertex_bipartition
-        if len(bp) != self.n_vertices:
-            raise MapError("MalformedRotation", "bipartition size mismatch")
-        for d in range(len(self.twin)):
-            if bp[self.origin[d]] == bp[self.origin[self.twin[d]]]:
-                raise MapError("MalformedRotation",
-                               f"bipartition not proper at dart {d}")
 
     # -- elementary accessors --------------------------------------------
 
@@ -323,22 +307,25 @@ class PlaneMap:
 
     # -- canonical forms and isomorphism ---------------------------------
 
-    def canonical_code(self, root_dart):
-        """Canonical relabelling code of the map rooted at a dart.
-
-        Two rooted maps are isomorphic iff their codes are equal.  The code
-        is produced by a BFS over darts along next_cw and twin.
-        """
+    def dart_bfs(self, root_dart):
+        """{dart: rank} in BFS order from root_dart along next_cw, then twin."""
         label = {root_dart: 0}
         order = [root_dart]
-        q = deque([root_dart])
-        while q:
-            d = q.popleft()
+        for d in order:             # the growing list is the BFS queue
             for nd in (self.next_cw[d], self.twin[d]):
                 if nd not in label:
                     label[nd] = len(order)
                     order.append(nd)
-                    q.append(nd)
+        return label
+
+    def canonical_code(self, root_dart):
+        """Canonical relabelling code of the map rooted at a dart: the
+        next_cw and twin tables relabelled by dart_bfs rank.
+
+        Two rooted maps are isomorphic iff their codes are equal.
+        """
+        label = self.dart_bfs(root_dart)
+        order = list(label)
         code_next = tuple(label[self.next_cw[d]] for d in order)
         code_twin = tuple(label[self.twin[d]] for d in order)
         return (code_next, code_twin)
@@ -418,8 +405,7 @@ class PlaneMap:
                 f"f={self.n_faces})")
 
 
-def build_map(rotations, outer_dart, twin=None, root_vertex=None,
-              vertex_bipartition=None):
+def build_map(rotations, outer_dart, twin=None, root_vertex=None):
     """Build a PlaneMap from per-vertex clockwise dart lists.
 
     ``rotations[v]`` lists the darts leaving v in clockwise order.  When
@@ -441,8 +427,7 @@ def build_map(rotations, outer_dart, twin=None, root_vertex=None,
             next_cw[d] = rot[(i + 1) % len(rot)]
     if any(o is None for o in origin):
         raise MapError("MalformedRotation", "rotation lists do not cover all darts")
-    return PlaneMap(twin, next_cw, origin, outer_dart, root_vertex=root_vertex,
-                    vertex_bipartition=vertex_bipartition)
+    return PlaneMap(twin, next_cw, origin, outer_dart, root_vertex=root_vertex)
 
 
 # -- views ----------------------------------------------------------------
@@ -535,12 +520,14 @@ def as_regular(m, d, root=None, first_root_dart=None):
         root = m.root_vertex
     if root is None:
         raise MapError("NotDRegular", "no root vertex given")
+    if type(root) is not int or not 0 <= root < m.n_vertices:
+        raise MapError("NotDRegular", f"root {root!r} is not a vertex")
     for v in range(m.n_vertices):
         if m.degree(v) != d:
             raise MapError("NotDRegular",
                            f"vertex {v} has degree {m.degree(v)}, expected {d}")
     h = first_root_dart if first_root_dart is not None else m.vertex_darts[root]
-    if m.origin[h] != root:
+    if type(h) is not int or not 0 <= h < m.n_darts or m.origin[h] != root:
         raise MapError("NotDRegular", "first root dart not at root vertex")
     darts = []
     for _ in range(d):

@@ -721,25 +721,6 @@ def enumerate_pairs(n, cap=ENUMERATION_CAP):
     return out
 
 
-def pair_code(ang, s):
-    """Canonical form of a rooted pair: the rooted map code together with
-    the color masks read in code order."""
-    m = ang.map
-    label = {m.outer_dart: 0}
-    order = [m.outer_dart]
-    q = deque([m.outer_dart])
-    while q:
-        h = q.popleft()
-        for g in (m.next_cw[h], m.twin[h]):
-            if g not in label:
-                label[g] = len(order)
-                order.append(g)
-                q.append(g)
-    return (tuple(label[m.next_cw[h]] for h in order),
-            tuple(label[m.twin[h]] for h in order),
-            tuple(s.masks[h] for h in order))
-
-
 # -- the concentration experiment ------------------------------------------
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ d-bit masks (bit i-1 for color i).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import SchnyderError
 from .orientation import FracOrientation, _left_faces
@@ -45,51 +45,148 @@ def _span_mask(i, j, d):
     return m
 
 
-@dataclass(frozen=True)
-class CornerLabelling:
-    host: AngulationView
-    colors: tuple  # colors[h] = color of corner(h), in 1..d
-
-    def color(self, dart):
-        return self.colors[dart]
-
-    def to_json_obj(self):
-        return {"host": "primal", "corner_colors": list(self.colors)}
-
-    @classmethod
-    def from_json_obj(cls, obj, host):
-        if obj.get("host", "primal") != "primal":
-            raise SchnyderError("InvalidLabelling", "expected a primal-host labelling")
-        return cls(host=host, colors=tuple(obj["corner_colors"]))
+CYCLE = -1          # path_ends: the path runs into a cycle
+_WHITE, _GREY = -2, -3
 
 
-@dataclass(frozen=True)
-class SchnyderDecomposition:
-    host: AngulationView
-    masks: tuple  # masks[h] = color bit mask of dart h (0 on external darts)
+@dataclass(frozen=True, init=False)
+class DartTable:
+    """One entry per dart of a primal or dual host: a color set on each dart
+    (a bit mask in ``masks``) or one color on each corner (``colors``; the
+    corner of dart h is corner(h)).  ``masks`` and ``colors`` both name the
+    one per-dart tuple.
+
+    The public subclasses declare only class-level facts: HOST ("primal" or
+    "dual"), REDUCED (colors 1..d/2 instead of 1..d), KEY (the JSON key of
+    the table: "dart_colors" for color sets, "corner_colors" for corner
+    colors) and the ERROR class and KIND that a payload of the wrong shape
+    raises."""
+
+    host: object
+    table: tuple
+    primal: AngulationView = field(default=None, compare=False)
+
+    HOST = "primal"
+    REDUCED = False
+    KEY = "dart_colors"
+    ERROR = SchnyderError
+    KIND = "InvalidDecomposition"
+
+    def __init__(self, host, masks=None, colors=None, primal=None):
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "table", masks if colors is None else colors)
+        object.__setattr__(self, "primal", primal)
+
+    @property
+    def masks(self):
+        return self.table
+
+    colors = masks
+
+    @property
+    def n_colors(self):
+        return self.host.d // 2 if self.REDUCED else self.host.d
 
     def dart_colors(self, dart):
-        return colors_of(self.masks[dart], self.host.d)
+        """The colors on a dart (for corner colors, the one of its corner)."""
+        if self.KEY == "corner_colors":
+            return [self.table[dart]]
+        return colors_of(self.table[dart], self.n_colors)
 
     def arcs_of_color(self, i):
         """All darts carrying color i."""
+        if self.KEY == "corner_colors":
+            return [h for h, c in enumerate(self.table) if c == i]
         bit = 1 << (i - 1)
-        return [h for h in range(len(self.masks)) if self.masks[h] & bit]
+        return [h for h, mk in enumerate(self.table) if mk & bit]
+
+    def path_ends(self, i, root=None):
+        """end[v]: where the color-i parent path from vertex v stops.
+
+        The parent of v is the target of its color-i arc (the last one in
+        dart order when there are several).  The path stops at the first
+        vertex without a parent, or at ``root``; end[v] is CYCLE when it
+        runs into a cycle instead.  White/grey/black marks settle every
+        vertex once, so this is O(V) where a walk per vertex is O(V x
+        depth)."""
+        m = self.host.map
+        nxt = [None] * m.n_vertices
+        for h in self.arcs_of_color(i):
+            nxt[m.origin[h]] = m.target(h)
+        if root is not None:
+            nxt[root] = None
+        end = [_WHITE] * m.n_vertices
+        for v0 in range(m.n_vertices):
+            path, v = [], v0
+            while end[v] == _WHITE:
+                path.append(v)
+                end[v] = _GREY
+                if nxt[v] is None:
+                    end[v] = v
+                else:
+                    v = nxt[v]
+            stop = CYCLE if end[v] == _GREY else end[v]
+            for u in path:
+                end[u] = stop
+        return end
 
     def to_json_obj(self):
-        return {"host": "primal", "d": self.host.d,
-                "dart_colors": [self.dart_colors(h) for h in range(len(self.masks))]}
+        obj = {"host": self.HOST}
+        if self.REDUCED:
+            obj["reduced"] = True
+        if self.KEY == "corner_colors":
+            obj["corner_colors"] = list(self.table)
+        else:
+            obj["d"] = self.n_colors
+            obj["dart_colors"] = [self.dart_colors(h)
+                                  for h in range(len(self.table))]
+        return obj
 
     @classmethod
-    def from_json_obj(cls, obj, host):
-        if obj.get("host", "primal") != "primal":
-            raise SchnyderError("InvalidDecomposition",
-                                "expected a primal-host decomposition")
-        d = obj["d"]
-        if d != host.d:
-            raise SchnyderError("InvalidDecomposition", "d mismatch with host")
-        masks = tuple(mask_of(cs, d) for cs in obj["dart_colors"])
-        return cls(host=host, masks=masks)
+    def from_json_obj(cls, obj, host, primal=None):
+        """The table of a JSON payload on ``host``, after checking its
+        shape: an object with the right "host" (default "primal") and
+        "reduced" tags, an integer "d" equal to the color count (color sets
+        only), and under KEY a list with one entry per dart, a color or a
+        list of colors in 1..n_colors.  Anything else raises ERROR(KIND)."""
+        def malformed(why):
+            return cls.ERROR(cls.KIND, why)
+
+        if not isinstance(obj, dict) or obj.get("host", "primal") != cls.HOST \
+                or bool(obj.get("reduced")) != cls.REDUCED:
+            raise malformed(f"expected a {'reduced ' * cls.REDUCED}"
+                            f"{cls.HOST}-host payload object")
+        n = host.d // 2 if cls.REDUCED else host.d
+        corners = cls.KEY == "corner_colors"
+        if not corners and (type(obj.get("d")) is not int or obj["d"] != n):
+            raise malformed(f"'d' must be the integer {n} on this host")
+
+        def fits(row):
+            if corners:
+                return type(row) is int and 1 <= row <= n
+            return isinstance(row, list) and \
+                all(type(c) is int and 1 <= c <= n for c in row)
+
+        rows = obj.get(cls.KEY)
+        if not isinstance(rows, list) or len(rows) != host.map.n_darts or \
+                not all(map(fits, rows)):
+            raise malformed(f"'{cls.KEY}' must hold one "
+                            f"{'color' if corners else 'list of colors'} in "
+                            f"1..{n} per dart ({host.map.n_darts} darts)")
+        if corners:
+            return cls(host=host, colors=tuple(rows), primal=primal)
+        return cls(host=host, masks=tuple(mask_of(r, n) for r in rows),
+                   primal=primal)
+
+
+class CornerLabelling(DartTable):
+    """A clockwise labelling: colors[h] = color of corner(h), in 1..d."""
+    KEY = "corner_colors"
+    KIND = "InvalidLabelling"
+
+
+class SchnyderDecomposition(DartTable):
+    """masks[h] = color bit mask of dart h (0 on external darts)."""
 
 
 # -- labelling validation -------------------------------------------------
@@ -140,9 +237,10 @@ def clockwise_jump(l, h):
 def psi(l):
     """Clockwise-jump orientation of a valid labelling (a d/(d-2)-orientation)."""
     ang = l.host
-    if validate_labelling(l):
+    bad = validate_labelling(l)
+    if bad:
         raise SchnyderError("InvalidLabelling", "; ".join(
-            v[2] for v in validate_labelling(l)[:3]))
+            v[2] for v in bad[:3]))
     m = ang.map
     vals = [-1] * m.n_darts
     for h in ang.internal_darts():
@@ -249,6 +347,9 @@ def validate_schnyder(s):
     ang = s.host
     m = ang.map
     d = ang.d
+    if len(s.masks) != m.n_darts or any(mk >> d for mk in s.masks):
+        return [("malformed", None, "masks must cover all darts with colors "
+                                    "in [d]")]
     out = []
     ext_edges = ang.external_edge_ids
     for h in m.edges():
@@ -262,51 +363,43 @@ def validate_schnyder(s):
         if bin(a | b).count("1") != d - 2:
             out.append(("i", h, f"edge carries {bin(a | b).count('1')} colors"))
     for i in range(1, d + 1):
-        out.extend(_validate_forest(s, i))
+        avoid = {ang.external[i - 1], ang.external[i % d]}  # u_i, u_{i+1}
+        out.extend(_forest_violations(s, i, avoid, "ii"))
     for v in ang.internal_vertices():
         out.extend(_validate_vertex_rule(s, v))
     return out
 
 
-def _validate_forest(s, i):
-    ang = s.host
+def _forest_violations(t, i, avoid, axiom):
+    """Violations of "the color-i arcs of t form a forest that spans the
+    internal vertices, oriented toward external roots outside avoid", each
+    reported under the given axiom name."""
+    ang = t.host
     m = ang.map
-    d = ang.d
     out = []
-    ui = ang.external[i - 1]
-    ui1 = ang.external[i % d]
-    parent = {}
-    for h in s.arcs_of_color(i):
-        v = m.origin[h]
-        if v in parent:
-            out.append(("ii", v, f"color {i}: two outgoing arcs at {v}"))
-        parent[v] = h
-    covered = set(parent)
-    for h in s.arcs_of_color(i):
-        covered.add(m.target(h))
-    for v in (ui, ui1):
-        if v in covered:
-            out.append(("ii", v, f"color {i} touches u_{i} or u_{i + 1}"))
-    for v in ang.internal_vertices():
-        if v not in parent:
-            out.append(("ii", v, f"color {i}: no outgoing arc at internal {v}"))
     ext = set(ang.external)
-    for u in ext:
-        if u in parent:
-            out.append(("ii", u, f"color {i}: outgoing arc at external {u}"))
-    # orientation toward an external root, acyclicity
-    for v0 in ang.internal_vertices():
-        seen = set()
-        v = v0
-        while v in parent:
-            if v in seen:
-                out.append(("ii", v0, f"color {i}: cycle through {v}"))
-                break
-            seen.add(v)
-            v = m.target(parent[v])
-        else:
-            if v not in ext or v in (ui, ui1):
-                out.append(("ii", v0, f"color {i}: path ends at {v}"))
+    arcs = t.arcs_of_color(i)
+    has_parent = set()
+    for h in arcs:
+        v = m.origin[h]
+        if v in has_parent:
+            out.append((axiom, v, f"color {i}: two outgoing arcs at {v}"))
+        has_parent.add(v)
+    touched = has_parent | {m.target(h) for h in arcs}
+    for v in avoid & touched:
+        out.append((axiom, v, f"color {i} touches the excluded root {v}"))
+    for u in ext & has_parent:
+        out.append((axiom, u, f"color {i}: outgoing arc at external {u}"))
+    ends = t.path_ends(i)
+    for v in ang.internal_vertices():
+        if v not in has_parent:
+            out.append((axiom, v, f"color {i}: no outgoing arc at internal {v}"))
+        elif ends[v] == CYCLE:
+            out.append((axiom, v, f"color {i}: the path from {v} runs into "
+                                  "a cycle"))
+        elif ends[v] not in ext or ends[v] in avoid:
+            out.append((axiom, v, f"color {i}: path from {v} ends at "
+                                  f"{ends[v]}"))
     return out
 
 
@@ -374,28 +467,6 @@ def _strictly_between_cw(t, a, b, n):
     return 0 < (t - a) % n < (b - a) % n
 
 
-def forest_path_to_root(s, i, v):
-    """Vertices of the color-i directed path from v to its external root."""
-    ang = s.host
-    m = ang.map
-    parent = {}
-    for h in s.arcs_of_color(i):
-        parent[m.origin[h]] = h
-    path = [v]
-    seen = {v}
-    while path[-1] in parent:
-        w = m.target(parent[path[-1]])
-        if w in seen:
-            raise SchnyderError("InvalidDecomposition",
-                                f"color {i} cycle through {w}")
-        seen.add(w)
-        path.append(w)
-    if path[-1] not in set(ang.external):
-        raise SchnyderError("InvalidDecomposition",
-                            f"color {i} path from {v} ends at internal {path[-1]}")
-    return path
-
-
 # -- lattice push seen on labellings --------------------------------------
 
 def labelling_push(l, traversal):
@@ -416,4 +487,4 @@ def labelling_push(l, traversal):
         # corner(h) belongs to the face orbit containing next_cw(h)
         if m.face_of[m.next_cw[h]] in interior:
             colors[h] = _mod(colors[h] + 1, d)
-    return replace(l, colors=tuple(colors))
+    return CornerLabelling(host=ang, colors=tuple(colors))

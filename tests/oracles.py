@@ -3,8 +3,10 @@
 from bisect import bisect_right
 from itertools import product
 
-from schnyder_kit.errors import SamplerError
-from schnyder_kit.orientation import FracOrientation
+from schnyder_kit.drawing import _color_dart, _mod4
+from schnyder_kit.errors import DrawingError, SamplerError, SchnyderError
+from schnyder_kit.orientation import FracOrientation, _left_faces
+from schnyder_kit.schnyder import CYCLE
 from schnyder_kit.sampler import (
     DEFAULT_MAX_ATTEMPTS, EncodingTriple, _fixed_popcount_word,
     _popcount_table, _word_to_runs, decode, default_max_decodes,
@@ -184,3 +186,102 @@ def sweep_closes(color, children, gamma_of):
     leftover = [v for _, v in stack]
     return bool(leftover) and leftover[0] == children[0][0] and \
         leftover[-1] == children[0][-1]
+
+
+# -- colored-dart paths, one walk per vertex ------------------------------
+
+def walk_path_ends(t, i, root=None):
+    """DartTable.path_ends by walking from every vertex separately with a
+    fresh seen set (O(V x depth)): where the color-i parent path from each
+    vertex stops, or CYCLE."""
+    m = t.host.map
+    parent = {m.origin[h]: h for h in t.arcs_of_color(i)}
+    parent.pop(root, None)
+    end = []
+    for v in range(m.n_vertices):
+        seen = set()
+        w = v
+        while w in parent and w not in seen:
+            seen.add(w)
+            w = m.target(parent[w])
+        end.append(CYCLE if w in parent else w)
+    return end
+
+
+def forest_path_to_root(s, i, v):
+    """Vertices of the color-i directed path from v to its external root."""
+    ang = s.host
+    m = ang.map
+    parent = {}
+    for h in s.arcs_of_color(i):
+        parent[m.origin[h]] = h
+    path = [v]
+    seen = {v}
+    while path[-1] in parent:
+        w = m.target(parent[path[-1]])
+        if w in seen:
+            raise SchnyderError("InvalidDecomposition",
+                                f"color {i} cycle through {w}")
+        seen.add(w)
+        path.append(w)
+    if path[-1] not in set(ang.external):
+        raise SchnyderError("InvalidDecomposition",
+                            f"color {i} path from {v} ends at internal "
+                            f"{path[-1]}")
+    return path
+
+
+def path_to_root(rd, v, i):
+    """Darts of the color-i path P_i(v) from v to the root vertex."""
+    m = rd.host.map
+    darts = []
+    w = v
+    while w != rd.host.root_vertex:
+        h = _color_dart(rd, w, i)
+        darts.append(h)
+        w = m.target(h)
+        if len(darts) > m.n_vertices:
+            raise DrawingError("InvalidDecomposition", f"color {i} cycle at {v}")
+    return darts
+
+
+def region_faces(rd, v, i):
+    """Faces of the region R_{i,i+2}(v) bounded by P_i(v) + P_{i+2}(v) and
+    containing the root edge e_{i+1}*."""
+    rv = rd.host
+    m = rv.map
+    p1 = path_to_root(rd, v, i)
+    p2 = path_to_root(rd, v, _mod4(i + 2))
+    mid1 = {m.target(h) for h in p1[:-1]}
+    mid2 = {m.target(h) for h in p2[:-1]}
+    if mid1 & mid2:
+        raise DrawingError("InvalidDecomposition",
+                           f"paths {i} and {_mod4(i + 2)} from {v} meet at "
+                           f"{sorted(mid1 & mid2)}")
+    cycle = p1 + [m.twin[h] for h in reversed(p2)]
+    left = _left_faces(m, cycle)
+    marker = m.face_of[rv.root_darts[i % 4]]  # a face beside e_{i+1}*
+    if marker in left:
+        return left
+    return set(range(m.n_faces)) - left
+
+
+def place_by_face_counting(rd):
+    """p(v) by counting non-root faces region by region: the definition of
+    the placement, and the quadratic oracle of place_by_equatorial_lines."""
+    rv = rd.host
+    non_root = set(rv.non_root_faces())
+    coords = {}
+    for v in rv.non_root_vertices():
+        x = len(region_faces(rd, v, 1) & non_root)
+        y = len(region_faces(rd, v, 4) & non_root)
+        coords[v] = (x, y)
+    return coords
+
+
+def pair_code(ang, s):
+    """Canonical form of a rooted pair: the rooted map code together with
+    the color masks read in the same dart order."""
+    m = ang.map
+    return m.rooted_code() + (tuple(s.masks[h]
+                                    for h in m.dart_bfs(m.outer_dart)),)

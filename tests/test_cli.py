@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import pathlib
@@ -303,15 +304,13 @@ def _has(obj, key):
     return isinstance(obj, list) and type(key) is int and key < len(obj)
 
 
-@st.composite
-def mutated_cube_documents(draw):
-    """The cube document with 1-3 edits: a key or dart dropped, a value
-    replaced by one of another JSON type, or the dart list truncated."""
-    doc = cube_document()
+def _edit(draw, doc, paths, table, values):
+    """doc with 1-3 edits: a key or entry at one of paths dropped, a value
+    replaced by one drawn from values, or the list at table truncated.
+    None in a path stands for an index into a 24-entry list."""
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("drop", "swap", "truncate")))
-        path = ("map", "darts") if op == "truncate" else \
-            draw(st.sampled_from(PATHS))
+        path = table if op == "truncate" else draw(st.sampled_from(paths))
         path = [draw(st.integers(0, 23)) if step is None else step
                 for step in path]
         parent = doc
@@ -325,8 +324,23 @@ def mutated_cube_documents(draw):
             if _has(parent, last):
                 del parent[last]
         elif isinstance(parent, dict) or _has(parent, last):
-            parent[last] = draw(JSON_VALUES)
+            parent[last] = draw(values)
     return doc
+
+
+@st.composite
+def mutated_cube_documents(draw):
+    """The cube document with 1-3 edits to its map or its d."""
+    return _edit(draw, cube_document(), PATHS, ("map", "darts"), JSON_VALUES)
+
+
+def _validate_answers_with_one_object(path, argv=()):
+    rc, out = run(["validate", str(path), *argv])
+    assert rc in (0, 1, 2)
+    obj = json.loads(out)                # exactly one JSON value
+    assert isinstance(obj, dict)
+    if "error" in obj:
+        assert rc == 1 and {"stage", "kind"} <= set(obj["error"])
 
 
 @settings(max_examples=60, deadline=None,
@@ -335,9 +349,72 @@ def mutated_cube_documents(draw):
 def test_validate_fuzzed_cube_documents(tmp_path, doc):
     p = tmp_path / "fuzz.json"
     p.write_text(json.dumps(doc))
+    _validate_answers_with_one_object(p)
+
+
+@pytest.fixture(scope="module")
+def payload_documents(tmp_path_factory):
+    """Valid cube documents made by orient and convert, one per primal
+    payload, and the dual document that dualize makes of the Schnyder one."""
+    d = tmp_path_factory.mktemp("payloads")
+    (d / "cube.json").write_text(json.dumps(cube_document()))
+    _, text = run(["orient", str(d / "cube.json"), "--d", "4", "--even"])
+    (d / "o.json").write_text(text)
+    docs = {"orientation": json.loads(text)}
+    for kind in ("labelling", "schnyder"):
+        _, text = run(["convert", str(d / "o.json"), "--from", "orientation",
+                       "--to", kind])
+        docs[kind] = json.loads(text)
+    (d / "s.json").write_text(text)
+    _, text = run(["dualize", str(d / "s.json")])
+    docs["regular_decomposition"] = json.loads(text)
+    return docs
+
+
+PAYLOAD_TABLES = {"orientation": "values", "labelling": "corner_colors",
+                  "schnyder": "dart_colors",
+                  "regular_decomposition": "dart_colors"}
+# colors and orientation values outside their ranges, besides other types
+PAYLOAD_VALUES = st.one_of(JSON_VALUES, st.sampled_from((0, -2, 5, 10 ** 12)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_validate_fuzzed_payloads(tmp_path, payload_documents, data):
+    kind = data.draw(st.sampled_from(sorted(PAYLOAD_TABLES)))
+    doc = copy.deepcopy(payload_documents[kind])
+    table = (kind, PAYLOAD_TABLES[kind])
+    paths = [(kind,), table, table + (None,), table + (None, 0)] + \
+        [(kind, key) for key in doc[kind]]
+    if kind == "regular_decomposition":
+        paths += [("root_vertex",), ("first_root_dart",)]
+    _edit(data.draw, doc, paths, table, PAYLOAD_VALUES)
+    p = tmp_path / "fuzz.json"
+    p.write_text(json.dumps(doc))
+    _validate_answers_with_one_object(
+        p, ["--as", "regular"] if kind == "regular_decomposition" else [])
+
+
+MALFORMED_PAYLOADS = {
+    "orientation not an object": ("orientation", 5, "orientation"),
+    "orientation without values": ("orientation", {"k": 2}, "orientation"),
+    "schnyder not an object": ("schnyder", [], "schnyder"),
+    "labelling without colors": ("labelling", {"x": 1}, "schnyder"),
+    "dart_colors a string": ("schnyder", {"d": 4, "dart_colors": "ab"},
+                             "schnyder"),
+    "one-entry dart_colors": ("schnyder", {"d": 4, "dart_colors": [[1]]},
+                              "schnyder"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PAYLOADS))
+def test_validate_rejects_a_malformed_payload(tmp_path, case):
+    kind, payload, stage = MALFORMED_PAYLOADS[case]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(dict(cube_document(), **{kind: payload})))
     rc, out = run(["validate", str(p)])
-    assert rc in (0, 1, 2)
-    obj = json.loads(out)                # exactly one JSON value
-    assert isinstance(obj, dict)
-    if "error" in obj:
-        assert rc == 1 and {"stage", "kind"} <= set(obj["error"])
+    assert rc == 1
+    obj = json.loads(out)
+    assert list(obj) == ["error"] and obj["error"]["stage"] == stage
+    assert obj["error"]["kind"].startswith("Invalid")

@@ -12,6 +12,7 @@ import schnyder_kit.even as E
 import schnyder_kit.drawing as DR
 
 import instances as I
+from oracles import place_by_face_counting
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -36,10 +37,10 @@ def even_decompositions(ang):
 def test_face_counting_matches_equatorial_lines():
     for rv in host_corpus():
         rd = E.compute_even_regular_decomposition(rv)
-        assert DR.place_by_face_counting(rd) == DR.place_by_equatorial_lines(rd)
+        assert place_by_face_counting(rd) == DR.place_by_equatorial_lines(rd)
     for m in (4, 5):
         for rd in even_decompositions(as_angulation(I.pseudo_double_wheel(m), 4)):
-            assert DR.place_by_face_counting(rd) == \
+            assert place_by_face_counting(rd) == \
                 DR.place_by_equatorial_lines(rd)
 
 

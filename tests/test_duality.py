@@ -33,6 +33,7 @@ def test_dual_labelling_round_trip():
         l = labelling_of(ang)
         r = D.dual_labelling(l)
         assert D.validate_regular_labelling(r) == []
+        assert S.validate_labelling(D.primal_labelling(r)) == []
         assert D.primal_labelling(r).colors == l.colors
 
 
@@ -66,6 +67,7 @@ def test_chi_round_trip():
         s = S.phi(labelling_of(ang))
         rd = D.chi(s)
         assert D.validate_regular_decomposition(rd) == []
+        assert S.validate_schnyder(D.chi_inverse(rd)) == []
         assert D.chi_inverse(rd).masks == s.masks
 
 

@@ -110,7 +110,9 @@ def test_lambda_star_round_trip():
         rd = D.chi(even_schnyder_of(ang))
         rrd = E.lambda_star(rd)
         assert E.validate_reduced_regular(rrd) == []
-        assert E.lambda_star_inverse(rrd).masks == rd.masks
+        rd2 = E.lambda_star_inverse(rrd)
+        assert D.validate_regular_decomposition(rd2) == []
+        assert rd2.masks == rd.masks
 
 
 def test_reduced_regular_partition():

@@ -14,8 +14,8 @@ import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
-    _geometric, bit_filter_sample, decode_every_triple_sample, rejection_sample,
-    sample_geometric_triple, sweep_closes, tree_word_closes,
+    _geometric, bit_filter_sample, decode_every_triple_sample, pair_code,
+    rejection_sample, sample_geometric_triple, sweep_closes, tree_word_closes,
 )
 
 
@@ -60,7 +60,7 @@ def test_round_trip_exhaustive_small_n():
             assert key not in seen      # encode is injective
             seen.add(key)
             ang2, s2 = SA.decode(t)
-            assert SA.pair_code(ang, s) == SA.pair_code(ang2, s2)
+            assert pair_code(ang, s) == pair_code(ang2, s2)
 
 
 def test_round_trip_handmade_instances():
@@ -68,7 +68,7 @@ def test_round_trip_handmade_instances():
               I.pseudo_double_wheel(4), I.pseudo_double_wheel(5)):
         for ang, s in even_pairs(m):
             ang2, s2 = SA.decode(SA.encode(ang, s))
-            assert SA.pair_code(ang, s) == SA.pair_code(ang2, s2)
+            assert pair_code(ang, s) == pair_code(ang2, s2)
 
 
 def test_decode_accepts_exactly_the_encodable_triples():

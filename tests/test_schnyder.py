@@ -6,7 +6,7 @@ import schnyder_kit.orientation as O
 import schnyder_kit.schnyder as S
 
 import instances as I
-from oracles import brute_force_dd2
+from oracles import brute_force_dd2, forest_path_to_root
 
 
 def angulations():
@@ -37,6 +37,8 @@ def test_validator_catches_corruption():
     viol = S.validate_labelling(S.CornerLabelling(host=ang, colors=tuple(bad)))
     assert any(v[0] == "ii" for v in viol)
     assert len(viol) > 1  # reports all violations, not just the first
+    short = S.SchnyderDecomposition(host=ang, masks=(1,))
+    assert [v[:2] for v in S.validate_schnyder(short)] == [("malformed", None)]
 
 
 def test_psi_round_trip_full_lattice():
@@ -153,7 +155,7 @@ def test_forest_paths():
         s = S.phi(S.psi_inverse(O.compute_dd2_orientation(ang)))
         for v in ang.internal_vertices():
             for i in range(1, ang.d + 1):
-                p = S.forest_path_to_root(s, i, v)
+                p = forest_path_to_root(s, i, v)
                 assert p[0] == v
                 assert p[-1] in ang.external
                 j = ang.external.index(p[-1]) + 1
