@@ -112,31 +112,33 @@ def _cmd_validate(args, out):
     doc = _load_doc(args.input)
     report = {"ok": True, "checked": []}
     if args.view == "regular":
-        rv = _regular_view(doc, args)
+        host = _regular_view(doc, args)
         report["checked"].append("regular")
-        if "regular_decomposition" in doc:
-            rd = duality_mod.RegularDecomposition.from_json_obj(
-                doc["regular_decomposition"], rv)
-            bad = duality_mod.validate_regular_decomposition(rd)
-            report["checked"].append("regular_decomposition")
+        kinds = (("regular_labelling", duality_mod.RegularLabelling,
+                  duality_mod.validate_regular_labelling),
+                 ("regular_decomposition", duality_mod.RegularDecomposition,
+                  duality_mod.validate_regular_decomposition))
+    else:
+        host = _angulation(doc, args)
+        report["checked"].append("angulation")
+        kinds = (("labelling", schnyder_mod.CornerLabelling,
+                  schnyder_mod.validate_labelling),
+                 ("schnyder", schnyder_mod.SchnyderDecomposition,
+                  schnyder_mod.validate_schnyder))
+    for kind, table, validator in kinds:
+        if kind in doc:
+            bad = validator(table.from_json_obj(doc[kind], host))
+            report["checked"].append(kind)
             if bad:
                 report["ok"] = False
                 report["violations"] = [list(b) for b in bad]
-    else:
-        ang = _angulation(doc, args)
-        report["checked"].append("angulation")
-        for kind, validator in (
-                ("labelling", schnyder_mod.validate_labelling),
-                ("schnyder", schnyder_mod.validate_schnyder)):
-            if kind in doc:
-                bad = validator(_read_primal_payload(doc, ang, kind))
-                report["checked"].append(kind)
-                if bad:
-                    report["ok"] = False
-                    report["violations"] = [list(b) for b in bad]
-        if "orientation" in doc:
-            _read_primal_payload(doc, ang, "orientation").validate()
-            report["checked"].append("orientation")
+    if args.view != "regular" and "orientation" in doc:
+        # a d/(d-2)-orientation: outdegree d inside, 0 at u_1..u_d
+        alpha = [0] * host.map.n_vertices
+        for v in host.internal_vertices():
+            alpha[v] = host.d
+        _read_primal_payload(doc, host, "orientation").validate(alpha)
+        report["checked"].append("orientation")
     out.write(_dump(report))
     return 0 if report["ok"] else 1
 
@@ -329,8 +331,8 @@ def build_parser():
                         "at n=24); the reported attempts and acceptance_rate "
                         "count drawn triples")
     q.add_argument("--jobs", type=int,
-                   help="worker processes (default: $SCHNYDER_KIT_JOBS, "
-                        "else 1)")
+                   help="worker processes, at most --count and the CPU "
+                        "count (default: $SCHNYDER_KIT_JOBS, else 1)")
     q.add_argument("--report")
     q.set_defaults(fn=_cmd_sample)
 

@@ -17,8 +17,8 @@ from collections import deque
 from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
-    CornerLabelling, DartTable, _mod, phi, validate_labelling,
-    validate_schnyder,
+    CornerLabelling, DartTable, _mod, _vertex_violations, phi,
+    validate_labelling, validate_schnyder,
 )
 
 
@@ -94,18 +94,7 @@ def validate_regular_labelling(r):
     d = rv.d
     if len(r.colors) != m.n_darts or any(not 1 <= c <= d for c in r.colors):
         return [("malformed", None, "colors must cover all corners with values in [d]")]
-    out = []
-    # (i) colors 1..d clockwise around non-root vertices, counterclockwise
-    # around the root vertex
-    for v in range(m.n_vertices):
-        step = -1 if v == rv.root_vertex else 1
-        orbit = m.vertex_orbit(v)
-        for t in range(len(orbit)):
-            c0 = r.colors[orbit[t]]
-            c1 = r.colors[orbit[(t + 1) % len(orbit)]]
-            if c1 != _mod(c0 + step, d):
-                out.append(("i", v, f"vertex {v}: corner colors {c0}->{c1} not a "
-                                    f"clockwise {step:+d} step"))
+    out = _cyclic_step_violations(r, "i")
     # (ii) corners of the root face f_i* colored i
     for i, f in enumerate(rv.root_faces, start=1):
         for h in m.faces[f]:
@@ -122,6 +111,24 @@ def validate_regular_labelling(r):
                    if seq[t] > seq[(t + 1) % len(seq)])
         if desc != 1:
             out.append(("iii", f, f"face {f} has {desc} descents"))
+    return out
+
+
+def _cyclic_step_violations(r, axiom):
+    """Corner colors 1..d clockwise around non-root vertices,
+    counterclockwise around the root vertex."""
+    rv = r.host
+    m = rv.map
+    out = []
+    for v in range(m.n_vertices):
+        step = -1 if v == rv.root_vertex else 1
+        orbit = m.vertex_orbit(v)
+        for t in range(len(orbit)):
+            c0 = r.colors[orbit[t]]
+            c1 = r.colors[orbit[(t + 1) % len(orbit)]]
+            if c1 != _mod(c0 + step, rv.d):
+                out.append((axiom, v, f"vertex {v}: corner colors {c0}->{c1} "
+                                      f"not a clockwise {step:+d} step"))
     return out
 
 
@@ -177,15 +184,8 @@ def _sufficiency_violations(r):
     rv = r.host
     m = rv.map
     d = rv.d
-    out = []
     # (i') cyclic colors around every vertex (counterclockwise at the root)
-    for v in range(m.n_vertices):
-        step = -1 if v == rv.root_vertex else 1
-        orbit = m.vertex_orbit(v)
-        for t in range(len(orbit)):
-            c0, c1 = r.colors[orbit[t]], r.colors[orbit[(t + 1) % len(orbit)]]
-            if c1 != _mod(c0 + step, d):
-                out.append(("i'", v, f"non-cyclic colors at vertex {v}"))
+    out = _cyclic_step_violations(r, "i'")
     # (ii') distinct clockwise-preceding corner colors on non-root edges
     root_ids = set(rv.root_edge_ids())
     for h in m.edges():
@@ -242,11 +242,7 @@ def validate_regular_decomposition(rd):
                 out.append(("i", h, f"edge {h}: both arcs have the same color"))
     # (iii) outgoing colors 1..d in clockwise order around non-root vertices
     for v in rv.non_root_vertices():
-        seq = [rd.dart_colors(h)[0] for h in m.vertex_orbit(v)]
-        start = seq.index(1) if 1 in seq else 0
-        if [seq[(start + t) % len(seq)] for t in range(len(seq))] != \
-                list(range(1, d + 1)):
-            out.append(("iii", v, f"outgoing colors not clockwise at {v}: {seq}"))
+        out.extend(_vertex_violations(rd, v, "iii"))
     return out + _tree_violations(rd)
 
 

@@ -24,8 +24,8 @@ from .duality import (
 )
 from .orientation import compute_p_p1_orientation, double
 from .schnyder import (
-    DartTable, SchnyderDecomposition, _forest_violations, _mod,
-    _strictly_between_cw, colors_of, phi, psi_inverse, validate_schnyder,
+    DartTable, SchnyderDecomposition, _mod, _primal_violations,
+    _vertex_violations, colors_of, phi, psi_inverse, validate_schnyder,
 )
 from . import duality as _duality
 
@@ -131,6 +131,11 @@ def _spread_even(mask, p):
     return sum(1 << (2 * i - 1) for i in range(1, p + 1) if mask >> (i - 1) & 1)
 
 
+def _keep_even(mask, p):
+    """Full color 2i (bit 2i-1) becomes reduced color i (bit i-1)."""
+    return sum(1 << (i - 1) for i in range(1, p + 1) if mask >> (2 * i - 1) & 1)
+
+
 # -- Lambda: primal reduction ---------------------------------------------
 
 def lambda_(s):
@@ -139,9 +144,7 @@ def lambda_(s):
     if not is_even_schnyder(s):
         raise EvenError("NotEven", "decomposition has an edge with same-parity "
                                    "missing colors")
-    masks = tuple(
-        sum(1 << (i - 1) for i in range(1, p + 1) if mk >> (2 * i - 1) & 1)
-        for mk in s.masks)
+    masks = tuple(_keep_even(mk, p) for mk in s.masks)
     return ReducedSchnyderDecomposition(host=s.host, masks=masks)
 
 
@@ -170,58 +173,11 @@ def lambda_inverse(rs):
 
 
 def validate_reduced_schnyder(rs):
-    """All violations of the reduced-decomposition axioms (empty = valid)."""
-    ang = rs.host
-    p = _require_even_d(ang.d)
-    m = ang.map
-    black = black_vertices(ang)
-    out = []
-    if len(rs.masks) != m.n_darts:
-        return [("malformed", None, "mask table length mismatch")]
-    ext = ang.external_edge_ids
-    for h in m.edges():
-        a, b = rs.masks[h], rs.masks[m.twin[h]]
-        if h in ext:
-            if a or b:
-                out.append(("i'", h, "external edge carries colors"))
-        else:
-            if a & b or bin(a | b).count("1") != p - 1:
-                out.append(("i'", h, "edge must lie in p-1 forests, once each"))
-    for i in range(1, p + 1):
-        avoid = {ang.external[2 * i - 1], ang.external[(2 * i) % ang.d]}
-        out.extend(_forest_violations(rs, i, avoid, "ii'"))
-    for v in ang.internal_vertices():
-        out.extend(_validate_reduced_vertex_rule(rs, v, black[v]))
-    return out
-
-
-def _validate_reduced_vertex_rule(rs, v, is_black):
-    """Axiom (iii'): parent edges e_1'..e_p' clockwise; incoming color-i
-    edges strictly between e_{i+1}' and e_i' at black vertices, between
-    e_i' and e_{i-1}' at white ones."""
-    ang = rs.host
-    p = rs.p
-    m = ang.map
-    orbit = m.vertex_orbit(v)
-    n = len(orbit)
-    pos = {}
-    for t, h in enumerate(orbit):
-        for c in rs.dart_colors(h):
-            pos[c] = t
-    if sorted(pos) != list(range(1, p + 1)):
-        return [("iii'", v, f"outgoing colors at {v}: {sorted(pos)}")]
-    # one clockwise sweep must visit the parent positions in color order
-    turns = sum((pos[_mod(i + 1, p)] - pos[i]) % n for i in range(1, p + 1))
-    if turns not in (0, n):
-        return [("iii'", v, f"parent edges not clockwise at {v}")]
-    out = []
-    for t, h in enumerate(orbit):
-        for c in colors_of(rs.masks[m.twin[h]], p):
-            a, b = (pos[_mod(c + 1, p)], pos[c]) if is_black else \
-                   (pos[c], pos[_mod(c - 1, p)])
-            if t in (a, b) or not _strictly_between_cw(t, a, b, n):
-                out.append(("iii'", v, f"incoming color {c} misplaced at {v}"))
-    return out
+    """All violations of the reduced-decomposition axioms (empty = valid).
+    Incoming color-i edges lie strictly between e_{i+1}' and e_i' at black
+    vertices, between e_i' and e_{i-1}' at white ones."""
+    black = black_vertices(rs.host)
+    return _primal_violations(rs, lambda v: (1, 0) if black[v] else (0, -1))
 
 
 # -- Lambda*: dual reduction ----------------------------------------------
@@ -233,9 +189,7 @@ def lambda_star(rd):
     if not is_even_regular(rd):
         raise EvenError("NotEven", "decomposition has a non-root edge with "
                                    "same-parity colors")
-    masks = tuple(
-        sum(1 << (i - 1) for i in range(1, p + 1) if mk >> (2 * i - 1) & 1)
-        for mk in rd.masks)
+    masks = tuple(_keep_even(mk, p) for mk in rd.masks)
     return ReducedRegularDecomposition(host=rv, masks=masks, primal=rd.primal)
 
 
@@ -292,20 +246,7 @@ def validate_reduced_regular(rrd):
             out.append(("i'", h, f"arc {h} has a white face on its right"))
     # (iii') parent arcs clockwise around non-root vertices
     for v in rv.non_root_vertices():
-        orbit = m.vertex_orbit(v)
-        n = len(orbit)
-        pos = {}
-        for t, h in enumerate(orbit):
-            for c in rrd.dart_colors(h):
-                if c in pos:
-                    out.append(("iii'", v, f"color {c}: two outgoing arcs at {v}"))
-                pos[c] = t
-        if sorted(pos) != list(range(1, p + 1)):
-            out.append(("iii'", v, f"outgoing colors at {v}: {sorted(pos)}"))
-            continue
-        turns = sum((pos[_mod(i + 1, p)] - pos[i]) % n for i in range(1, p + 1))
-        if turns not in (0, n):
-            out.append(("iii'", v, f"parent arcs not clockwise at {v}"))
+        out.extend(_vertex_violations(rrd, v, "iii'"))
     return out + _tree_violations(rrd)
 
 

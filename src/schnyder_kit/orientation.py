@@ -28,9 +28,6 @@ class FracOrientation:
     values: tuple  # one value per dart, -1 on non-oriented darts
     host: AngulationView | None = field(default=None, compare=False)
 
-    def is_oriented(self, dart):
-        return self.values[dart] >= 0
-
     def oriented_edges(self):
         return [h for h in self.map.edges() if self.values[h] >= 0]
 

@@ -176,9 +176,6 @@ class PlaneMap:
     def next_in_face(self, d):
         return self.next_cw[self.twin[d]]
 
-    def prev_in_face(self, d):
-        return self.twin[self.prev_cw[d]]
-
     def degree(self, v):
         deg = 0
         d0 = self.vertex_darts[v]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 from bisect import bisect_right
 from collections import deque
@@ -794,7 +795,8 @@ def concentration_experiment(n, sample_count, seed, max_attempts=None,
     vertices, both colors) and of the balanced-reduction grid dimensions.
     max_attempts caps the drawn triples of each sample (default
     default_max_decodes(n)).  Per-sample streams derive from (seed, index),
-    so results do not depend on evaluation order or parallelism."""
+    so results do not depend on evaluation order or parallelism.  At most
+    min(jobs, sample_count, CPU count) worker processes run."""
     if n < 1:
         raise SamplerError("BadParameter", f"n = {n} must be positive")
     if sample_count < 1:
@@ -803,6 +805,7 @@ def concentration_experiment(n, sample_count, seed, max_attempts=None,
     if max_attempts is None:
         max_attempts = default_max_decodes(n)
     tasks = [(n, seed, i, max_attempts) for i in range(sample_count)]
+    jobs = min(jobs, sample_count, os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -344,29 +344,42 @@ def phi_inverse(s):
 
 def validate_schnyder(s):
     """All violations of the Schnyder decomposition axioms (empty = valid)."""
-    ang = s.host
+    return _primal_violations(s, lambda v: (1, -1))
+
+
+def _primal_violations(t, window_of):
+    """All violations of the primal decomposition axioms of t, full (d
+    forests, step 1) or reduced (p = d/2 forests, step 2: reduced color i
+    is full color 2i), under axiom names primed when reduced: (i) internal
+    edges lie in (d-2)/step forests, once each, external edges in none;
+    (ii) forest i spans the internal vertices toward the external roots
+    other than u_j and u_{j+1}, with j = step*i; (iii) the vertex rule with
+    window_of(v)."""
+    ang = t.host
     m = ang.map
-    d = ang.d
-    if len(s.masks) != m.n_darts or any(mk >> d for mk in s.masks):
+    p = t.n_colors
+    step = ang.d // p
+    prime = "'" * t.REDUCED
+    if len(t.masks) != m.n_darts or any(mk >> p for mk in t.masks):
         return [("malformed", None, "masks must cover all darts with colors "
-                                    "in [d]")]
+                                    f"in 1..{p}")]
     out = []
     ext_edges = ang.external_edge_ids
+    want = (ang.d - 2) // step
     for h in m.edges():
+        a, b = t.masks[h], t.masks[m.twin[h]]
         if h in ext_edges:
-            if s.masks[h] or s.masks[m.twin[h]]:
-                out.append(("i", h, "external edge carries colors"))
-            continue
-        a, b = s.masks[h], s.masks[m.twin[h]]
-        if a & b:
-            out.append(("i", h, "the two arcs share a color"))
-        if bin(a | b).count("1") != d - 2:
-            out.append(("i", h, f"edge carries {bin(a | b).count('1')} colors"))
-    for i in range(1, d + 1):
-        avoid = {ang.external[i - 1], ang.external[i % d]}  # u_i, u_{i+1}
-        out.extend(_forest_violations(s, i, avoid, "ii"))
+            if a or b:
+                out.append(("i" + prime, h, "external edge carries colors"))
+        elif a & b or bin(a | b).count("1") != want:
+            out.append(("i" + prime, h, f"edge must lie in {want} forests, "
+                                        "once each"))
+    for i in range(1, p + 1):
+        j = step * i
+        avoid = {ang.external[j - 1], ang.external[j % ang.d]}
+        out.extend(_forest_violations(t, i, avoid, "ii" + prime))
     for v in ang.internal_vertices():
-        out.extend(_validate_vertex_rule(s, v))
+        out.extend(_vertex_violations(t, v, "iii" + prime, window_of(v)))
     return out
 
 
@@ -403,60 +416,35 @@ def _forest_violations(t, i, avoid, axiom):
     return out
 
 
-def _validate_vertex_rule(s, v):
-    """Axiom (iii): outgoing colors 1..d clockwise; incoming color-i arcs
-    strictly between e_{i+1} and e_{i-1} clockwise."""
-    ang = s.host
-    m = ang.map
-    d = ang.d
+def _vertex_violations(t, v, axiom, window=None):
+    """The vertex rule at v: the outgoing arcs carry colors 1..p once each,
+    in clockwise order, that is one clockwise turn from color 1 back to 1
+    (so the colors of each arc are cyclically consecutive).  With window =
+    (a, b), every incoming color-c arc lies strictly clockwise between the
+    outgoing arcs of colors c+a and c+b."""
+    m = t.host.map
+    p = t.n_colors
     orbit = m.vertex_orbit(v)
-    seq = []  # outgoing colors in clockwise dart order
-    for h in orbit:
-        run = _cyclic_interval(s.masks[h], d)
-        if run is None:
-            return [("iii", v, f"arc {h} colors are not cyclically consecutive")]
-        seq.extend(run)
-    if sorted(seq) != list(range(1, d + 1)):
-        return [("iii", v, f"outgoing colors at {v}: {sorted(seq)}")]
-    # cyclic sequence must be 1..d in clockwise order
-    start = seq.index(1)
-    if [seq[(start + t) % d] for t in range(d)] != list(range(1, d + 1)):
-        return [("iii", v, f"outgoing colors not clockwise at {v}: {seq}")]
-    out = []
-    pos_out = {}
-    for t, h in enumerate(orbit):
-        for c in colors_of(s.masks[h], d):
-            pos_out[c] = t
-    for t, h in enumerate(orbit):
-        for c in colors_of(s.masks[m.twin[h]], d):
-            # incoming arc of color c at position t
-            a = pos_out[_mod(c + 1, d)]
-            b = pos_out[_mod(c - 1, d)]
-            if not _strictly_between_cw(t, a, b, len(orbit)):
-                out.append(("iii", v,
-                            f"incoming color {c} at {v} outside ({_mod(c+1,d)},{_mod(c-1,d)})"))
-    return out
-
-
-def _cyclic_interval(mask, d):
-    """The colors of a mask as a cyclically consecutive run i..j-1 (list in
-    run order), or None when the mask is not a single cyclic interval."""
-    if mask == 0:
+    n = len(orbit)
+    pos = {}
+    for k, h in enumerate(orbit):
+        for c in colors_of(t.masks[h], p):
+            if c in pos:
+                return [(axiom, v, f"color {c}: two outgoing arcs at {v}")]
+            pos[c] = k
+    if len(pos) != p:
+        return [(axiom, v, f"outgoing colors at {v}: {sorted(pos)}")]
+    if sum((pos[c % p + 1] - pos[c]) % n for c in pos) != n:
+        return [(axiom, v, f"outgoing colors not clockwise at {v}")]
+    if window is None:
         return []
-    starts = [c for c in range(1, d + 1)
-              if mask >> (c - 1) & 1 and not mask >> (_mod(c - 1, d) - 1) & 1]
-    if len(starts) != 1:
-        return None
-    run = []
-    c = starts[0]
-    while mask >> (c - 1) & 1:
-        run.append(c)
-        c = _mod(c + 1, d)
-        if len(run) > d:
-            return None
-    if len(run) != bin(mask).count("1"):
-        return None
-    return run
+    a, b = window
+    return [(axiom, v, f"incoming color {c} at {v} outside "
+                       f"({_mod(c + a, p)},{_mod(c + b, p)})")
+            for k, h in enumerate(orbit)
+            for c in colors_of(t.masks[m.twin[h]], p)
+            if not _strictly_between_cw(k, pos[_mod(c + a, p)],
+                                        pos[_mod(c + b, p)], n)]
 
 
 def _strictly_between_cw(t, a, b, n):

@@ -6,7 +6,9 @@ from itertools import product
 from schnyder_kit.drawing import _color_dart, _mod4
 from schnyder_kit.errors import DrawingError, SamplerError, SchnyderError
 from schnyder_kit.orientation import FracOrientation, _left_faces
-from schnyder_kit.schnyder import CYCLE
+from schnyder_kit.schnyder import (
+    CYCLE, _mod, _strictly_between_cw, colors_of,
+)
 from schnyder_kit.sampler import (
     DEFAULT_MAX_ATTEMPTS, EncodingTriple, _fixed_popcount_word,
     _popcount_table, _word_to_runs, decode, default_max_decodes,
@@ -206,6 +208,125 @@ def walk_path_ends(t, i, root=None):
             w = m.target(parent[w])
         end.append(CYCLE if w in parent else w)
     return end
+
+
+# -- the vertex rule as each validator coded it before the shared checker --
+
+def schnyder_vertex_rule(s, v):
+    """Axiom (iii) of validate_schnyder at internal v: outgoing colors 1..d
+    clockwise; incoming color-i arcs strictly between e_{i+1} and e_{i-1}
+    clockwise."""
+    m = s.host.map
+    d = s.host.d
+    orbit = m.vertex_orbit(v)
+    seq = []  # outgoing colors in clockwise dart order
+    for h in orbit:
+        run = _cyclic_interval(s.masks[h], d)
+        if run is None:
+            return [("iii", v, f"arc {h} colors are not cyclically consecutive")]
+        seq.extend(run)
+    if sorted(seq) != list(range(1, d + 1)):
+        return [("iii", v, f"outgoing colors at {v}: {sorted(seq)}")]
+    start = seq.index(1)
+    if [seq[(start + t) % d] for t in range(d)] != list(range(1, d + 1)):
+        return [("iii", v, f"outgoing colors not clockwise at {v}: {seq}")]
+    out = []
+    pos_out = {}
+    for t, h in enumerate(orbit):
+        for c in colors_of(s.masks[h], d):
+            pos_out[c] = t
+    for t, h in enumerate(orbit):
+        for c in colors_of(s.masks[m.twin[h]], d):
+            a = pos_out[_mod(c + 1, d)]
+            b = pos_out[_mod(c - 1, d)]
+            if not _strictly_between_cw(t, a, b, len(orbit)):
+                out.append(("iii", v, f"incoming color {c} at {v} outside "
+                                      f"({_mod(c + 1, d)},{_mod(c - 1, d)})"))
+    return out
+
+
+def _cyclic_interval(mask, d):
+    """The colors of a mask as a cyclically consecutive run i..j-1 (list in
+    run order), or None when the mask is not a single cyclic interval."""
+    if mask == 0:
+        return []
+    starts = [c for c in range(1, d + 1)
+              if mask >> (c - 1) & 1 and not mask >> (_mod(c - 1, d) - 1) & 1]
+    if len(starts) != 1:
+        return None
+    run = []
+    c = starts[0]
+    while mask >> (c - 1) & 1:
+        run.append(c)
+        c = _mod(c + 1, d)
+        if len(run) > d:
+            return None
+    if len(run) != bin(mask).count("1"):
+        return None
+    return run
+
+
+def reduced_vertex_rule(rs, v, is_black):
+    """Axiom (iii') of validate_reduced_schnyder at internal v: parent edges
+    e_1'..e_p' clockwise (zero turns accepted too, and of two outgoing arcs
+    of one color the later one counts); incoming color-i edges strictly
+    between e_{i+1}' and e_i' at black vertices, between e_i' and e_{i-1}'
+    at white ones."""
+    p = rs.p
+    m = rs.host.map
+    orbit = m.vertex_orbit(v)
+    n = len(orbit)
+    pos = {}
+    for t, h in enumerate(orbit):
+        for c in rs.dart_colors(h):
+            pos[c] = t
+    if sorted(pos) != list(range(1, p + 1)):
+        return [("iii'", v, f"outgoing colors at {v}: {sorted(pos)}")]
+    turns = sum((pos[_mod(i + 1, p)] - pos[i]) % n for i in range(1, p + 1))
+    if turns not in (0, n):
+        return [("iii'", v, f"parent edges not clockwise at {v}")]
+    out = []
+    for t, h in enumerate(orbit):
+        for c in colors_of(rs.masks[m.twin[h]], p):
+            a, b = (pos[_mod(c + 1, p)], pos[c]) if is_black else \
+                   (pos[c], pos[_mod(c - 1, p)])
+            if t in (a, b) or not _strictly_between_cw(t, a, b, n):
+                out.append(("iii'", v, f"incoming color {c} misplaced at {v}"))
+    return out
+
+
+def regular_vertex_rule(rd, v):
+    """Axiom (iii) of validate_regular_decomposition at non-root v, once
+    every arc not leaving v* carries one color: the outgoing colors read
+    1..d clockwise."""
+    d = rd.host.d
+    seq = [rd.dart_colors(h)[0] for h in rd.host.map.vertex_orbit(v)]
+    start = seq.index(1) if 1 in seq else 0
+    if [seq[(start + t) % len(seq)] for t in range(len(seq))] != \
+            list(range(1, d + 1)):
+        return [("iii", v, f"outgoing colors not clockwise at {v}: {seq}")]
+    return []
+
+
+def reduced_regular_vertex_rule(rrd, v):
+    """Axiom (iii') of validate_reduced_regular at non-root v, once every
+    arc carries at most one color: parent arcs of colors 1..p clockwise."""
+    p = rrd.p
+    orbit = rrd.host.map.vertex_orbit(v)
+    n = len(orbit)
+    out = []
+    pos = {}
+    for t, h in enumerate(orbit):
+        for c in rrd.dart_colors(h):
+            if c in pos:
+                out.append(("iii'", v, f"color {c}: two outgoing arcs at {v}"))
+            pos[c] = t
+    if sorted(pos) != list(range(1, p + 1)):
+        return out + [("iii'", v, f"outgoing colors at {v}: {sorted(pos)}")]
+    turns = sum((pos[_mod(i + 1, p)] - pos[i]) % n for i in range(1, p + 1))
+    if turns not in (0, n):
+        out.append(("iii'", v, f"parent arcs not clockwise at {v}"))
+    return out
 
 
 def forest_path_to_root(s, i, v):

@@ -1,13 +1,19 @@
+import concurrent.futures
 import copy
 import io
 import json
+import os
 import pathlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import schnyder_kit.cli as cli
+import schnyder_kit.duality as D
+import schnyder_kit.orientation as O
+import schnyder_kit.schnyder as S
 from schnyder_kit.cli import main, _default_jobs
+from schnyder_kit.planar_map import as_angulation
 
 import instances as I
 
@@ -232,6 +238,32 @@ def test_sample_reads_the_jobs_env_on_every_call(monkeypatch):
     assert len(builds) == 1
 
 
+def test_sample_bounds_its_workers_by_the_sample_count(monkeypatch):
+    # a stub pool records the worker count; no process is started
+    seen = []
+
+    class StubPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StubPool)
+    argv = ["sample", "--n", "6", "--count", "3", "--seed", "5", "--jobs"]
+    rc1, many = run(argv + ["1000000"])
+    rc2, one = run(argv + ["1"])
+    assert rc1 == rc2 == 0 and many == one
+    assert seen == [3]
+
+
 def cube_document():
     return {"map": I.cube().to_json_obj(), "d": 4}
 
@@ -418,3 +450,49 @@ def test_validate_rejects_a_malformed_payload(tmp_path, case):
     obj = json.loads(out)
     assert list(obj) == ["error"] and obj["error"]["stage"] == stage
     assert obj["error"]["kind"].startswith("Invalid")
+
+
+def test_validate_checks_orientation_outdegrees(tmp_path):
+    p = tmp_path / "cube.json"
+    p.write_text(json.dumps(cube_document()))
+    _, text = run(["orient", str(p), "--d", "4"])
+    p.write_text(text)
+    rc, out = run(["validate", str(p)])
+    assert rc == 0 and json.loads(out)["checked"] == ["angulation",
+                                                      "orientation"]
+    # swapping the two values of an edge keeps its sum, not the outdegrees
+    doc = json.loads(text)
+    values = doc["orientation"]["values"]
+    twin = [dart["twin"] for dart in doc["map"]["darts"]]
+    h = next(h for h, x in enumerate(values) if x >= 0 and x != values[twin[h]])
+    values[h], values[twin[h]] = values[twin[h]], values[h]
+    p.write_text(json.dumps(doc))
+    rc, out = run(["validate", str(p)])
+    obj = json.loads(out)
+    assert rc == 1 and list(obj) == ["error"]
+    assert obj["error"]["kind"] == "InvalidOrientation"
+
+
+def test_validate_reads_a_regular_labelling(tmp_path):
+    p = tmp_path / "cube.json"
+    p.write_text(json.dumps(cube_document()))
+    _, text = run(["dualize", str(p)])
+    ang = as_angulation(I.cube(), 4)
+    r = D.dual_labelling(S.psi_inverse(O.compute_dd2_orientation(ang)))
+    good = dict(json.loads(text), regular_labelling=r.to_json_obj())
+    recolored = copy.deepcopy(good)
+    colors = recolored["regular_labelling"]["corner_colors"]
+    colors[0] = colors[0] % 4 + 1
+    garbage = dict(good, regular_labelling="garbage")
+    reports = []
+    for doc in (good, recolored, garbage):
+        p.write_text(json.dumps(doc))
+        rc, out = run(["validate", str(p), "--as", "regular"])
+        reports.append((rc, json.loads(out)))
+    assert reports[0] == (0, {"ok": True,
+                              "checked": ["regular", "regular_labelling"]})
+    rc, obj = reports[1]
+    assert rc == 1 and obj["ok"] is False and obj["violations"]
+    rc, obj = reports[2]
+    assert rc == 1 and list(obj) == ["error"]
+    assert obj["error"]["kind"] == "InvalidLabelling"

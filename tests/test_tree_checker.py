@@ -1,4 +1,7 @@
-"""The one-pass forest/tree checker against a walk from every vertex."""
+"""The one-pass forest/tree checker against a walk from every vertex, and
+the shared vertex rule against each validator's former one."""
+
+import random
 
 from schnyder_kit.planar_map import as_angulation
 import schnyder_kit.orientation as O
@@ -7,7 +10,10 @@ import schnyder_kit.duality as D
 import schnyder_kit.even as E
 
 import instances as I
-from oracles import walk_path_ends
+from oracles import (
+    reduced_regular_vertex_rule, reduced_vertex_rule, regular_vertex_rule,
+    schnyder_vertex_rule, walk_path_ends,
+)
 
 def decompositions():
     """(validator, valid table) for each of the four validators."""
@@ -106,3 +112,88 @@ def test_path_ends_matches_the_walk_from_every_vertex(monkeypatch):
                 assert _pairs(validator(x)) == fast, validator.__name__
     assert cycles == {"validate_schnyder", "validate_regular_decomposition",
                       "validate_reduced_schnyder", "validate_reduced_regular"}
+
+
+def _reduced_primal_rule(rs, v):
+    return reduced_vertex_rule(rs, v, E.black_vertices(rs.host)[v])
+
+
+# validator -> (its vertex-rule axiom, the rule it coded before)
+VERTEX_ORACLES = {
+    S.validate_schnyder: ("iii", schnyder_vertex_rule),
+    E.validate_reduced_schnyder: ("iii'", _reduced_primal_rule),
+    D.validate_regular_decomposition: ("iii", regular_vertex_rule),
+    E.validate_reduced_regular: ("iii'", reduced_regular_vertex_rule),
+}
+
+
+def _rule_runs(t):
+    """Whether t's validator reaches its vertex rule: every color is in
+    range and, on the dual host, every arc not leaving v* carries one
+    color (at most one on a reduced table; none leaving v* on a full one)."""
+    p = t.n_colors
+    if any(mk >> p for mk in t.masks):
+        return False
+    if t.HOST == "primal":
+        return True
+    m, root = t.host.map, t.host.root_vertex
+    return all(bin(mk).count("1") <= 1 if t.REDUCED else
+               bin(mk).count("1") == (m.origin[h] != root)
+               for h, mk in enumerate(t.masks))
+
+
+def random_mutations(t, rng, count=40):
+    """Tables near t: masks of two darts at one vertex swapped, of two
+    darts anywhere swapped, one color bit of one dart flipped, and all
+    outgoing colors of one vertex gathered on one of its arcs; tables equal
+    to t are skipped."""
+    m = t.host.map
+    out = []
+    for _ in range(count):
+        orbit = m.vertex_orbit(rng.randrange(m.n_vertices))
+        out.append(_swapped(t.masks, *rng.sample(orbit, 2)))
+        out.append(_swapped(t.masks, *rng.sample(range(m.n_darts), 2)))
+        masks = list(t.masks)
+        masks[rng.randrange(m.n_darts)] ^= 1 << rng.randrange(t.n_colors)
+        out.append(masks)
+        masks = list(t.masks)
+        for h in orbit[1:]:
+            masks[orbit[0]] |= masks[h]
+            masks[h] = 0
+        out.append(masks)
+    return [type(t)(host=t.host, masks=tuple(mk), primal=t.primal)
+            for mk in out if tuple(mk) != t.masks]
+
+
+def _passed_over(rs, v):
+    """Whether reduced v has two outgoing arcs of one color, or all its
+    colors on one arc."""
+    arcs = [rs.dart_colors(h) for h in rs.host.map.vertex_orbit(v)
+            if rs.masks[h]]
+    colors = [c for cs in arcs for c in cs]
+    return len(colors) > len(set(colors)) or \
+        (len(arcs) == 1 and len(colors) == rs.n_colors)
+
+
+def test_vertex_rule_flags_what_each_former_rule_flagged():
+    """The shared rule flags a vertex exactly when the validator's former
+    rule did, with two exceptions at reduced primal vertices, which the
+    shared rule flags: two outgoing arcs of one color (the former rule let
+    the later arc win) and all colors on one arc (the former rule accepted
+    zero clockwise turns as well as one)."""
+    rng = random.Random(7)
+    flagged = excepted = 0
+    for validator, t in decompositions():
+        axiom, oracle = VERTEX_ORACLES[validator]
+        for x in [t] + mutations(t) + random_mutations(t, rng):
+            new = {where for a, where, _ in validator(x) if a == axiom}
+            old = {v for v in _non_root_vertices(x) if oracle(x, v)} \
+                if _rule_runs(x) else set()
+            if validator is E.validate_reduced_schnyder:
+                odd = {v for v in old | new if _passed_over(x, v)}
+                assert odd <= new
+                excepted += len(odd - old)
+                new, old = new - odd, old - odd
+            assert new == old, (validator.__name__, x.masks)
+            flagged += len(new)
+    assert flagged and excepted
