@@ -131,7 +131,8 @@ def _cmd_validate(args, out):
             report["checked"].append(kind)
             if bad:
                 report["ok"] = False
-                report["violations"] = [list(b) for b in bad]
+                report.setdefault("violations", {})[kind] = \
+                    [list(b) for b in bad]
     if args.view != "regular" and "orientation" in doc:
         # a d/(d-2)-orientation: outdegree d inside, 0 at u_1..u_d
         alpha = [0] * host.map.n_vertices
@@ -356,8 +357,10 @@ def main(argv=None, out=None):
     except KitError as exc:
         out.write(_dump({"error": exc.as_object()}))
         return 1
-    except FileNotFoundError as exc:
-        out.write(_dump({"error": {"stage": "cli", "kind": "FileNotFound",
+    except OSError as exc:         # a file argument that cannot be opened
+        kind = "FileNotFound" if isinstance(exc, FileNotFoundError) \
+            else "BadFile"
+        out.write(_dump({"error": {"stage": "cli", "kind": kind,
                                    "detail": str(exc)}}))
         return 1
 

@@ -235,42 +235,12 @@ class PlaneMap:
 
     def girth(self):
         """Length of a shortest cycle; raises Acyclic on trees."""
-        # parallel edges first: any repeated endpoint pair is a 2-cycle
-        pairs = set()
-        for d in self.edges():
-            key = (min(self.origin[d], self.target(d)),
-                   max(self.origin[d], self.target(d)))
-            if key in pairs:
-                return 2
-            pairs.add(key)
-        adj = [[] for _ in range(self.n_vertices)]
-        for d in self.edges():
-            u, w = self.origin[d], self.target(d)
-            adj[u].append((w, d))
-            adj[w].append((u, d))
-        best = None
-        for s in range(self.n_vertices):
-            dist = {s: 0}
-            par_edge = {s: -1}
-            q = deque([s])
-            while q:
-                u = q.popleft()
-                if best is not None and dist[u] * 2 >= best:
-                    continue
-                for w, e in adj[u]:
-                    if e == par_edge[u]:
-                        continue
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        par_edge[w] = e
-                        q.append(w)
-                    else:
-                        cyc = dist[u] + dist[w] + 1
-                        if best is None or cyc < best:
-                            best = cyc
-        if best is None:
+        edges = [(self.origin[d], self.target(d)) for d in self.edges()]
+        g = shortest_cycle(self.n_vertices, edges, self.n_vertices + 1,
+                           range(self.n_vertices))
+        if g > self.n_vertices:
             raise MapError("Acyclic", "map is a tree; girth undefined")
-        return best
+        return g
 
     def mincut_at_least(self, d):
         """True iff every edge cut has size >= d (via girth of the dual)."""
@@ -400,6 +370,42 @@ class PlaneMap:
     def __repr__(self):
         return (f"PlaneMap(v={self.n_vertices}, e={self.n_edges}, "
                 f"f={self.n_faces})")
+
+
+def shortest_cycle(n_vertices, edges, bound, sources):
+    """bound, or the length of the shortest cycle below bound that a
+    breadth-first search from one of sources closes, in the graph on
+    range(n_vertices) with edges a list of vertex pairs.
+
+    A search closes a cycle at each edge that leaves its tree; the closed
+    walk it reports contains a cycle at most that long, and a search from a
+    vertex on a cycle of length L reports one of length at most L.  So the
+    result is min(bound, girth) whenever a shortest cycle passes through a
+    source: always with every vertex a source, and with the endpoints of
+    new edges when the graph without them has girth >= bound."""
+    adj = [[] for _ in range(n_vertices)]
+    for e, (u, w) in enumerate(edges):
+        adj[u].append((w, e))
+        adj[w].append((u, e))
+    best = bound
+    for s in sources:
+        dist = {s: 0}
+        via = {s: -1}
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            if 2 * dist[u] + 1 >= best:    # u closes no shorter cycle
+                continue
+            for w, e in adj[u]:
+                if e == via[u]:
+                    continue
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    via[w] = e
+                    q.append(w)
+                elif dist[u] + dist[w] + 1 < best:
+                    best = dist[u] + dist[w] + 1
+    return best
 
 
 def build_map(rotations, outer_dart, twin=None, root_vertex=None):

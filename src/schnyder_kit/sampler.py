@@ -8,12 +8,18 @@ Walking clockwise around T1' from the external corner of u1 and recording the
 T1'-degrees of the black vertices (alpha) and the T1'- and T2'-degrees of the
 white vertices (beta, gamma) in discovery order encodes the pair completely.
 
-decode reverses this: rebuild T1' as a plane tree from the interleaved
-degree word, then reattach T2' by a planar matching sweep along the contour
-(each white vertex offers its parent strand and gamma-1 child slots; each
-black vertex takes the adjacent strands off a stack) once the count-only
-_strands_close has found that the sweep closes, and finally run the full
-even-Schnyder validator, which makes acceptance sound unconditionally.
+decode reverses this.  The count-only walks _contour_closes and
+_strands_close first decide whether the degree word closes the contour of
+T1' and whether the T2' strands close around it.  Then one walk along the
+contour (_rotations) creates the nodes of T1' in preorder and reattaches
+T2' by a planar matching of strands (each white vertex offers its parent
+strand and gamma-1 child slots; each black vertex takes the adjacent
+strands off a stack), appending each dart to its vertex's clockwise list.
+The completed map must be a quadrangulation with outer face u1 u2 u3 u4,
+its reduced decomposition must pass validate_reduced_schnyder (in
+lambda_inverse), and the lifted decomposition must be even; a valid
+reduced decomposition lifts to a valid even Schnyder decomposition, so
+acceptance is sound.
 
 Since every valid triple has probability 8^-n under independent 2-geometric
 draws, conditioning on validity by rejection yields a uniform pair.
@@ -37,13 +43,12 @@ import io
 import os
 import random
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import comb
 
 from .errors import EvenError, MapError, SamplerError
-from .planar_map import PlaneMap, as_angulation
+from .planar_map import PlaneMap, as_angulation, shortest_cycle
 from .orientation import is_even, lattice_enumerate
 from .schnyder import phi, psi_inverse
 from .even import (
@@ -150,11 +155,11 @@ def _invalid(stage, detail):
 def _contour_closes(alpha, beta):
     """Whether the degree word closes the clockwise contour of T1' exactly.
 
-    Walks the preorder that _rebuild_tree builds, keeping only the child
-    counts still owed by the current node (top) and by its ancestors (the
-    stack): a node at even depth is black and takes the next alpha degree,
-    one at odd depth is white and takes the next beta degree, and every
-    degree but the root's counts its parent edge.  True iff neither
+    Walks the preorder in which _rotations creates T1', keeping only the
+    child counts still owed by the current node (top) and by its ancestors
+    (the stack): a node at even depth is black and takes the next alpha
+    degree, one at odd depth is white and takes the next beta degree, and
+    every degree but the root's counts its parent edge.  True iff neither
     sequence runs out before the walk returns to the root with nothing owed,
     and both are used up when it does."""
     ia, ib, ra, rb = 1, 0, len(alpha), len(beta)
@@ -183,76 +188,18 @@ def _contour_closes(alpha, beta):
             return ia == ra and ib == rb
 
 
-def _rebuild_tree(t):
-    """Plane tree of T1' from the interleaved degree word (preorder along
-    the clockwise contour).  Returns (color, parent, children, gamma_of)."""
-    alpha, beta, gamma = t.alpha, t.beta, t.gamma
-    if not alpha or not beta or not gamma:
-        raise _invalid("TreeReconstructionFailed", "empty degree sequence")
-    for seq in (alpha, beta, gamma):
-        ints = set(map(type, seq)) == {int} or \
-            all(isinstance(x, int) for x in seq)
-        if not ints or min(seq) < 1:
-            raise _invalid("TreeReconstructionFailed",
-                           "degrees must be positive integers")
-    n = sum(alpha)
-    if len(beta) != len(gamma):
-        raise _invalid("TreeReconstructionFailed",
-                       "beta and gamma have different lengths")
-    if sum(beta) != n or sum(gamma) != n:
-        raise _invalid("TreeReconstructionFailed",
-                       f"sums differ: {n}, {sum(beta)}, {sum(gamma)}")
-    if len(alpha) + len(beta) != n + 1:
-        raise _invalid("TreeReconstructionFailed",
-                       "r + s + 1 does not match the edge count")
-    if alpha[0] < 2:
-        raise _invalid("TreeReconstructionFailed",
-                       "u1 needs distinct neighbors u2 and u4")
-    if not _contour_closes(alpha, beta):
-        raise _invalid("TreeReconstructionFailed",
-                       "the degree sequences do not close the contour "
-                       "exactly")
-    color = [True]                 # True = black; node 0 is u1
-    parent = [None]
-    children = [[]]
-    gamma_of = [None]
-    ia, ib = 1, 0
-    stack = [[0, alpha[0]]]
-    while stack:
-        top = stack[-1]
-        if top[1] == 0:
-            stack.pop()
-            continue
-        top[1] -= 1
-        v = top[0]
-        c = len(color)
-        color.append(not color[v])
-        parent.append(v)
-        children[v].append(c)
-        children.append([])
-        if color[c]:
-            deg = alpha[ia]
-            ia += 1
-            gamma_of.append(None)
-        else:
-            deg = beta[ib]
-            gamma_of.append(gamma[ib])
-            ib += 1
-        stack.append([c, deg - 1])
-    return color, parent, children, gamma_of
-
-
 def _strands_close(alpha, beta, gamma):
     """Whether the T2' strands close along the clockwise contour of T1'.
 
-    The count-only form of _closure_sweep and its check that the strands
-    left for u3 come from u2 and u4.  Walks the preorder of _contour_closes
-    (which must hold) and keeps the sweep's stack of strands: outs are
-    white ids, slots are _SLOT.  When a white vertex's subtree ends it
-    pushes its out and then gamma-1 slots; a non-root black vertex pops the
-    trailing outs and then needs one slot.  True iff every black vertex
-    finds its slot and only outs remain, the bottom one from u2 (white 0,
-    the first child of u1) and the top one from u4 (the last child)."""
+    The count-only form of the strand matching in _rotations, with the
+    check that the strands left for u3 come from u2 and u4.  Walks the
+    preorder of _contour_closes (which must hold) and keeps the stack of
+    strands: outs are white ids, slots are _SLOT.  When a white vertex's
+    subtree ends it pushes its out and then gamma-1 slots; a non-root black
+    vertex pops the trailing outs and then needs one slot.  True iff every
+    black vertex finds its slot and only outs remain, the bottom one from
+    u2 (white 0, the first child of u1) and the top one from u4 (the last
+    child)."""
     ia, ib = 1, 0
     top = alpha[0]
     white = True                           # top's children are white
@@ -291,107 +238,112 @@ def _strands_close(alpha, beta, gamma):
                 strands[-1] == u4 and _SLOT not in strands
 
 
-def _closure_sweep(color, children, gamma_of):
-    """Match T2' strands to slots along the clockwise contour.
+def _rotations(alpha, beta, gamma):
+    """Clockwise dart lists of the completed map, built in one walk.
 
-    Each white vertex, at its last contour corner, pushes its outgoing T2'
-    strand and then gamma-1 incoming slots; each black vertex, at its first
-    corner, pops the adjacent strands as its T2' children and one slot as
-    its T2' parent.  Strands left over attach to u3.  The caller has
-    checked _strands_close, so every black vertex finds its slot.  Returns
-    (t2_parent, t2_in per black in pop order, slot_fill, leftover whites
-    bottom to top)."""
-    stack = []
-    t2_parent = {}
-    t2_in = {}
-    slot_fill = {}
-    todo = [(0, False)]
-    while todo:
-        v, done = todo.pop()
-        if not done:
-            if color[v] and v != 0:
-                outs = []
-                while stack[-1][0] == "out":
-                    outs.append(stack.pop()[1])
-                _, wp, k = stack.pop()
-                t2_parent[v] = wp
-                slot_fill[(wp, k)] = v
-                t2_in[v] = outs
-                for w in outs:
-                    t2_parent[w] = v
-            todo.append((v, True))
-            for c in reversed(children[v]):
-                todo.append((c, False))
-        elif not color[v]:
-            stack.append(("out", v))
-            for k in range(gamma_of[v] - 1):
-                stack.append(("slot", v, k))
-    leftover = [entry[1] for entry in stack]
-    return t2_parent, t2_in, slot_fill, leftover
+    Walks the preorder of _contour_closes with the strand stack of
+    _strands_close (both must hold).  Node v is the v-th node of T1' in
+    preorder (node 0 is u1) and u3 is node N, with N = r + s + 1 tree nodes
+    and W = s + 1 whites.  Edge v-1 is the T1' edge of node v, edge N-1+j
+    the T2' edge of white j and edge N-2+W+i that of black i >= 1; dart 2e
+    leaves the node whose parent edge e is.  A node's list starts with its
+    parent dart and gets each child's dart as the child is created.  A
+    non-root black node then pops the adjacent outs (its T2' children) and
+    one slot (its T2' parent); a white node whose subtree ends appends its
+    out and gamma-1 slots, which later black nodes fill.  The outs left
+    over go to u3.  Returns the lists, node by node, and the T2' dart
+    leaving each tree node (None at u1)."""
+    n_nodes = len(alpha) + len(beta)
+    white_e = n_nodes - 1
+    black_e = n_nodes - 2 + len(beta)
+    rot = [[]]
+    up = [None]
+    strands = []           # outs (dart, None), slots (white, list index)
+    stack = [[0, alpha[0], 0]]     # node, children owed, slots to offer
+    ia, ib = 1, 0
+    while stack:
+        top = stack[-1]
+        v, owed, slots = top
+        if owed:
+            top[1] -= 1
+            c = len(rot)
+            rot[v].append(2 * c - 1)
+            rot.append([2 * c - 2])
+            if len(stack) % 2:                 # c is white
+                up.append(2 * (white_e + ib))
+                stack.append([c, beta[ib] - 1, gamma[ib] - 1])
+                ib += 1
+            else:                              # c is black
+                while strands[-1][1] is None:
+                    rot[c].append(strands.pop()[0] + 1)
+                w, k = strands.pop()
+                up.append(2 * (black_e + ia))
+                rot[c].append(up[c])
+                rot[w][k] = up[c] + 1
+                stack.append([c, alpha[ia] - 1, 0])
+                ia += 1
+        else:
+            stack.pop()
+            if len(stack) % 2:                 # v is white
+                rot[v].append(up[v])
+                strands.append((up[v], None))
+                for _ in range(slots):
+                    strands.append((v, len(rot[v])))
+                    rot[v].append(None)
+    rot.append([out + 1 for out, _ in reversed(strands)])
+    return rot, up
 
 
 def decode(t):
     """The pair (quadrangulation, even Schnyder decomposition) encoded by a
-    triple, or SamplerError(kind="Invalid") with the failing stage."""
-    color, parent, children, gamma_of = _rebuild_tree(t)
-    if not _strands_close(t.alpha, t.beta, t.gamma):
+    triple, or SamplerError(kind="Invalid") with the failing stage: the
+    input checks, alpha[0] >= 2 and _contour_closes
+    (TreeReconstructionFailed), _strands_close and the map that _rotations
+    builds (ClosureFailed), then the quadrangulation and its outer face,
+    the reduced validator and evenness (ValidationFailed)."""
+    alpha, beta, gamma = t.alpha, t.beta, t.gamma
+    if not alpha or not beta or not gamma:
+        raise _invalid("TreeReconstructionFailed", "empty degree sequence")
+    for seq in (alpha, beta, gamma):
+        ints = set(map(type, seq)) == {int} or \
+            all(isinstance(x, int) for x in seq)
+        if not ints or min(seq) < 1:
+            raise _invalid("TreeReconstructionFailed",
+                           "degrees must be positive integers")
+    n = sum(alpha)
+    if len(beta) != len(gamma):
+        raise _invalid("TreeReconstructionFailed",
+                       "beta and gamma have different lengths")
+    if sum(beta) != n or sum(gamma) != n:
+        raise _invalid("TreeReconstructionFailed",
+                       f"sums differ: {n}, {sum(beta)}, {sum(gamma)}")
+    if len(alpha) + len(beta) != n + 1:
+        raise _invalid("TreeReconstructionFailed",
+                       "r + s + 1 does not match the edge count")
+    if alpha[0] < 2:
+        raise _invalid("TreeReconstructionFailed",
+                       "u1 needs distinct neighbors u2 and u4")
+    if not _contour_closes(alpha, beta):
+        raise _invalid("TreeReconstructionFailed",
+                       "the degree sequences do not close the contour "
+                       "exactly")
+    if not _strands_close(alpha, beta, gamma):
         raise _invalid("ClosureFailed",
                        "the T2' strands do not close with u2 and u4 "
                        "reaching u3")
-    t2_parent, t2_in, slot_fill, leftover = _closure_sweep(
-        color, children, gamma_of)
-    u2 = children[0][0]
-    u4 = children[0][-1]
-    n_nodes = len(color)
-    u3 = n_nodes                   # one extra vertex beyond the tree
-    for w in leftover:
-        t2_parent[w] = u3
-
-    # assemble the map: edge e owns darts 2e (first->second) and 2e+1
-    edges = []
-
-    def new_edge(a, b):
-        edges.append((a, b))
-        return len(edges) - 1
-
-    t1_e = [None] * n_nodes
-    for v in range(1, n_nodes):
-        t1_e[v] = new_edge(v, parent[v])
-    t2_e = {}
-    for v in range(n_nodes):
-        if v == 0 or color[v]:
-            continue
-        t2_e[v] = new_edge(v, t2_parent[v])
-    t2p_e = {}
-    for v in range(1, n_nodes):
-        if color[v]:
-            t2p_e[v] = new_edge(v, t2_parent[v])
-
-    rot = []
-    for v in range(n_nodes):
-        kids = [2 * t1_e[c] + 1 for c in children[v]]
-        if v == 0:
-            rot.append(kids)
-        elif color[v]:
-            ins = [2 * t2_e[w] + 1 for w in t2_in[v]]
-            rot.append([2 * t1_e[v]] + ins + [2 * t2p_e[v]] + kids)
-        else:
-            slots = [2 * t2p_e[slot_fill[(v, k)]] + 1
-                     for k in range(gamma_of[v] - 1)
-                     if (v, k) in slot_fill]
-            rot.append([2 * t1_e[v]] + kids + [2 * t2_e[v]] + slots)
-    rot.append([2 * t2_e[w] + 1 for w in reversed(leftover)])
-
-    twin = tuple(h ^ 1 for h in range(2 * len(edges)))
-    origin = [None] * (2 * len(edges))
-    next_cw = [None] * (2 * len(edges))
+    rot, up = _rotations(alpha, beta, gamma)
+    u3 = len(up)
+    u4 = (rot[0][-1] + 1) // 2     # the last child of u1; u2 is node 1
+    n_darts = 4 * n                # 2n edges: n in T1', n in T2'
+    origin = [None] * n_darts
+    next_cw = [None] * n_darts
     for v, r in enumerate(rot):
         for i, h in enumerate(r):
             origin[h] = v
             next_cw[h] = r[(i + 1) % len(r)]
     try:
-        m = PlaneMap(twin, tuple(next_cw), tuple(origin),
-                     outer_dart=2 * t1_e[u2] + 1)
+        m = PlaneMap(tuple(h ^ 1 for h in range(n_darts)), tuple(next_cw),
+                     tuple(origin), outer_dart=1)
     except MapError as exc:
         raise _invalid("ClosureFailed",
                        f"completion is not a planar map: {exc.detail}") from exc
@@ -401,20 +353,15 @@ def decode(t):
         raise _invalid("ValidationFailed",
                        f"completion is not a quadrangulation: {exc.detail}") \
             from exc
-    if ang.external != (0, u2, u3, u4):
+    if ang.external != (0, 1, u3, u4):
         raise _invalid("ValidationFailed",
                        f"outer face visits {ang.external}")
 
-    masks = [0] * m.n_darts
-    externals = {0, u2, u3, u4}
-    for v in range(1, n_nodes):
-        if v in externals:
-            continue
-        masks[2 * t1_e[v]] |= 1
-        if color[v]:
-            masks[2 * t2p_e[v]] |= 2
-        else:
-            masks[2 * t2_e[v]] |= 2
+    masks = [0] * n_darts
+    for v in range(2, u3):
+        if v != u4:
+            masks[2 * v - 2] = 1
+            masks[up[v]] = 2
     rs = ReducedSchnyderDecomposition(host=ang, masks=tuple(masks))
     try:
         s = lambda_inverse(rs)
@@ -471,9 +418,9 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     integer weights, then the three fixed-popcount words a, b, c, always in
     this order.  A triple whose tree stage fails is rejected before it is
     built: bit 0 of a is 0 (alpha[0] = 1), or _contour_closes(alpha, beta)
-    is false, which is exactly when _rebuild_tree would fail.  So is one
+    is false, which is exactly when decode fails its tree stage.  So is one
     whose closure stage fails: _strands_close(alpha, beta, gamma) is false,
-    which is exactly when decode's strand sweep would fail.  Only the others
+    which is exactly when decode fails its closure stage.  Only the others
     are decoded.  attempts (and max_attempts, default
     default_max_decodes(n)) count drawn triples, so the result at a given
     seed is the one that decoding every drawn triple gives."""
@@ -545,32 +492,6 @@ def part_full_counts(x):
 
 
 # -- exhaustive enumeration ------------------------------------------------
-
-def _girth_at_least(nv, edges, d):
-    adj = [[] for _ in range(nv)]
-    for i, (a, b) in enumerate(edges):
-        adj[a].append((b, i))
-        adj[b].append((a, i))
-    best = d
-    for src in range(nv):
-        dist = {src: 0}
-        via = {src: -1}
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            if 2 * dist[v] >= best:
-                continue
-            for w, i in adj[v]:
-                if i == via[v]:
-                    continue
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    via[w] = i
-                    q.append(w)
-                elif dist[v] + dist[w] + 1 < best:
-                    return False
-    return True
-
 
 def _min_fill(boundary_len, d):
     """Fewest d-gons that can fill a disk with this boundary length, or
@@ -696,7 +617,9 @@ def enumerate_angulations(d, max_faces):
         region = regions[0]
         for face, news, new_nv, subs in _face_walks(d, nv, edges, region):
             cand = edges + news
-            if news and not _girth_at_least(new_nv, cand, d):
+            # the partial map had girth d, so a shorter cycle uses a new edge
+            if news and shortest_cycle(new_nv, cand, d,
+                                       {v for e in news for v in e}) < d:
                 continue
             yield from fill(new_nv, cand, faces + [[region[0]] + face],
                             regions[1:] + [s for s in subs if s])

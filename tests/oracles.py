@@ -15,6 +15,28 @@ from schnyder_kit.sampler import (
 )
 
 
+def edge_by_edge_girth(n_vertices, edges):
+    """Girth of a multigraph (None if acyclic): over every edge, one plus
+    the length of a shortest path between its ends that avoids it."""
+    best = None
+    for i, (a, b) in enumerate(edges):
+        dist = {a: 0}
+        frontier = [a]
+        while frontier and b not in dist:
+            nxt = []
+            for u in frontier:
+                for j, e in enumerate(edges):
+                    if j != i and u in e:
+                        w = e[1] if e[0] == u else e[0]
+                        if w not in dist:
+                            dist[w] = dist[u] + 1
+                            nxt.append(w)
+            frontier = nxt
+        if b in dist and (best is None or dist[b] + 1 < best):
+            best = dist[b] + 1
+    return best
+
+
 def brute_force_orientations(ang, j, k):
     """All k-fractional orientations of the internal edges with outdegree j
     at internal vertices and 0 at external ones, by exhaustive assignment."""
@@ -159,8 +181,31 @@ def tree_word_closes(alpha, beta):
         next(seqs[True], None) is None and next(seqs[False], None) is None
 
 
+def grow_tree(alpha, beta, gamma):
+    """The plane tree of a degree word that closes (tree_word_closes),
+    grown recursively as there: (color, children, gamma_of) per node in
+    preorder, node 0 the black root u1 (color True), with gamma_of the
+    T2'-degree of each white node and None at black ones."""
+    blacks = iter(alpha)
+    whites = iter(zip(beta, gamma))
+    color, children, gamma_of = [], [], []
+
+    def grow(black, kids, g):
+        v = len(color)
+        color.append(black)
+        children.append([])
+        gamma_of.append(g)
+        for _ in range(kids):
+            deg, g = (next(whites) if black else (next(blacks), None))
+            children[v].append(grow(not black, deg - 1, g))
+        return v
+
+    grow(True, next(blacks), None)
+    return color, children, gamma_of
+
+
 def sweep_closes(color, children, gamma_of):
-    """Whether the T2' strands of a rebuilt tree close, by the full
+    """Whether the T2' strands of a grown tree close, by the full
     matching sweep along the contour: each white vertex, at its last
     corner, pushes its out and gamma-1 slots; each non-root black vertex,
     at its first corner, pops the adjacent outs and must find a slot below

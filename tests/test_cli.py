@@ -194,6 +194,18 @@ def test_error_objects_and_exit_codes(cube_doc, tmp_path):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["sample", "--n", "4", "--count", "1", "--report", "{dir}"],
+])
+def test_a_directory_for_a_file_is_an_error(tmp_path, argv):
+    # found by test_fuzzed_arguments_answer_with_one_object
+    rc, text = run([arg.format(dir=tmp_path) for arg in argv])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert (err["stage"], err["kind"]) == ("cli", "BadFile")
+
+
 @pytest.mark.parametrize("text", ['{"map": ', "[1, 2]"])
 def test_validate_rejects_a_bad_document(tmp_path, text):
     p = tmp_path / "bad.json"
@@ -452,6 +464,26 @@ def test_validate_rejects_a_malformed_payload(tmp_path, case):
     assert obj["error"]["kind"].startswith("Invalid")
 
 
+def test_validate_reports_every_failing_payload(tmp_path, payload_documents):
+    doc = copy.deepcopy(payload_documents["schnyder"])
+    doc["labelling"] = copy.deepcopy(
+        payload_documents["labelling"]["labelling"])
+    corners = doc["labelling"]["corner_colors"]
+    corners[0] = corners[0] % 4 + 1
+    colors = doc["schnyder"]["dart_colors"]
+    swap_at = next(k for k in range(1, len(colors)) if colors[k] != colors[0])
+    colors[0], colors[swap_at] = colors[swap_at], colors[0]
+    p = tmp_path / "both.json"
+    p.write_text(json.dumps(doc))
+    rc, out = run(["validate", str(p)])
+    report = json.loads(out)
+    assert rc == 1 and report["ok"] is False
+    assert report["checked"] == ["angulation", "labelling", "schnyder"]
+    assert sorted(report["violations"]) == ["labelling", "schnyder"]
+    for bad in report["violations"].values():
+        assert bad and all(len(v) == 3 for v in bad)
+
+
 def test_validate_checks_orientation_outdegrees(tmp_path):
     p = tmp_path / "cube.json"
     p.write_text(json.dumps(cube_document()))
@@ -496,3 +528,104 @@ def test_validate_reads_a_regular_labelling(tmp_path):
     rc, obj = reports[2]
     assert rc == 1 and list(obj) == ["error"]
     assert obj["error"]["kind"] == "InvalidLabelling"
+
+
+# -- fuzzed arguments ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cli_files(payload_documents, tmp_path_factory):
+    """Input paths by name (the cube documents, the tetrahedron, a missing
+    file and a directory) and output paths (a new file, one in a missing
+    directory, and the directory) for the argument fuzz."""
+    d = tmp_path_factory.mktemp("argv")
+    inputs = {}
+    for name, doc in [("cube", cube_document()),
+                      ("k4", I.tetrahedron().to_json_obj()),
+                      *payload_documents.items()]:
+        inputs[name] = str(d / f"{name}.json")
+        (d / f"{name}.json").write_text(json.dumps(doc))
+    (d / "dir").mkdir()
+    inputs.update(missing=str(d / "missing.json"), dir=str(d / "dir"))
+    outputs = [str(d / "out.txt"), str(d / "missing" / "out.txt"),
+               str(d / "dir")]
+    return inputs, outputs
+
+
+D_VALUES = st.one_of(st.just(4), st.integers(-2, 8))
+FLAG = st.none()
+PRIMAL = ("cube", "orientation", "labelling", "schnyder")
+
+
+def _argv(draw, inputs, outputs):
+    """An argv for one subcommand: its required arguments, each optional
+    one or not, on the cube documents mostly, at most 2 samples on at most
+    2 workers; one in ten argvs loses a token or gains a stray one."""
+    out = st.sampled_from(outputs)
+    kinds = st.sampled_from(cli.PRIMAL_KINDS)
+    command = draw(st.sampled_from(["validate", "orient", "convert",
+                                    "dualize", "lattice", "draw", "sample",
+                                    "enumerate"]))
+    required, optional = {
+        "validate": ([], [("--d", D_VALUES),
+                          ("--as", st.sampled_from(["angulation",
+                                                    "regular"]))]),
+        "orient": ([("--d", D_VALUES)], [("--even", FLAG),
+                                         ("--minimal", FLAG)]),
+        "convert": ([("--from", kinds), ("--to", kinds)],
+                    [("--d", D_VALUES)]),
+        "dualize": ([], [("--d", D_VALUES)]),
+        "lattice": ([("--d", D_VALUES)], []),
+        "draw": ([], [("--root", st.integers(-2, 8)), ("--d", D_VALUES),
+                      ("--mode", st.sampled_from(["orthogonal",
+                                                  "straightline"])),
+                      ("--compact", FLAG), ("--with-root", FLAG),
+                      ("--svg", out), ("--json", out)]),
+        "sample": ([("--n", st.integers(0, 8)),
+                    ("--count", st.integers(0, 2))],
+                   [("--seed", st.integers(-5, 10 ** 6)),
+                    ("--max-attempts", st.integers(-1, 60)),
+                    ("--jobs", st.integers(-1, 2)), ("--report", out)]),
+        "enumerate": ([("--n", st.integers(-2, 4))], []),
+    }[command]
+    argv = [command]
+    if command not in ("sample", "enumerate"):
+        home = ("regular_decomposition",) if command == "draw" else PRIMAL
+        names = st.sampled_from(home) if draw(st.integers(0, 3)) else \
+            st.sampled_from(sorted(inputs))
+        argv.append(inputs[draw(names)])
+    if command == "lattice":
+        argv.append(draw(st.sampled_from(["count", "enumerate", "min"])))
+    for flag, values in required + optional:
+        if (flag, values) in required or draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is None else [flag, str(value)]
+    if draw(st.integers(0, 9)) == 0:
+        if draw(st.booleans()):
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        else:
+            argv.insert(draw(st.integers(0, len(argv))),
+                        draw(st.sampled_from(["--bogus", "x", "--n"])))
+    return argv
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_arguments_answer_with_one_object(cli_files, data):
+    # exit 0 or 1 with one JSON object, or argparse's exit 2; a draw that
+    # writes its --json or --svg file prints nothing
+    argv = _argv(data.draw, *cli_files)
+    try:
+        rc, out = run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        return
+    assert rc in (0, 1), argv
+    if rc == 0 and argv[0] == "draw" and {"--json", "--svg"} & set(argv):
+        assert out == "", argv
+        return
+    obj = json.loads(out)                # exactly one JSON value
+    assert isinstance(obj, dict), argv
+    if rc == 1:
+        assert obj.get("ok") is False or {"stage", "kind"} <= \
+            set(obj["error"]), argv

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
 from schnyder_kit.errors import MapError
-from schnyder_kit.planar_map import PlaneMap, as_angulation, as_regular, build_map
+from schnyder_kit.planar_map import (
+    PlaneMap, as_angulation, as_regular, build_map, shortest_cycle,
+)
 
 import instances as I
+from oracles import edge_by_edge_girth
 
 
 ALL_MAPS = [I.tetrahedron, I.cube, I.octahedron, I.dodecahedron,
@@ -84,6 +89,28 @@ def test_girth():
     with pytest.raises(MapError) as ei:
         I.path_map().girth()
     assert ei.value.kind == "Acyclic"
+
+
+def test_shortest_cycle_from_all_or_from_new_edges():
+    # random multigraphs with loops and parallel edges: from every vertex
+    # the search gives min(bound, girth); from the ends of edges added to a
+    # graph of girth >= bound (the enumerator's pruning) it does too
+    rng = random.Random(5)
+    for _ in range(400):
+        nv = rng.randint(1, 9)
+        edges = []
+        while rng.random() < 0.85:
+            edges.append((rng.randrange(nv), rng.randrange(nv)))
+        girth = edge_by_edge_girth(nv, edges) or nv + 1
+        bound = rng.randint(1, nv + 1)
+        assert shortest_cycle(nv, edges, bound, range(nv)) == \
+            min(bound, girth)
+        news = [(rng.randrange(nv), rng.randrange(nv))
+                for _ in range(rng.randint(1, 3))]
+        grown = edge_by_edge_girth(nv, edges + news) or nv + 1
+        sources = {v for e in news for v in e}
+        assert shortest_cycle(nv, edges + news, girth, sources) == \
+            min(girth, grown)
 
 
 def test_mincut_at_least():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from math import comb
@@ -14,8 +15,9 @@ import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
-    _geometric, bit_filter_sample, decode_every_triple_sample, pair_code,
-    rejection_sample, sample_geometric_triple, sweep_closes, tree_word_closes,
+    _geometric, bit_filter_sample, decode_every_triple_sample, grow_tree,
+    pair_code, rejection_sample, sample_geometric_triple, sweep_closes,
+    tree_word_closes,
 )
 
 
@@ -107,6 +109,30 @@ def test_decode_error_stages():
             with pytest.raises(SamplerError) as ei:
                 SA.decode(t)
             assert ei.value.detail == "degrees must be positive integers"
+
+
+def test_decode_results_are_pinned():
+    # a digest of decode's output on every sum-valid triple with n <= 6 and
+    # on 20 seeded n = 24 samples: the map tables, outer dart, externals and
+    # masks of each decoded pair, or the kind, stage and detail of each
+    # failure, so a rewrite of decode must number every dart as before
+    triples = [t for n in range(1, 7) for t in all_sum_valid_triples(n)]
+    triples += [SA.rejection_sample_fast(24, random.Random(seed), 10 ** 5)[1]
+                for seed in range(20)]
+    digest = hashlib.sha256()
+    for t in triples:
+        try:
+            ang, s = SA.decode(t)
+        except SamplerError as exc:
+            record = (exc.kind, exc.stage, exc.detail)
+        else:
+            m = ang.map
+            record = (m.twin, m.next_cw, m.origin, m.outer_dart,
+                      ang.external, s.masks)
+        digest.update(repr(record).encode())
+    assert len(triples) == 2687
+    assert digest.hexdigest() == \
+        "f513d384386248195c55cf37862f4d0ea44bffc52f851c16d4b8002f89a40edb"
 
 
 def test_triple_json_round_trip():
@@ -266,21 +292,20 @@ def test_pretest_fails_exactly_when_the_tree_does():
                     t = SA.EncodingTriple(tuple(alpha), tuple(beta),
                                           tuple(beta))
                     try:
-                        SA._rebuild_tree(t)
+                        SA.decode(t)
                         fails = False
                     except SamplerError as exc:
-                        assert exc.stage == "TreeReconstructionFailed"
-                        fails = True
+                        fails = exc.stage == "TreeReconstructionFailed"
                     assert passes != fails, (n, a, b)
 
 
 def test_strands_pretest_fails_exactly_when_the_sweep_does():
     # every triple of flip words with the conditioned popcounts, n <= 8,
     # that passes the tree stage: the count-only strand test fails exactly
-    # when the full matching sweep over the rebuilt tree does, counting its
-    # u2/u4 check; the sweep and _rebuild_tree are called directly, not
-    # through decode.  The triples that pass number the pairs with n faces
-    # (Baxter numbers, as counted by test_enumerate_pairs_counts).
+    # when the full matching sweep over the tree does, counting its u2/u4
+    # check; the oracle grows the tree recursively, so it shares no walk
+    # with the library.  The triples that pass number the pairs with n
+    # faces (Baxter numbers, as counted by test_enumerate_pairs_counts).
     closing = []
     for n in range(1, 9):
         by_popcount = [[] for _ in range(n)]
@@ -299,9 +324,8 @@ def test_strands_pretest_fails_exactly_when_the_sweep_does():
                         continue
                     for c in words:
                         gamma = SA._word_to_runs(c, n)
-                        t = SA.EncodingTriple(tuple(alpha), tuple(beta),
-                                              tuple(gamma))
-                        color, _, children, gamma_of = SA._rebuild_tree(t)
+                        color, children, gamma_of = grow_tree(
+                            alpha, beta, gamma)
                         closes = SA._strands_close(alpha, beta, gamma)
                         assert closes == sweep_closes(
                             color, children, gamma_of), (n, a, b, c)
