@@ -200,6 +200,9 @@ def _cmd_lattice(args, out):
 
 
 def _cmd_draw(args, out):
+    if args.svg and args.mode == "straightline":
+        raise KitError("BadMode", "--svg requires --mode orthogonal",
+                       stage="cli")
     doc = _load_doc(args.input)
     doc.setdefault("d", 4)
     rv = _regular_view(doc, args, root=args.root)
@@ -214,21 +217,17 @@ def _cmd_draw(args, out):
         payload = {"mode": "straightline",
                    "n": rv.map.n_vertices,
                    "coords": {str(v): list(p) for v, p in sorted(coords.items())}}
-        svg_text = None
     else:
         if args.with_root:
             gd = drawing_mod.add_root(gd)
         payload = drawing_mod.emit_drawing_json(gd)
-        svg_text = drawing_mod.emit_svg(gd)
     text = _dump(payload)
     if args.json:
         with open(args.json, "w") as f:
             f.write(text)
     if args.svg:
-        if svg_text is None:
-            raise MapError("BadMode", "--svg requires --mode orthogonal")
         with open(args.svg, "w") as f:
-            f.write(svg_text)
+            f.write(drawing_mod.emit_svg(gd))
     if not args.json and not args.svg:
         out.write(text)
     return 0
@@ -260,7 +259,13 @@ def _cmd_enumerate(args, out):
 
 def _default_jobs():
     env = os.environ.get("SCHNYDER_KIT_JOBS")
-    return int(env) if env else 1
+    if not env:
+        return 1
+    try:
+        return int(env)
+    except ValueError:
+        raise KitError("BadEnvironment", f"SCHNYDER_KIT_JOBS={env!r} is not "
+                       "an integer", stage="cli") from None
 
 
 def build_parser():

@@ -9,7 +9,11 @@ from the min cut.
 The set of all d/(d-2)-orientations of a d-angulation of girth d forms a
 distributive lattice under cycle pushing: pushing a counterclockwise circuit
 decrements its counterclockwise arcs and increments its clockwise arcs, and
-the covers are exactly the pushes of ccw circuits of length d.
+the covers are exactly the pushes of ccw circuits of length d.  Circuits
+are found orientation first, side second: each simple d-cycle of oriented
+edges is first tested against the dart values in both directions, and only a
+cycle that is a circuit in one of them gets the face flood fill that tells
+its counterclockwise direction.
 """
 
 from __future__ import annotations
@@ -344,11 +348,15 @@ def _find_d_circuits(o, ccw):
         raise OrientationError("InvalidOrientation", "orientation has no angulation host")
     m = o.map
     d = ang.d
+    values, twin = o.values, m.twin
     out = []
     for cyc in _simple_cycles_of_length(m, d, [m.edge(h) for h in o.oriented_edges()]):
+        if not (all(values[h] > 0 for h in cyc) or
+                all(values[twin[h]] > 0 for h in cyc)):
+            continue                       # a circuit in neither direction
         trav = ccw_traversal(m, cyc)
         if not ccw:
-            trav = tuple(m.twin[h] for h in reversed(trav))
+            trav = tuple(twin[h] for h in reversed(trav))
         if _is_circuit(o, trav):
             out.append(trav)
     return out

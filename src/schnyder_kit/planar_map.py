@@ -32,7 +32,7 @@ class PlaneMap:
         "twin", "next_cw", "origin", "outer_dart", "root_vertex",
         "prev_cw", "n_vertices", "n_edges", "n_faces",
         "face_of", "faces", "vertex_darts", "outer_face",
-        "_frozen",
+        "_girth", "_frozen",
     )
 
     def __init__(self, twin, next_cw, origin, outer_dart, root_vertex=None):
@@ -44,6 +44,7 @@ class PlaneMap:
         self._validate_permutations()
         self._build_derived()
         self._validate_topology()
+        self._girth = None             # computed on the first girth() call
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -234,10 +235,14 @@ class PlaneMap:
     # -- metrics ----------------------------------------------------------
 
     def girth(self):
-        """Length of a shortest cycle; raises Acyclic on trees."""
-        edges = [(self.origin[d], self.target(d)) for d in self.edges()]
-        g = shortest_cycle(self.n_vertices, edges, self.n_vertices + 1,
-                           range(self.n_vertices))
+        """Length of a shortest cycle; raises Acyclic on trees.  The BFS
+        runs once per map, which is immutable."""
+        g = self._girth
+        if g is None:
+            edges = [(self.origin[d], self.target(d)) for d in self.edges()]
+            g = shortest_cycle(self.n_vertices, edges, self.n_vertices + 1,
+                               range(self.n_vertices))
+            object.__setattr__(self, "_girth", g)
         if g > self.n_vertices:
             raise MapError("Acyclic", "map is a tree; girth undefined")
         return g

@@ -5,7 +5,9 @@ from itertools import product
 
 from schnyder_kit.drawing import _color_dart, _mod4
 from schnyder_kit.errors import DrawingError, SamplerError, SchnyderError
-from schnyder_kit.orientation import FracOrientation, _left_faces
+from schnyder_kit.orientation import (
+    FracOrientation, _left_faces, _simple_cycles_of_length, ccw_traversal,
+)
 from schnyder_kit.schnyder import (
     CYCLE, _mod, _strictly_between_cw, colors_of,
 )
@@ -451,3 +453,22 @@ def pair_code(ang, s):
     m = ang.map
     return m.rooted_code() + (tuple(s.masks[h]
                                     for h in m.dart_bfs(m.outer_dart)),)
+
+
+# -- lattice circuits, every cycle flood-filled ---------------------------
+
+def flood_fill_d_circuits(o, ccw):
+    """find_ccw_d_circuits (ccw=True) or find_cw_d_circuits by the side
+    first: every simple d-cycle of oriented edges is turned counterclockwise
+    by a face flood fill, then kept if that traversal (or its reverse, for
+    cw) is a circuit."""
+    m = o.map
+    out = []
+    for cyc in _simple_cycles_of_length(m, o.host.d,
+                                        [m.edge(h) for h in o.oriented_edges()]):
+        trav = ccw_traversal(m, cyc)
+        if not ccw:
+            trav = tuple(m.twin[h] for h in reversed(trav))
+        if all(o.values[h] > 0 for h in trav):
+            out.append(trav)
+    return out

@@ -34,19 +34,6 @@ def enum_angulations(d, max_faces):
 
 
 @pytest.fixture(scope="module")
-def study_corpus():
-    """Moderate exhaustive corpora plus handmade instances, per degree."""
-    return {
-        3: enum_angulations(3, 10) + [as_angulation(I.tetrahedron(), 3)],
-        4: enum_angulations(4, 7) + [
-            as_angulation(m, 4) for m in
-            (I.cube(), I.cube_plus(), I.concentric_quadrangulation(3),
-             I.pseudo_double_wheel(4), I.pseudo_double_wheel(5))],
-        5: enum_angulations(5, 6) + [as_angulation(I.dodecahedron(), 5)],
-    }
-
-
-@pytest.fixture(scope="module")
 def quad_lattices(study_corpus):
     """(angulation, lattice elements) for the d=4 study corpus."""
     return [(ang, O.lattice_enumerate(ang)) for ang in study_corpus[4]]

@@ -126,6 +126,22 @@ def test_draw_straightline_coordinates(cube_doc, tmp_path):
                              "4": [0, 3], "5": [2, 2]}
 
 
+def test_draw_rejects_svg_with_straightline_before_writing(cube_doc,
+                                                          tmp_path):
+    _, orient_text = run(["orient", cube_doc, "--d", "4", "--even"])
+    (tmp_path / "o.json").write_text(orient_text)
+    _, dual_text = run(["dualize", str(tmp_path / "o.json")])
+    dp = tmp_path / "dual.json"
+    dp.write_text(dual_text)
+    js, svg = tmp_path / "d.json", tmp_path / "d.svg"
+    rc, text = run(["draw", str(dp), "--mode", "straightline",
+                    "--json", str(js), "--svg", str(svg)])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert (err["stage"], err["kind"]) == ("cli", "BadMode")
+    assert not js.exists() and not svg.exists()
+
+
 def test_lattice_counts(cube_doc, tmp_path):
     rc, text = run(["lattice", cube_doc, "--d", "4", "count"])
     assert rc == 0 and json.loads(text) == {"count": 3}
@@ -221,6 +237,21 @@ def test_jobs_default_env(monkeypatch):
     assert _default_jobs() == 1
     monkeypatch.setenv("SCHNYDER_KIT_JOBS", "3")
     assert _default_jobs() == 3
+
+
+def test_jobs_env_that_is_not_an_integer_is_an_error(monkeypatch):
+    # the error comes before sampling, so no worker process is started
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(cli.sampler_mod, "concentration_experiment",
+                        unreachable)
+    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "two")
+    rc, text = run(["sample", "--n", "4", "--count", "1"])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert (err["stage"], err["kind"]) == ("cli", "BadEnvironment")
+    assert "two" in err["detail"]
 
 
 def test_sample_reads_the_jobs_env_on_every_call(monkeypatch):

@@ -7,7 +7,9 @@ from schnyder_kit.planar_map import as_angulation
 import schnyder_kit.orientation as O
 
 import instances as I
-from oracles import brute_force_dd2, brute_force_orientations
+from oracles import (
+    brute_force_dd2, brute_force_orientations, flood_fill_d_circuits,
+)
 
 
 def tetra():
@@ -108,6 +110,38 @@ def test_push_preserves_outdegrees():
             # pushing back up restores the original
             back = tuple(c.map.twin[h] for h in reversed(trav))
             assert O.push_cycle(o2, back).values == o.values
+
+
+def _checked_ccw_circuits(o):
+    """find_ccw_d_circuits(o), once both scans match the oracle's lists."""
+    circuits = O.find_ccw_d_circuits(o)
+    assert circuits == flood_fill_d_circuits(o, ccw=True)
+    assert O.find_cw_d_circuits(o) == flood_fill_d_circuits(o, ccw=False)
+    return circuits
+
+
+def test_circuit_scan_matches_flood_fill_oracle(study_corpus):
+    """The scan that tests dart values before the side lists the same
+    circuits in the same order as flood-filling every d-cycle: on every
+    lattice element of the study corpus, and at every step of the walk
+    down to the minimum on concentric quadrangulations, whose nested
+    4-cycles separate."""
+    elements = circuits = 0
+    for angs in study_corpus.values():
+        for ang in angs:
+            for o in O.lattice_enumerate(ang):
+                circuits += len(_checked_ccw_circuits(o))
+                elements += 1
+    assert elements == 1154 and circuits == 1130
+    for k in (4, 6):
+        ang = as_angulation(I.concentric_quadrangulation(k), 4)
+        o = O.compute_dd2_orientation(ang)
+        pushes = 0
+        while circuits := _checked_ccw_circuits(o):
+            o = O.push_cycle(o, circuits[0])
+            pushes += 1
+        assert pushes > 0
+        assert o.values == O.minimal_orientation(ang).values
 
 
 def test_push_rejects_non_circuit():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from schnyder_kit.errors import MapError
+import schnyder_kit.planar_map as P
 from schnyder_kit.planar_map import (
     PlaneMap, as_angulation, as_regular, build_map, shortest_cycle,
 )
@@ -89,6 +90,19 @@ def test_girth():
     with pytest.raises(MapError) as ei:
         I.path_map().girth()
     assert ei.value.kind == "Acyclic"
+
+
+def test_girth_runs_its_bfs_once_per_map(monkeypatch):
+    calls = []
+    bfs = P.shortest_cycle
+    monkeypatch.setattr(P, "shortest_cycle",
+                        lambda *args: calls.append(1) or bfs(*args))
+    cube, path = I.cube(), I.path_map()
+    assert [cube.girth() for _ in range(3)] == [4, 4, 4]
+    for _ in range(2):
+        with pytest.raises(MapError):
+            path.girth()
+    assert len(calls) == 2
 
 
 def test_shortest_cycle_from_all_or_from_new_edges():

@@ -333,6 +333,48 @@ def test_strands_pretest_fails_exactly_when_the_sweep_does():
     assert closing == [0, 1, 2, 6, 22, 92, 422, 2074]
 
 
+def baxter_summand(n, s):
+    """Theta(n, s) = C(n, s-1) C(n, s) C(n, s+1) / (C(n, 1) C(n, 2)), the
+    summand of the Baxter number B(n-1) = sum_s Theta(n, s)."""
+    if s == 0:
+        return 0
+    return comb(n, s - 1) * comb(n, s) * comb(n, s + 1) // \
+        (comb(n, 1) * comb(n, 2))
+
+
+BAXTER = [1, 2, 6, 22, 92, 422, 2074, 10754]       # B(1), ..., B(8)
+
+
+def test_closing_triples_per_popcount_class_are_baxter_summands():
+    # every triple of flip words in popcount class s (popcount(a) = s,
+    # popcount(b) = popcount(c) = n-1-s) that passes both pre-tests, for
+    # 2 <= n <= 9: the count per class is Theta(n, s) and the total is
+    # B(n-1); decode accepts each of them for n <= 7
+    for n in range(2, 10):
+        by_popcount = [[] for _ in range(n)]
+        for w in range(1 << (n - 1)):
+            by_popcount[w.bit_count()].append(w)
+        counts = [0] * n
+        for s in range(n):
+            runs = [SA._word_to_runs(w, n) for w in by_popcount[n - 1 - s]]
+            for a in by_popcount[s]:
+                if not a & 1:
+                    continue
+                alpha = SA._word_to_runs(a, n)
+                for beta in runs:
+                    if not SA._contour_closes(alpha, beta):
+                        continue
+                    for gamma in runs:
+                        if not SA._strands_close(alpha, beta, gamma):
+                            continue
+                        counts[s] += 1
+                        if n <= 7:
+                            SA.decode(SA.EncodingTriple(
+                                tuple(alpha), tuple(beta), tuple(gamma)))
+        assert counts == [baxter_summand(n, s) for s in range(n)], n
+        assert sum(counts) == BAXTER[n - 2]
+
+
 def test_default_decode_cap_keeps_the_filter_budget():
     # 10**6 uniform word triples hold 10**6 * sum_s C(n-1, s)**3 / 8**n
     # triples with all sums n on average
