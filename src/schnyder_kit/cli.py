@@ -56,7 +56,9 @@ def _plane_map(doc):
 
 
 def _doc_d(doc, args):
-    d = getattr(args, "d", None) or doc.get("d")
+    d = getattr(args, "d", None)
+    if d is None:
+        d = doc.get("d")
     if d is None:
         raise MapError("NotDAngulation", "no face degree given (use --d)")
     if type(d) is not int:

@@ -263,7 +263,6 @@ def straight_line_drawing(rd, coords=None):
 @dataclass(frozen=True)
 class FaceInfo:
     cls: str                      # non_reducible | partly_reducible | fully_reducible
-    black: bool
     special_a: tuple              # (a, a') of the first special edge
     special_b: tuple              # (b, b') of the second
     fx_minus: int
@@ -279,15 +278,11 @@ class FaceClassification:
     faces: dict                   # non-root face id -> FaceInfo
 
 
-def _clockwise_darts(m, f):
-    return [m.twin[h] for h in reversed(m.faces[f])]
-
-
 def face_markers(rd, f, is_black):
     """(a, a', b, b') of the two special edges of a non-root face, found from
     the clockwise arc-color pattern around it."""
     m = rd.host.map
-    cw = _clockwise_darts(m, f)
+    cw = m.face_corners(f)
     shift = 0 if is_black else -1
     pat = lambda g: (_color(rd, g), _color(rd, m.twin[g]))
     want_a = (_mod4(4 + shift), _mod4(3 + shift))
@@ -340,7 +335,7 @@ def classify_faces(gd):
             cls = "partly_reducible"
         else:
             cls = "fully_reducible"
-        faces[f] = FaceInfo(cls=cls, black=fb[f], special_a=(a, a2),
+        faces[f] = FaceInfo(cls=cls, special_a=(a, a2),
                             special_b=(b, b2), fx_minus=fxm, fx_plus=fxp,
                             fy_minus=fym, fy_plus=fyp,
                             x=gd.coords[fxm][0], y=gd.coords[fym][1])
@@ -352,7 +347,7 @@ def special_face_of_edge(fc, e, m):
     # identify by dart pair, not vertex pair, to survive parallel edges
     hits = []
     for f, info in fc.faces.items():
-        for g in _clockwise_darts(m, f):
+        for g in m.face_corners(f):
             if m.edge(g) == m.edge(e):
                 a, a2 = info.special_a
                 b, b2 = info.special_b
@@ -368,22 +363,14 @@ def special_face_of_edge(fc, e, m):
 class ReductionChoice:
     X: frozenset
     Y: frozenset
-    balanced: bool = False
 
 
 def balanced_reduction_choice(fc):
     """Fully reducible faces contribute to both X and Y; partly reducible
     ones are ordered by x(f) and alternate, even positions into X."""
-    X = {info.x for info in fc.faces.values() if info.cls == "fully_reducible"}
-    Y = {info.y for info in fc.faces.values() if info.cls == "fully_reducible"}
-    partly = sorted((info.x, info.y) for info in fc.faces.values()
+    partly = sorted((info.x, info.y, f) for f, info in fc.faces.items()
                     if info.cls == "partly_reducible")
-    for t, (x, y) in enumerate(partly):
-        if t % 2 == 0:
-            X.add(x)
-        else:
-            Y.add(y)
-    return ReductionChoice(X=frozenset(X), Y=frozenset(Y), balanced=True)
+    return reduction_choice(fc, {f for _, _, f in partly[::2]})
 
 
 def reduction_choice(fc, partly_to_x):
@@ -479,13 +466,10 @@ def drawing_from_json(obj, rd):
     )
 
 
-def emit_svg(gd, style=None):
+def emit_svg(gd):
     """Deterministic SVG: one path per edge (bent when bends exist), one
     circle per vertex, elements ordered by id."""
-    style = dict(style or {})
-    scale = style.get("scale", 24)
-    margin = style.get("margin", 30)
-    grid = style.get("grid", False)
+    scale, margin = 24, 30          # pixels per grid unit, border pixels
     rd = gd.decomposition
     m = gd.host.map
     xs = [p[0] for p in gd.coords.values()]
@@ -504,15 +488,6 @@ def emit_svg(gd, style=None):
     height = 2 * margin + scale * (y1 - y0)
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{width}" height="{height}">']
-    if grid:
-        for gx in range(x0, x1 + 1):
-            a, b = pt((gx, y0)), pt((gx, y1))
-            lines.append(f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" '
-                         f'y2="{b[1]}" stroke="#eeeeee"/>')
-        for gy in range(y0, y1 + 1):
-            a, b = pt((x0, gy)), pt((x1, gy))
-            lines.append(f'<line x1="{a[0]}" y1="{a[1]}" x2="{b[0]}" '
-                         f'y2="{b[1]}" stroke="#eeeeee"/>')
     for e in sorted(gd.bends):
         u, w = m.origin[e], m.target(e)
         pts = [gd.coords[u], gd.bends[e], gd.coords[w]]

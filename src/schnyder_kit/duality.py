@@ -17,8 +17,8 @@ from collections import deque
 from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
-    CornerLabelling, DartTable, _mod, _vertex_violations, phi,
-    validate_labelling, validate_schnyder,
+    CornerLabelling, DartTable, _corner_violations, _mod, _vertex_violations,
+    phi, validate_labelling, validate_schnyder,
 )
 
 
@@ -88,48 +88,24 @@ def primal_labelling(r):
 # -- regular labelling validation ----------------------------------------
 
 def validate_regular_labelling(r):
-    """All violations of the regular-labelling axioms (empty = valid)."""
+    """All violations of the regular-labelling axioms (empty = valid): the
+    corner rule of the primal labelling with faces and vertices swapped.
+    (i) colors step +1 clockwise around the non-root vertices, -1 around
+    v*; (ii) the corners of root face f_i* have color i; (iii) exactly one
+    clockwise descent around each non-root face."""
     rv = r.host
     m = rv.map
-    d = rv.d
-    if len(r.colors) != m.n_darts or any(not 1 <= c <= d for c in r.colors):
-        return [("malformed", None, "colors must cover all corners with values in [d]")]
-    out = _cyclic_step_violations(r, "i")
-    # (ii) corners of the root face f_i* colored i
-    for i, f in enumerate(rv.root_faces, start=1):
-        for h in m.faces[f]:
-            if r.colors[m.twin[h]] != i:
-                out.append(("ii", f, f"corner {m.twin[h]} of root face {i} has "
-                                     f"color {r.colors[m.twin[h]]}"))
-    # (iii) exactly one clockwise descent around each non-root face
-    for f in rv.non_root_faces():
-        orbit = m.faces[f]
-        seq = [r.colors[m.twin[h]] for h in orbit]
-        if f != m.outer_face:
-            seq.reverse()  # clockwise traversal of an inner face
-        desc = sum(1 for t in range(len(seq))
-                   if seq[t] > seq[(t + 1) % len(seq)])
-        if desc != 1:
-            out.append(("iii", f, f"face {f} has {desc} descents"))
-    return out
+    return _corner_violations(
+        r.colors, rv.d, _vertex_steps(rv),
+        [(f, m.face_corners(f)) for f in rv.root_faces],
+        [(f, m.face_corners(f)) for f in rv.non_root_faces()])
 
 
-def _cyclic_step_violations(r, axiom):
-    """Corner colors 1..d clockwise around non-root vertices,
-    counterclockwise around the root vertex."""
-    rv = r.host
+def _vertex_steps(rv):
+    """The dual vertices as step cells of the corner rule."""
     m = rv.map
-    out = []
-    for v in range(m.n_vertices):
-        step = -1 if v == rv.root_vertex else 1
-        orbit = m.vertex_orbit(v)
-        for t in range(len(orbit)):
-            c0 = r.colors[orbit[t]]
-            c1 = r.colors[orbit[(t + 1) % len(orbit)]]
-            if c1 != _mod(c0 + step, rv.d):
-                out.append((axiom, v, f"vertex {v}: corner colors {c0}->{c1} "
-                                      f"not a clockwise {step:+d} step"))
-    return out
+    return [(v, m.vertex_orbit(v), -1 if v == rv.root_vertex else 1)
+            for v in range(m.n_vertices)]
 
 
 # -- xi -------------------------------------------------------------------
@@ -185,7 +161,8 @@ def _sufficiency_violations(r):
     m = rv.map
     d = rv.d
     # (i') cyclic colors around every vertex (counterclockwise at the root)
-    out = _cyclic_step_violations(r, "i'")
+    out = [("i'",) + v[1:]
+           for v in _corner_violations(r.colors, d, _vertex_steps(rv), (), ())]
     # (ii') distinct clockwise-preceding corner colors on non-root edges
     root_ids = set(rv.root_edge_ids())
     for h in m.edges():
@@ -214,36 +191,62 @@ def _sufficiency_violations(r):
 
 def validate_regular_decomposition(rd):
     """All violations of the regular-decomposition axioms (empty = valid)."""
-    rv = rd.host
+    return _dual_violations(rd)
+
+
+def _dual_violations(t):
+    """All violations of the dual decomposition axioms of t, full (d trees,
+    step 1) or reduced (p = d/2 trees, step 2: reduced color i is full
+    color 2i), under axiom names primed when reduced.  (i) Every arc
+    carries one color in 1..p (at most one when reduced), except that on a
+    full table no arc leaving v* carries any (ii); then every non-root edge
+    lies in 2/step trees, once each, and root edge e_j* in one tree when
+    step divides j, in none otherwise ("partition" when reduced).  (ii)
+    Root edge e_{step*i}* carries color i toward v*.  (i') On a reduced
+    table every colored arc has a black face on its right.  (iii) The
+    vertex rule holds at every non-root vertex, and ("tree") every color
+    class is a spanning tree oriented toward v*."""
+    rv = t.host
     m = rv.map
-    d = rv.d
-    out = []
-    if len(rd.masks) != m.n_darts:
+    p = t.n_colors
+    step = rv.d // p
+    prime = "'" * t.REDUCED
+    if len(t.masks) != m.n_darts:
         return [("malformed", None, "mask table length mismatch")]
-    for h in range(m.n_darts):
-        if m.origin[h] == rv.root_vertex:
-            if rd.masks[h]:
-                out.append(("ii", h, "arc leaving the root vertex carries a color"))
-        elif bin(rd.masks[h]).count("1") != 1 or rd.masks[h] >> d:
-            out.append(("i", h, f"arc {h} must carry exactly one color in [d]"))
+    least, many = (0, "at most") if t.REDUCED else (1, "exactly")
+    out = []
+    for h, mk in enumerate(t.masks):
+        if m.origin[h] == rv.root_vertex and not t.REDUCED:
+            if mk:
+                out.append(("ii", h, "arc leaving the root vertex carries "
+                                     "a color"))
+        elif mk >> p or not least <= bin(mk).count("1") <= 1:
+            out.append(("i" + prime, h, f"arc {h} must carry {many} one "
+                                        f"color in 1..{p}"))
     if out:
         return out
-    # (i)/(ii) per edge: non-root edges lie in two distinct trees with
-    # opposite directions; root edge e_i* only in T_i*, toward v*
-    root_in = {m.twin[e]: i for i, e in enumerate(rv.root_darts, start=1)}
+    root_edge = {m.edge(h): j for j, h in enumerate(rv.root_darts, start=1)}
     for h in m.edges():
-        a, b = rd.masks[h], rd.masks[m.twin[h]]
-        for x, i in ((h, root_in.get(h)), (m.twin[h], root_in.get(m.twin[h]))):
-            if i is not None and rd.masks[x] != 1 << (i - 1):
-                out.append(("ii", x, f"root edge {i} does not carry color {i} "
-                                     "toward the root"))
-        if m.origin[h] != rv.root_vertex and m.target(h) != rv.root_vertex:
-            if a == b:
-                out.append(("i", h, f"edge {h}: both arcs have the same color"))
-    # (iii) outgoing colors 1..d in clockwise order around non-root vertices
+        a, b = t.masks[h], t.masks[m.twin[h]]
+        j = root_edge.get(h)
+        want = 2 // step if j is None else int(j % step == 0)
+        if a & b or bin(a | b).count("1") != want:
+            out.append(("partition" if t.REDUCED else "i", h,
+                        f"edge {h} must lie in {want} trees, once each"))
+    for i in range(1, p + 1):
+        x = m.twin[rv.root_darts[step * i - 1]]
+        if t.masks[x] != 1 << (i - 1):
+            out.append(("ii" + prime, x, f"root edge e_{step * i}* does not "
+                                         f"carry color {i} toward the root"))
+    if t.REDUCED:
+        from .even import black_faces     # even imports this module
+        black = black_faces(rv)
+        out.extend(("i'", h, f"arc {h} has a white face on its right")
+                   for h, mk in enumerate(t.masks)
+                   if mk and not black[m.face_of[m.twin[h]]])
     for v in rv.non_root_vertices():
-        out.extend(_vertex_violations(rd, v, "iii"))
-    return out + _tree_violations(rd)
+        out.extend(_vertex_violations(t, v, "iii" + prime))
+    return out + _tree_violations(t)
 
 
 def _tree_violations(rd):

@@ -20,12 +20,12 @@ from collections import deque
 from .errors import EvenError, MapError, OrientationError
 from .planar_map import as_angulation
 from .duality import (
-    RegularDecomposition, _tree_violations, validate_regular_decomposition,
+    RegularDecomposition, _dual_violations, validate_regular_decomposition,
 )
 from .orientation import compute_p_p1_orientation, double
 from .schnyder import (
-    DartTable, SchnyderDecomposition, _mod, _primal_violations,
-    _vertex_violations, colors_of, phi, psi_inverse,
+    DartTable, SchnyderDecomposition, _mod, _primal_violations, colors_of,
+    phi, psi_inverse,
 )
 from . import duality as _duality
 
@@ -212,40 +212,9 @@ def lambda_star_inverse(rrd):
 
 def validate_reduced_regular(rrd):
     """All violations of the reduced dual-decomposition axioms (empty =
-    valid)."""
-    rv = rrd.host
-    p = _require_even_d(rv.d)
-    m = rv.map
-    out = []
-    if len(rrd.masks) != m.n_darts:
-        return [("malformed", None, "mask table length mismatch")]
-    for h in range(m.n_darts):
-        if bin(rrd.masks[h]).count("1") > 1 or rrd.masks[h] >> p:
-            out.append(("i'", h, f"arc {h} carries more than one color"))
-    if out:
-        return out
-    # partition of all edges except the odd root-edges
-    odd_root = {m.edge(rv.root_darts[2 * i - 2]) for i in range(1, p + 1)}
-    even_root_in = {m.twin[rv.root_darts[2 * i - 1]]: i for i in range(1, p + 1)}
-    for h in m.edges():
-        n_colors = bin(rrd.masks[h]).count("1") + \
-            bin(rrd.masks[m.twin[h]]).count("1")
-        want = 0 if h in odd_root else 1
-        if n_colors != want:
-            out.append(("partition", h,
-                        f"edge {h} lies in {n_colors} trees, expected {want}"))
-    for x, i in even_root_in.items():
-        if rrd.masks[x] != 1 << (i - 1):
-            out.append(("ii'", x, f"root edge e_{{2i}}* of tree {i} miscolored"))
-    # (i') black face on the right of every arc
-    face_black = black_faces(rv)
-    for h in range(m.n_darts):
-        if rrd.masks[h] and not face_black[m.face_of[m.twin[h]]]:
-            out.append(("i'", h, f"arc {h} has a white face on its right"))
-    # (iii') parent arcs clockwise around non-root vertices
-    for v in rv.non_root_vertices():
-        out.extend(_vertex_violations(rrd, v, "iii'"))
-    return out + _tree_violations(rrd)
+    valid): duality._dual_violations on p = d/2 colors."""
+    _require_even_d(rrd.host.d)
+    return _dual_violations(rrd)
 
 
 # -- the p = 2 construction pipeline --------------------------------------

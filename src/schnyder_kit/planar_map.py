@@ -200,6 +200,11 @@ class PlaneMap:
                 break
         return out
 
+    def face_corners(self, f):
+        """Corners of face f in clockwise order: the darts with f on their
+        right, i.e. the twins of its orbit, reversed."""
+        return [self.twin[h] for h in reversed(self.faces[f])]
+
     def face_degree(self, f):
         return len(self.faces[f])
 
@@ -413,15 +418,13 @@ def shortest_cycle(n_vertices, edges, bound, sources):
     return best
 
 
-def build_map(rotations, outer_dart, twin=None, root_vertex=None):
+def build_map(rotations, outer_dart, root_vertex=None):
     """Build a PlaneMap from per-vertex clockwise dart lists.
 
-    ``rotations[v]`` lists the darts leaving v in clockwise order.  When
-    ``twin`` is omitted, darts pair up as (2i, 2i+1).
+    ``rotations[v]`` lists the darts leaving v in clockwise order; darts
+    pair up as (2i, 2i+1).
     """
     n = sum(len(r) for r in rotations)
-    if twin is None:
-        twin = [d ^ 1 for d in range(n)]
     origin = [None] * n
     next_cw = [None] * n
     for v, rot in enumerate(rotations):
@@ -435,7 +438,8 @@ def build_map(rotations, outer_dart, twin=None, root_vertex=None):
             next_cw[d] = rot[(i + 1) % len(rot)]
     if any(o is None for o in origin):
         raise MapError("MalformedRotation", "rotation lists do not cover all darts")
-    return PlaneMap(twin, next_cw, origin, outer_dart, root_vertex=root_vertex)
+    return PlaneMap([d ^ 1 for d in range(n)], next_cw, origin, outer_dart,
+                    root_vertex=root_vertex)
 
 
 # -- views ----------------------------------------------------------------

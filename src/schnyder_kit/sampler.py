@@ -48,7 +48,7 @@ from itertools import accumulate
 from math import comb
 
 from .errors import EvenError, MapError, SamplerError
-from .planar_map import PlaneMap, as_angulation, shortest_cycle
+from .planar_map import PlaneMap, as_angulation, build_map, shortest_cycle
 from .orientation import is_even, lattice_enumerate
 from .schnyder import phi, psi_inverse
 from .even import (
@@ -334,16 +334,8 @@ def decode(t):
     rot, up = _rotations(alpha, beta, gamma)
     u3 = len(up)
     u4 = (rot[0][-1] + 1) // 2     # the last child of u1; u2 is node 1
-    n_darts = 4 * n                # 2n edges: n in T1', n in T2'
-    origin = [None] * n_darts
-    next_cw = [None] * n_darts
-    for v, r in enumerate(rot):
-        for i, h in enumerate(r):
-            origin[h] = v
-            next_cw[h] = r[(i + 1) % len(r)]
     try:
-        m = PlaneMap(tuple(h ^ 1 for h in range(n_darts)), tuple(next_cw),
-                     tuple(origin), outer_dart=1)
+        m = build_map(rot, outer_dart=1)
     except MapError as exc:
         raise _invalid("ClosureFailed",
                        f"completion is not a planar map: {exc.detail}") from exc
@@ -357,7 +349,7 @@ def decode(t):
         raise _invalid("ValidationFailed",
                        f"outer face visits {ang.external}")
 
-    masks = [0] * n_darts
+    masks = [0] * m.n_darts        # 2n edges: n in T1', n in T2'
     for v in range(2, u3):
         if v != u4:
             masks[2 * v - 2] = 1
@@ -628,12 +620,12 @@ def enumerate_angulations(d, max_faces):
         yield from fill(nv0, list(edges0), [outer], [inner])
 
 
-def enumerate_pairs(n, cap=ENUMERATION_CAP):
+def enumerate_pairs(n):
     """All pairs (rooted girth-4 quadrangulation with n faces, even Schnyder
-    decomposition), each exactly once."""
-    if n > cap:
-        raise SamplerError("CapExceeded",
-                           f"n = {n} exceeds the enumeration cap {cap}")
+    decomposition), each exactly once, for n up to ENUMERATION_CAP."""
+    if n > ENUMERATION_CAP:
+        raise SamplerError("CapExceeded", f"n = {n} exceeds the enumeration "
+                                          f"cap {ENUMERATION_CAP}")
     out = []
     for m in enumerate_angulations(4, n):
         if m.n_faces != n:

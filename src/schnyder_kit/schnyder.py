@@ -2,9 +2,11 @@
 
 Corners are identified with darts: corner(h) is the sector swept clockwise
 from h to next_cw(h) at origin(h).  Around a vertex the clockwise corner
-order is corner(h), corner(next_cw(h)), ...  Around a *non-root* face,
-clockwise means walking with the face on the right, i.e. the reverse of the
-stored face orbit; around the root face it is the orbit order itself.
+order is corner(h), corner(next_cw(h)), ...  Around a face, clockwise means
+walking with the face on the right, i.e. the reverse of the stored face
+orbit (PlaneMap.face_corners).  Read that way, the colors of a labelling
+step +1 around every inner face and -1 around the outer face, whose orbit
+lists u_1..u_d clockwise as drawn.
 
 Colors live in [d] = {1..d} with cyclic arithmetic.  Color sets on darts are
 d-bit masks (bit i-1 for color i).
@@ -192,34 +194,49 @@ class SchnyderDecomposition(DartTable):
 # -- labelling validation -------------------------------------------------
 
 def validate_labelling(l):
-    """All violations of the three clockwise-labelling axioms (empty = valid)."""
+    """All violations of the three clockwise-labelling axioms (empty =
+    valid): (i) colors step +1 clockwise around the inner faces, -1 around
+    the outer one; (ii) the corners at u_i have color i; (iii) exactly one
+    clockwise descent around each internal vertex."""
     ang = l.host
     m = ang.map
-    d = ang.d
+    return _corner_violations(
+        l.colors, ang.d,
+        [(f, m.face_corners(f), -1 if f == m.outer_face else 1)
+         for f in range(m.n_faces)],
+        [(u, m.vertex_orbit(u)) for u in ang.external],
+        [(v, m.vertex_orbit(v)) for v in ang.internal_vertices()])
+
+
+def _corner_violations(colors, d, step_cells, root_cells, descent_cells):
+    """The corner rule of a labelling, on cells given with their corners in
+    clockwise order: (i) around each step cell (where, corners, step) each
+    corner color is the one before plus step, mod d; (ii) every corner of
+    the i-th root cell (where, corners) has color i; (iii) each descent cell
+    (where, corners) has exactly one clockwise descent, a corner whose color
+    exceeds the next one.  The step cells must cover every corner once."""
+    n = sum(len(corners) for _, corners, _ in step_cells)
+    if len(colors) != n or not all(1 <= c <= d for c in colors):
+        return [("malformed", None, f"colors must cover all {n} corners "
+                                    f"with values in 1..{d}")]
     out = []
-    if len(l.colors) != m.n_darts or any(not 1 <= c <= d for c in l.colors):
-        return [("malformed", None, "colors must cover all corners with values in [d]")]
-    # (i) colors 1..d in clockwise order around each face
-    for f, orbit in enumerate(m.faces):
-        step = 1 if f == m.outer_face else -1
-        for t in range(len(orbit)):
-            c0 = l.colors[m.twin[orbit[t]]]
-            c1 = l.colors[m.twin[orbit[(t + 1) % len(orbit)]]]
-            if c1 != _mod(c0 + step, d):
-                out.append(("i", f, f"face {f}: corner colors {c0}->{c1} not a "
-                                    "clockwise +1 step"))
-    # (ii) corners at u_i colored i
-    for i, u in enumerate(ang.external, start=1):
-        for h in m.vertex_orbit(u):
-            if l.colors[h] != i:
-                out.append(("ii", u, f"corner {h} at u_{i} has color {l.colors[h]}"))
-    # (iii) exactly one clockwise descent around each internal vertex
-    for v in ang.internal_vertices():
-        orbit = m.vertex_orbit(v)
-        desc = sum(1 for t in range(len(orbit))
-                   if l.colors[orbit[t]] > l.colors[orbit[(t + 1) % len(orbit)]])
+    for where, corners, step in step_cells:
+        cs = [colors[h] for h in corners]
+        for a, b in zip(cs, cs[1:] + cs[:1]):
+            if b != _mod(a + step, d):
+                out.append(("i", where, f"corner colors {a}->{b} around cell "
+                                        f"{where} not a clockwise {step:+d} "
+                                        "step"))
+    for i, (where, corners) in enumerate(root_cells, start=1):
+        out.extend(("ii", where, f"corner {h} of root cell {i} has color "
+                                 f"{colors[h]}")
+                   for h in corners if colors[h] != i)
+    for where, corners in descent_cells:
+        cs = [colors[h] for h in corners]
+        desc = sum(a > b for a, b in zip(cs, cs[1:] + cs[:1]))
         if desc != 1:
-            out.append(("iii", v, f"vertex {v} has {desc} descents"))
+            out.append(("iii", where, f"{desc} clockwise descents around "
+                                      f"cell {where}"))
     return out
 
 

@@ -4,12 +4,14 @@ from bisect import bisect_right
 from itertools import product
 
 from schnyder_kit.drawing import _color_dart, _mod4
+from schnyder_kit.duality import _tree_violations
 from schnyder_kit.errors import DrawingError, SamplerError, SchnyderError
+from schnyder_kit.even import _require_even_d, black_faces
 from schnyder_kit.orientation import (
     FracOrientation, _left_faces, _simple_cycles_of_length, ccw_traversal,
 )
 from schnyder_kit.schnyder import (
-    CYCLE, _mod, _strictly_between_cw, colors_of,
+    CYCLE, _mod, _strictly_between_cw, _vertex_violations, colors_of,
 )
 from schnyder_kit.sampler import (
     DEFAULT_MAX_ATTEMPTS, EncodingTriple, _fixed_popcount_word,
@@ -472,3 +474,158 @@ def flood_fill_d_circuits(o, ccw):
         if all(o.values[h] > 0 for h in trav):
             out.append(trav)
     return out
+
+
+# -- the labelling and dual validators as coded before the shared rules ---
+
+def labelling_axioms(l):
+    """validate_labelling as coded before the corner rule: each face read in
+    orbit order, step +1 at the outer face and -1 at the others."""
+    ang = l.host
+    m = ang.map
+    d = ang.d
+    out = []
+    if len(l.colors) != m.n_darts or any(not 1 <= c <= d for c in l.colors):
+        return [("malformed", None, "colors must cover all corners with values in [d]")]
+    # (i) colors 1..d in clockwise order around each face
+    for f, orbit in enumerate(m.faces):
+        step = 1 if f == m.outer_face else -1
+        for t in range(len(orbit)):
+            c0 = l.colors[m.twin[orbit[t]]]
+            c1 = l.colors[m.twin[orbit[(t + 1) % len(orbit)]]]
+            if c1 != _mod(c0 + step, d):
+                out.append(("i", f, f"face {f}: corner colors {c0}->{c1} not a "
+                                    "clockwise +1 step"))
+    # (ii) corners at u_i colored i
+    for i, u in enumerate(ang.external, start=1):
+        for h in m.vertex_orbit(u):
+            if l.colors[h] != i:
+                out.append(("ii", u, f"corner {h} at u_{i} has color {l.colors[h]}"))
+    # (iii) exactly one clockwise descent around each internal vertex
+    for v in ang.internal_vertices():
+        orbit = m.vertex_orbit(v)
+        desc = sum(1 for t in range(len(orbit))
+                   if l.colors[orbit[t]] > l.colors[orbit[(t + 1) % len(orbit)]])
+        if desc != 1:
+            out.append(("iii", v, f"vertex {v} has {desc} descents"))
+    return out
+
+
+def regular_labelling_axioms(r):
+    """validate_regular_labelling as coded before the corner rule.  Axiom
+    (iii) reads the map's outer face in orbit order and every other face
+    reversed, so it agrees with the corner rule only while the outer face
+    is a root face, as on every dualize output."""
+    rv = r.host
+    m = rv.map
+    d = rv.d
+    if len(r.colors) != m.n_darts or any(not 1 <= c <= d for c in r.colors):
+        return [("malformed", None, "colors must cover all corners with values in [d]")]
+    out = cyclic_step_violations(r, "i")
+    # (ii) corners of the root face f_i* colored i
+    for i, f in enumerate(rv.root_faces, start=1):
+        for h in m.faces[f]:
+            if r.colors[m.twin[h]] != i:
+                out.append(("ii", f, f"corner {m.twin[h]} of root face {i} has "
+                                     f"color {r.colors[m.twin[h]]}"))
+    # (iii) exactly one clockwise descent around each non-root face
+    for f in rv.non_root_faces():
+        orbit = m.faces[f]
+        seq = [r.colors[m.twin[h]] for h in orbit]
+        if f != m.outer_face:
+            seq.reverse()  # clockwise traversal of an inner face
+        desc = sum(1 for t in range(len(seq))
+                   if seq[t] > seq[(t + 1) % len(seq)])
+        if desc != 1:
+            out.append(("iii", f, f"face {f} has {desc} descents"))
+    return out
+
+
+def cyclic_step_violations(r, axiom):
+    """Corner colors 1..d clockwise around non-root vertices,
+    counterclockwise around the root vertex: axiom (i) of
+    regular_labelling_axioms, and (i') of xi_inverse's certificate."""
+    rv = r.host
+    m = rv.map
+    out = []
+    for v in range(m.n_vertices):
+        step = -1 if v == rv.root_vertex else 1
+        orbit = m.vertex_orbit(v)
+        for t in range(len(orbit)):
+            c0 = r.colors[orbit[t]]
+            c1 = r.colors[orbit[(t + 1) % len(orbit)]]
+            if c1 != _mod(c0 + step, rv.d):
+                out.append((axiom, v, f"vertex {v}: corner colors {c0}->{c1} "
+                                      f"not a clockwise {step:+d} step"))
+    return out
+
+
+def regular_decomposition_axioms(rd):
+    """validate_regular_decomposition as coded before the dual rule."""
+    rv = rd.host
+    m = rv.map
+    d = rv.d
+    out = []
+    if len(rd.masks) != m.n_darts:
+        return [("malformed", None, "mask table length mismatch")]
+    for h in range(m.n_darts):
+        if m.origin[h] == rv.root_vertex:
+            if rd.masks[h]:
+                out.append(("ii", h, "arc leaving the root vertex carries a color"))
+        elif bin(rd.masks[h]).count("1") != 1 or rd.masks[h] >> d:
+            out.append(("i", h, f"arc {h} must carry exactly one color in [d]"))
+    if out:
+        return out
+    # (i)/(ii) per edge: non-root edges lie in two distinct trees with
+    # opposite directions; root edge e_i* only in T_i*, toward v*
+    root_in = {m.twin[e]: i for i, e in enumerate(rv.root_darts, start=1)}
+    for h in m.edges():
+        a, b = rd.masks[h], rd.masks[m.twin[h]]
+        for x, i in ((h, root_in.get(h)), (m.twin[h], root_in.get(m.twin[h]))):
+            if i is not None and rd.masks[x] != 1 << (i - 1):
+                out.append(("ii", x, f"root edge {i} does not carry color {i} "
+                                     "toward the root"))
+        if m.origin[h] != rv.root_vertex and m.target(h) != rv.root_vertex:
+            if a == b:
+                out.append(("i", h, f"edge {h}: both arcs have the same color"))
+    # (iii) outgoing colors 1..d in clockwise order around non-root vertices
+    for v in rv.non_root_vertices():
+        out.extend(_vertex_violations(rd, v, "iii"))
+    return out + _tree_violations(rd)
+
+
+def reduced_regular_axioms(rrd):
+    """validate_reduced_regular as coded before the dual rule."""
+    rv = rrd.host
+    p = _require_even_d(rv.d)
+    m = rv.map
+    out = []
+    if len(rrd.masks) != m.n_darts:
+        return [("malformed", None, "mask table length mismatch")]
+    for h in range(m.n_darts):
+        if bin(rrd.masks[h]).count("1") > 1 or rrd.masks[h] >> p:
+            out.append(("i'", h, f"arc {h} carries more than one color"))
+    if out:
+        return out
+    # partition of all edges except the odd root-edges
+    odd_root = {m.edge(rv.root_darts[2 * i - 2]) for i in range(1, p + 1)}
+    even_root_in = {m.twin[rv.root_darts[2 * i - 1]]: i for i in range(1, p + 1)}
+    for h in m.edges():
+        n_colors = bin(rrd.masks[h]).count("1") + \
+            bin(rrd.masks[m.twin[h]]).count("1")
+        want = 0 if h in odd_root else 1
+        if n_colors != want:
+            out.append(("partition", h,
+                        f"edge {h} lies in {n_colors} trees, expected {want}"))
+    for x, i in even_root_in.items():
+        if rrd.masks[x] != 1 << (i - 1):
+            out.append(("ii'", x, f"root edge e_{{2i}}* of tree {i} miscolored"))
+    # (i') black face on the right of every arc
+    face_black = black_faces(rv)
+    for h in range(m.n_darts):
+        if rrd.masks[h] and not face_black[m.face_of[m.twin[h]]]:
+            out.append(("i'", h, f"arc {h} has a white face on its right"))
+    # (iii') parent arcs clockwise around non-root vertices
+    for v in rv.non_root_vertices():
+        out.extend(_vertex_violations(rrd, v, "iii'"))
+    return out + _tree_violations(rrd)

@@ -561,6 +561,40 @@ def test_validate_reads_a_regular_labelling(tmp_path):
     assert obj["error"]["kind"] == "InvalidLabelling"
 
 
+@pytest.mark.parametrize("d, name", [(3, "tetrahedron"), (5, "dodecahedron")])
+def test_regular_labelling_verdict_ignores_the_outer_dart(tmp_path, d, name):
+    # the dual's outer face has no meaning: moving map.outer_dart onto a
+    # non-root face must not change the verdict on valid payloads
+    ang = as_angulation(getattr(I, name)(), d)
+    r = D.dual_labelling(S.psi_inverse(O.compute_dd2_orientation(ang)))
+    rv = r.host
+    doc = {"map": rv.map.to_json_obj(), "d": d,
+           "root_vertex": rv.root_vertex, "first_root_dart": rv.root_darts[0],
+           "regular_labelling": r.to_json_obj(),
+           "regular_decomposition": D.xi(r).to_json_obj()}
+    p = tmp_path / "dual.json"
+    for f in rv.non_root_faces():
+        doc["map"]["outer_dart"] = rv.map.faces[f][0]
+        p.write_text(json.dumps(doc))
+        rc, out = run(["validate", str(p), "--as", "regular"])
+        assert (rc, json.loads(out)) == (0, {
+            "ok": True, "checked": ["regular", "regular_labelling",
+                                    "regular_decomposition"]}), f
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{doc}", "--d", "0"],
+    ["orient", "{doc}", "--d", "0"],
+    ["lattice", "{doc}", "--d", "0", "min"],
+])
+def test_d_zero_is_not_taken_for_absent(cube_doc, argv):
+    # the document says d = 4; --d 0 overrides it and is refused
+    rc, text = run([arg.format(doc=cube_doc) for arg in argv])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert (err["stage"], err["kind"]) == ("planar_map", "NotDAngulation")
+
+
 # -- fuzzed arguments ------------------------------------------------------
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
-"""The one-pass forest/tree checker against a walk from every vertex, and
-the shared vertex rule against each validator's former one."""
+"""The one-pass forest/tree checker against a walk from every vertex, the
+shared vertex rule against each validator's former one, and the corner rule
+and dual rule against the labelling and dual validators they replaced."""
 
 import random
+from collections import Counter
 
+from schnyder_kit.errors import DualityError
 from schnyder_kit.planar_map import as_angulation
 import schnyder_kit.orientation as O
 import schnyder_kit.schnyder as S
@@ -11,8 +14,10 @@ import schnyder_kit.even as E
 
 import instances as I
 from oracles import (
-    reduced_regular_vertex_rule, reduced_vertex_rule, regular_vertex_rule,
-    schnyder_vertex_rule, walk_path_ends,
+    cyclic_step_violations, labelling_axioms, reduced_regular_axioms,
+    reduced_regular_vertex_rule, reduced_vertex_rule,
+    regular_decomposition_axioms, regular_labelling_axioms,
+    regular_vertex_rule, schnyder_vertex_rule, walk_path_ends,
 )
 
 def decompositions():
@@ -197,3 +202,124 @@ def test_vertex_rule_flags_what_each_former_rule_flagged():
             assert new == old, (validator.__name__, x.masks)
             flagged += len(new)
     assert flagged and excepted
+
+
+# -- the dual rule and the corner rule against the validators they replaced
+
+DUAL_ORACLES = {
+    D.validate_regular_decomposition: regular_decomposition_axioms,
+    E.validate_reduced_regular: reduced_regular_axioms,
+}
+
+
+def _multiset(violations):
+    return Counter((axiom, where) for axiom, where, _ in violations)
+
+
+def _outcome(fn, x):
+    try:
+        fn(x)
+    except DualityError as exc:
+        return exc.kind
+    return "accepted"
+
+
+def _former_sufficiency(r, new=D._sufficiency_violations):
+    """xi_inverse's certificate with (i') as coded before the corner rule."""
+    return cyclic_step_violations(r, "i'") + \
+        [v for v in new(r) if v[0] != "i'"]
+
+
+def test_dual_rule_flags_what_each_former_validator_flagged(monkeypatch):
+    """Both dual validators report the (axiom, where) multiset of their
+    former bodies on every table near a valid one, and xi_inverse accepts
+    and rejects the same tables under the former rules."""
+    rng = random.Random(11)
+    seen = {validator: set() for validator in DUAL_ORACLES}
+    accepted = 0
+    for validator, t in decompositions():
+        oracle = DUAL_ORACLES.get(validator)
+        if oracle is None:
+            continue
+        short = type(t)(host=t.host, masks=t.masks[:-1], primal=t.primal)
+        for x in [t, short] + mutations(t) + random_mutations(t, rng, 100):
+            new = _multiset(validator(x))
+            assert new == _multiset(oracle(x)), (validator.__name__, x.masks)
+            seen[validator] |= {axiom for axiom, _ in new}
+            if validator is D.validate_regular_decomposition:
+                verdict = _outcome(D.xi_inverse, x)
+                with monkeypatch.context() as mp:
+                    mp.setattr(D, "validate_regular_decomposition", oracle)
+                    mp.setattr(D, "_sufficiency_violations",
+                               _former_sufficiency)
+                    assert _outcome(D.xi_inverse, x) == verdict
+                accepted += verdict == "accepted"
+    assert seen == {
+        D.validate_regular_decomposition:
+            {"malformed", "i", "ii", "iii", "tree"},
+        E.validate_reduced_regular:
+            {"malformed", "i'", "partition", "ii'", "iii'", "tree"}}
+    assert accepted == 6
+
+
+def corner_mutations(t, rng, count=3):
+    """Corner colorings near t, all colors in range: one corner recolored,
+    two corners swapped, the corners of one vertex or of one face shifted
+    by +1, and the corners of one vertex reversed; then three malformed
+    tables, one corner short or one color out of range."""
+    m = t.host.map
+    d = t.host.d
+    out = []
+    for _ in range(count):
+        c = list(t.colors)
+        h = rng.randrange(m.n_darts)
+        c[h] = S._mod(c[h] + rng.randrange(1, d), d)
+        out.append(c)
+        c = list(t.colors)
+        a, b = rng.sample(range(m.n_darts), 2)
+        c[a], c[b] = c[b], c[a]
+        out.append(c)
+        for corners in (m.vertex_orbit(rng.randrange(m.n_vertices)),
+                        m.face_corners(rng.randrange(m.n_faces))):
+            c = list(t.colors)
+            for h in corners:
+                c[h] = S._mod(c[h] + 1, d)
+            out.append(c)
+        c = list(t.colors)
+        orbit = m.vertex_orbit(rng.randrange(m.n_vertices))
+        for h, x in zip(orbit, reversed([c[h] for h in orbit])):
+            c[h] = x
+        out.append(c)
+    out += [t.colors[:-1], (0,) + t.colors[1:], t.colors[:-1] + (d + 1,)]
+    return [type(t)(host=t.host, colors=tuple(c), primal=t.primal)
+            for c in out]
+
+
+def test_corner_rule_flags_what_each_former_validator_flagged(study_corpus):
+    """Both labelling validators, and (i') of xi_inverse's certificate,
+    report the (axiom, where) multiset of their former bodies on the
+    labelling of every study-corpus map, on its dual, and on colorings near
+    each."""
+    rng = random.Random(12)
+    seen = {S.validate_labelling: set(), D.validate_regular_labelling: set()}
+    tables = 0
+    for ang in [a for angs in study_corpus.values() for a in angs]:
+        l = S.psi_inverse(O.compute_dd2_orientation(ang))
+        r = D.dual_labelling(l)
+        for validator, oracle, t in (
+                (S.validate_labelling, labelling_axioms, l),
+                (D.validate_regular_labelling, regular_labelling_axioms, r)):
+            for x in [t] + corner_mutations(t, rng):
+                new = _multiset(validator(x))
+                assert new == _multiset(oracle(x)), \
+                    (validator.__name__, x.colors)
+                axioms = {axiom for axiom, _ in new}
+                seen[validator] |= axioms
+                tables += 1
+                if t is r and "malformed" not in axioms:
+                    assert _multiset(v for v in D._sufficiency_violations(x)
+                                     if v[0] == "i'") == \
+                        _multiset(cyclic_step_violations(x, "i'"))
+    assert seen == {validator: {"malformed", "i", "ii", "iii"}
+                    for validator in seen}
+    assert tables > 10000
