@@ -240,10 +240,9 @@ def _cmd_sample(args, out):
     stats = sampler_mod.concentration_experiment(
         args.n, args.count, seed=args.seed,
         max_attempts=args.max_attempts, jobs=jobs)
-    text = _dump(stats.to_json_obj())
     if args.report:
         with open(args.report, "w") as f:
-            f.write(text)
+            f.write(_dump(stats.to_json_obj()))
     out.write(_dump({"n": stats.n, "accepted": stats.accepted,
                      "attempts": stats.attempts, "seed": stats.seed,
                      "summary": stats.summary}))

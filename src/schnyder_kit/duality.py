@@ -17,7 +17,7 @@ from collections import deque
 from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
-    CornerLabelling, DartTable, _corner_violations, _mod, _vertex_violations,
+    CornerLabelling, DartTable, _corner_violations, _vertex_violations,
     phi, validate_labelling, validate_schnyder,
 )
 
@@ -129,62 +129,23 @@ def xi_inverse(rd):
     """The regular labelling l with xi(l) = rd.
 
     Colors the corner clockwise-preceding each outgoing arc with the arc's
-    color, puts color i on the root corner in f_i*, and then certifies the
-    result through the sufficient conditions (colors cyclic at vertices,
-    distinct preceding corners per edge, root-edge corner pattern, no
-    monochromatic non-root face).
+    color and puts color i on the root corner in f_i*.  xi is a bijection,
+    so a valid input needs no certificate of its output; the sufficient
+    conditions for a regular labelling are the test oracle
+    tests/oracles.sufficiency_violations.
     """
     bad = validate_regular_decomposition(rd)
     if bad:
         raise DualityError("InvalidDecomposition", str(bad[:3]))
     rv = rd.host
     m = rv.map
-    d = rv.d
     colors = [None] * m.n_darts
     for h in range(m.n_darts):
         if m.origin[h] != rv.root_vertex:
             colors[m.prev_cw[h]] = rd.dart_colors(h)[0]
     for i, h in enumerate(rv.root_darts, start=1):
         colors[h] = i
-    r = RegularLabelling(host=rv, colors=tuple(colors), primal=rd.primal)
-    bad = _sufficiency_violations(r)
-    if bad:
-        raise DualityError("InvalidDecomposition",
-                           f"recovered coloring fails: {bad[:3]}")
-    return r
-
-
-def _sufficiency_violations(r):
-    """The four sufficient conditions for a corner coloring to be a regular
-    labelling (used to certify xi_inverse output)."""
-    rv = r.host
-    m = rv.map
-    d = rv.d
-    # (i') cyclic colors around every vertex (counterclockwise at the root)
-    out = [("i'",) + v[1:]
-           for v in _corner_violations(r.colors, d, _vertex_steps(rv), (), ())]
-    # (ii') distinct clockwise-preceding corner colors on non-root edges
-    root_ids = set(rv.root_edge_ids())
-    for h in m.edges():
-        if h in root_ids:
-            continue
-        if r.colors[m.prev_cw[h]] == r.colors[m.prev_cw[m.twin[h]]]:
-            out.append(("ii'", h, f"edge {h}: equal preceding corner colors"))
-    # (iii') root-edge corner pattern at v* and at the other end
-    for i, e in enumerate(rv.root_darts, start=1):
-        t = m.twin[e]
-        checks = ((m.prev_cw[e], _mod(i + 1, d)), (e, i),
-                  (m.prev_cw[t], i), (t, _mod(i + 1, d)))
-        for h, want in checks:
-            if r.colors[h] != want:
-                out.append(("iii'", i, f"root edge {i}: corner {h} has color "
-                                       f"{r.colors[h]}, expected {want}"))
-    # (iv') no monochromatic non-root face
-    for f in rv.non_root_faces():
-        cs = {r.colors[m.twin[h]] for h in m.faces[f]}
-        if len(cs) == 1:
-            out.append(("iv'", f, f"face {f} is monochromatic"))
-    return out
+    return RegularLabelling(host=rv, colors=tuple(colors), primal=rd.primal)
 
 
 # -- regular decomposition validation -------------------------------------

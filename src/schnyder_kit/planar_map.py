@@ -244,8 +244,10 @@ class PlaneMap:
         runs once per map, which is immutable."""
         g = self._girth
         if g is None:
-            edges = [(self.origin[d], self.target(d)) for d in self.edges()]
-            g = shortest_cycle(self.n_vertices, edges, self.n_vertices + 1,
+            adj = [[] for _ in range(self.n_vertices)]
+            add_edges(adj, [(self.origin[h], self.target(h))
+                            for h in self.edges()])
+            g = shortest_cycle(adj, self.n_vertices + 1,
                                range(self.n_vertices))
             object.__setattr__(self, "_girth", g)
         if g > self.n_vertices:
@@ -382,10 +384,18 @@ class PlaneMap:
                 f"f={self.n_faces})")
 
 
-def shortest_cycle(n_vertices, edges, bound, sources):
+def add_edges(adj, edges, first=0):
+    """Add the vertex pairs edges, numbered from first, to the adjacency
+    lists adj of shortest_cycle."""
+    for e, (u, w) in enumerate(edges, start=first):
+        adj[u].append((w, e))
+        adj[w].append((u, e))
+
+
+def shortest_cycle(adj, bound, sources):
     """bound, or the length of the shortest cycle below bound that a
-    breadth-first search from one of sources closes, in the graph on
-    range(n_vertices) with edges a list of vertex pairs.
+    breadth-first search from one of sources closes, in the multigraph
+    whose vertex v has the (neighbor, edge id) pairs adj[v].
 
     A search closes a cycle at each edge that leaves its tree; the closed
     walk it reports contains a cycle at most that long, and a search from a
@@ -393,10 +403,6 @@ def shortest_cycle(n_vertices, edges, bound, sources):
     result is min(bound, girth) whenever a shortest cycle passes through a
     source: always with every vertex a source, and with the endpoints of
     new edges when the graph without them has girth >= bound."""
-    adj = [[] for _ in range(n_vertices)]
-    for e, (u, w) in enumerate(edges):
-        adj[u].append((w, e))
-        adj[w].append((u, e))
     best = bound
     for s in sources:
         dist = {s: 0}
@@ -404,17 +410,19 @@ def shortest_cycle(n_vertices, edges, bound, sources):
         q = deque([s])
         while q:
             u = q.popleft()
-            if 2 * dist[u] + 1 >= best:    # u closes no shorter cycle
-                continue
+            du = dist[u]
+            if 2 * du + 1 >= best:     # nor does any later vertex of q
+                break
             for w, e in adj[u]:
                 if e == via[u]:
                     continue
-                if w not in dist:
-                    dist[w] = dist[u] + 1
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = du + 1
                     via[w] = e
                     q.append(w)
-                elif dist[u] + dist[w] + 1 < best:
-                    best = dist[u] + dist[w] + 1
+                elif du + dw + 1 < best:
+                    best = du + dw + 1
     return best
 
 

@@ -10,11 +10,12 @@ white vertices (beta, gamma) in discovery order encodes the pair completely.
 
 decode reverses this.  The count-only walks _contour_closes and
 _strands_close first decide whether the degree word closes the contour of
-T1' and whether the T2' strands close around it.  Then one walk along the
-contour (_rotations) creates the nodes of T1' in preorder and reattaches
-T2' by a planar matching of strands (each white vertex offers its parent
-strand and gamma-1 child slots; each black vertex takes the adjacent
-strands off a stack), appending each dart to its vertex's clockwise list.
+T1' (reading alpha and beta off their flip words) and whether the T2'
+strands close around it.  Then one walk along the contour (_rotations)
+creates the nodes of T1' in preorder and reattaches T2' by a planar
+matching of strands (each white vertex offers its parent strand and
+gamma-1 child slots; each black vertex takes the adjacent strands off a
+stack), appending each dart to its vertex's clockwise list.
 The completed map must be a quadrangulation with outer face u1 u2 u3 u4,
 its reduced decomposition must pass validate_reduced_schnyder (in
 lambda_inverse), and the lifted decomposition must be even; a valid
@@ -27,10 +28,11 @@ rejection_sample_fast conditions on the three sums being n exactly instead
 of by rejection: reading each sequence from n coin flips, that event fixes
 the popcounts of the three flip words, so it draws the common popcount from
 its exact binomial weights and then three uniform fixed-popcount words.  It
-rejects a triple whose tree stage fails (alpha[0] = 1, or a degree word
-that does not close the contour, _contour_closes) or whose closure stage
-fails (_strands_close) before building it, and decodes the rest, about one
-per sample.  The geometric-draw sampler itself is the test oracle
+rejects a triple whose tree stage fails (alpha[0] = 1, or flip words of
+alpha and beta that do not close the contour, _contour_closes) before it
+turns any word into a degree list, and one whose closure stage fails
+(_strands_close) before building it; it decodes the rest, about one per
+sample.  The geometric-draw sampler itself is the test oracle
 tests/oracles.rejection_sample.  The module also houses the exhaustive
 small-n enumeration used as the oracle for uniformity tests, and the
 grid-concentration experiment.
@@ -48,7 +50,9 @@ from itertools import accumulate
 from math import comb
 
 from .errors import EvenError, MapError, SamplerError
-from .planar_map import PlaneMap, as_angulation, build_map, shortest_cycle
+from .planar_map import (
+    PlaneMap, add_edges, as_angulation, build_map, shortest_cycle,
+)
 from .orientation import is_even, lattice_enumerate
 from .schnyder import phi, psi_inverse
 from .even import (
@@ -152,18 +156,25 @@ def _invalid(stage, detail):
     return SamplerError("Invalid", detail, stage=stage)
 
 
-def _contour_closes(alpha, beta):
-    """Whether the degree word closes the clockwise contour of T1' exactly.
+def _contour_closes(a, b, n):
+    """Whether the flip words a and b of alpha and beta (_word_to_runs; n
+    flips each, so n - popcount degrees each) close the clockwise contour
+    of T1' exactly.
 
     Walks the preorder in which _rotations creates T1', keeping only the
     child counts still owed by the current node (top) and by its ancestors
-    (the stack): a node at even depth is black and takes the next alpha
-    degree, one at odd depth is white and takes the next beta degree, and
-    every degree but the root's counts its parent edge.  True iff neither
-    sequence runs out before the walk returns to the root with nothing owed,
-    and both are used up when it does."""
-    ia, ib, ra, rb = 1, 0, len(alpha), len(beta)
-    top = alpha[0]
+    (the stack): a node at even depth is black and takes the next degree of
+    a, one at odd depth is white and takes the next degree of b, and every
+    degree but the root's counts its parent edge.  The next degree of a
+    word is its count of trailing one bits plus one, and reading it shifts
+    those bits and their closing zero out; a leaf (degree 1) owes nothing
+    and ends at once.  True iff neither word runs out of degrees before the
+    walk returns to the root with nothing owed, and both are used up when
+    it does."""
+    ra, rb = n - a.bit_count(), n - b.bit_count()
+    top = (a ^ (a + 1)).bit_length()
+    a >>= top
+    ia, ib = 1, 0
     white = True                           # top's children are white
     stack = []
     while True:
@@ -171,16 +182,21 @@ def _contour_closes(alpha, beta):
             if white:
                 if ib == rb:
                     return False
-                deg = beta[ib]
+                deg = (b ^ (b + 1)).bit_length()
+                b >>= deg
                 ib += 1
             else:
                 if ia == ra:
                     return False
-                deg = alpha[ia]
+                deg = (a ^ (a + 1)).bit_length()
+                a >>= deg
                 ia += 1
-            stack.append(top - 1)
-            top = deg - 1
-            white = not white
+            if deg == 1:
+                top -= 1
+            else:
+                stack.append(top - 1)
+                top = deg - 1
+                white = not white
         elif stack:
             top = stack.pop()
             white = not white
@@ -297,10 +313,11 @@ def _rotations(alpha, beta, gamma):
 def decode(t):
     """The pair (quadrangulation, even Schnyder decomposition) encoded by a
     triple, or SamplerError(kind="Invalid") with the failing stage: the
-    input checks, alpha[0] >= 2 and _contour_closes
-    (TreeReconstructionFailed), _strands_close and the map that _rotations
-    builds (ClosureFailed), then the quadrangulation and its outer face,
-    the reduced validator and evenness (ValidationFailed)."""
+    input checks, alpha[0] >= 2 and _contour_closes on the flip words of
+    alpha and beta, built only once the sums and lengths bound n by the
+    input's length (TreeReconstructionFailed), _strands_close and the map
+    that _rotations builds (ClosureFailed), then the quadrangulation and its
+    outer face, the reduced validator and evenness (ValidationFailed)."""
     alpha, beta, gamma = t.alpha, t.beta, t.gamma
     if not alpha or not beta or not gamma:
         raise _invalid("TreeReconstructionFailed", "empty degree sequence")
@@ -323,7 +340,7 @@ def decode(t):
     if alpha[0] < 2:
         raise _invalid("TreeReconstructionFailed",
                        "u1 needs distinct neighbors u2 and u4")
-    if not _contour_closes(alpha, beta):
+    if not _contour_closes(_runs_to_word(alpha), _runs_to_word(beta), n):
         raise _invalid("TreeReconstructionFailed",
                        "the degree sequences do not close the contour "
                        "exactly")
@@ -372,6 +389,11 @@ def _word_to_runs(word, n):
     return [len(ones) + 1 for ones in flips.split("0")[:-1]]
 
 
+def _runs_to_word(seq):
+    """The flip word of a degree sequence: _word_to_runs reversed."""
+    return int("".join("1" * (deg - 1) + "0" for deg in seq)[::-1], 2)
+
+
 def _popcount_table(n):
     """Cumulative weights C(n-1, s)^3 for s = 0..n-1: the number of word
     triples (a, b, c) with top bits 0, popcount(a) = s and popcount(b) =
@@ -382,10 +404,10 @@ def _popcount_table(n):
 def _fixed_popcount_word(rng, width, k):
     """A uniform width-bit word with exactly k one bits (retry until the
     popcount matches; a class near the middle holds a large share)."""
-    while True:
-        w = rng.getrandbits(width)
-        if w.bit_count() == k:
-            return w
+    getrandbits = rng.getrandbits
+    while (w := getrandbits(width)).bit_count() != k:
+        pass
+    return w
 
 
 def default_max_decodes(n):
@@ -408,30 +430,31 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     2-geometric draws every such triple is equally likely, so keeping those
     that decode gives a uniform pair.  Each attempt draws s from these
     integer weights, then the three fixed-popcount words a, b, c, always in
-    this order.  A triple whose tree stage fails is rejected before it is
-    built: bit 0 of a is 0 (alpha[0] = 1), or _contour_closes(alpha, beta)
-    is false, which is exactly when decode fails its tree stage.  So is one
-    whose closure stage fails: _strands_close(alpha, beta, gamma) is false,
-    which is exactly when decode fails its closure stage.  Only the others
-    are decoded.  attempts (and max_attempts, default
+    this order.  A triple whose tree stage fails is rejected on its words,
+    before any degree list is made: bit 0 of a is 0 (alpha[0] = 1), or
+    _contour_closes(a, b, n) is false, which is exactly when decode fails
+    its tree stage.  The others (about a quarter of those with odd a at
+    n = 24) get their degree lists, and one whose closure stage fails is
+    rejected before it is built: _strands_close(alpha, beta, gamma) is
+    false, which is exactly when decode fails its closure stage.  Only the
+    rest are decoded.  attempts (and max_attempts, default
     default_max_decodes(n)) count drawn triples, so the result at a given
     seed is the one that decoding every drawn triple gives."""
     if n < 1:
         raise SamplerError("BadParameter", f"n = {n} must be positive")
     cum = _popcount_table(n)
+    total, width, randrange = cum[-1], n - 1, rng.randrange
     if max_attempts is None:
         max_attempts = default_max_decodes(n)
     for attempt in range(1, max_attempts + 1):
-        s = bisect_right(cum, rng.randrange(cum[-1]))
-        a = _fixed_popcount_word(rng, n - 1, s)
-        b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
-        c = _fixed_popcount_word(rng, n - 1, n - 1 - s)
-        if not a & 1:
+        s = bisect_right(cum, randrange(total))
+        a = _fixed_popcount_word(rng, width, s)
+        b = _fixed_popcount_word(rng, width, width - s)
+        c = _fixed_popcount_word(rng, width, width - s)
+        if not a & 1 or not _contour_closes(a, b, n):
             continue
         alpha = _word_to_runs(a, n)
         beta = _word_to_runs(b, n)
-        if not _contour_closes(alpha, beta):
-            continue
         gamma = _word_to_runs(c, n)
         if not _strands_close(alpha, beta, gamma):
             continue
@@ -588,10 +611,11 @@ def enumerate_angulations(d, max_faces):
     recovers)."""
     if d < 3:
         raise SamplerError("BadParameter", "d must be at least 3")
-    nv0 = d
     edges0 = [(i, (i + 1) % d) for i in range(d)]
     outer = [2 * i for i in range(d)]
     inner = [2 * i + 1 for i in reversed(range(d))]
+    adj = [[] for _ in range(d)]     # of the partial map on the current path
+    add_edges(adj, edges0)
 
     def fill(nv, edges, faces, regions):
         if not regions:
@@ -608,16 +632,26 @@ def enumerate_angulations(d, max_faces):
             return
         region = regions[0]
         for face, news, new_nv, subs in _face_walks(d, nv, edges, region):
-            cand = edges + news
-            # the partial map had girth d, so a shorter cycle uses a new edge
-            if news and shortest_cycle(new_nv, cand, d,
-                                       {v for e in news for v in e}) < d:
-                continue
-            yield from fill(new_nv, cand, faces + [[region[0]] + face],
-                            regions[1:] + [s for s in subs if s])
+            adj.extend([] for _ in range(new_nv - nv))
+            add_edges(adj, news, len(edges))
+            try:
+                # the partial map had girth d, so a shorter cycle uses a
+                # run of new edges; fresh vertices have degree 2, so the
+                # cycle passes through the old vertex where that run starts
+                if news and shortest_cycle(
+                        adj, d, {u for u, _ in news if u < nv}) < d:
+                    continue
+                yield from fill(new_nv, edges + news,
+                                faces + [[region[0]] + face],
+                                regions[1:] + [s for s in subs if s])
+            finally:
+                for u, w in news:
+                    adj[u].pop()
+                    adj[w].pop()
+                del adj[nv:]
 
     if max_faces >= 2:
-        yield from fill(nv0, list(edges0), [outer], [inner])
+        yield from fill(d, list(edges0), [outer], [inner])
 
 
 def enumerate_pairs(n):

@@ -4,14 +4,15 @@ from bisect import bisect_right
 from itertools import product
 
 from schnyder_kit.drawing import _color_dart, _mod4
-from schnyder_kit.duality import _tree_violations
+from schnyder_kit.duality import _tree_violations, _vertex_steps
 from schnyder_kit.errors import DrawingError, SamplerError, SchnyderError
 from schnyder_kit.even import _require_even_d, black_faces
 from schnyder_kit.orientation import (
     FracOrientation, _left_faces, _simple_cycles_of_length, ccw_traversal,
 )
 from schnyder_kit.schnyder import (
-    CYCLE, _mod, _strictly_between_cw, _vertex_violations, colors_of,
+    CYCLE, _corner_violations, _mod, _strictly_between_cw, _vertex_violations,
+    colors_of,
 )
 from schnyder_kit.sampler import (
     DEFAULT_MAX_ATTEMPTS, EncodingTriple, _fixed_popcount_word,
@@ -544,7 +545,7 @@ def regular_labelling_axioms(r):
 def cyclic_step_violations(r, axiom):
     """Corner colors 1..d clockwise around non-root vertices,
     counterclockwise around the root vertex: axiom (i) of
-    regular_labelling_axioms, and (i') of xi_inverse's certificate."""
+    regular_labelling_axioms, and (i') of sufficiency_violations."""
     rv = r.host
     m = rv.map
     out = []
@@ -557,6 +558,40 @@ def cyclic_step_violations(r, axiom):
             if c1 != _mod(c0 + step, rv.d):
                 out.append((axiom, v, f"vertex {v}: corner colors {c0}->{c1} "
                                       f"not a clockwise {step:+d} step"))
+    return out
+
+
+def sufficiency_violations(r):
+    """The four sufficient conditions for a corner coloring to be a regular
+    labelling: the certificate of duality.xi_inverse's output, which a valid
+    input cannot fail since xi is a bijection."""
+    rv = r.host
+    m = rv.map
+    d = rv.d
+    # (i') cyclic colors around every vertex (counterclockwise at the root)
+    out = [("i'",) + v[1:]
+           for v in _corner_violations(r.colors, d, _vertex_steps(rv), (), ())]
+    # (ii') distinct clockwise-preceding corner colors on non-root edges
+    root_ids = set(rv.root_edge_ids())
+    for h in m.edges():
+        if h in root_ids:
+            continue
+        if r.colors[m.prev_cw[h]] == r.colors[m.prev_cw[m.twin[h]]]:
+            out.append(("ii'", h, f"edge {h}: equal preceding corner colors"))
+    # (iii') root-edge corner pattern at v* and at the other end
+    for i, e in enumerate(rv.root_darts, start=1):
+        t = m.twin[e]
+        checks = ((m.prev_cw[e], _mod(i + 1, d)), (e, i),
+                  (m.prev_cw[t], i), (t, _mod(i + 1, d)))
+        for h, want in checks:
+            if r.colors[h] != want:
+                out.append(("iii'", i, f"root edge {i}: corner {h} has color "
+                                       f"{r.colors[h]}, expected {want}"))
+    # (iv') no monochromatic non-root face
+    for f in rv.non_root_faces():
+        cs = {r.colors[m.twin[h]] for h in m.faces[f]}
+        if len(cs) == 1:
+            out.append(("iv'", f, f"face {f} is monochromatic"))
     return out
 
 

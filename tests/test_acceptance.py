@@ -4,6 +4,7 @@ Each test prints a single summary line; corpora are enumerated exhaustively
 up to the stated caps, with randomized parts driven by fixed seeds.
 """
 
+import hashlib
 import random
 import time
 from collections import Counter, deque
@@ -21,7 +22,9 @@ import schnyder_kit.drawing as DR
 import schnyder_kit.sampler as SA
 
 import instances as I
-from oracles import pair_code, place_by_face_counting
+from oracles import (
+    pair_code, place_by_face_counting, sufficiency_violations,
+)
 from test_drawing import _dual_degree_classification
 
 
@@ -88,11 +91,17 @@ def test_criterion_01_existence_iff_girth():
     t0 = time.time()
     caps = {3: 12, 4: 9, 5: 8}       # largest caps honoring the time budget
     succeeded = 0
+    maps = hashlib.sha256()          # the enumerated maps, in order
     for d, cap in caps.items():
         for ang in enum_angulations(d, cap):
-            assert ang.map.girth() == d
+            m = ang.map
+            maps.update(repr((m.twin, m.next_cw, m.origin,
+                              m.outer_dart)).encode())
+            assert m.girth() == d
             O.compute_dd2_orientation(ang).validate()
             succeeded += 1
+    assert succeeded == 17384 and maps.hexdigest() == \
+        "b27ab511f437baf4e745bb45c505a36c3db37bc1ec495c1429a465b2b55d02e8"
     failed = 0
     for d in (3, 4, 5):
         for m in (I.girth2_dangulation(d),):
@@ -194,6 +203,7 @@ def test_criterion_04_duality(study_corpus):
                 assert D.validate_regular_decomposition(rd) == []
                 s_back = D.chi_inverse(rd)
                 assert s_back.masks == s.masks
+                assert sufficiency_violations(D.xi_inverse(rd)) == []
                 # complemented dual, per color: tree i in the dual consists
                 # of the duals of the internal edges missing color i, plus
                 # the root edge e_i*
@@ -206,9 +216,9 @@ def test_criterion_04_duality(study_corpus):
                     assert dual_i == expect
                 structures += 1
             instances += 1
-    print(f"CRITERION 4: PASS - chi round trips and complemented-dual "
-          f"spanning trees verified on {instances} instances "
-          f"({structures} decompositions)")
+    print(f"CRITERION 4: PASS - chi round trips, xi_inverse certificates "
+          f"and complemented-dual spanning trees verified on {instances} "
+          f"instances ({structures} decompositions)")
 
 
 def test_criterion_05_even_reductions(quad_lattices):

@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import schnyder_kit.cli as cli
 import schnyder_kit.duality as D
 import schnyder_kit.orientation as O
+import schnyder_kit.sampler as SA
 import schnyder_kit.schnyder as S
 from schnyder_kit.cli import main, _default_jobs
 from schnyder_kit.planar_map import as_angulation
@@ -170,6 +172,45 @@ def test_sample_deterministic_with_report(tmp_path):
     assert len(full["part_counts"]) == 5
     assert set(full["summary"]) >= {"part", "full", "reduced_width",
                                     "reduced_height", "acceptance_rate"}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sample_stdout_is_pinned():
+    # digests of sample stdout recorded before the sampler's tree pre-test
+    # read the flip words; a faster sampler must keep every draw
+    digest = hashlib.sha256()
+    delivered = 0
+    for seed in range(100):
+        rc, text = run(["sample", "--n", "24", "--count", "1",
+                        "--seed", str(seed)])
+        delivered += rc == 0
+        digest.update(text.encode())
+    assert delivered == 81          # the rest exceed the default cap
+    assert digest.hexdigest() == \
+        "9eba23c0de52d9532267b8f8bd9ee2c79a2196f4ba0f2c0f2cc546678944ab06"
+    rc, text = run(["sample", "--n", "12", "--count", "30", "--seed", "7"])
+    assert rc == 0 and _sha256(text) == \
+        "41fa299b71cd9cb5ebc7cd506afabd3098a0b22e8e34b9d648552c38cfb88f08"
+
+
+def test_sample_builds_the_report_only_when_asked(tmp_path, monkeypatch):
+    built = []
+    to_json_obj = SA.SampleStats.to_json_obj
+    monkeypatch.setattr(SA.SampleStats, "to_json_obj",
+                        lambda st: built.append(st) or to_json_obj(st))
+    argv = ["sample", "--n", "8", "--count", "5", "--seed", "3"]
+    rc, plain = run(argv)
+    assert rc == 0 and built == []
+    rep = tmp_path / "rep.json"
+    rc, text = run(argv + ["--report", str(rep)])
+    assert rc == 0 and len(built) == 1 and text == plain
+    assert _sha256(text) == \
+        "caa560e6e71adef3ecd924dfba81796bacfaf6975300b5003af8f84d8f54e999"
+    assert _sha256(rep.read_text()) == \
+        "0ae29dc8cc179117878a1a7cfcde23e12eae764fda88a1ddcddc859fb6c4452c"
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])

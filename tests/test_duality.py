@@ -7,6 +7,7 @@ import schnyder_kit.schnyder as S
 import schnyder_kit.duality as D
 
 import instances as I
+from oracles import sufficiency_violations
 
 
 def corpus():
@@ -51,7 +52,9 @@ def test_xi_round_trip():
         r = D.dual_labelling(labelling_of(ang))
         rd = D.xi(r)
         assert D.validate_regular_decomposition(rd) == []
-        assert D.xi_inverse(rd).colors == r.colors
+        back = D.xi_inverse(rd)
+        assert back.colors == r.colors
+        assert sufficiency_violations(back) == []
 
 
 def test_chi_equals_corner_route():

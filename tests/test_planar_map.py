@@ -5,7 +5,7 @@ import pytest
 from schnyder_kit.errors import MapError
 import schnyder_kit.planar_map as P
 from schnyder_kit.planar_map import (
-    PlaneMap, as_angulation, as_regular, build_map, shortest_cycle,
+    PlaneMap, add_edges, as_angulation, as_regular, build_map, shortest_cycle,
 )
 
 import instances as I
@@ -117,14 +117,15 @@ def test_shortest_cycle_from_all_or_from_new_edges():
             edges.append((rng.randrange(nv), rng.randrange(nv)))
         girth = edge_by_edge_girth(nv, edges) or nv + 1
         bound = rng.randint(1, nv + 1)
-        assert shortest_cycle(nv, edges, bound, range(nv)) == \
-            min(bound, girth)
+        adj = [[] for _ in range(nv)]
+        add_edges(adj, edges)
+        assert shortest_cycle(adj, bound, range(nv)) == min(bound, girth)
         news = [(rng.randrange(nv), rng.randrange(nv))
                 for _ in range(rng.randint(1, 3))]
         grown = edge_by_edge_girth(nv, edges + news) or nv + 1
         sources = {v for e in news for v in e}
-        assert shortest_cycle(nv, edges + news, girth, sources) == \
-            min(girth, grown)
+        add_edges(adj, news, len(edges))
+        assert shortest_cycle(adj, girth, sources) == min(girth, grown)
 
 
 def test_mincut_at_least():

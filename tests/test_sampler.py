@@ -1,5 +1,6 @@
 import hashlib
 import random
+from bisect import bisect_right
 from collections import Counter
 from math import comb
 
@@ -286,7 +287,7 @@ def test_pretest_fails_exactly_when_the_tree_does():
                 alpha = SA._word_to_runs(a, n)
                 for b in by_popcount[n - 1 - s]:
                     beta = SA._word_to_runs(b, n)
-                    passes = bool(a & 1) and SA._contour_closes(alpha, beta)
+                    passes = bool(a & 1) and SA._contour_closes(a, b, n)
                     assert passes == (alpha[0] >= 2 and
                                       tree_word_closes(alpha, beta))
                     t = SA.EncodingTriple(tuple(alpha), tuple(beta),
@@ -297,6 +298,49 @@ def test_pretest_fails_exactly_when_the_tree_does():
                     except SamplerError as exc:
                         fails = exc.stage == "TreeReconstructionFailed"
                     assert passes != fails, (n, a, b)
+
+
+@pytest.mark.parametrize("n", [24, 40, 100])
+def test_word_walk_agrees_with_the_tree_on_random_pairs(n):
+    # pairs of flip words drawn as the sampler draws them, at sizes the
+    # exhaustive test cannot reach; a is odd or even, and both outcomes
+    # occur often
+    rng = random.Random(n)
+    cum = SA._popcount_table(n)
+    outcomes = Counter()
+    for _ in range(2000):
+        s = bisect_right(cum, rng.randrange(cum[-1]))
+        a = SA._fixed_popcount_word(rng, n - 1, s)
+        b = SA._fixed_popcount_word(rng, n - 1, n - 1 - s)
+        closes = SA._contour_closes(a, b, n)
+        assert closes == tree_word_closes(SA._word_to_runs(a, n),
+                                          SA._word_to_runs(b, n)), (n, a, b)
+        outcomes[closes] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_decode_checks_lengths_before_building_words(monkeypatch):
+    # a degree of 10**12 with lengths that do not match the sum fails the
+    # input checks; no flip word of 10**12 bits is built
+    words = []
+    to_word = SA._runs_to_word
+    monkeypatch.setattr(SA, "_runs_to_word",
+                        lambda seq: words.append(seq) or to_word(seq))
+    huge = 10 ** 12
+    for t, detail in (
+            (SA.EncodingTriple((huge,), (huge,), (huge,)),
+             "r + s + 1 does not match the edge count"),
+            (SA.EncodingTriple((huge, 1), (1, huge), (huge, 1)),
+             "r + s + 1 does not match the edge count"),
+            (SA.EncodingTriple((huge,), (1, 1), (1, 1)),
+             f"sums differ: {huge}, 2, 2")):
+        with pytest.raises(SamplerError) as ei:
+            SA.decode(t)
+        assert ei.value.stage == "TreeReconstructionFailed"
+        assert ei.value.detail == detail
+    assert words == []
+    SA.decode(SA.EncodingTriple((3, 2, 1), (1, 1, 2, 2), (2, 2, 1, 1)))
+    assert words == [(3, 2, 1), (1, 1, 2, 2)]
 
 
 def test_strands_pretest_fails_exactly_when_the_sweep_does():
@@ -320,7 +364,7 @@ def test_strands_pretest_fails_exactly_when_the_sweep_does():
                 alpha = SA._word_to_runs(a, n)
                 for b in words:
                     beta = SA._word_to_runs(b, n)
-                    if not SA._contour_closes(alpha, beta):
+                    if not SA._contour_closes(a, b, n):
                         continue
                     for c in words:
                         gamma = SA._word_to_runs(c, n)
@@ -356,15 +400,16 @@ def test_closing_triples_per_popcount_class_are_baxter_summands():
             by_popcount[w.bit_count()].append(w)
         counts = [0] * n
         for s in range(n):
-            runs = [SA._word_to_runs(w, n) for w in by_popcount[n - 1 - s]]
+            runs = [(w, SA._word_to_runs(w, n))
+                    for w in by_popcount[n - 1 - s]]
             for a in by_popcount[s]:
                 if not a & 1:
                     continue
                 alpha = SA._word_to_runs(a, n)
-                for beta in runs:
-                    if not SA._contour_closes(alpha, beta):
+                for b, beta in runs:
+                    if not SA._contour_closes(a, b, n):
                         continue
-                    for gamma in runs:
+                    for _, gamma in runs:
                         if not SA._strands_close(alpha, beta, gamma):
                             continue
                         counts[s] += 1

@@ -17,7 +17,8 @@ from oracles import (
     cyclic_step_violations, labelling_axioms, reduced_regular_axioms,
     reduced_regular_vertex_rule, reduced_vertex_rule,
     regular_decomposition_axioms, regular_labelling_axioms,
-    regular_vertex_rule, schnyder_vertex_rule, walk_path_ends,
+    regular_vertex_rule, schnyder_vertex_rule, sufficiency_violations,
+    walk_path_ends,
 )
 
 def decompositions():
@@ -224,16 +225,30 @@ def _outcome(fn, x):
     return "accepted"
 
 
-def _former_sufficiency(r, new=D._sufficiency_violations):
-    """xi_inverse's certificate with (i') as coded before the corner rule."""
+def _former_sufficiency(r):
+    """The certificate with (i') as coded before the corner rule."""
     return cyclic_step_violations(r, "i'") + \
-        [v for v in new(r) if v[0] != "i'"]
+        [v for v in sufficiency_violations(r) if v[0] != "i'"]
+
+
+def _certified(certificate):
+    """xi_inverse followed by a certificate of its output, failing as
+    xi_inverse did while it certified its own output."""
+    def run(x):
+        r = D.xi_inverse(x)
+        bad = certificate(r)
+        if bad:
+            raise DualityError("InvalidDecomposition",
+                               f"recovered coloring fails: {bad[:3]}")
+        return r
+    return run
 
 
 def test_dual_rule_flags_what_each_former_validator_flagged(monkeypatch):
     """Both dual validators report the (axiom, where) multiset of their
     former bodies on every table near a valid one, and xi_inverse accepts
-    and rejects the same tables under the former rules."""
+    and rejects the same tables under the former rules, and with its output
+    certified by the sufficiency oracle."""
     rng = random.Random(11)
     seen = {validator: set() for validator in DUAL_ORACLES}
     accepted = 0
@@ -248,11 +263,12 @@ def test_dual_rule_flags_what_each_former_validator_flagged(monkeypatch):
             seen[validator] |= {axiom for axiom, _ in new}
             if validator is D.validate_regular_decomposition:
                 verdict = _outcome(D.xi_inverse, x)
+                assert _outcome(_certified(sufficiency_violations), x) == \
+                    verdict
                 with monkeypatch.context() as mp:
                     mp.setattr(D, "validate_regular_decomposition", oracle)
-                    mp.setattr(D, "_sufficiency_violations",
-                               _former_sufficiency)
-                    assert _outcome(D.xi_inverse, x) == verdict
+                    assert _outcome(_certified(_former_sufficiency), x) == \
+                        verdict
                 accepted += verdict == "accepted"
     assert seen == {
         D.validate_regular_decomposition:
@@ -296,7 +312,7 @@ def corner_mutations(t, rng, count=3):
 
 
 def test_corner_rule_flags_what_each_former_validator_flagged(study_corpus):
-    """Both labelling validators, and (i') of xi_inverse's certificate,
+    """Both labelling validators, and (i') of the sufficiency oracle,
     report the (axiom, where) multiset of their former bodies on the
     labelling of every study-corpus map, on its dual, and on colorings near
     each."""
@@ -317,7 +333,7 @@ def test_corner_rule_flags_what_each_former_validator_flagged(study_corpus):
                 seen[validator] |= axioms
                 tables += 1
                 if t is r and "malformed" not in axioms:
-                    assert _multiset(v for v in D._sufficiency_violations(x)
+                    assert _multiset(v for v in sufficiency_violations(x)
                                      if v[0] == "i'") == \
                         _multiset(cyclic_step_violations(x, "i'"))
     assert seen == {validator: {"malformed", "i", "ii", "iii"}
