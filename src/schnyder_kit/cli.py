@@ -333,13 +333,14 @@ def build_parser():
     q.add_argument("--count", type=int, required=True)
     q.add_argument("--seed", type=int, default=DEFAULT_SEED)
     q.add_argument("--max-attempts", type=int,
-                   help="cap on drawn triples per sample (default: as many "
-                        "as 10^6 random word triples hold on average, 1968 "
-                        "at n=24); the reported attempts and acceptance_rate "
-                        "count drawn triples")
+                   help="cap on drawn triples per sample, at least 1 "
+                        "(default: as many as 10^6 random word triples hold "
+                        "on average, 1968 at n=24); the reported attempts "
+                        "and acceptance_rate count drawn triples")
     q.add_argument("--jobs", type=int,
-                   help="worker processes, at most --count and the CPU "
-                        "count (default: $SCHNYDER_KIT_JOBS, else 1)")
+                   help="worker processes, at least 1; at most --count and "
+                        "the CPU count run (default: $SCHNYDER_KIT_JOBS, "
+                        "else 1)")
     q.add_argument("--report")
     q.set_defaults(fn=_cmd_sample)
 

@@ -10,8 +10,8 @@ color 3 up (+y), color 4 right (+x).
 The same placement falls out of the two equatorial lines (x = rank along L_1,
 y = rank along L_4), which is the linear-time path this module takes; the
 tests keep face counting as its oracle.  Face classification, grid
-reduction, root completion, planarity oracles and SVG/JSON emitters round
-out the pipeline.
+reduction, root completion and the SVG/JSON emitters round out the
+pipeline; the planarity checks of a drawing live with the tests.
 """
 
 from __future__ import annotations
@@ -159,75 +159,6 @@ def orthogonal_drawing(rd, coords=None):
     return GridDrawing(decomposition=rd, coords=dict(coords), bends=bends)
 
 
-def segments(gd):
-    """All drawn segments with endpoint anchors, for the planarity oracle."""
-    m = gd.host.map
-    rd = gd.decomposition
-    out = []
-    for e, b in gd.bends.items():
-        u, w = m.origin[e], m.target(e)
-        out.append((gd.coords[u], b, ("v", u), ("b", e)))
-        out.append((b, gd.coords[w], ("b", e), ("v", w)))
-    if gd.root_routes is not None:
-        for t, pts in enumerate(gd.root_routes):
-            v_end = m.target(gd.host.root_darts[t])
-            anchors = [("v", v_end)] + \
-                [("r", t, k) for k in range(1, len(pts) - 1)] + [("root",)]
-            for k in range(len(pts) - 1):
-                out.append((pts[k], pts[k + 1], anchors[k], anchors[k + 1]))
-    return out
-
-
-def _orient(o, a, b):
-    v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-    return (v > 0) - (v < 0)
-
-
-def _on_segment(p, a, b):
-    return _orient(a, b, p) == 0 and \
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
-        min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-
-
-def _pair_conflict(s1, s2):
-    """A crossing/overlap description for two anchored segments, or None."""
-    p1, q1, a1p, a1q = s1
-    p2, q2, a2p, a2q = s2
-    d1, d2 = _orient(p1, q1, p2), _orient(p1, q1, q2)
-    d3, d4 = _orient(p2, q2, p1), _orient(p2, q2, q1)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return "proper crossing"
-    touches = {}
-    for p, anch in ((p2, a2p), (q2, a2q)):
-        if _on_segment(p, p1, q1):
-            touches.setdefault(p, set()).add(anch)
-    for p, anch in ((p1, a1p), (q1, a1q)):
-        if _on_segment(p, p2, q2):
-            touches.setdefault(p, set()).add(anch)
-    if not touches:
-        return None
-    if len(touches) > 1:
-        return "overlap"
-    (pt, anchors), = touches.items()
-    ok = (pt in (p1, q1)) and (pt in (p2, q2)) and \
-        any(a in (a1p, a1q) and a in (a2p, a2q) for a in anchors)
-    return None if ok else f"contact at {pt}"
-
-
-def check_planarity(gd_or_segments):
-    """(is_planar, crossing list) by exact integer intersection tests.
-    Segments touching only at a shared vertex/bend anchor do not count."""
-    segs = gd_or_segments if isinstance(gd_or_segments, list) \
-        else segments(gd_or_segments)
-    crossings = []
-    for a in range(len(segs)):
-        for b in range(a + 1, len(segs)):
-            why = _pair_conflict(segs[a], segs[b])
-            if why is not None:
-                crossings.append((segs[a], segs[b], why))
-    return not crossings, crossings
-
-
 # -- straight-line drawing -------------------------------------------------
 
 def collapsed_edges(rv):
@@ -342,23 +273,6 @@ def classify_faces(gd):
     return FaceClassification(faces=faces)
 
 
-def special_face_of_edge(fc, e, m):
-    """The unique non-root face for which edge e is special."""
-    # identify by dart pair, not vertex pair, to survive parallel edges
-    hits = []
-    for f, info in fc.faces.items():
-        for g in m.face_corners(f):
-            if m.edge(g) == m.edge(e):
-                a, a2 = info.special_a
-                b, b2 = info.special_b
-                if (m.origin[g], m.target(g)) in ((a, a2), (b, b2)):
-                    hits.append(f)
-    if len(hits) != 1:
-        raise DrawingError("InternalInvariantViolation",
-                           f"edge {e} special for {len(hits)} faces")
-    return hits[0]
-
-
 @dataclass(frozen=True)
 class ReductionChoice:
     X: frozenset
@@ -424,13 +338,6 @@ def add_root(gd):
     return replace(gd, root_pos=root, root_routes=routes)
 
 
-def bend_count(gd):
-    n = len(gd.bends)
-    if gd.root_routes is not None:
-        n += sum(len(pts) - 2 for pts in gd.root_routes)
-    return n
-
-
 # -- emitters --------------------------------------------------------------
 
 TREE_COLORS = {1: "#c0392b", 2: "#2471a3", 3: "#1e8449", 4: "#b7950b"}
@@ -449,21 +356,6 @@ def emit_drawing_json(gd):
             "X": sorted(gd.reduction.X), "Y": sorted(gd.reduction.Y),
         },
     }
-
-
-def drawing_from_json(obj, rd):
-    root = obj.get("root")
-    red = obj.get("reduction")
-    return GridDrawing(
-        decomposition=rd,
-        coords={int(v): tuple(xy) for v, xy in obj["coords"].items()},
-        bends={int(e): tuple(b) for e, b in obj["bends"].items()},
-        root_pos=None if root is None else tuple(root["pos"]),
-        root_routes=None if root is None else tuple(
-            tuple(tuple(p) for p in pts) for pts in root["routes"]),
-        reduction=None if red is None else ReductionChoice(
-            X=frozenset(red["X"]), Y=frozenset(red["Y"])),
-    )
 
 
 def emit_svg(gd):

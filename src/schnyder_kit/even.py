@@ -193,7 +193,9 @@ def lambda_star(rd):
 
 def lambda_star_inverse(rrd):
     """Reinstate the odd trees: color 2i-1 goes on the arc clockwise-preceding
-    the outgoing color-2i arc at each non-root vertex."""
+    the outgoing color-2i arc at each non-root vertex.  Only the input is
+    validated: Lambda* is a bijection onto the even regular decompositions,
+    so a valid reduced input gives an even output."""
     rv = rrd.host
     p = _require_even_d(rv.d)
     bad = validate_reduced_regular(rrd)
@@ -204,10 +206,7 @@ def lambda_star_inverse(rrd):
     for h in range(m.n_darts):
         for i in rrd.dart_colors(h):
             full[m.prev_cw[h]] |= 1 << (2 * i - 2)
-    rd = RegularDecomposition(host=rv, masks=tuple(full), primal=rrd.primal)
-    if not is_even_regular(rd):
-        raise EvenError("NotEven", "reinstated decomposition is not even")
-    return rd
+    return RegularDecomposition(host=rv, masks=tuple(full), primal=rrd.primal)
 
 
 def validate_reduced_regular(rrd):

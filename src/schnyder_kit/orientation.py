@@ -145,7 +145,10 @@ def compute_alpha_k_orientation(m, edge_ids, alpha, k):
     vertex, or NoSolution carrying a violated connected subset as certificate.
 
     Network: source -> vertex (cap alpha(v)); vertex -> incident edge
-    (cap k per dart); edge -> sink (cap k).
+    (cap k per dart); edge -> sink (cap k).  A flow of value k*|E| with
+    sum(alpha) = k*|E| saturates every source and sink arc, so for a
+    non-negative alpha the outdegrees are alpha and the two darts of each
+    edge sum to k: the result needs no further check.
     """
     edge_ids = list(edge_ids)
     edge_index = {e: i for i, e in enumerate(edge_ids)}
@@ -165,7 +168,7 @@ def compute_alpha_k_orientation(m, edge_ids, alpha, k):
     values = [-1] * m.n_darts
     for h, a in dart_arc.items():
         values[h] = net.flow_on(a)
-    return FracOrientation(map=m, k=k, values=tuple(values)).validate(alpha)
+    return FracOrientation(map=m, k=k, values=tuple(values))
 
 
 def _no_solution(m, edge_ids, alpha, k, net, nv):

@@ -20,7 +20,6 @@ Maps are immutable after validation; loops are rejected, multi-edges allowed.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -254,20 +253,6 @@ class PlaneMap:
             raise MapError("Acyclic", "map is a tree; girth undefined")
         return g
 
-    def mincut_at_least(self, d):
-        """True iff every edge cut has size >= d (via girth of the dual)."""
-        if d <= 0:
-            return True
-        if any(self.is_bridge(h) for h in range(self.n_darts)):
-            return d <= 1
-        if self.n_edges == 1:
-            return d <= 1
-        try:
-            g = self.dual().girth()
-        except MapError:
-            return False
-        return g >= d
-
     def bipartition_from(self, v0):
         """2-coloring with v0 black (True); raises if an odd cycle exists."""
         color = [None] * self.n_vertices
@@ -284,46 +269,6 @@ class PlaneMap:
                     raise MapError("NotBipartite", "odd cycle present")
         return tuple(color)
 
-    # -- canonical forms and isomorphism ---------------------------------
-
-    def dart_bfs(self, root_dart):
-        """{dart: rank} in BFS order from root_dart along next_cw, then twin."""
-        label = {root_dart: 0}
-        order = [root_dart]
-        for d in order:             # the growing list is the BFS queue
-            for nd in (self.next_cw[d], self.twin[d]):
-                if nd not in label:
-                    label[nd] = len(order)
-                    order.append(nd)
-        return label
-
-    def canonical_code(self, root_dart):
-        """Canonical relabelling code of the map rooted at a dart: the
-        next_cw and twin tables relabelled by dart_bfs rank.
-
-        Two rooted maps are isomorphic iff their codes are equal.
-        """
-        label = self.dart_bfs(root_dart)
-        order = list(label)
-        code_next = tuple(label[self.next_cw[d]] for d in order)
-        code_twin = tuple(label[self.twin[d]] for d in order)
-        return (code_next, code_twin)
-
-    def rooted_code(self):
-        """Code rooted at the designated outer dart."""
-        return self.canonical_code(self.outer_dart)
-
-    def isomorphic_rooted(self, other):
-        return self.rooted_code() == other.rooted_code()
-
-    def isomorphic(self, other):
-        """Unrooted isomorphism (brute force over roots; small maps only)."""
-        if (self.n_vertices, self.n_edges, self.n_faces) != \
-                (other.n_vertices, other.n_edges, other.n_faces):
-            return False
-        mine = self.canonical_code(0)
-        return any(other.canonical_code(d) == mine for d in range(other.n_darts))
-
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self):
@@ -336,9 +281,6 @@ class PlaneMap:
             "outer_dart": self.outer_dart,
             "root_vertex": self.root_vertex,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), indent=1)
 
     @classmethod
     def from_json_obj(cls, obj):
@@ -374,10 +316,6 @@ class PlaneMap:
             raise MapError("MalformedMap",
                            "'root_vertex' must be an integer or null")
         return cls(*tables, outer_dart=outer, root_vertex=root)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
 
     def __repr__(self):
         return (f"PlaneMap(v={self.n_vertices}, e={self.n_edges}, "
@@ -481,9 +419,6 @@ class AngulationView:
     def internal_vertices(self):
         ext = set(self.external)
         return [v for v in range(self.map.n_vertices) if v not in ext]
-
-    def internal_faces(self):
-        return [f for f in range(self.map.n_faces) if f != self.map.outer_face]
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,6 @@ grid-concentration experiment.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import random
 from bisect import bisect_right
@@ -92,15 +90,6 @@ class EncodingTriple:
     @property
     def s(self):
         return len(self.beta) - 1
-
-    def to_json_obj(self):
-        return {"alpha": list(self.alpha), "beta": list(self.beta),
-                "gamma": list(self.gamma)}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        return cls(alpha=tuple(obj["alpha"]), beta=tuple(obj["beta"]),
-                   gamma=tuple(obj["gamma"]))
 
 
 def _tree_edge_sets(ang, rs):
@@ -410,6 +399,12 @@ def _fixed_popcount_word(rng, width, k):
     return w
 
 
+def _require_positive(name, value):
+    """BadParameter unless value is None or at least 1."""
+    if value is not None and value < 1:
+        raise SamplerError("BadParameter", f"{name} = {value} must be positive")
+
+
 def default_max_decodes(n):
     """Default cap on the triples rejection_sample_fast draws: the number
     of triples with all sums n among DEFAULT_MAX_ATTEMPTS uniform word
@@ -440,8 +435,8 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     rest are decoded.  attempts (and max_attempts, default
     default_max_decodes(n)) count drawn triples, so the result at a given
     seed is the one that decoding every drawn triple gives."""
-    if n < 1:
-        raise SamplerError("BadParameter", f"n = {n} must be positive")
+    _require_positive("n", n)
+    _require_positive("max_attempts", max_attempts)
     cum = _popcount_table(n)
     total, width, randrange = cum[-1], n - 1, rng.randrange
     if max_attempts is None:
@@ -699,16 +694,6 @@ class SampleStats:
                 "reduced_height": list(self.reduced_height),
                 "summary": self.summary}
 
-    def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["index", "part", "full",
-                         "reduced_width", "reduced_height"])
-        for i in range(self.accepted):
-            writer.writerow([i, self.part_counts[i], self.full_counts[i],
-                             self.reduced_width[i], self.reduced_height[i]])
-        return buf.getvalue()
-
 
 def _summarize(values, n):
     k = len(values)
@@ -746,11 +731,10 @@ def concentration_experiment(n, sample_count, seed, max_attempts=None,
     default_max_decodes(n)).  Per-sample streams derive from (seed, index),
     so results do not depend on evaluation order or parallelism.  At most
     min(jobs, sample_count, CPU count) worker processes run."""
-    if n < 1:
-        raise SamplerError("BadParameter", f"n = {n} must be positive")
-    if sample_count < 1:
-        raise SamplerError("BadParameter",
-                           f"sample count = {sample_count} must be positive")
+    _require_positive("n", n)
+    _require_positive("sample count", sample_count)
+    _require_positive("max_attempts", max_attempts)
+    _require_positive("jobs", jobs)
     if max_attempts is None:
         max_attempts = default_max_decodes(n)
     tasks = [(n, seed, i, max_attempts) for i in range(sample_count)]

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import SchnyderError
-from .orientation import FracOrientation, _left_faces
+from .orientation import FracOrientation
 from .planar_map import AngulationView
 
 
@@ -346,15 +346,13 @@ def gamma(s):
 
 
 def phi_inverse(s):
-    """The labelling l with phi(l) = s (via psi_inverse of gamma)."""
+    """The labelling l with phi(l) = s (via psi_inverse of gamma).  Only
+    the input is validated: Phi is a bijection between labellings and
+    Schnyder decompositions, so a valid s is phi of the result."""
     bad = validate_schnyder(s)
     if bad:
         raise SchnyderError("InvalidDecomposition", str(bad[:3]))
-    l = psi_inverse(gamma(s).validate())
-    if phi(l).masks != s.masks:
-        raise SchnyderError("InvalidDecomposition",
-                            "decomposition is not in the image of phi")
-    return l
+    return psi_inverse(gamma(s).validate())
 
 
 # -- decomposition validation --------------------------------------------
@@ -470,26 +468,3 @@ def _strictly_between_cw(t, a, b, n):
     if a == b:
         return t != a
     return 0 < (t - a) % n < (b - a) % n
-
-
-# -- lattice push seen on labellings --------------------------------------
-
-def labelling_push(l, traversal):
-    """Push an admissible ccw cycle: +1 mod d on every corner whose face lies
-    strictly inside the cycle."""
-    ang = l.host
-    m = ang.map
-    d = ang.d
-    for h in traversal:
-        if clockwise_jump(l, h) == 0:
-            raise SchnyderError("NotAdmissible",
-                                f"corners around arc {h} share a color")
-    interior = _left_faces(m, traversal)
-    if m.outer_face in interior:
-        raise SchnyderError("NotAdmissible", "traversal is not counterclockwise")
-    colors = list(l.colors)
-    for h in range(m.n_darts):
-        # corner(h) belongs to the face orbit containing next_cw(h)
-        if m.face_of[m.next_cw[h]] in interior:
-            colors[h] = _mod(colors[h] + 1, d)
-    return CornerLabelling(host=ang, colors=tuple(colors))

@@ -5,14 +5,16 @@ from itertools import product
 
 from schnyder_kit.drawing import _color_dart, _mod4
 from schnyder_kit.duality import _tree_violations, _vertex_steps
-from schnyder_kit.errors import DrawingError, SamplerError, SchnyderError
+from schnyder_kit.errors import (
+    DrawingError, MapError, SamplerError, SchnyderError,
+)
 from schnyder_kit.even import _require_even_d, black_faces
 from schnyder_kit.orientation import (
     FracOrientation, _left_faces, _simple_cycles_of_length, ccw_traversal,
 )
 from schnyder_kit.schnyder import (
-    CYCLE, _corner_violations, _mod, _strictly_between_cw, _vertex_violations,
-    colors_of,
+    CYCLE, CornerLabelling, _corner_violations, _mod, _strictly_between_cw,
+    _vertex_violations, clockwise_jump, colors_of,
 )
 from schnyder_kit.sampler import (
     DEFAULT_MAX_ATTEMPTS, EncodingTriple, _fixed_popcount_word,
@@ -450,12 +452,186 @@ def place_by_face_counting(rd):
     return coords
 
 
+# -- drawings: anchored segments, the pairwise planarity test, specials ---
+
+def segments(gd):
+    """All drawn segments of a GridDrawing, each (p, q, anchor of p, anchor
+    of q): ("v", u) at a vertex, ("b", e) at the bend of edge e, ("r", t, k)
+    at bend k of root edge t and ("root",) at the root vertex."""
+    m = gd.host.map
+    out = []
+    for e, b in gd.bends.items():
+        u, w = m.origin[e], m.target(e)
+        out.append((gd.coords[u], b, ("v", u), ("b", e)))
+        out.append((b, gd.coords[w], ("b", e), ("v", w)))
+    if gd.root_routes is not None:
+        for t, pts in enumerate(gd.root_routes):
+            v_end = m.target(gd.host.root_darts[t])
+            anchors = [("v", v_end)] + \
+                [("r", t, k) for k in range(1, len(pts) - 1)] + [("root",)]
+            for k in range(len(pts) - 1):
+                out.append((pts[k], pts[k + 1], anchors[k], anchors[k + 1]))
+    return out
+
+
+def _orient(o, a, b):
+    v = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return (v > 0) - (v < 0)
+
+
+def _on_segment(p, a, b):
+    return _orient(a, b, p) == 0 and \
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0]) and \
+        min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+
+
+def _pair_conflict(s1, s2):
+    """A crossing/overlap description for two anchored segments, or None."""
+    p1, q1, a1p, a1q = s1
+    p2, q2, a2p, a2q = s2
+    d1, d2 = _orient(p1, q1, p2), _orient(p1, q1, q2)
+    d3, d4 = _orient(p2, q2, p1), _orient(p2, q2, q1)
+    if d1 * d2 < 0 and d3 * d4 < 0:
+        return "proper crossing"
+    touches = {}
+    for p, anch in ((p2, a2p), (q2, a2q)):
+        if _on_segment(p, p1, q1):
+            touches.setdefault(p, set()).add(anch)
+    for p, anch in ((p1, a1p), (q1, a1q)):
+        if _on_segment(p, p2, q2):
+            touches.setdefault(p, set()).add(anch)
+    if not touches:
+        return None
+    if len(touches) > 1:
+        return "overlap"
+    (pt, anchors), = touches.items()
+    ok = (pt in (p1, q1)) and (pt in (p2, q2)) and \
+        any(a in (a1p, a1q) and a in (a2p, a2q) for a in anchors)
+    return None if ok else f"contact at {pt}"
+
+
+def check_planarity(gd_or_segments):
+    """(is_planar, crossing list) of a GridDrawing or a list of anchored
+    segments, by exact integer tests on every pair.  Segments touching only
+    at a shared vertex/bend anchor do not count."""
+    segs = gd_or_segments if isinstance(gd_or_segments, list) \
+        else segments(gd_or_segments)
+    crossings = []
+    for a in range(len(segs)):
+        for b in range(a + 1, len(segs)):
+            why = _pair_conflict(segs[a], segs[b])
+            if why is not None:
+                crossings.append((segs[a], segs[b], why))
+    return not crossings, crossings
+
+
+def bend_count(gd):
+    """Bends of a GridDrawing, root routes included."""
+    n = len(gd.bends)
+    if gd.root_routes is not None:
+        n += sum(len(pts) - 2 for pts in gd.root_routes)
+    return n
+
+
+def special_face_of_edge(fc, e, m):
+    """The unique non-root face of a FaceClassification for which edge e is
+    special."""
+    # identify by dart pair, not vertex pair, to survive parallel edges
+    hits = []
+    for f, info in fc.faces.items():
+        for g in m.face_corners(f):
+            if m.edge(g) == m.edge(e):
+                a, a2 = info.special_a
+                b, b2 = info.special_b
+                if (m.origin[g], m.target(g)) in ((a, a2), (b, b2)):
+                    hits.append(f)
+    if len(hits) != 1:
+        raise DrawingError("InternalInvariantViolation",
+                           f"edge {e} special for {len(hits)} faces")
+    return hits[0]
+
+
+# -- canonical forms, isomorphism and cuts of maps -------------------------
+
+def dart_bfs(m, root_dart):
+    """{dart: rank} in BFS order from root_dart along next_cw, then twin."""
+    label = {root_dart: 0}
+    order = [root_dart]
+    for d in order:             # the growing list is the BFS queue
+        for nd in (m.next_cw[d], m.twin[d]):
+            if nd not in label:
+                label[nd] = len(order)
+                order.append(nd)
+    return label
+
+
+def canonical_code(m, root_dart):
+    """Canonical relabelling code of m rooted at a dart: the next_cw and
+    twin tables relabelled by dart_bfs rank.  Two rooted maps are
+    isomorphic iff their codes are equal."""
+    label = dart_bfs(m, root_dart)
+    order = list(label)
+    code_next = tuple(label[m.next_cw[d]] for d in order)
+    code_twin = tuple(label[m.twin[d]] for d in order)
+    return (code_next, code_twin)
+
+
+def rooted_code(m):
+    """Code of m rooted at its designated outer dart."""
+    return canonical_code(m, m.outer_dart)
+
+
+def isomorphic(m1, m2):
+    """Unrooted isomorphism (brute force over roots; small maps only)."""
+    if (m1.n_vertices, m1.n_edges, m1.n_faces) != \
+            (m2.n_vertices, m2.n_edges, m2.n_faces):
+        return False
+    mine = canonical_code(m1, 0)
+    return any(canonical_code(m2, d) == mine for d in range(m2.n_darts))
+
+
+def mincut_at_least(m, d):
+    """True iff every edge cut of m has size >= d (via girth of the dual)."""
+    if d <= 0:
+        return True
+    if any(m.is_bridge(h) for h in range(m.n_darts)) or m.n_edges == 1:
+        return d <= 1
+    try:
+        g = m.dual().girth()
+    except MapError:
+        return False
+    return g >= d
+
+
 def pair_code(ang, s):
     """Canonical form of a rooted pair: the rooted map code together with
     the color masks read in the same dart order."""
     m = ang.map
-    return m.rooted_code() + (tuple(s.masks[h]
-                                    for h in m.dart_bfs(m.outer_dart)),)
+    return rooted_code(m) + (tuple(s.masks[h]
+                                   for h in dart_bfs(m, m.outer_dart)),)
+
+
+# -- the lattice push seen on labellings -----------------------------------
+
+def labelling_push(l, traversal):
+    """Push an admissible ccw cycle: +1 mod d on every corner whose face lies
+    strictly inside the cycle."""
+    ang = l.host
+    m = ang.map
+    d = ang.d
+    for h in traversal:
+        if clockwise_jump(l, h) == 0:
+            raise SchnyderError("NotAdmissible",
+                                f"corners around arc {h} share a color")
+    interior = _left_faces(m, traversal)
+    if m.outer_face in interior:
+        raise SchnyderError("NotAdmissible", "traversal is not counterclockwise")
+    colors = list(l.colors)
+    for h in range(m.n_darts):
+        # corner(h) belongs to the face orbit containing next_cw(h)
+        if m.face_of[m.next_cw[h]] in interior:
+            colors[h] = _mod(colors[h] + 1, d)
+    return CornerLabelling(host=ang, colors=tuple(colors))
 
 
 # -- lattice circuits, every cycle flood-filled ---------------------------

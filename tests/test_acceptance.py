@@ -23,8 +23,10 @@ import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
-    pair_code, place_by_face_counting, sufficiency_violations,
+    bend_count, check_planarity, pair_code, place_by_face_counting,
+    sufficiency_violations,
 )
+from sweep import check_orthogonal_planarity
 from test_drawing import _dual_degree_classification
 
 
@@ -274,7 +276,7 @@ def _check_host_drawing(rv):
     assert len(gd.bends) == 2 * n - 4          # one bend per non-root edge
     assert sorted(x for x, _ in gd.coords.values()) == list(range(n - 1))
     assert sorted(y for _, y in gd.coords.values()) == list(range(n - 1))
-    ok, crossings = DR.check_planarity(gd)
+    ok, crossings = check_orthogonal_planarity(gd)
     assert ok, crossings
     # the rotation system is preserved: around every drawn vertex the edge
     # departure directions step through the compass in rotation order; the
@@ -307,8 +309,8 @@ def _check_host_drawing(rv):
             assert all((dd - d0) * sense % 4 == (pp - p0) % 4
                        for pp, dd in drawn), (v, drawn)
     gdr = DR.add_root(gd)
-    assert DR.bend_count(gdr) == 2 * n + 4
-    ok, crossings = DR.check_planarity(gdr)
+    assert bend_count(gdr) == 2 * n + 4
+    ok, crossings = check_orthogonal_planarity(gdr)
     assert ok, crossings
     pts = [p for pts in gdr.root_routes for p in pts] + list(gdr.coords.values())
     for axis in (0, 1):
@@ -386,7 +388,7 @@ def test_criterion_08_straight_line_and_reductions():
         rds.append(E.compute_even_regular_decomposition(rv))
     for rd in rds:
         coords, segs = DR.straight_line_drawing(rd)
-        ok, crossings = DR.check_planarity(segs)
+        ok, crossings = check_planarity(segs)
         assert ok, crossings
         gd = DR.orthogonal_drawing(rd)
         fc = DR.classify_faces(gd)
@@ -398,10 +400,10 @@ def test_criterion_08_straight_line_and_reductions():
             choices.append(DR.reduction_choice(fc, chosen))
         for rc in choices:
             gred = DR.apply_reduction(gd, rc)
-            ok, crossings = DR.check_planarity(gred)
+            ok, crossings = check_planarity(gred)
             assert ok, crossings
             sl_coords, sl_segs = DR.straight_line_drawing(rd, gred.coords)
-            ok, crossings = DR.check_planarity(sl_segs)
+            ok, crossings = check_planarity(sl_segs)
             assert ok, crossings
             reductions += 1
         drawings += 1

@@ -221,6 +221,17 @@ def test_sample_rejects_nonpositive_count(count):
     assert err["kind"] == "BadParameter" and err["stage"] == "sampler"
 
 
+@pytest.mark.parametrize("option", [["--max-attempts", "0"],
+                                    ["--max-attempts", "-5"],
+                                    ["--jobs", "0"], ["--jobs", "-1"]])
+def test_sample_rejects_nonpositive_attempts_and_jobs(option):
+    rc, text = run(["sample", "--n", "4", "--count", "1"] + option)
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert err["kind"] == "BadParameter" and err["stage"] == "sampler"
+    assert option[0].lstrip("-").replace("-", "_") in err["detail"]
+
+
 def test_enumerate_outputs_validate(tmp_path):
     rc, text = run(["enumerate", "--n", "3"])
     assert rc == 0

@@ -99,6 +99,31 @@ def test_dodecahedron_5_3_orientation():
         assert o.outdegree(v) == 5
 
 
+def test_flow_meets_alpha_without_a_certificate(study_corpus):
+    """compute_alpha_k_orientation does not check its own result: on every
+    study-corpus map, the outdegrees of the d/(d-2)- and (for d = 4)
+    2/1-orientations, and of a random k-orientation of the internal edges
+    for k = 1, 2, 3, are met exactly, with each edge summing to k."""
+    rng = random.Random(5)
+    for ang in [a for angs in study_corpus.values() for a in angs]:
+        m = ang.map
+        edges = ang.internal_edges()
+        for k in (1, 2, 3):
+            vals = [-1] * m.n_darts
+            for e in edges:
+                vals[e] = rng.randint(0, k)
+                vals[m.twin[e]] = k - vals[e]
+            o = O.FracOrientation(map=m, k=k, values=tuple(vals))
+            alpha = [o.outdegree(v) for v in range(m.n_vertices)]
+            O.compute_alpha_k_orientation(m, edges, alpha, k).validate(alpha)
+        internal = set(ang.internal_vertices())
+        O.compute_dd2_orientation(ang).validate(
+            [ang.d * (v in internal) for v in range(m.n_vertices)])
+        if ang.d == 4:
+            O.compute_p_p1_orientation(ang).validate(
+                [2 * (v in internal) for v in range(m.n_vertices)])
+
+
 def test_push_preserves_outdegrees():
     c = cube()
     for o in O.lattice_enumerate(c):

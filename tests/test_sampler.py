@@ -17,8 +17,8 @@ import schnyder_kit.sampler as SA
 import instances as I
 from oracles import (
     _geometric, bit_filter_sample, decode_every_triple_sample, grow_tree,
-    pair_code, rejection_sample, sample_geometric_triple, sweep_closes,
-    tree_word_closes,
+    pair_code, rejection_sample, rooted_code, sample_geometric_triple,
+    sweep_closes, tree_word_closes,
 )
 
 
@@ -134,14 +134,6 @@ def test_decode_results_are_pinned():
     assert len(triples) == 2687
     assert digest.hexdigest() == \
         "f513d384386248195c55cf37862f4d0ea44bffc52f851c16d4b8002f89a40edb"
-
-
-def test_triple_json_round_trip():
-    t = SA.EncodingTriple((3, 2, 1), (1, 1, 2, 2), (2, 2, 1, 1))
-    obj = t.to_json_obj()
-    assert obj == {"alpha": [3, 2, 1], "beta": [1, 1, 2, 2],
-                   "gamma": [2, 2, 1, 1]}
-    assert SA.EncodingTriple.from_json_obj(obj) == t
 
 
 def test_geometric_marginal_and_determinism():
@@ -464,7 +456,7 @@ def test_enumerate_angulations_counts_and_validity():
     for m in maps:
         as_angulation(m, 4)
         assert m.girth() == 4
-        code = m.rooted_code()
+        code = rooted_code(m)
         assert code not in codes
         codes.add(code)
 
@@ -478,6 +470,13 @@ def test_enumerate_pairs_counts():
     assert ei.value.kind == "CapExceeded"
 
 
+@pytest.mark.parametrize("max_attempts", [0, -5])
+def test_nonpositive_max_attempts_is_a_bad_parameter(max_attempts):
+    with pytest.raises(SamplerError) as ei:
+        SA.rejection_sample_fast(4, random.Random(1), max_attempts)
+    assert ei.value.kind == "BadParameter"
+
+
 def test_concentration_experiment_reproducible_and_parallel():
     st1 = SA.concentration_experiment(8, 12, seed=5)
     st2 = SA.concentration_experiment(8, 12, seed=5, jobs=2)
@@ -485,6 +484,3 @@ def test_concentration_experiment_reproducible_and_parallel():
     assert st1.accepted == 12 and len(st1.part_counts) == 12
     obj = st1.to_json_obj()
     assert obj["summary"]["acceptance_rate"] == 12 / st1.attempts
-    lines = st1.to_csv().strip().splitlines()
-    assert lines[0] == "index,part,full,reduced_width,reduced_height"
-    assert len(lines) == 13

@@ -6,7 +6,7 @@ import schnyder_kit.orientation as O
 import schnyder_kit.schnyder as S
 
 import instances as I
-from oracles import brute_force_dd2, forest_path_to_root
+from oracles import brute_force_dd2, forest_path_to_root, labelling_push
 
 
 def angulations():
@@ -117,7 +117,7 @@ def test_labelling_push_commutes():
     for o in O.lattice_enumerate(ang):
         l = S.psi_inverse(o)
         for trav in O.find_ccw_d_circuits(o):
-            assert S.psi(S.labelling_push(l, trav)).values == \
+            assert S.psi(labelling_push(l, trav)).values == \
                 O.push_cycle(o, trav).values
 
 
@@ -144,10 +144,10 @@ def test_push_rejects_non_admissible():
     # at the minimum there is no ccw circuit: take an internal face orbit,
     # which is a ccw traversal but must have a zero jump somewhere
     m = ang.map
-    f = next(f for f in ang.internal_faces()
-             if all(not ang.is_external_edge(h) for h in m.faces[f]))
+    f = next(f for f in range(m.n_faces) if f != m.outer_face and
+             all(not ang.is_external_edge(h) for h in m.faces[f]))
     with pytest.raises(SchnyderError):
-        S.labelling_push(l, m.faces[f])
+        labelling_push(l, m.faces[f])
 
 
 def test_forest_paths():

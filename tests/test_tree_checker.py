@@ -339,3 +339,36 @@ def test_corner_rule_flags_what_each_former_validator_flagged(study_corpus):
     assert seen == {validator: {"malformed", "i", "ii", "iii"}
                     for validator in seen}
     assert tables > 10000
+
+
+def test_inverses_need_no_output_certificate(study_corpus):
+    """phi_inverse and lambda_star_inverse validate only their input, since
+    Phi and Lambda* are bijections: on the Schnyder decomposition of every
+    study-corpus map (and, for d = 4, on the reduced dual of an even one)
+    and on the tables near it, every table that passes its validator comes
+    back unchanged through the inverse and the map, and the lifted dual
+    decomposition is even."""
+    rng = random.Random(13)
+    valid, tables = Counter(), Counter()
+    for ang in [a for angs in study_corpus.values() for a in angs]:
+        if ang.d == 4:
+            s = S.phi(S.psi_inverse(O.double(O.compute_p_p1_orientation(ang))))
+        else:
+            s = S.phi(S.psi_inverse(O.compute_dd2_orientation(ang)))
+        for x in [s] + mutations(s) + random_mutations(s, rng, 1):
+            tables["schnyder"] += 1
+            if not S.validate_schnyder(x):
+                assert S.phi(S.phi_inverse(x)).masks == x.masks
+                valid["schnyder"] += 1
+        if ang.d != 4 or ang.map.n_faces == 2:   # mutations need a face off v*
+            continue
+        t = E.lambda_star(D.chi(s))
+        for x in [t] + mutations(t) + random_mutations(t, rng, 1):
+            tables["reduced"] += 1
+            if not E.validate_reduced_regular(x):
+                rd = E.lambda_star_inverse(x)
+                assert E.is_even_regular(rd)
+                assert E.lambda_star(rd).masks == x.masks
+                valid["reduced"] += 1
+    assert valid["schnyder"] >= sum(map(len, study_corpus.values()))
+    assert valid["reduced"] > len(study_corpus[4]) - 1
