@@ -9,13 +9,14 @@ T1'-degrees of the black vertices (alpha) and the T1'- and T2'-degrees of the
 white vertices (beta, gamma) in discovery order encodes the pair completely.
 
 decode reverses this.  The count-only walks _contour_closes and
-_strands_close first decide whether the degree word closes the contour of
-T1' (reading alpha and beta off their flip words) and whether the T2'
-strands close around it.  Then one walk along the contour (_rotations)
-creates the nodes of T1' in preorder and reattaches T2' by a planar
-matching of strands (each white vertex offers its parent strand and
-gamma-1 child slots; each black vertex takes the adjacent strands off a
-stack), appending each dart to its vertex's clockwise list.
+_strands_close, which read the degrees off the flip words of alpha, beta
+and gamma, first decide whether the degree word closes the contour of T1'
+and whether the T2' strands close around it (counting the open slots
+suffices).  Then one walk along the contour (_rotations) creates the nodes
+of T1' in preorder and reattaches T2' by a planar matching of strands (each
+white vertex offers its parent strand and gamma-1 child slots; each black
+vertex takes the adjacent strands off a stack), appending each dart to its
+vertex's clockwise list.
 The completed map must be a quadrangulation with outer face u1 u2 u3 u4,
 its reduced decomposition must pass validate_reduced_schnyder (in
 lambda_inverse), and the lifted decomposition must be even; a valid
@@ -27,11 +28,11 @@ draws, conditioning on validity by rejection yields a uniform pair.
 rejection_sample_fast conditions on the three sums being n exactly instead
 of by rejection: reading each sequence from n coin flips, that event fixes
 the popcounts of the three flip words, so it draws the common popcount from
-its exact binomial weights and then three uniform fixed-popcount words.  It
-rejects a triple whose tree stage fails (alpha[0] = 1, or flip words of
-alpha and beta that do not close the contour, _contour_closes) before it
-turns any word into a degree list, and one whose closure stage fails
-(_strands_close) before building it; it decodes the rest, about one per
+its exact binomial weights, consuming the generator exactly as
+Random.randrange does, and then three uniform fixed-popcount words.  It
+rejects a triple whose tree stage (alpha[0] = 1, or _contour_closes) or
+closure stage (_strands_close) fails on the three flip words, before it
+turns any word into a degree list; it decodes the rest, about one per
 sample.  The geometric-draw sampler itself is the test oracle
 tests/oracles.rejection_sample.  The module also houses the exhaustive
 small-n enumeration used as the oracle for uniformity tests, and the
@@ -60,7 +61,6 @@ from .even import (
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
 ENUMERATION_CAP = 12
-_SLOT = -1                       # an incoming T2' slot on the strand stack
 
 
 # -- the encoding triple ---------------------------------------------------
@@ -193,63 +193,60 @@ def _contour_closes(a, b, n):
             return ia == ra and ib == rb
 
 
-def _strands_close(alpha, beta, gamma):
+def _strands_close(a, b, c):
     """Whether the T2' strands close along the clockwise contour of T1'.
 
-    The count-only form of the strand matching in _rotations, with the
-    check that the strands left for u3 come from u2 and u4.  Walks the
-    preorder of _contour_closes (which must hold) and keeps the stack of
-    strands: outs are white ids, slots are _SLOT.  When a white vertex's
-    subtree ends it pushes its out and then gamma-1 slots; a non-root black
-    vertex pops the trailing outs and then needs one slot.  True iff every
-    black vertex finds its slot and only outs remain, the bottom one from
-    u2 (white 0, the first child of u1) and the top one from u4 (the last
-    child)."""
-    ia, ib = 1, 0
-    top = alpha[0]
+    The count-only form of the strand matching in _rotations.  Walks the
+    preorder of _contour_closes (which must hold) on the flip words a and b,
+    and reads each white vertex's gamma degree off the flip word c when that
+    white opens.  When a white vertex's subtree ends it offers its out and
+    then gamma-1 slots; a non-root black vertex takes the outs above the top
+    slot and then needs that slot.  So only the number of open slots
+    matters: True iff every black vertex finds one and none is left (with
+    all three sums n, the whites offer one slot per non-root black).  The
+    outs left for u3 then run from u2 to u4, as they must: u2 (white 0)
+    opens first, so a black child of it would find no slot, and its out
+    stays at the bottom, since a black vertex that takes it finds no slot;
+    u4's subtree ends last, so its out is on top once it leaves no slot."""
+    top = (a ^ (a + 1)).bit_length()
+    a >>= top
     white = True                           # top's children are white
     stack = []
-    whites = []                            # the open white vertices
-    strands = []
-    u4 = 0
+    gammas = []                            # of the open white vertices
+    slots = 0
     while True:
         if top:
             if white:
-                if not stack:
-                    u4 = ib
-                whites.append(ib)
-                deg = beta[ib]
-                ib += 1
+                g = (c ^ (c + 1)).bit_length()
+                c >>= g
+                gammas.append(g)
+                deg = (b ^ (b + 1)).bit_length()
+                b >>= deg
             else:
-                deg = alpha[ia]
-                ia += 1
-                while strands and strands[-1] != _SLOT:
-                    strands.pop()
-                if not strands:
+                if not slots:
                     return False
-                strands.pop()
+                slots -= 1
+                deg = (a ^ (a + 1)).bit_length()
+                a >>= deg
             stack.append(top - 1)
             top = deg - 1
             white = not white
         elif stack:
             if not white:                  # a white vertex's subtree ends
-                w = whites.pop()
-                strands.append(w)
-                strands.extend([_SLOT] * (gamma[w] - 1))
+                slots += gammas.pop() - 1
             top = stack.pop()
             white = not white
         else:
-            return bool(strands) and strands[0] == 0 and \
-                strands[-1] == u4 and _SLOT not in strands
+            return not slots
 
 
 def _rotations(alpha, beta, gamma):
     """Clockwise dart lists of the completed map, built in one walk.
 
-    Walks the preorder of _contour_closes with the strand stack of
-    _strands_close (both must hold).  Node v is the v-th node of T1' in
-    preorder (node 0 is u1) and u3 is node N, with N = r + s + 1 tree nodes
-    and W = s + 1 whites.  Edge v-1 is the T1' edge of node v, edge N-1+j
+    Walks the preorder of _contour_closes and matches the strands that
+    _strands_close counts (both must hold).  Node v is the v-th node of T1'
+    in preorder (node 0 is u1) and u3 is node N, with N = r + s + 1 tree
+    nodes and W = s + 1 whites.  Edge v-1 is the T1' edge of node v, edge N-1+j
     the T2' edge of white j and edge N-2+W+i that of black i >= 1; dart 2e
     leaves the node whose parent edge e is.  A node's list starts with its
     parent dart and gets each child's dart as the child is created.  A
@@ -304,9 +301,10 @@ def decode(t):
     triple, or SamplerError(kind="Invalid") with the failing stage: the
     input checks, alpha[0] >= 2 and _contour_closes on the flip words of
     alpha and beta, built only once the sums and lengths bound n by the
-    input's length (TreeReconstructionFailed), _strands_close and the map
-    that _rotations builds (ClosureFailed), then the quadrangulation and its
-    outer face, the reduced validator and evenness (ValidationFailed)."""
+    input's length (TreeReconstructionFailed), _strands_close on those and
+    the flip word of gamma, and the map that _rotations builds
+    (ClosureFailed), then the quadrangulation and its outer face, the
+    reduced validator and evenness (ValidationFailed)."""
     alpha, beta, gamma = t.alpha, t.beta, t.gamma
     if not alpha or not beta or not gamma:
         raise _invalid("TreeReconstructionFailed", "empty degree sequence")
@@ -329,11 +327,12 @@ def decode(t):
     if alpha[0] < 2:
         raise _invalid("TreeReconstructionFailed",
                        "u1 needs distinct neighbors u2 and u4")
-    if not _contour_closes(_runs_to_word(alpha), _runs_to_word(beta), n):
+    a, b = _runs_to_word(alpha), _runs_to_word(beta)
+    if not _contour_closes(a, b, n):
         raise _invalid("TreeReconstructionFailed",
                        "the degree sequences do not close the contour "
                        "exactly")
-    if not _strands_close(alpha, beta, gamma):
+    if not _strands_close(a, b, _runs_to_word(gamma)):
         raise _invalid("ClosureFailed",
                        "the T2' strands do not close with u2 and u4 "
                        "reaching u3")
@@ -390,19 +389,17 @@ def _popcount_table(n):
     return list(accumulate(comb(n - 1, s) ** 3 for s in range(n)))
 
 
-def _fixed_popcount_word(rng, width, k):
-    """A uniform width-bit word with exactly k one bits (retry until the
-    popcount matches; a class near the middle holds a large share)."""
-    getrandbits = rng.getrandbits
-    while (w := getrandbits(width)).bit_count() != k:
-        pass
-    return w
-
-
 def _require_positive(name, value):
     """BadParameter unless value is None or at least 1."""
     if value is not None and value < 1:
         raise SamplerError("BadParameter", f"{name} = {value} must be positive")
+
+
+def _require_faces(n):
+    """BadParameter unless n >= 2: at n = 1 alpha is (1), so no triple
+    decodes (u1 needs the two neighbours u2 and u4)."""
+    if n < 2:
+        raise SamplerError("BadParameter", f"n = {n} must be at least 2")
 
 
 def default_max_decodes(n):
@@ -413,9 +410,9 @@ def default_max_decodes(n):
 
 
 def rejection_sample_fast(n, rng, max_attempts=None):
-    """A uniform pair with n faces: draw triples whose sums are already n,
-    test their tree and closure stages, and decode those that pass, until
-    one decodes.
+    """A uniform pair with n >= 2 faces: draw triples whose sums are
+    already n, test their tree and closure stages, and decode those that
+    pass, until one decodes.
 
     Each sequence is read from n coin flips (_word_to_runs): it sums to
     exactly n iff flip n-1 ends a run, and its length is the number of zero
@@ -424,37 +421,41 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     popcount(c) = n-1-s, so s has weight C(n-1, s)^3; under independent
     2-geometric draws every such triple is equally likely, so keeping those
     that decode gives a uniform pair.  Each attempt draws s from these
-    integer weights, then the three fixed-popcount words a, b, c, always in
-    this order.  A triple whose tree stage fails is rejected on its words,
-    before any degree list is made: bit 0 of a is 0 (alpha[0] = 1), or
-    _contour_closes(a, b, n) is false, which is exactly when decode fails
-    its tree stage.  The others (about a quarter of those with odd a at
-    n = 24) get their degree lists, and one whose closure stage fails is
-    rejected before it is built: _strands_close(alpha, beta, gamma) is
-    false, which is exactly when decode fails its closure stage.  Only the
-    rest are decoded.  attempts (and max_attempts, default
-    default_max_decodes(n)) count drawn triples, so the result at a given
-    seed is the one that decoding every drawn triple gives."""
-    _require_positive("n", n)
+    integer weights, by the bounded draw of Random.randrange (k-bit draws,
+    k = total.bit_length(), until one is below total), then each of the
+    words a, b, c, always in this order, by drawing (n-1)-bit words until
+    one has the required popcount.  The tests run on the words, before any
+    degree list is made: a triple fails its tree stage when bit 0 of a is 0
+    (alpha[0] = 1) or _contour_closes(a, b, n) is false, and its closure
+    stage when _strands_close(a, b, c) is false, exactly when decode fails
+    the same stage.  Only the rest are decoded.  attempts (and
+    max_attempts, default default_max_decodes(n)) count drawn triples, so
+    the result at a given seed is the one that decoding every drawn triple
+    gives."""
+    _require_faces(n)
     _require_positive("max_attempts", max_attempts)
     cum = _popcount_table(n)
-    total, width, randrange = cum[-1], n - 1, rng.randrange
+    total, width, getrandbits = cum[-1], n - 1, rng.getrandbits
+    bits = total.bit_length()
     if max_attempts is None:
         max_attempts = default_max_decodes(n)
     for attempt in range(1, max_attempts + 1):
-        s = bisect_right(cum, randrange(total))
-        a = _fixed_popcount_word(rng, width, s)
-        b = _fixed_popcount_word(rng, width, width - s)
-        c = _fixed_popcount_word(rng, width, width - s)
-        if not a & 1 or not _contour_closes(a, b, n):
+        while (r := getrandbits(bits)) >= total:
+            pass
+        s = bisect_right(cum, r)
+        k = width - s
+        while (a := getrandbits(width)).bit_count() != s:
+            pass
+        while (b := getrandbits(width)).bit_count() != k:
+            pass
+        while (c := getrandbits(width)).bit_count() != k:
+            pass
+        if not (a & 1 and _contour_closes(a, b, n) and
+                _strands_close(a, b, c)):
             continue
-        alpha = _word_to_runs(a, n)
-        beta = _word_to_runs(b, n)
-        gamma = _word_to_runs(c, n)
-        if not _strands_close(alpha, beta, gamma):
-            continue
-        t = EncodingTriple(alpha=tuple(alpha), beta=tuple(beta),
-                           gamma=tuple(gamma))
+        t = EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
+                           beta=tuple(_word_to_runs(b, n)),
+                           gamma=tuple(_word_to_runs(c, n)))
         try:
             pair = decode(t)
         except SamplerError as exc:
@@ -731,7 +732,7 @@ def concentration_experiment(n, sample_count, seed, max_attempts=None,
     default_max_decodes(n)).  Per-sample streams derive from (seed, index),
     so results do not depend on evaluation order or parallelism.  At most
     min(jobs, sample_count, CPU count) worker processes run."""
-    _require_positive("n", n)
+    _require_faces(n)
     _require_positive("sample count", sample_count)
     _require_positive("max_attempts", max_attempts)
     _require_positive("jobs", jobs)

@@ -17,8 +17,8 @@ from schnyder_kit.schnyder import (
     _vertex_violations, clockwise_jump, colors_of,
 )
 from schnyder_kit.sampler import (
-    DEFAULT_MAX_ATTEMPTS, EncodingTriple, _fixed_popcount_word,
-    _popcount_table, _word_to_runs, decode, default_max_decodes,
+    DEFAULT_MAX_ATTEMPTS, EncodingTriple, _popcount_table, _word_to_runs,
+    decode, default_max_decodes,
 )
 
 
@@ -142,10 +142,20 @@ def rejection_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
                        f"no valid triple in {max_attempts} attempts at n={n}")
 
 
+def _fixed_popcount_word(rng, width, k):
+    """A uniform width-bit word with exactly k one bits (retry until the
+    popcount matches; a class near the middle holds a large share)."""
+    getrandbits = rng.getrandbits
+    while (w := getrandbits(width)).bit_count() != k:
+        pass
+    return w
+
+
 def decode_every_triple_sample(n, rng, max_attempts=None):
     """rejection_sample_fast without its pre-tests: the same
-    draws (s, then words a, b, c per attempt), but every drawn triple is
-    decoded.  Returns ((Q, F), triple, attempts)."""
+    draws (s by Random.randrange, then words a, b, c by
+    _fixed_popcount_word, per attempt), but every drawn triple is decoded.
+    Returns ((Q, F), triple, attempts)."""
     if n < 1:
         raise SamplerError("BadParameter", f"n = {n} must be positive")
     cum = _popcount_table(n)
@@ -240,6 +250,57 @@ def sweep_closes(color, children, gamma_of):
     leftover = [v for _, v in stack]
     return bool(leftover) and leftover[0] == children[0][0] and \
         leftover[-1] == children[0][-1]
+
+
+_SLOT = -1                       # an incoming T2' slot on the strand stack
+
+
+def strands_close_on_lists(alpha, beta, gamma):
+    """Whether the T2' strands close, by the preorder walk of
+    sampler._strands_close on the degree lists instead of the flip words,
+    reading each degree by index (tree_word_closes must hold), but keeping
+    the strand stack itself instead of a count of open slots: outs are
+    white ids, slots are _SLOT.  A white vertex whose subtree ends
+    pushes its out and then gamma-1 slots; a non-root black vertex pops the
+    trailing outs and then needs one slot.  True iff every black vertex
+    finds its slot and only outs remain, the bottom one from u2 (white 0,
+    the first child of u1) and the top one from u4 (the last child)."""
+    ia, ib = 1, 0
+    top = alpha[0]
+    white = True                           # top's children are white
+    stack = []
+    whites = []                            # the open white vertices
+    strands = []
+    u4 = 0
+    while True:
+        if top:
+            if white:
+                if not stack:
+                    u4 = ib
+                whites.append(ib)
+                deg = beta[ib]
+                ib += 1
+            else:
+                deg = alpha[ia]
+                ia += 1
+                while strands and strands[-1] != _SLOT:
+                    strands.pop()
+                if not strands:
+                    return False
+                strands.pop()
+            stack.append(top - 1)
+            top = deg - 1
+            white = not white
+        elif stack:
+            if not white:                  # a white vertex's subtree ends
+                w = whites.pop()
+                strands.append(w)
+                strands.extend([_SLOT] * (gamma[w] - 1))
+            top = stack.pop()
+            white = not white
+        else:
+            return bool(strands) and strands[0] == 0 and \
+                strands[-1] == u4 and _SLOT not in strands
 
 
 # -- colored-dart paths, one walk per vertex ------------------------------

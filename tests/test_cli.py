@@ -223,7 +223,8 @@ def test_sample_rejects_nonpositive_count(count):
 
 @pytest.mark.parametrize("option", [["--max-attempts", "0"],
                                     ["--max-attempts", "-5"],
-                                    ["--jobs", "0"], ["--jobs", "-1"]])
+                                    ["--jobs", "0"], ["--jobs", "-1"],
+                                    ["--n", "1"]])
 def test_sample_rejects_nonpositive_attempts_and_jobs(option):
     rc, text = run(["sample", "--n", "4", "--count", "1"] + option)
     assert rc == 1

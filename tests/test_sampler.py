@@ -16,8 +16,9 @@ import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
-    _geometric, bit_filter_sample, decode_every_triple_sample, grow_tree,
-    pair_code, rejection_sample, rooted_code, sample_geometric_triple,
+    _fixed_popcount_word, _geometric, bit_filter_sample,
+    decode_every_triple_sample, grow_tree, pair_code, rejection_sample,
+    rooted_code, sample_geometric_triple, strands_close_on_lists,
     sweep_closes, tree_word_closes,
 )
 
@@ -209,44 +210,103 @@ def test_fixed_popcount_draw_reaches_exactly_its_class():
     width = 3                                   # the flip words at n = 4
     for k in range(width + 1):
         cls = {w for w in range(1 << width) if w.bit_count() == k}
-        seen = {SA._fixed_popcount_word(random.Random(seed), width, k)
+        seen = {_fixed_popcount_word(random.Random(seed), width, k)
                 for seed in range(200)}
         assert seen == cls, (k, seen)
 
 
+class LoggingRandom(random.Random):
+    """A Random that logs every getrandbits(k) call and its value."""
+
+    def __init__(self, seed):
+        self.log = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        value = super().getrandbits(k)
+        self.log.append((k, value))
+        return value
+
+
 def test_attempts_count_drawn_triples(monkeypatch):
-    words = []
+    # the sampler makes exactly the getrandbits calls of the oracle, which
+    # draws s by randrange and each word by _fixed_popcount_word, with the
+    # same values, and returns its triple and attempts; it decodes at most
+    # one triple per attempt, the returned one last
     decoded = []
-    draw_word, decode = SA._fixed_popcount_word, SA.decode
+    decode = SA.decode
+    monkeypatch.setattr(SA, "decode", lambda t: decoded.append(t) or decode(t))
 
-    def counting_word(*args):
-        words.append(args)
-        return draw_word(*args)
+    def logged(fn, n, seed, *cap):
+        rng = LoggingRandom(seed)
+        try:
+            _, t, attempts = fn(n, rng, *cap)
+        except SamplerError as exc:
+            return rng.log, (exc.kind, exc.detail)
+        return rng.log, (t, attempts)
 
-    def counting_decode(t):
-        decoded.append(t)
-        return decode(t)
-
-    monkeypatch.setattr(SA, "_fixed_popcount_word", counting_word)
-    monkeypatch.setattr(SA, "decode", counting_decode)
-    _, t, attempts = SA.rejection_sample_fast(10, random.Random(4))
-    assert len(words) == 3 * attempts
-    assert 1 <= len(decoded) <= attempts and decoded[-1] == t
-    for seq in (t.alpha, t.beta, t.gamma):
-        assert sum(seq) == 10
-    words.clear()
+    for n in (4, 10, 24):
+        for seed in range(40):
+            decoded.clear()
+            log, result = logged(SA.rejection_sample_fast, n, seed)
+            assert (log, result) == \
+                logged(decode_every_triple_sample, n, seed), (n, seed)
+            if isinstance(result[0], SA.EncodingTriple):
+                t, attempts = result
+                assert 1 <= len(decoded) <= attempts and decoded[-1] == t
+                assert all(sum(seq) == n for seq in (t.alpha, t.beta, t.gamma))
     decoded.clear()
-    with pytest.raises(SamplerError) as ei:
-        SA.rejection_sample_fast(24, random.Random(0), max_attempts=3)
-    assert ei.value.kind == "RejectionLimitExceeded"
-    assert len(words) == 9 and len(decoded) <= 3
-    words.clear()
+    log, result = logged(SA.rejection_sample_fast, 24, 0, 3)
+    assert result[0] == "RejectionLimitExceeded" and len(decoded) <= 3
+    assert (log, result) == logged(decode_every_triple_sample, 24, 0, 3)
     decoded.clear()
     monkeypatch.setattr(SA, "default_max_decodes", lambda n: 2)
-    with pytest.raises(SamplerError) as ei:
-        SA.rejection_sample_fast(24, random.Random(0))
-    assert ei.value.kind == "RejectionLimitExceeded"
-    assert len(words) == 6 and len(decoded) <= 2
+    log, result = logged(SA.rejection_sample_fast, 24, 0)
+    assert result[0] == "RejectionLimitExceeded" and len(decoded) <= 2
+    assert (log, result) == logged(decode_every_triple_sample, 24, 0, 2)
+
+
+class _ClassDrawn(Exception):
+    pass
+
+
+def test_class_draw_consumes_the_generator_as_randrange():
+    # the sampler draws its class inline; stopped at the first word draw,
+    # it has taken the value randrange(total) takes, and left the same
+    # generator state.  n = 2 has total 2, a power of two, where randrange
+    # draws total.bit_length() = 2 bits, not 1.
+    class StopAtWords(random.Random):
+        def getrandbits(self, k):
+            if k != self.bits:
+                raise _ClassDrawn
+            self.value = super().getrandbits(k)
+            return self.value
+
+    assert SA._popcount_table(2)[-1] == 2
+    for n in range(2, 41):
+        total = SA._popcount_table(n)[-1]
+        assert total.bit_length() != n - 1
+        for seed in range(200):
+            rng = StopAtWords(seed)
+            rng.bits = total.bit_length()
+            with pytest.raises(_ClassDrawn):
+                SA.rejection_sample_fast(n, rng, 1)
+            ref = random.Random(seed)
+            assert rng.value == ref.randrange(total), (n, seed)
+            assert rng.getstate() == ref.getstate(), (n, seed)
+
+
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_n_below_two_is_a_bad_parameter_before_any_draw(n):
+    # at n = 1 alpha is (1), which never decodes: no triple is drawn
+    rng = LoggingRandom(0)
+    for call in (lambda: SA.rejection_sample_fast(n, rng),
+                 lambda: SA.concentration_experiment(n, 1, seed=0)):
+        with pytest.raises(SamplerError) as ei:
+            call()
+        assert ei.value.kind == "BadParameter"
+        assert ei.value.detail == f"n = {n} must be at least 2"
+    assert rng.log == []
 
 
 @pytest.mark.parametrize("n", [4, 6, 10, 24])
@@ -302,8 +362,8 @@ def test_word_walk_agrees_with_the_tree_on_random_pairs(n):
     outcomes = Counter()
     for _ in range(2000):
         s = bisect_right(cum, rng.randrange(cum[-1]))
-        a = SA._fixed_popcount_word(rng, n - 1, s)
-        b = SA._fixed_popcount_word(rng, n - 1, n - 1 - s)
+        a = _fixed_popcount_word(rng, n - 1, s)
+        b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
         closes = SA._contour_closes(a, b, n)
         assert closes == tree_word_closes(SA._word_to_runs(a, n),
                                           SA._word_to_runs(b, n)), (n, a, b)
@@ -332,16 +392,17 @@ def test_decode_checks_lengths_before_building_words(monkeypatch):
         assert ei.value.detail == detail
     assert words == []
     SA.decode(SA.EncodingTriple((3, 2, 1), (1, 1, 2, 2), (2, 2, 1, 1)))
-    assert words == [(3, 2, 1), (1, 1, 2, 2)]
+    assert words == [(3, 2, 1), (1, 1, 2, 2), (2, 2, 1, 1)]
 
 
 def test_strands_pretest_fails_exactly_when_the_sweep_does():
     # every triple of flip words with the conditioned popcounts, n <= 8,
-    # that passes the tree stage: the count-only strand test fails exactly
-    # when the full matching sweep over the tree does, counting its u2/u4
-    # check; the oracle grows the tree recursively, so it shares no walk
-    # with the library.  The triples that pass number the pairs with n
-    # faces (Baxter numbers, as counted by test_enumerate_pairs_counts).
+    # that passes the tree stage: the count-only strand walk on the words
+    # fails exactly when the full matching sweep over the tree does,
+    # counting its u2/u4 check; the oracle grows the tree recursively from
+    # the degree lists, so it shares no walk with the library.  The triples
+    # that pass number the pairs with n faces (Baxter numbers, as counted
+    # by test_enumerate_pairs_counts).
     closing = []
     for n in range(1, 9):
         by_popcount = [[] for _ in range(n)]
@@ -359,14 +420,40 @@ def test_strands_pretest_fails_exactly_when_the_sweep_does():
                     if not SA._contour_closes(a, b, n):
                         continue
                     for c in words:
-                        gamma = SA._word_to_runs(c, n)
                         color, children, gamma_of = grow_tree(
-                            alpha, beta, gamma)
-                        closes = SA._strands_close(alpha, beta, gamma)
+                            alpha, beta, SA._word_to_runs(c, n))
+                        closes = SA._strands_close(a, b, c)
                         assert closes == sweep_closes(
                             color, children, gamma_of), (n, a, b, c)
                         closing[-1] += closes
     assert closing == [0, 1, 2, 6, 22, 92, 422, 2074]
+
+
+@pytest.mark.parametrize("n", [24, 40, 100])
+def test_strands_word_walk_agrees_with_the_list_walk(n):
+    # triples drawn as the sampler draws them that pass the tree stage, at
+    # sizes the exhaustive test cannot reach; few of them close, so the
+    # triples of three samples, which all close, are compared too
+    def agree(a, b, c):
+        closes = SA._strands_close(a, b, c)
+        lists = [SA._word_to_runs(w, n) for w in (a, b, c)]
+        assert closes == strands_close_on_lists(*lists), (n, a, b, c)
+        return closes
+
+    rng = random.Random(n)
+    cum = SA._popcount_table(n)
+    compared = 0
+    while compared < 1000:
+        s = bisect_right(cum, rng.randrange(cum[-1]))
+        a = _fixed_popcount_word(rng, n - 1, s)
+        b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
+        c = _fixed_popcount_word(rng, n - 1, n - 1 - s)
+        if a & 1 and SA._contour_closes(a, b, n):
+            agree(a, b, c)
+            compared += 1
+    for seed in range(3):
+        _, t, _ = SA.rejection_sample_fast(n, random.Random(seed), 10 ** 7)
+        assert agree(*map(SA._runs_to_word, (t.alpha, t.beta, t.gamma)))
 
 
 def baxter_summand(n, s):
@@ -401,8 +488,8 @@ def test_closing_triples_per_popcount_class_are_baxter_summands():
                 for b, beta in runs:
                     if not SA._contour_closes(a, b, n):
                         continue
-                    for _, gamma in runs:
-                        if not SA._strands_close(alpha, beta, gamma):
+                    for c, gamma in runs:
+                        if not SA._strands_close(a, b, c):
                             continue
                         counts[s] += 1
                         if n <= 7:
