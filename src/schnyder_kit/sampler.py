@@ -8,15 +8,15 @@ Walking clockwise around T1' from the external corner of u1 and recording the
 T1'-degrees of the black vertices (alpha) and the T1'- and T2'-degrees of the
 white vertices (beta, gamma) in discovery order encodes the pair completely.
 
-decode reverses this.  The count-only walks _contour_closes and
-_strands_close, which read the degrees off the flip words of alpha, beta
-and gamma, first decide whether the degree word closes the contour of T1'
-and whether the T2' strands close around it (counting the open slots
-suffices).  Then one walk along the contour (_rotations) creates the nodes
-of T1' in preorder and reattaches T2' by a planar matching of strands (each
-white vertex offers its parent strand and gamma-1 child slots; each black
-vertex takes the adjacent strands off a stack), appending each dart to its
-vertex's clockwise list.
+decode reverses this.  Two tests on the flip words of alpha, beta and
+gamma first decide whether the degree word closes the contour of T1'
+(_contour_closes, a ballot test: a +-1 path read off alpha and beta never
+goes below 0) and whether the T2' strands close around it (_strands_close,
+a walk that counts the open slots).  Then one walk along the contour
+(_rotations) creates the nodes of T1' in preorder and reattaches T2' by a
+planar matching of strands (each white vertex offers its parent strand and
+gamma-1 child slots; each black vertex takes the adjacent strands off a
+stack), appending each dart to its vertex's clockwise list.
 The completed map must be a quadrangulation with outer face u1 u2 u3 u4,
 its reduced decomposition must pass validate_reduced_schnyder (in
 lambda_inverse), and the lifted decomposition must be even; a valid
@@ -147,67 +147,61 @@ def _invalid(stage, detail):
 
 def _contour_closes(a, b, n):
     """Whether the flip words a and b of alpha and beta (_word_to_runs; n
-    flips each, so n - popcount degrees each) close the clockwise contour
-    of T1' exactly.
+    flips each, flip n-1 zero) close the clockwise contour of T1' exactly:
+    whether alpha gives the black nodes (the root u1 first) and beta the
+    white ones of a plane tree, in the preorder in which _rotations creates
+    T1'.  Requires popcount(a) + popcount(b) = n - 1, that is r + s = n.
 
-    Walks the preorder in which _rotations creates T1', keeping only the
-    child counts still owed by the current node (top) and by its ancestors
-    (the stack): a node at even depth is black and takes the next degree of
-    a, one at odd depth is white and takes the next degree of b, and every
-    degree but the root's counts its parent edge.  The next degree of a
-    word is its count of trailing one bits plus one, and reading it shifts
-    those bits and their closing zero out; a leaf (degree 1) owes nothing
-    and ends at once.  True iff neither word runs out of degrees before the
-    walk returns to the root with nothing owed, and both are used up when
-    it does."""
-    ra, rb = n - a.bit_count(), n - b.bit_count()
-    top = (a ^ (a + 1)).bit_length()
-    a >>= top
-    ia, ib = 1, 0
-    white = True                           # top's children are white
-    stack = []
-    while True:
-        if top:
-            if white:
-                if ib == rb:
-                    return False
-                deg = (b ^ (b + 1)).bit_length()
-                b >>= deg
-                ib += 1
-            else:
-                if ia == ra:
-                    return False
-                deg = (a ^ (a + 1)).bit_length()
-                a >>= deg
-                ia += 1
-            if deg == 1:
-                top -= 1
-            else:
-                stack.append(top - 1)
-                top = deg - 1
-                white = not white
-        elif stack:
-            top = stack.pop()
-            white = not white
-        else:
-            return ia == ra and ib == rb
+    A ballot test.  Over the low n-1 flips, a flip where a and b are both 1
+    is a +1 step, one where both are 0 a -1 step, any other a 0 step; the
+    tree closes iff no prefix sum is negative, that is iff below the k-th
+    (0, 0) flip lie at least k (1, 1) flips.
+
+    Why: once a walk of the tree has made its first i whites and first j
+    blacks, in any order, A(j) - i white children and B(i) - j + 1 black
+    children are still owed.  A(j) is 1 plus the ones of a before its j-th
+    zero (the root owes alpha[0] children, a later black alpha[t] - 1), and
+    B(i) the ones of b before its i-th zero.  By the precondition A(r) =
+    s + 1 and B(s + 1) = r - 1, so the owed counts never ask for a degree
+    past the end of a word, and the walk stops at the least fixed point
+    (A(j) = i, B(i) = j - 1) above (0, 1).  A fixed point is a (0, 0) flip
+    p = i + j - 2 that is the j-th zero of a and the i-th of b, so one
+    after which the sum is -1, and each such flip is one; (i, j) grows
+    with p.  So the walk stops at the first flip where the sum reaches -1,
+    and closes iff that is flip n-1, the full tree (s + 1, r)."""
+    both = a & b
+    zeros = ~(a | b) & ((1 << (n - 1)) - 1)
+    k = 0
+    while zeros:
+        k += 1
+        low = zeros & -zeros
+        if (both & (low - 1)).bit_count() < k:
+            return False
+        zeros ^= low
+    return True
 
 
 def _strands_close(a, b, c):
     """Whether the T2' strands close along the clockwise contour of T1'.
 
-    The count-only form of the strand matching in _rotations.  Walks the
-    preorder of _contour_closes (which must hold) on the flip words a and b,
-    and reads each white vertex's gamma degree off the flip word c when that
-    white opens.  When a white vertex's subtree ends it offers its out and
-    then gamma-1 slots; a non-root black vertex takes the outs above the top
-    slot and then needs that slot.  So only the number of open slots
-    matters: True iff every black vertex finds one and none is left (with
-    all three sums n, the whites offer one slot per non-root black).  The
-    outs left for u3 then run from u2 to u4, as they must: u2 (white 0)
-    opens first, so a black child of it would find no slot, and its out
-    stays at the bottom, since a black vertex that takes it finds no slot;
-    u4's subtree ends last, so its out is on top once it leaves no slot."""
+    The count-only form of the strand matching in _rotations.  Walks T1'
+    in preorder on the flip words a and b (_contour_closes must hold),
+    keeping the child counts still owed by the current node (top) and its
+    ancestors (the stack): a node at even depth is black and takes the next
+    degree of a, one at odd depth white and takes the next degree of b, and
+    every degree but the root's counts its parent edge.  The next degree of
+    a word is its count of trailing one bits plus one, and reading it shifts
+    those bits and their closing zero out.  The walk reads each white
+    vertex's gamma degree off the flip word c when that white opens.  When
+    a white vertex's subtree ends it offers its out and then gamma-1 slots;
+    a non-root black vertex takes the outs above the top slot and then
+    needs that slot.  So only the number of open slots matters: True iff every
+    black vertex finds one and none is left (with all three sums n, the
+    whites offer one slot per non-root black).  The outs left for u3 then
+    run from u2 to u4, as they must: u2 (white 0) opens first, so a black
+    child of it would find no slot, and its out stays at the bottom, since
+    a black vertex that takes it finds no slot; u4's subtree ends last, so
+    its out is on top once it leaves no slot."""
     top = (a ^ (a + 1)).bit_length()
     a >>= top
     white = True                           # top's children are white
@@ -243,18 +237,19 @@ def _strands_close(a, b, c):
 def _rotations(alpha, beta, gamma):
     """Clockwise dart lists of the completed map, built in one walk.
 
-    Walks the preorder of _contour_closes and matches the strands that
-    _strands_close counts (both must hold).  Node v is the v-th node of T1'
-    in preorder (node 0 is u1) and u3 is node N, with N = r + s + 1 tree
-    nodes and W = s + 1 whites.  Edge v-1 is the T1' edge of node v, edge N-1+j
-    the T2' edge of white j and edge N-2+W+i that of black i >= 1; dart 2e
-    leaves the node whose parent edge e is.  A node's list starts with its
-    parent dart and gets each child's dart as the child is created.  A
-    non-root black node then pops the adjacent outs (its T2' children) and
-    one slot (its T2' parent); a white node whose subtree ends appends its
-    out and gamma-1 slots, which later black nodes fill.  The outs left
-    over go to u3.  Returns the lists, node by node, and the T2' dart
-    leaving each tree node (None at u1)."""
+    Walks T1' in preorder as _strands_close does, on the degree lists, and
+    matches the strands that it counts (_contour_closes and _strands_close
+    must hold).  Node v is the v-th node of T1' in preorder (node 0 is u1)
+    and u3 is node N, with N = r + s + 1 tree nodes and W = s + 1 whites.
+    Edge v-1 is the T1' edge of node v, edge N-1+j the T2' edge of white j and
+    edge N-2+W+i that of black i >= 1; dart 2e leaves the node whose parent
+    edge e is.  A node's list starts with its parent dart and gets each
+    child's dart as the child is created.  A non-root black node then pops
+    the adjacent outs (its T2' children) and one slot (its T2' parent); a
+    white node whose subtree ends appends its out and gamma-1 slots, which
+    later black nodes fill.  The outs left over go to u3.  Returns the
+    lists, node by node, and the T2' dart leaving each tree node (None at
+    u1)."""
     n_nodes = len(alpha) + len(beta)
     white_e = n_nodes - 1
     black_e = n_nodes - 2 + len(beta)
@@ -299,19 +294,18 @@ def _rotations(alpha, beta, gamma):
 def decode(t):
     """The pair (quadrangulation, even Schnyder decomposition) encoded by a
     triple, or SamplerError(kind="Invalid") with the failing stage: the
-    input checks, alpha[0] >= 2 and _contour_closes on the flip words of
-    alpha and beta, built only once the sums and lengths bound n by the
-    input's length (TreeReconstructionFailed), _strands_close on those and
-    the flip word of gamma, and the map that _rotations builds
-    (ClosureFailed), then the quadrangulation and its outer face, the
-    reduced validator and evenness (ValidationFailed)."""
+    input checks (every degree an int, not a bool), alpha[0] >= 2 and
+    _contour_closes on the flip words of alpha and beta, built only once
+    the sums and lengths bound n by the input's length
+    (TreeReconstructionFailed), _strands_close on those and the flip word
+    of gamma, and the map that _rotations builds (ClosureFailed), then the
+    quadrangulation and its outer face, the reduced validator and evenness
+    (ValidationFailed)."""
     alpha, beta, gamma = t.alpha, t.beta, t.gamma
     if not alpha or not beta or not gamma:
         raise _invalid("TreeReconstructionFailed", "empty degree sequence")
     for seq in (alpha, beta, gamma):
-        ints = set(map(type, seq)) == {int} or \
-            all(isinstance(x, int) for x in seq)
-        if not ints or min(seq) < 1:
+        if not all(type(x) is int for x in seq) or min(seq) < 1:
             raise _invalid("TreeReconstructionFailed",
                            "degrees must be positive integers")
     n = sum(alpha)
@@ -426,9 +420,10 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     words a, b, c, always in this order, by drawing (n-1)-bit words until
     one has the required popcount.  The tests run on the words, before any
     degree list is made: a triple fails its tree stage when bit 0 of a is 0
-    (alpha[0] = 1) or _contour_closes(a, b, n) is false, and its closure
-    stage when _strands_close(a, b, c) is false, exactly when decode fails
-    the same stage.  Only the rest are decoded.  attempts (and
+    (alpha[0] = 1) or the ballot test _contour_closes(a, b, n) is false
+    (some prefix of a and b has more (0, 0) flips than (1, 1) flips), and
+    its closure stage when _strands_close(a, b, c) is false, exactly when
+    decode fails the same stage.  Only the rest are decoded.  attempts (and
     max_attempts, default default_max_decodes(n)) count drawn triples, so
     the result at a given seed is the one that decoding every drawn triple
     gives."""

@@ -35,21 +35,32 @@ KEEP = {"lambda_star", "lambda_star_inverse", "chi_inverse", "dual_labelling",
         "is_even_labelling", "xi", "encode"}
 
 
-def unused_definitions(sources):
-    """Names of the functions, classes and methods defined in sources that
-    no Name or Attribute node of sources mentions, dunders aside."""
-    trees = [ast.parse(path.read_text(), filename=str(path))
-             for path in sources]
-    defined, named = set(), set()
-    for node in (n for tree in trees for n in ast.walk(tree)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            defined.add(node.name)
-        elif isinstance(node, ast.Name):
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def mentioned(nodes):
+    """The ids of the Name nodes and the attrs of the Attribute nodes in
+    the trees of nodes."""
+    named = set()
+    for node in (n for tree in nodes for n in ast.walk(tree)):
+        if isinstance(node, ast.Name):
             named.add(node.id)
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
-    return {name for name in defined - named
+    return named
+
+
+def unused_definitions(sources):
+    """Names of the functions, classes and methods defined in sources that
+    no Name or Attribute node of sources mentions, dunders aside."""
+    trees = [parse(path) for path in sources]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, DEFINITIONS)}
+    return {name for name in defined - mentioned(trees)
             if not (name.startswith("__") and name.endswith("__"))}
 
 
@@ -57,3 +68,27 @@ def test_the_package_defines_only_what_it_uses():
     """Test-only helpers belong in tests/: every definition in the package
     is used by the package, or is one of the paper's maps in KEEP."""
     assert unused_definitions(sorted(PACKAGE.rglob("*.py"))) - KEEP == set()
+
+
+def top_level_names(node):
+    """The names that a module-level statement defines."""
+    if isinstance(node, DEFINITIONS):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def test_every_oracle_is_used_by_a_test():
+    """An oracle that no test calls checks nothing: every top-level
+    definition of tests/oracles.py is named by another test file or by
+    another definition of oracles.py, not only inside its own body."""
+    tests = pathlib.Path(__file__).parent
+    oracles = tests / "oracles.py"
+    body = parse(oracles).body
+    defined = set().union(*map(top_level_names, body))
+    named = mentioned(parse(path) for path in sorted(tests.rglob("*.py"))
+                      if path != oracles)
+    for node in body:
+        named |= mentioned([node]) - top_level_names(node)
+    assert defined - named == set()

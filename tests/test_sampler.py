@@ -105,12 +105,19 @@ def test_decode_error_stages():
         SA.decode(SA.EncodingTriple((2, 2), (1, 2, 1), (1, 2, 1)))
     assert ei.value.stage == "ClosureFailed"
     assert ei.value.as_object()["kind"] == "Invalid"
-    for bad in ((3, 1.0), (3, 0, 1), (3, "1"), (None,)):
+    for bad in ((3, 1.0), (3, 0, 1), (3, "1"), (None,), (3, True)):
         for t in (SA.EncodingTriple((2, 2), bad, (2, 1, 1)),
                   SA.EncodingTriple(bad, (2, 2), (2, 2))):
             with pytest.raises(SamplerError) as ei:
                 SA.decode(t)
             assert ei.value.detail == "degrees must be positive integers"
+    # isinstance(True, int) holds, but a bool is no degree: with 1 in place
+    # of each True this triple decodes
+    SA.decode(SA.EncodingTriple((2,), (1, 1), (1, 1)))
+    with pytest.raises(SamplerError) as ei:
+        SA.decode(SA.EncodingTriple((2,), (True, True), (True, True)))
+    assert ei.value.stage == "TreeReconstructionFailed"
+    assert ei.value.detail == "degrees must be positive integers"
 
 
 def test_decode_results_are_pinned():
@@ -352,15 +359,15 @@ def test_pretest_fails_exactly_when_the_tree_does():
                     assert passes != fails, (n, a, b)
 
 
-@pytest.mark.parametrize("n", [24, 40, 100])
+@pytest.mark.parametrize("n", [24, 40, 100, 320])
 def test_word_walk_agrees_with_the_tree_on_random_pairs(n):
     # pairs of flip words drawn as the sampler draws them, at sizes the
     # exhaustive test cannot reach; a is odd or even, and both outcomes
-    # occur often
+    # occur often (about 4/n of the pairs close, hence 20n pairs at n = 320)
     rng = random.Random(n)
     cum = SA._popcount_table(n)
     outcomes = Counter()
-    for _ in range(2000):
+    for _ in range(max(2000, 20 * n)):
         s = bisect_right(cum, rng.randrange(cum[-1]))
         a = _fixed_popcount_word(rng, n - 1, s)
         b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
@@ -369,6 +376,34 @@ def test_word_walk_agrees_with_the_tree_on_random_pairs(n):
                                           SA._word_to_runs(b, n)), (n, a, b)
         outcomes[closes] += 1
     assert min(outcomes.values()) >= 40, outcomes
+
+
+def catalan(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def test_tree_stage_counts_plane_trees():
+    # every pair of flip words with popcount(a) = s and popcount(b) = n-1-s,
+    # n <= 11: the pairs that pass the ballot test are the plane trees with
+    # n edges and n - s black (even-depth) nodes, which number the Narayana
+    # number C(n, s) C(n, s+1) / n; Cat(n) in all, and Cat(n) - Cat(n-1)
+    # with a odd, the trees whose root has degree at least 2
+    for n in range(2, 12):
+        by_popcount = [[] for _ in range(n)]
+        for w in range(1 << (n - 1)):
+            by_popcount[w.bit_count()].append(w)
+        counts = [0] * n
+        odd = 0
+        for s in range(n):
+            for a in by_popcount[s]:
+                for b in by_popcount[n - 1 - s]:
+                    if SA._contour_closes(a, b, n):
+                        counts[s] += 1
+                        odd += a & 1
+        assert counts == [comb(n, s) * comb(n, s + 1) // n
+                          for s in range(n)], n
+        assert sum(counts) == catalan(n)
+        assert odd == catalan(n) - catalan(n - 1)
 
 
 def test_decode_checks_lengths_before_building_words(monkeypatch):
