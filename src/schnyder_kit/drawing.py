@@ -7,10 +7,14 @@ P_4(v) + P_2(v) containing e_1*.  Edges bend once at the intersection of the
 rays from their endpoints; color 1 rays point down (-y), color 2 left (-x),
 color 3 up (+y), color 4 right (+x).
 
-The same placement falls out of the two equatorial lines (x = rank along L_1,
-y = rank along L_4), which is the linear-time path this module takes; the
-tests keep face counting as its oracle.  Face classification, grid
-reduction, root completion and the SVG/JSON emitters round out the
+Equivalently x and y are ranks along the two equatorial lines L_1 (from
+v_2* to v_4*) and L_4 (from v_1* to v_3*), and on each line the vertices
+before and after a non-root face are that face's x-markers (on L_1) or
+y-markers (on L_4): the ends of its two special edges, which face_markers
+parses from the face's arc-color pattern.  This module reads both lines off
+the markers in linear time; the tests keep the walk along each line and face
+counting as its oracles.  Compaction classifies faces by the same markers.
+Grid reduction, root completion and the SVG/JSON emitters round out the
 pipeline; the planarity checks of a drawing live with the tests.
 """
 
@@ -22,10 +26,7 @@ from dataclasses import dataclass, field, replace
 from .errors import DrawingError
 from .duality import RegularDecomposition
 from .even import black_faces
-
-
-def _mod4(c):
-    return (c - 1) % 4 + 1
+from .schnyder import _mod
 
 
 DIRECTIONS = {1: (0, -1), 2: (-1, 0), 3: (0, 1), 4: (1, 0)}
@@ -36,73 +37,41 @@ def _color(rd, h):
     return mk.bit_length() if mk else None
 
 
-def _color_dart(rd, v, i):
-    """The dart of color i leaving the non-root vertex v."""
-    for h in rd.host.map.vertex_orbit(v):
-        if rd.masks[h] == 1 << (i - 1):
-            return h
-    raise DrawingError("InvalidDecomposition",
-                       f"vertex {v} has no outgoing arc of color {i}")
-
-
-# -- equatorial lines ------------------------------------------------------
-
-def equatorial_line(rd, i):
-    """The line L_i from v_{i+1}* to v_{i+3}*, alternating non-root vertices
-    and non-root faces, with color-i edges on its right and color-(i+2) edges
-    on its left."""
-    rv = rd.host
-    m = rv.map
-    lo, hi = 1 << (i - 1), 1 << (_mod4(i + 2) - 1)
-    start = m.target(rv.root_darts[i % 4])        # v_{i+1}*
-    stop = m.target(rv.root_darts[(i + 2) % 4])   # v_{i+3}*
-    seq = [("v", start)]
-    u = start
-    while u != stop:
-        h = _color_dart(rd, u, _mod4(i + 3))
-        c = rd.masks[m.twin[h]]
-        if c == hi:
-            f = m.face_of[m.twin[h]]  # face on the right of h
-        elif c == lo:
-            f = m.face_of[h]          # face on the left of h
-        else:
-            raise DrawingError("InvalidDecomposition",
-                               f"equatorial step stuck at vertex {u}")
-        seq.append(("f", f))
-        # leave f through its color-(i+1) arc whose twin closes the pattern
-        exits = []
-        for g in m.faces[f]:
-            for cand in (g, m.twin[g]):
-                if rd.masks[cand] == 1 << (_mod4(i + 1) - 1):
-                    tw = rd.masks[m.twin[cand]]
-                    if tw == lo and m.face_of[m.twin[cand]] == f:
-                        exits.append(cand)
-                    elif tw == hi and m.face_of[cand] == f:
-                        exits.append(cand)
-        if len(set(exits)) != 1:
-            raise DrawingError("InvalidDecomposition",
-                               f"face {f} has {len(set(exits))} exits on L_{i}")
-        u = m.origin[exits[0]]
-        seq.append(("v", u))
-        if len(seq) > 2 * (m.n_vertices + m.n_faces):
-            raise DrawingError("InvalidDecomposition", f"line L_{i} loops")
-    want = 2 * m.n_vertices - 3
-    if len(seq) != want or \
-            {x for k, x in seq if k == "v"} != set(rv.non_root_vertices()) or \
-            {x for k, x in seq if k == "f"} != set(rv.non_root_faces()):
-        raise DrawingError("InternalInvariantViolation",
-                           f"line L_{i} does not visit everything once")
-    return seq
-
+# -- placement -------------------------------------------------------------
 
 def place_by_equatorial_lines(rd):
-    """p(v) as (rank along L_1, rank along L_4); linear time."""
-    xs = [x for k, x in equatorial_line(rd, 1) if k == "v"]
-    ys = [x for k, x in equatorial_line(rd, 4) if k == "v"]
-    coords = {v: [t, None] for t, v in enumerate(xs)}
-    for t, v in enumerate(ys):
-        coords[v][1] = t
-    return {v: tuple(xy) for v, xy in coords.items()}
+    """p(v) as (rank along L_1, rank along L_4); linear time.  Each non-root
+    face links its fx- to its fx+ on L_1 and its fy- to its fy+ on L_4, so
+    the two lines are the chains of these links from v_2* and from v_1*."""
+    rv = rd.host
+    m = rv.map
+    fb = black_faces(rv)
+    next_x, next_y = {}, {}
+    for f in rv.non_root_faces():
+        fxm, fxp, fym, fyp = _xy_markers(*face_markers(rd, f, fb[f]), fb[f])
+        if fxm in next_x or fym in next_y:
+            raise DrawingError("InternalInvariantViolation",
+                               f"face {f} repeats a marker of another face")
+        next_x[fxm] = fxp
+        next_y[fym] = fyp
+    count = m.n_vertices - 1
+    xs = _chain(next_x, m.target(rv.root_darts[1]), count, "L_1")
+    ys = _chain(next_y, m.target(rv.root_darts[0]), count, "L_4")
+    y = {v: t for t, v in enumerate(ys)}
+    return {v: (t, y[v]) for t, v in enumerate(xs)}
+
+
+def _chain(succ, start, count, name):
+    """start, succ[start], ... up to a vertex without a successor: the line
+    name, which must visit count distinct vertices."""
+    seq = [start]
+    while seq[-1] in succ and len(seq) <= count:
+        seq.append(succ[seq[-1]])
+    if len(seq) != count or len(set(seq)) != count:
+        raise DrawingError("InternalInvariantViolation",
+                           f"line {name} does not visit every non-root "
+                           "vertex once")
+    return seq
 
 
 # -- the orthogonal drawing ------------------------------------------------
@@ -211,37 +180,32 @@ class FaceClassification:
 
 def face_markers(rd, f, is_black):
     """(a, a', b, b') of the two special edges of a non-root face, found from
-    the clockwise arc-color pattern around it."""
+    the clockwise arc-color pattern around it: the special edge (a, a') of
+    colors (4, 3), a run of (2, 3) edges, the special edge (b, b') of colors
+    (2, 1) and a run of (4, 1) edges, every color one less on white faces."""
     m = rd.host.map
     cw = m.face_corners(f)
     shift = 0 if is_black else -1
-    pat = lambda g: (_color(rd, g), _color(rd, m.twin[g]))
-    want_a = (_mod4(4 + shift), _mod4(3 + shift))
-    want_b = (_mod4(2 + shift), _mod4(1 + shift))
-    ga = [g for g in cw if pat(g) == want_a]
-    gb = [g for g in cw if pat(g) == want_b]
-    if len(ga) != 1 or len(gb) != 1:
+    pats = [(_color(rd, g), _color(rd, m.twin[g])) for g in cw]
+    spec_a, run1, spec_b, run2 = ((_mod(i + shift, 4), _mod(j + shift, 4))
+                                  for i, j in ((4, 3), (2, 3), (2, 1), (4, 1)))
+    if pats.count(spec_a) != 1 or pats.count(spec_b) != 1:
         raise DrawingError("InternalInvariantViolation",
                            f"face {f} lacks unique special edges")
-    # between the specials the pattern must be the two uniform runs
-    ia, ib = cw.index(ga[0]), cw.index(gb[0])
-    run1 = (_mod4(2 + shift), _mod4(3 + shift))
-    run2 = (_mod4(4 + shift), _mod4(1 + shift))
-    k = (ia + 1) % len(cw)
-    while k != ib:
-        if pat(cw[k]) != run1:
-            raise DrawingError("InternalInvariantViolation",
-                               f"face {f} breaks the bend pattern")
-        k = (k + 1) % len(cw)
-    k = (ib + 1) % len(cw)
-    while k != ia:
-        if pat(cw[k]) != run2:
-            raise DrawingError("InternalInvariantViolation",
-                               f"face {f} breaks the bend pattern")
-        k = (k + 1) % len(cw)
-    a, a2 = m.origin[ga[0]], m.target(ga[0])
-    b, b2 = m.origin[gb[0]], m.target(gb[0])
-    return a, a2, b, b2
+    ia, ib = pats.index(spec_a), pats.index(spec_b)
+    k = (ib - ia) % len(cw)
+    want = [spec_a] + [run1] * (k - 1) + [spec_b] + [run2] * (len(cw) - k - 1)
+    if pats[ia:] + pats[:ia] != want:
+        raise DrawingError("InternalInvariantViolation",
+                           f"face {f} breaks the bend pattern")
+    ga, gb = cw[ia], cw[ib]
+    return m.origin[ga], m.target(ga), m.origin[gb], m.target(gb)
+
+
+def _xy_markers(a, a2, b, b2, is_black):
+    """(fx-, fx+, fy-, fy+) of a face with special edges (a, a') and (b, b'):
+    the vertices before and after it on L_1 and on L_4."""
+    return (a, b, a2, b2) if is_black else (b2, a2, a, b)
 
 
 def classify_faces(gd):
@@ -251,10 +215,7 @@ def classify_faces(gd):
     faces = {}
     for f in rv.non_root_faces():
         a, a2, b, b2 = face_markers(rd, f, fb[f])
-        if fb[f]:
-            fxm, fxp, fym, fyp = a, b, a2, b2
-        else:
-            fxm, fxp, fym, fyp = b2, a2, a, b
+        fxm, fxp, fym, fyp = _xy_markers(a, a2, b, b2, fb[f])
         if gd.coords[fxm][0] + 1 != gd.coords[fxp][0] or \
                 gd.coords[fym][1] + 1 != gd.coords[fyp][1]:
             raise DrawingError("InternalInvariantViolation",

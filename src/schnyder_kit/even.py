@@ -222,7 +222,8 @@ def primal_quadrangulation(rv):
     """The quadrangulation whose dual is rv, with outer face at the face dual
     to v* so that external vertex u_i is the root face f_i*."""
     if rv.d != 4:
-        raise EvenError("OddD", "pipeline requires a 4-regular host")
+        raise EvenError("NotFourRegular", f"pipeline requires a 4-regular "
+                                          f"host, not a {rv.d}-regular one")
     m = rv.map
     qm = m.dual(outer_dart=m.twin[rv.root_darts[0]])
     return as_angulation(qm, 4)

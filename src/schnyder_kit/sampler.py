@@ -464,22 +464,12 @@ def rejection_sample_fast(n, rng, max_attempts=None):
 
 # -- reducibility counts ---------------------------------------------------
 
-def part_full_counts(x):
-    """(part, full) counts of reducible faces.
-
-    For a triple: white indices with (beta_i, gamma_i) = (2, 2) are partly
-    reducible, both >= 2 but not (2, 2) fully reducible.  For a decoded
-    pair the counts cover all internal vertices of Q (black and white), via
-    their degrees in the two spanning trees."""
-    if isinstance(x, EncodingTriple):
-        part = full = 0
-        for b, g in zip(x.beta, x.gamma):
-            if (b, g) == (2, 2):
-                part += 1
-            elif b >= 2 and g >= 2:
-                full += 1
-        return part, full
-    ang, s = x
+def part_full_counts(pair):
+    """(part, full) counts of the reducible faces of a decoded pair (Q, F):
+    over the internal vertices of Q, black and white, those of degree
+    (2, 2) in the two spanning trees T1', T2' are partly reducible, those
+    with both degrees >= 2 but not (2, 2) fully reducible."""
+    ang, s = pair
     m = ang.map
     t1, t2 = _tree_edge_sets(ang, lambda_(s))
     deg = [[0, 0] for _ in range(m.n_vertices)]

@@ -14,7 +14,6 @@ d-bit masks (bit i-1 for color i).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import SchnyderError
@@ -269,49 +268,37 @@ def psi(l):
 def psi_inverse(o):
     """The unique labelling with Psi(l) = o, by color propagation.
 
-    Seeds color 1 at a corner of u_1 and propagates with the two rules:
-    +1 along clockwise face steps, +Omega(v,e) along clockwise vertex steps
-    (external edges count 0).  Every relation is re-verified on completion.
+    Seeds color 1 at a corner of u_1 and propagates along the two forward
+    rules: from corner a to corner next_cw(a) at the same vertex, the color
+    steps by the value of next_cw(a) (external edges count 0); to the next
+    corner clockwise around their face, twin(next_cw(a)), it steps by +1 on
+    the outer face and -1 on the others.  These steps close the vertex and
+    face cycles, so on a connected map they reach every corner, and each
+    relation is checked once.  The result is validated, which checks the
+    outdegrees of o.
     """
     ang = o.host
     if ang is None:
         raise SchnyderError("InvalidOrientation", "orientation lacks an angulation host")
     m = ang.map
     d = ang.d
-
-    def jump(h):
-        return o.values[h] if o.values[h] >= 0 else 0
-
-    # relation list: (corner a, corner b, delta) meaning color(b) = color(a)+delta
-    relations = [[] for _ in range(m.n_darts)]
-
-    def add(a, b, delta):
-        relations[a].append((b, delta))
-        relations[b].append((a, -delta))
-
-    for h in range(m.n_darts):
-        add(h, m.next_cw[h], jump(m.next_cw[h]))
-    for f, orbit in enumerate(m.faces):
-        step = 1 if f == m.outer_face else -1
-        for t in range(len(orbit)):
-            add(m.twin[orbit[t]], m.twin[orbit[(t + 1) % len(orbit)]], step)
-
+    values, next_cw, twin, face_of = o.values, m.next_cw, m.twin, m.face_of
     colors = [None] * m.n_darts
     seed = m.vertex_darts[ang.external[0]]
     colors[seed] = 1
-    q = deque([seed])
-    while q:
-        a = q.popleft()
-        for b, delta in relations[a]:
+    stack = [seed]
+    while stack:
+        a = stack.pop()
+        h = next_cw[a]
+        face_step = 1 if face_of[h] == m.outer_face else -1
+        for b, delta in ((h, max(values[h], 0)), (twin[h], face_step)):
             c = _mod(colors[a] + delta, d)
             if colors[b] is None:
                 colors[b] = c
-                q.append(b)
+                stack.append(b)
             elif colors[b] != c:
                 raise SchnyderError("PropagationConflict",
                                     f"corner {b}: {colors[b]} vs {c}")
-    if any(c is None for c in colors):
-        raise SchnyderError("PropagationConflict", "unreached corners")
     l = CornerLabelling(host=ang, colors=tuple(colors))
     bad = validate_labelling(l)
     if bad:

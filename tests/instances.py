@@ -172,6 +172,11 @@ def square_cycle():
     return map_from_coords(coords, edges)
 
 
+def hexagon_cycle():
+    coords = _ring(6, 2.0, 0)
+    return map_from_coords(coords, [(i, (i + 1) % 6) for i in range(6)])
+
+
 def girth2_quadrangulation():
     """A 4-angulation of girth 2.
 
@@ -218,3 +223,28 @@ def path_map():
     '4-angulation' that is a tree)."""
     rotations = [[0, 2], [1], [3]]
     return build_map(rotations, outer_dart=0)
+
+
+def face_split_quadrangulation(n_faces, rng):
+    """A random quadrangulation with n_faces faces, the outer one included:
+    from a 4-cycle, n_faces - 2 times join a new vertex to two opposite
+    corners of a random inner face.  It stays simple and bipartite, so its
+    girth is 4 and its dual is 4-regular with mincut 4."""
+    nbrs = [[1, 3], [2, 0], [3, 1], [0, 2]]    # clockwise neighbours
+    faces = [(0, 3, 2, 1)]                     # inner face orbits
+    for _ in range(n_faces - 2):
+        k, turn = rng.randrange(len(faces)), rng.randrange(4)
+        a, b, c, d = faces[k][turn:] + faces[k][:turn]
+        x = len(nbrs)
+        nbrs[c].insert(nbrs[c].index(b) + 1, x)
+        nbrs[a].insert(nbrs[a].index(d) + 1, x)
+        nbrs.append([c, a])
+        faces[k] = (a, b, c, x)
+        faces.append((a, x, c, d))
+    dart = {}
+    for u, ws in enumerate(nbrs):
+        for w in ws:
+            if (u, w) not in dart:
+                dart[u, w], dart[w, u] = len(dart), len(dart) + 1
+    return build_map([[dart[u, w] for w in ws] for u, ws in enumerate(nbrs)],
+                     outer_dart=dart[0, 1])

@@ -3,7 +3,6 @@
 from bisect import bisect_right
 from itertools import product
 
-from schnyder_kit.drawing import _color_dart, _mod4
 from schnyder_kit.duality import _tree_violations, _vertex_steps
 from schnyder_kit.errors import (
     DrawingError, MapError, SamplerError, SchnyderError,
@@ -465,13 +464,80 @@ def forest_path_to_root(s, i, v):
     return path
 
 
+def color_dart(rd, v, i):
+    """The dart of color i leaving the non-root vertex v."""
+    for h in rd.host.map.vertex_orbit(v):
+        if rd.masks[h] == 1 << (i - 1):
+            return h
+    raise DrawingError("InvalidDecomposition",
+                       f"vertex {v} has no outgoing arc of color {i}")
+
+
+def equatorial_line(rd, i):
+    """The line L_i from v_{i+1}* to v_{i+3}*, alternating non-root vertices
+    and non-root faces, with color-i edges on its right and color-(i+2) edges
+    on its left: a walk that searches each face for its exit arc, the oracle
+    of the marker chains of place_by_equatorial_lines."""
+    rv = rd.host
+    m = rv.map
+    lo, hi = 1 << (i - 1), 1 << (_mod(i + 2, 4) - 1)
+    start = m.target(rv.root_darts[i % 4])        # v_{i+1}*
+    stop = m.target(rv.root_darts[(i + 2) % 4])   # v_{i+3}*
+    seq = [("v", start)]
+    u = start
+    while u != stop:
+        h = color_dart(rd, u, _mod(i + 3, 4))
+        c = rd.masks[m.twin[h]]
+        if c == hi:
+            f = m.face_of[m.twin[h]]  # face on the right of h
+        elif c == lo:
+            f = m.face_of[h]          # face on the left of h
+        else:
+            raise DrawingError("InvalidDecomposition",
+                               f"equatorial step stuck at vertex {u}")
+        seq.append(("f", f))
+        # leave f through its color-(i+1) arc whose twin closes the pattern
+        exits = []
+        for g in m.faces[f]:
+            for cand in (g, m.twin[g]):
+                if rd.masks[cand] == 1 << (_mod(i + 1, 4) - 1):
+                    tw = rd.masks[m.twin[cand]]
+                    if tw == lo and m.face_of[m.twin[cand]] == f:
+                        exits.append(cand)
+                    elif tw == hi and m.face_of[cand] == f:
+                        exits.append(cand)
+        if len(set(exits)) != 1:
+            raise DrawingError("InvalidDecomposition",
+                               f"face {f} has {len(set(exits))} exits on L_{i}")
+        u = m.origin[exits[0]]
+        seq.append(("v", u))
+        if len(seq) > 2 * (m.n_vertices + m.n_faces):
+            raise DrawingError("InvalidDecomposition", f"line L_{i} loops")
+    want = 2 * m.n_vertices - 3
+    if len(seq) != want or \
+            {x for k, x in seq if k == "v"} != set(rv.non_root_vertices()) or \
+            {x for k, x in seq if k == "f"} != set(rv.non_root_faces()):
+        raise DrawingError("InternalInvariantViolation",
+                           f"line L_{i} does not visit everything once")
+    return seq
+
+
+def place_by_walking_lines(rd):
+    """p(v) as (rank along L_1, rank along L_4) by the walks of
+    equatorial_line."""
+    xs = [x for k, x in equatorial_line(rd, 1) if k == "v"]
+    ys = [x for k, x in equatorial_line(rd, 4) if k == "v"]
+    y = {v: t for t, v in enumerate(ys)}
+    return {v: (t, y[v]) for t, v in enumerate(xs)}
+
+
 def path_to_root(rd, v, i):
     """Darts of the color-i path P_i(v) from v to the root vertex."""
     m = rd.host.map
     darts = []
     w = v
     while w != rd.host.root_vertex:
-        h = _color_dart(rd, w, i)
+        h = color_dart(rd, w, i)
         darts.append(h)
         w = m.target(h)
         if len(darts) > m.n_vertices:
@@ -485,12 +551,12 @@ def region_faces(rd, v, i):
     rv = rd.host
     m = rv.map
     p1 = path_to_root(rd, v, i)
-    p2 = path_to_root(rd, v, _mod4(i + 2))
+    p2 = path_to_root(rd, v, _mod(i + 2, 4))
     mid1 = {m.target(h) for h in p1[:-1]}
     mid2 = {m.target(h) for h in p2[:-1]}
     if mid1 & mid2:
         raise DrawingError("InvalidDecomposition",
-                           f"paths {i} and {_mod4(i + 2)} from {v} meet at "
+                           f"paths {i} and {_mod(i + 2, 4)} from {v} meet at "
                            f"{sorted(mid1 & mid2)}")
     cycle = p1 + [m.twin[h] for h in reversed(p2)]
     left = _left_faces(m, cycle)

@@ -263,6 +263,20 @@ def test_error_objects_and_exit_codes(cube_doc, tmp_path):
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("d, host", [(5, "dodecahedron"),
+                                     (6, "hexagon_cycle")])
+def test_draw_on_a_host_that_is_not_4_regular(tmp_path, d, host):
+    rv = D.dualize(as_angulation(getattr(I, host)(), d))
+    p = tmp_path / "dual.json"
+    p.write_text(json.dumps({"map": rv.map.to_json_obj(), "d": d,
+                             "root_vertex": rv.root_vertex,
+                             "first_root_dart": rv.root_darts[0]}))
+    rc, text = run(["draw", str(p)])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert (err["stage"], err["kind"]) == ("even", "NotFourRegular")
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "{dir}"],
     ["sample", "--n", "4", "--count", "1", "--report", "{dir}"],

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -12,10 +13,12 @@ import schnyder_kit.schnyder as S
 import schnyder_kit.duality as D
 import schnyder_kit.even as E
 import schnyder_kit.drawing as DR
+import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
-    bend_count, check_planarity, place_by_face_counting, special_face_of_edge,
+    bend_count, check_planarity, equatorial_line, place_by_face_counting,
+    place_by_walking_lines, special_face_of_edge,
 )
 from sweep import check_orthogonal_planarity
 
@@ -149,19 +152,63 @@ def test_face_classification_matches_dual_degrees():
     assert seen == {"non_reducible", "partly_reducible", "fully_reducible"}
 
 
-def test_equatorial_line_passes_face_markers_consecutively():
-    rv = D.dualize(as_angulation(I.pseudo_double_wheel(5), 4))
+@pytest.fixture(scope="module")
+def marker_corpus():
+    """Every even regular decomposition of the quadrangulations with at most
+    8 faces (2,619), then the even decomposition of the pipeline on one
+    face-split dual per V* in (20, 100, 400, 1600)."""
+    rds = [rd for m in SA.enumerate_angulations(4, 8)
+           for rd in even_decompositions(as_angulation(m, 4))]
+    for faces in (20, 100, 400, 1600):
+        q = I.face_split_quadrangulation(faces, random.Random(faces))
+        rds.append(E.compute_even_regular_decomposition(
+            D.dualize(as_angulation(q, 4))))
+    assert len(rds) == 2619 + 4
+    return rds
+
+
+def test_placement_equals_the_equatorial_walk(marker_corpus):
+    """The marker chains of place_by_equatorial_lines visit the vertices in
+    the order of the walk along each line, which searches every face for
+    its exit arc."""
+    for rd in marker_corpus:
+        assert DR.place_by_equatorial_lines(rd) == place_by_walking_lines(rd)
+
+
+def test_equatorial_line_passes_face_markers_consecutively(marker_corpus):
+    for rd in marker_corpus:
+        fc = DR.classify_faces(DR.orthogonal_drawing(rd))
+        for i, (pre, post) in ((1, ("fx_minus", "fx_plus")),
+                               (4, ("fy_minus", "fy_plus"))):
+            seq = equatorial_line(rd, i)
+            for t in range(1, len(seq), 2):
+                kind, f = seq[t]
+                assert kind == "f"
+                assert seq[t - 1] == ("v", getattr(fc.faces[f], pre))
+                assert seq[t + 1] == ("v", getattr(fc.faces[f], post))
+
+
+def test_placement_rejects_a_broken_marker_chain(monkeypatch):
+    """A marker that two faces share, or a line that stops short or runs
+    into a loop, is an error: never a silent overwrite or an endless walk."""
+    rv = D.dualize(as_angulation(I.cube(), 4))
     rd = E.compute_even_regular_decomposition(rv)
-    gd = DR.orthogonal_drawing(rd)
-    fc = DR.classify_faces(gd)
-    for i, (pre, post) in ((1, ("fx_minus", "fx_plus")),
-                           (4, ("fy_minus", "fy_plus"))):
-        seq = DR.equatorial_line(rd, i)
-        for t in range(1, len(seq), 2):
-            kind, f = seq[t]
-            assert kind == "f"
-            assert seq[t - 1] == ("v", getattr(fc.faces[f], pre))
-            assert seq[t + 1] == ("v", getattr(fc.faces[f], post))
+    faces, black = rv.non_root_faces(), E.black_faces(rv)
+    assert sum(black[f] for f in faces) >= 2
+    markers = DR.face_markers
+    # every black face reports the special edges of the first black one
+    f0 = next(f for f in faces if black[f])
+    monkeypatch.setattr(DR, "face_markers", lambda rd, f, is_black: markers(
+        rd, f0 if is_black else f, is_black))
+    with pytest.raises(DrawingError) as ei:
+        DR.place_by_equatorial_lines(rd)
+    assert ei.value.kind == "InternalInvariantViolation"
+    assert "repeats a marker" in ei.value.detail
+    for succ, count in (({1: 2}, 3), ({1: 2, 2: 1}, 3), ({1: 2, 2: 1}, 2)):
+        with pytest.raises(DrawingError) as ei:
+            DR._chain(succ, 1, count, "L_1")
+        assert ei.value.kind == "InternalInvariantViolation"
+    assert DR._chain({1: 2, 2: 3}, 1, 3, "L_1") == [1, 2, 3]
 
 
 def exhaustive_reductions():

@@ -173,6 +173,18 @@ def test_mincut_too_small():
     assert ei.value.kind == "MincutTooSmall"
 
 
+@pytest.mark.parametrize("d, host", [(5, "dodecahedron"),
+                                     (6, "hexagon_cycle")])
+def test_pipeline_rejects_a_host_that_is_not_4_regular(d, host):
+    # the icosahedron (d = 5) and the 6-regular dual of the bare hexagon:
+    # the error names the degree and does not claim that d is odd
+    rv = D.dualize(as_angulation(getattr(I, host)(), d))
+    with pytest.raises(EvenError) as ei:
+        E.compute_even_regular_decomposition(rv)
+    assert ei.value.kind == "NotFourRegular"
+    assert f"{d}-regular" in ei.value.detail
+
+
 def test_json_round_trips():
     ang = as_angulation(I.cube(), 4)
     s = even_schnyder_of(ang)

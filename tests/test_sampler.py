@@ -555,11 +555,7 @@ def test_rejection_sample_validates_and_limits():
     assert ei.value.kind == "RejectionLimitExceeded"
 
 
-def test_part_full_counts_triple_vs_pair_vs_geometry():
-    assert SA.part_full_counts(
-        SA.EncodingTriple((9,), (1, 1, 1, 1), (2, 1, 1,))) == (0, 0)
-    assert SA.part_full_counts(
-        SA.EncodingTriple((1,), (2, 3, 2), (2, 2, 3))) == (1, 2)
+def test_part_full_counts_pair_vs_geometry():
     for m in (I.pseudo_double_wheel(4), I.pseudo_double_wheel(5)):
         for ang, s in even_pairs(m):
             part, full = SA.part_full_counts((ang, s))
