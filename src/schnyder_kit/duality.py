@@ -17,8 +17,8 @@ from collections import deque
 from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
-    CornerLabelling, DartTable, _corner_violations, _vertex_violations,
-    phi, validate_labelling, validate_schnyder,
+    CornerLabelling, DartTable, _corner_violations, _sweep,
+    _vertex_violations, phi, validate_labelling, validate_schnyder,
 )
 
 
@@ -172,11 +172,12 @@ def _dual_violations(t):
     p = t.n_colors
     step = rv.d // p
     prime = "'" * t.REDUCED
-    if len(t.masks) != m.n_darts:
+    masks = t.masks
+    if len(masks) != m.n_darts:
         return [("malformed", None, "mask table length mismatch")]
     least, many = (0, "at most") if t.REDUCED else (1, "exactly")
     out = []
-    for h, mk in enumerate(t.masks):
+    for h, mk in enumerate(masks):
         if m.origin[h] == rv.root_vertex and not t.REDUCED:
             if mk:
                 out.append(("ii", h, "arc leaving the root vertex carries "
@@ -188,7 +189,7 @@ def _dual_violations(t):
         return out
     root_edge = {m.edge(h): j for j, h in enumerate(rv.root_darts, start=1)}
     for h in m.edges():
-        a, b = t.masks[h], t.masks[m.twin[h]]
+        a, b = masks[h], masks[m.twin[h]]
         j = root_edge.get(h)
         want = 2 // step if j is None else int(j % step == 0)
         if a & b or bin(a | b).count("1") != want:
@@ -196,29 +197,22 @@ def _dual_violations(t):
                         f"edge {h} must lie in {want} trees, once each"))
     for i in range(1, p + 1):
         x = m.twin[rv.root_darts[step * i - 1]]
-        if t.masks[x] != 1 << (i - 1):
+        if masks[x] != 1 << (i - 1):
             out.append(("ii" + prime, x, f"root edge e_{step * i}* does not "
                                          f"carry color {i} toward the root"))
     if t.REDUCED:
         from .even import black_faces     # even imports this module
         black = black_faces(rv)
         out.extend(("i'", h, f"arc {h} has a white face on its right")
-                   for h, mk in enumerate(t.masks)
+                   for h, mk in enumerate(masks)
                    if mk and not black[m.face_of[m.twin[h]]])
-    for v in rv.non_root_vertices():
-        out.extend(_vertex_violations(t, v, "iii" + prime))
-    return out + _tree_violations(t)
-
-
-def _tree_violations(rd):
-    """Each color class of rd must be a spanning tree oriented toward v*."""
-    rv = rd.host
-    out = []
-    for i in range(1, rd.n_colors + 1):
-        ends = rd.path_ends(i, root=rv.root_vertex)
-        out.extend(("tree", v, f"color {i} path from {v} misses the root")
-                   for v in rv.non_root_vertices() if ends[v] != rv.root_vertex)
-    return out
+    cols, _, ends, _ = _sweep(m, masks, p, root=rv.root_vertex)
+    others = rv.non_root_vertices()
+    out += _vertex_violations(m, cols, p, others, "iii" + prime)
+    nv = m.n_vertices
+    return out + [("tree", v, f"color {i} path from {v} misses the root")
+                  for i in range(1, p + 1) for v in others
+                  if ends[(i - 1) * nv + v] != (i - 1) * nv + rv.root_vertex]
 
 
 # -- chi ------------------------------------------------------------------

@@ -15,8 +15,6 @@ anchored at the root face f_1* (black).
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import EvenError, MapError, OrientationError
 from .planar_map import as_angulation
 from .duality import (
@@ -24,8 +22,8 @@ from .duality import (
 )
 from .orientation import compute_p_p1_orientation, double
 from .schnyder import (
-    DartTable, SchnyderDecomposition, _mod, _primal_violations, colors_of,
-    phi, psi_inverse,
+    DartTable, SchnyderDecomposition, _primal_violations, colors_of, phi,
+    psi_inverse,
 )
 from . import duality as _duality
 
@@ -49,21 +47,11 @@ def black_faces(rv):
     """Per-face blackness of the dual host: faces adjacent across an edge get
     opposite colors, anchored black at the root face f_1*."""
     _require_even_d(rv.d)
-    m = rv.map
-    color = [None] * m.n_faces
-    color[rv.root_faces[0]] = True
-    q = deque([rv.root_faces[0]])
-    while q:
-        f = q.popleft()
-        for h in m.faces[f]:
-            g = m.face_of[m.twin[h]]
-            if color[g] is None:
-                color[g] = not color[f]
-                q.append(g)
-            elif color[g] == color[f]:
-                raise EvenError("NotBipartite",
-                                "face adjacencies admit no black/white split")
-    return tuple(color)
+    try:
+        return rv.map.face_bipartition_from(rv.root_faces[0])
+    except MapError as exc:
+        raise EvenError("NotBipartite",
+                        "face adjacencies admit no black/white split") from exc
 
 
 # -- parity characterizations ---------------------------------------------
@@ -151,23 +139,25 @@ def lambda_(s):
 def lambda_inverse(rs):
     """Reinstate the odd forests: a black vertex shares its color-(2i-1)
     parent edge with its color-2i parent, a white vertex its color-(2i+1)
-    parent.  Only the input is validated: Lambda is a bijection between
+    parent, so each dart's lift is a function of its mask and the color of
+    its origin.  Only the input is validated: Lambda is a bijection between
     even Schnyder decompositions and reduced ones, so a valid reduced input
-    gives a valid output."""
+    gives a valid output, and it has no colors at external vertices."""
     ang = rs.host
     p = _require_even_d(ang.d)
     bad = validate_reduced_schnyder(rs)
     if bad:
         raise EvenError("NotEven", str(bad[:3]))
+    full = (1 << ang.d) - 1
+    evens = {mk: _spread_even(mk, p) for mk in set(rs.masks)}
+    # color 2i also as 2i - 1 at black vertices, as 2i + 1 (mod d) at white
+    lifts = {True: {mk: e | e >> 1 for mk, e in evens.items()},
+             False: {mk: e | (e << 1 | e >> (ang.d - 1)) & full
+                     for mk, e in evens.items()}}
     black = black_vertices(ang)
-    m = ang.map
-    full = [_spread_even(mk, p) for mk in rs.masks]
-    for v in ang.internal_vertices():
-        for h in m.vertex_orbit(v):
-            for i in rs.dart_colors(h):
-                odd = 2 * i - 1 if black[v] else _mod(2 * i + 1, ang.d)
-                full[h] |= 1 << (odd - 1)
-    return SchnyderDecomposition(host=ang, masks=tuple(full))
+    origin = ang.map.origin
+    return SchnyderDecomposition(host=ang, masks=tuple(
+        lifts[black[origin[h]]][mk] for h, mk in enumerate(rs.masks)))
 
 
 def validate_reduced_schnyder(rs):

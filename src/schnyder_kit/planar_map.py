@@ -31,7 +31,7 @@ class PlaneMap:
         "twin", "next_cw", "origin", "outer_dart", "root_vertex",
         "prev_cw", "n_vertices", "n_edges", "n_faces",
         "face_of", "faces", "vertex_darts", "outer_face",
-        "_girth", "_frozen",
+        "_girth", "_vertex_sides", "_face_sides", "_frozen",
     )
 
     def __init__(self, twin, next_cw, origin, outer_dart, root_vertex=None):
@@ -43,7 +43,7 @@ class PlaneMap:
         self._validate_permutations()
         self._build_derived()
         self._validate_topology()
-        self._girth = None             # computed on the first girth() call
+        self._girth = self._vertex_sides = self._face_sides = None  # lazy
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -254,20 +254,20 @@ class PlaneMap:
         return g
 
     def bipartition_from(self, v0):
-        """2-coloring with v0 black (True); raises if an odd cycle exists."""
-        color = [None] * self.n_vertices
-        color[v0] = True
-        q = deque([v0])
-        while q:
-            v = q.popleft()
-            for d in self.vertex_orbit(v):
-                w = self.target(d)
-                if color[w] is None:
-                    color[w] = not color[v]
-                    q.append(w)
-                elif color[w] == color[v]:
-                    raise MapError("NotBipartite", "odd cycle present")
-        return tuple(color)
+        """2-coloring of the vertices with v0 black (True); raises if an
+        odd cycle exists.  The search runs once per map."""
+        return self._sides("_vertex_sides", self.origin, v0)
+
+    def face_bipartition_from(self, f0):
+        """The same for the faces, with faces across an edge opposite."""
+        return self._sides("_face_sides", self.face_of, f0)
+
+    def _sides(self, slot, cell, c0):
+        sides = getattr(self, slot)
+        if sides is None:
+            sides = two_coloring(cell, self.twin, c0)
+            object.__setattr__(self, slot, sides)
+        return sides if sides[c0] else tuple(not b for b in sides)
 
     # -- serialization ----------------------------------------------------
 
@@ -362,6 +362,27 @@ def shortest_cycle(adj, bound, sources):
                 elif du + dw + 1 < best:
                     best = du + dw + 1
     return best
+
+
+def two_coloring(cell, twin, c0):
+    """The coloring of the cells (dart h lies in cell[h]) with c0 black
+    (True) in which h and twin[h] lie in cells of opposite colors."""
+    darts = [[] for _ in range(max(cell) + 1)]
+    for h, c in enumerate(cell):
+        darts[c].append(h)
+    color = [None] * len(darts)
+    color[c0] = True
+    q = deque([c0])
+    while q:
+        c = q.popleft()
+        for h in darts[c]:
+            g = cell[twin[h]]
+            if color[g] is None:
+                color[g] = not color[c]
+                q.append(g)
+            elif color[g] == color[c]:
+                raise MapError("NotBipartite", "odd cycle present")
+    return tuple(color)
 
 
 def build_map(rotations, outer_dart, root_vertex=None):

@@ -18,10 +18,10 @@ planar matching of strands (each white vertex offers its parent strand and
 gamma-1 child slots; each black vertex takes the adjacent strands off a
 stack), appending each dart to its vertex's clockwise list.
 The completed map must be a quadrangulation with outer face u1 u2 u3 u4,
-its reduced decomposition must pass validate_reduced_schnyder (in
-lambda_inverse), and the lifted decomposition must be even; a valid
-reduced decomposition lifts to a valid even Schnyder decomposition, so
-acceptance is sound.
+and its reduced decomposition must pass validate_reduced_schnyder (in
+lambda_inverse); a valid reduced decomposition lifts to a valid even
+Schnyder decomposition, so acceptance is sound without a check of the
+lift.
 
 Since every valid triple has probability 8^-n under independent 2-geometric
 draws, conditioning on validity by rejection yields a uniform pair.
@@ -55,8 +55,7 @@ from .planar_map import (
 from .orientation import is_even, lattice_enumerate
 from .schnyder import phi, psi_inverse
 from .even import (
-    ReducedSchnyderDecomposition, black_vertices, is_even_schnyder,
-    lambda_, lambda_inverse,
+    ReducedSchnyderDecomposition, black_vertices, lambda_, lambda_inverse,
 )
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
@@ -92,29 +91,26 @@ class EncodingTriple:
         return len(self.beta) - 1
 
 
-def _tree_edge_sets(ang, rs):
-    """Edge ids of the two spanning trees T1', T2' (forests + externals)."""
+def _spanning_trees(ang, t, i, j):
+    """(T1', [T1' degree, T2' degree] per vertex), F1' and F2' being the
+    color-i and color-j arcs of t (1, 2 when reduced, 2, 4 when full)."""
     m = ang.map
     ext = [m.edge(h) for h in ang.outer_orbit]
-    t1 = {m.edge(h) for h in rs.arcs_of_color(1)} | {ext[3], ext[0]}
-    t2 = {m.edge(h) for h in rs.arcs_of_color(2)} | {ext[1], ext[2]}
-    return t1, t2
+    trees = ({m.edge(h) for h in t.arcs_of_color(i)} | {ext[3], ext[0]},
+             {m.edge(h) for h in t.arcs_of_color(j)} | {ext[1], ext[2]})
+    deg = [[0, 0] for _ in range(m.n_vertices)]
+    for k, tree in enumerate(trees):
+        for e in tree:
+            deg[m.origin[e]][k] += 1
+            deg[m.target(e)][k] += 1
+    return trees[0], deg
 
 
 def encode(ang, s):
     """The (alpha, beta, gamma) triple of a pair (quadrangulation, even
     Schnyder decomposition)."""
-    rs = lambda_(s)
     m = ang.map
-    t1, t2 = _tree_edge_sets(ang, rs)
-    deg1 = [0] * m.n_vertices
-    deg2 = [0] * m.n_vertices
-    for e in t1:
-        deg1[m.origin[e]] += 1
-        deg1[m.target(e)] += 1
-    for e in t2:
-        deg2[m.origin[e]] += 1
-        deg2[m.target(e)] += 1
+    t1, deg = _spanning_trees(ang, lambda_(s), 1, 2)
     # clockwise contour of T1' starting just after the external corner of u1
     start = ang.outer_orbit[0]                 # the dart u1 -> u2
     order = [ang.external[0]]
@@ -133,9 +129,9 @@ def encode(ang, s):
         raise SamplerError("Invalid", "T1' is not a spanning tree of Q - u3",
                            stage="ValidationFailed")
     black = black_vertices(ang)
-    alpha = tuple(deg1[v] for v in order if black[v])
-    beta = tuple(deg1[v] for v in order if not black[v])
-    gamma = tuple(deg2[v] for v in order if not black[v])
+    alpha = tuple(deg[v][0] for v in order if black[v])
+    beta = tuple(deg[v][0] for v in order if not black[v])
+    gamma = tuple(deg[v][1] for v in order if not black[v])
     return EncodingTriple(alpha=alpha, beta=beta, gamma=gamma)
 
 
@@ -299,7 +295,7 @@ def decode(t):
     the sums and lengths bound n by the input's length
     (TreeReconstructionFailed), _strands_close on those and the flip word
     of gamma, and the map that _rotations builds (ClosureFailed), then the
-    quadrangulation and its outer face, the reduced validator and evenness
+    quadrangulation and its outer face and the reduced validator
     (ValidationFailed)."""
     alpha, beta, gamma = t.alpha, t.beta, t.gamma
     if not alpha or not beta or not gamma:
@@ -358,8 +354,6 @@ def decode(t):
         s = lambda_inverse(rs)
     except (EvenError, MapError) as exc:
         raise _invalid("ValidationFailed", exc.detail) from exc
-    if not is_even_schnyder(s):
-        raise _invalid("ValidationFailed", "reconstruction is not even")
     return ang, s
 
 
@@ -468,15 +462,10 @@ def part_full_counts(pair):
     """(part, full) counts of the reducible faces of a decoded pair (Q, F):
     over the internal vertices of Q, black and white, those of degree
     (2, 2) in the two spanning trees T1', T2' are partly reducible, those
-    with both degrees >= 2 but not (2, 2) fully reducible."""
+    with both degrees >= 2 but not (2, 2) fully reducible.  F1' and F2'
+    are the forests F_2 and F_4 of F."""
     ang, s = pair
-    m = ang.map
-    t1, t2 = _tree_edge_sets(ang, lambda_(s))
-    deg = [[0, 0] for _ in range(m.n_vertices)]
-    for i, tree in enumerate((t1, t2)):
-        for e in tree:
-            deg[m.origin[e]][i] += 1
-            deg[m.target(e)][i] += 1
+    _, deg = _spanning_trees(ang, s, 2, 4)
     part = full = 0
     for v in ang.internal_vertices():
         d1, d2 = deg[v]
@@ -637,7 +626,8 @@ def enumerate_angulations(d, max_faces):
 
 def enumerate_pairs(n):
     """All pairs (rooted girth-4 quadrangulation with n faces, even Schnyder
-    decomposition), each exactly once, for n up to ENUMERATION_CAP."""
+    decomposition), each exactly once, for 2 <= n <= ENUMERATION_CAP."""
+    _require_faces(n)
     if n > ENUMERATION_CAP:
         raise SamplerError("CapExceeded", f"n = {n} exceeds the enumeration "
                                           f"cap {ENUMERATION_CAP}")

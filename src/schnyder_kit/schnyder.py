@@ -15,6 +15,7 @@ d-bit masks (bit i-1 for color i).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import lt
 
 from .errors import SchnyderError
 from .orientation import FracOrientation
@@ -44,10 +45,6 @@ def _span_mask(i, j, d):
         m |= 1 << ((c - 1) % d)
         c = _mod(c + 1, d)
     return m
-
-
-CYCLE = -1          # path_ends: the path runs into a cycle
-_WHITE, _GREY = -2, -3
 
 
 @dataclass(frozen=True, init=False)
@@ -100,36 +97,6 @@ class DartTable:
             return [h for h, c in enumerate(self.table) if c == i]
         bit = 1 << (i - 1)
         return [h for h, mk in enumerate(self.table) if mk & bit]
-
-    def path_ends(self, i, root=None):
-        """end[v]: where the color-i parent path from vertex v stops.
-
-        The parent of v is the target of its color-i arc (the last one in
-        dart order when there are several).  The path stops at the first
-        vertex without a parent, or at ``root``; end[v] is CYCLE when it
-        runs into a cycle instead.  White/grey/black marks settle every
-        vertex once, so this is O(V) where a walk per vertex is O(V x
-        depth)."""
-        m = self.host.map
-        nxt = [None] * m.n_vertices
-        for h in self.arcs_of_color(i):
-            nxt[m.origin[h]] = m.target(h)
-        if root is not None:
-            nxt[root] = None
-        end = [_WHITE] * m.n_vertices
-        for v0 in range(m.n_vertices):
-            path, v = [], v0
-            while end[v] == _WHITE:
-                path.append(v)
-                end[v] = _GREY
-                if nxt[v] is None:
-                    end[v] = v
-                else:
-                    v = nxt[v]
-            stop = CYCLE if end[v] == _GREY else end[v]
-            for u in path:
-                end[u] = stop
-        return end
 
     def to_json_obj(self):
         obj = {"host": self.HOST}
@@ -356,102 +323,140 @@ def _primal_violations(t, window_of):
     edges lie in (d-2)/step forests, once each, external edges in none;
     (ii) forest i spans the internal vertices toward the external roots
     other than u_j and u_{j+1}, with j = step*i; (iii) the vertex rule with
-    window_of(v)."""
+    window_of(v).  Each dart's colors are decoded once for all checks."""
     ang = t.host
     m = ang.map
     p = t.n_colors
     step = ang.d // p
     prime = "'" * t.REDUCED
-    if len(t.masks) != m.n_darts or any(mk >> p for mk in t.masks):
+    masks = t.masks
+    if len(masks) != m.n_darts or any(mk >> p for mk in masks):
         return [("malformed", None, "masks must cover all darts with colors "
                                     f"in 1..{p}")]
     out = []
     ext_edges = ang.external_edge_ids
     want = (ang.d - 2) // step
     for h in m.edges():
-        a, b = t.masks[h], t.masks[m.twin[h]]
+        a, b = masks[h], masks[m.twin[h]]
         if h in ext_edges:
             if a or b:
                 out.append(("i" + prime, h, "external edge carries colors"))
-        elif a & b or bin(a | b).count("1") != want:
+        elif a & b or (a | b).bit_count() != want:
             out.append(("i" + prime, h, f"edge must lie in {want} forests, "
                                         "once each"))
-    for i in range(1, p + 1):
-        j = step * i
-        avoid = {ang.external[j - 1], ang.external[j % ang.d]}
-        out.extend(_forest_violations(t, i, avoid, "ii" + prime))
-    for v in ang.internal_vertices():
-        out.extend(_vertex_violations(t, v, "iii" + prime, window_of(v)))
-    return out
+    cols, nxt, ends, twice = _sweep(m, masks, p)
+    internal = ang.internal_vertices()
+    return out + _forest_violations(t, internal, "ii" + prime, nxt, ends,
+                                    twice) + \
+        _vertex_violations(m, cols, p, internal, "iii" + prime, window_of)
 
 
-def _forest_violations(t, i, avoid, axiom):
+def _sweep(m, masks, p, root=None):
+    """(cols, nxt, ends, twice) of the dart masks of m, p colors, from one
+    sweep over the darts.  cols[h] lists the colors of dart h (each mask
+    decoded once).  Color c owns the entries (c-1)*V + v, V the vertex
+    count: nxt maps v's entry to that of the target of its color-c arc (the
+    last in dart order), or to itself when v has none or is root; twice
+    lists (c, v) for each further color-c arc of v, in dart order.  ends[x]
+    is where the path x, nxt[x], ... stops, by pointer jumping: a root e
+    (nxt[e] == e) or an entry e on the cycle it runs into (nxt[e] != e)."""
+    colors = {mk: tuple(colors_of(mk, p)) for mk in set(masks)}
+    cols = list(map(colors.__getitem__, masks))
+    nv = m.n_vertices
+    origin, twin = m.origin, m.twin
+    nxt = list(range(p * nv))
+    twice = []
+    for h, cs in enumerate(cols):
+        if cs and origin[h] != root:
+            v, w = origin[h], origin[twin[h]]
+            for c in cs:
+                x = (c - 1) * nv + v
+                if nxt[x] != x:
+                    twice.append((c, v))
+                nxt[x] = x - v + w
+    ends = nxt
+    for _ in range((nv - 1).bit_length()):   # paths of < V steps
+        ahead = [ends[x] for x in ends]
+        if ahead == ends:
+            break
+        ends = ahead
+    return cols, nxt, ends, twice
+
+
+def _forest_violations(t, internal, axiom, nxt, ends, twice):
     """Violations of "the color-i arcs of t form a forest that spans the
-    internal vertices, oriented toward external roots outside avoid", each
-    reported under the given axiom name."""
+    internal vertices, oriented toward the external roots other than u_j
+    and u_{j+1}, j = step*i", for each color i, under the given axiom name:
+    read off the parent table nxt, path ends and repeats of _sweep."""
     ang = t.host
     m = ang.map
-    out = []
+    nv = m.n_vertices
     ext = set(ang.external)
-    arcs = t.arcs_of_color(i)
-    has_parent = set()
-    for h in arcs:
-        v = m.origin[h]
-        if v in has_parent:
-            out.append((axiom, v, f"color {i}: two outgoing arcs at {v}"))
-        has_parent.add(v)
-    touched = has_parent | {m.target(h) for h in arcs}
-    for v in avoid & touched:
-        out.append((axiom, v, f"color {i} touches the excluded root {v}"))
-    for u in ext & has_parent:
-        out.append((axiom, u, f"color {i}: outgoing arc at external {u}"))
-    ends = t.path_ends(i)
-    for v in ang.internal_vertices():
-        if v not in has_parent:
-            out.append((axiom, v, f"color {i}: no outgoing arc at internal {v}"))
-        elif ends[v] == CYCLE:
-            out.append((axiom, v, f"color {i}: the path from {v} runs into "
-                                  "a cycle"))
-        elif ends[v] not in ext or ends[v] in avoid:
-            out.append((axiom, v, f"color {i}: path from {v} ends at "
-                                  f"{ends[v]}"))
+    out = []
+    for i in range(1, t.n_colors + 1):
+        j = ang.d // t.n_colors * i
+        avoid = {ang.external[j - 1], ang.external[j % ang.d]}
+        base = (i - 1) * nv
+        doubled = [(axiom, v, f"color {i}: two outgoing arcs at {v}")
+                   for c, v in twice if c == i]
+        out += doubled
+        roots = {base + u for u in ext - avoid if nxt[base + u] == base + u}
+        stray = [v for v in internal if ends[base + v] not in roots]
+        # a color-i arc that touches an avoided root leaves a vertex with
+        # two such arcs or an external vertex, or it ends a stray path
+        if doubled or stray or any(nxt[base + u] != base + u for u in ext):
+            arcs = t.arcs_of_color(i)
+            has_parent = {m.origin[h] for h in arcs}
+            touched = has_parent | {m.target(h) for h in arcs}
+            out += [(axiom, v, f"color {i} touches the excluded root {v}")
+                    for v in avoid & touched]
+            out += [(axiom, u, f"color {i}: outgoing arc at external {u}")
+                    for u in ext & has_parent]
+        for v in stray:
+            end = ends[base + v]
+            out.append((axiom, v, f"color {i}: " + (
+                f"no outgoing arc at internal {v}" if nxt[base + v] == base + v
+                else f"the path from {v} runs into a cycle" if nxt[end] != end
+                else f"path from {v} ends at {end - base}")))
     return out
 
 
-def _vertex_violations(t, v, axiom, window=None):
-    """The vertex rule at v: the outgoing arcs carry colors 1..p once each,
-    in clockwise order, that is one clockwise turn from color 1 back to 1
-    (so the colors of each arc are cyclically consecutive).  With window =
-    (a, b), every incoming color-c arc lies strictly clockwise between the
-    outgoing arcs of colors c+a and c+b."""
-    m = t.host.map
-    p = t.n_colors
-    orbit = m.vertex_orbit(v)
-    n = len(orbit)
-    pos = {}
-    for k, h in enumerate(orbit):
-        for c in colors_of(t.masks[h], p):
-            if c in pos:
-                return [(axiom, v, f"color {c}: two outgoing arcs at {v}")]
-            pos[c] = k
-    if len(pos) != p:
-        return [(axiom, v, f"outgoing colors at {v}: {sorted(pos)}")]
-    if sum((pos[c % p + 1] - pos[c]) % n for c in pos) != n:
-        return [(axiom, v, f"outgoing colors not clockwise at {v}")]
-    if window is None:
-        return []
-    a, b = window
-    return [(axiom, v, f"incoming color {c} at {v} outside "
-                       f"({_mod(c + a, p)},{_mod(c + b, p)})")
-            for k, h in enumerate(orbit)
-            for c in colors_of(t.masks[m.twin[h]], p)
-            if not _strictly_between_cw(k, pos[_mod(c + a, p)],
-                                        pos[_mod(c + b, p)], n)]
-
-
-def _strictly_between_cw(t, a, b, n):
-    """Is position t strictly between positions a and b, walking clockwise
-    from a to b (positions index the clockwise dart order at the vertex)?"""
-    if a == b:
-        return t != a
-    return 0 < (t - a) % n < (b - a) % n
+def _vertex_violations(m, cols, p, vertices, axiom, window_of=None):
+    """The vertex rule at each of vertices of m, cols[h] the colors of dart
+    h, by one orbit walk per vertex: the outgoing arcs carry colors 1..p
+    once each in one clockwise turn (their positions descend once from
+    color 1 to p and back to 1).  With window_of(v) = (a, b), every
+    incoming color-c arc lies strictly clockwise between the outgoing arcs
+    of colors c+a and c+b.  A vertex reports the first rule it breaks."""
+    twin = m.twin
+    out = []
+    for v in vertices:
+        orbit = m.vertex_orbit(v)
+        pos = [None] * (p + 1)
+        twice = None
+        for k, h in enumerate(orbit):
+            for c in cols[h]:
+                if pos[c] is not None and twice is None:
+                    twice = c
+                pos[c] = k
+        turn = pos[1:]
+        if twice is not None:
+            out.append((axiom, v, f"color {twice}: two outgoing arcs at {v}"))
+        elif None in turn:
+            seen = [c for c in range(1, p + 1) if pos[c] is not None]
+            out.append((axiom, v, f"outgoing colors at {v}: {seen}"))
+        elif sum(map(lt, turn[1:] + turn[:1], turn)) != 1:
+            out.append((axiom, v, f"outgoing colors not clockwise at {v}"))
+        elif window_of is not None:
+            n = len(orbit)
+            a, b = window_of(v)
+            for k, h in enumerate(orbit):
+                for c in cols[twin[h]]:
+                    lo, hi = pos[(c + a - 1) % p + 1], pos[(c + b - 1) % p + 1]
+                    # strictly clockwise between positions lo and hi
+                    if k == lo if lo == hi else \
+                            not 0 < (k - lo) % n < (hi - lo) % n:
+                        out.append((axiom, v, f"incoming color {c} at {v} "
+                                    f"outside ({_mod(c + a, p)},"
+                                    f"{_mod(c + b, p)})"))
+    return out

@@ -3,17 +3,16 @@
 from bisect import bisect_right
 from itertools import product
 
-from schnyder_kit.duality import _tree_violations, _vertex_steps
+from schnyder_kit.duality import _vertex_steps
 from schnyder_kit.errors import (
     DrawingError, MapError, SamplerError, SchnyderError,
 )
-from schnyder_kit.even import _require_even_d, black_faces
+from schnyder_kit.even import _require_even_d, black_faces, black_vertices
 from schnyder_kit.orientation import (
     FracOrientation, _left_faces, _simple_cycles_of_length, ccw_traversal,
 )
 from schnyder_kit.schnyder import (
-    CYCLE, CornerLabelling, _corner_violations, _mod, _strictly_between_cw,
-    _vertex_violations, clockwise_jump, colors_of,
+    CornerLabelling, _corner_violations, _mod, clockwise_jump, colors_of,
 )
 from schnyder_kit.sampler import (
     DEFAULT_MAX_ATTEMPTS, EncodingTriple, _popcount_table, _word_to_runs,
@@ -302,10 +301,219 @@ def strands_close_on_lists(alpha, beta, gamma):
                 strands[-1] == u4 and _SLOT not in strands
 
 
+# -- the decomposition validators as coded before the single sweep --------
+
+CYCLE = -1          # path_ends: the path runs into a cycle
+_WHITE, _GREY = -2, -3
+
+
+def path_ends(t, i, root=None):
+    """end[v]: where the color-i parent path from vertex v of the dart
+    table t stops.
+
+    The parent of v is the target of its color-i arc (the last one in
+    dart order when there are several).  The path stops at the first
+    vertex without a parent, or at ``root``; end[v] is CYCLE when it runs
+    into a cycle instead.  White/grey/black marks settle every vertex once,
+    so this is O(V) where a walk per vertex is O(V x depth)."""
+    m = t.host.map
+    nxt = [None] * m.n_vertices
+    for h in t.arcs_of_color(i):
+        nxt[m.origin[h]] = m.target(h)
+    if root is not None:
+        nxt[root] = None
+    end = [_WHITE] * m.n_vertices
+    for v0 in range(m.n_vertices):
+        path, v = [], v0
+        while end[v] == _WHITE:
+            path.append(v)
+            end[v] = _GREY
+            if nxt[v] is None:
+                end[v] = v
+            else:
+                v = nxt[v]
+        stop = CYCLE if end[v] == _GREY else end[v]
+        for u in path:
+            end[u] = stop
+    return end
+
+
+def schnyder_violations(s):
+    """validate_schnyder with a scan and path_ends per color and a colors_of
+    list per dart."""
+    return primal_violations(s, lambda v: (1, -1))
+
+
+def reduced_schnyder_violations(rs):
+    """validate_reduced_schnyder, as schnyder_violations."""
+    black = black_vertices(rs.host)
+    return primal_violations(rs, lambda v: (1, 0) if black[v] else (0, -1))
+
+
+def primal_violations(t, window_of):
+    """schnyder._primal_violations: (i) internal edges lie in (d-2)/step
+    forests, once each, external edges in none; (ii) forest i spans the
+    internal vertices toward the external roots other than u_j and
+    u_{j+1}, with j = step*i; (iii) the vertex rule with window_of(v)."""
+    ang = t.host
+    m = ang.map
+    p = t.n_colors
+    step = ang.d // p
+    prime = "'" * t.REDUCED
+    if len(t.masks) != m.n_darts or any(mk >> p for mk in t.masks):
+        return [("malformed", None, "masks must cover all darts with colors "
+                                    f"in 1..{p}")]
+    out = []
+    ext_edges = ang.external_edge_ids
+    want = (ang.d - 2) // step
+    for h in m.edges():
+        a, b = t.masks[h], t.masks[m.twin[h]]
+        if h in ext_edges:
+            if a or b:
+                out.append(("i" + prime, h, "external edge carries colors"))
+        elif a & b or bin(a | b).count("1") != want:
+            out.append(("i" + prime, h, f"edge must lie in {want} forests, "
+                                        "once each"))
+    for i in range(1, p + 1):
+        j = step * i
+        avoid = {ang.external[j - 1], ang.external[j % ang.d]}
+        out.extend(forest_violations(t, i, avoid, "ii" + prime))
+    for v in ang.internal_vertices():
+        out.extend(vertex_violations(t, v, "iii" + prime, window_of(v)))
+    return out
+
+
+def forest_violations(t, i, avoid, axiom):
+    """Violations of "the color-i arcs of t form a forest that spans the
+    internal vertices, oriented toward external roots outside avoid", each
+    reported under the given axiom name."""
+    ang = t.host
+    m = ang.map
+    out = []
+    ext = set(ang.external)
+    arcs = t.arcs_of_color(i)
+    has_parent = set()
+    for h in arcs:
+        v = m.origin[h]
+        if v in has_parent:
+            out.append((axiom, v, f"color {i}: two outgoing arcs at {v}"))
+        has_parent.add(v)
+    touched = has_parent | {m.target(h) for h in arcs}
+    for v in avoid & touched:
+        out.append((axiom, v, f"color {i} touches the excluded root {v}"))
+    for u in ext & has_parent:
+        out.append((axiom, u, f"color {i}: outgoing arc at external {u}"))
+    ends = path_ends(t, i)
+    for v in ang.internal_vertices():
+        if v not in has_parent:
+            out.append((axiom, v, f"color {i}: no outgoing arc at internal {v}"))
+        elif ends[v] == CYCLE:
+            out.append((axiom, v, f"color {i}: the path from {v} runs into "
+                                  "a cycle"))
+        elif ends[v] not in ext or ends[v] in avoid:
+            out.append((axiom, v, f"color {i}: path from {v} ends at "
+                                  f"{ends[v]}"))
+    return out
+
+
+def vertex_violations(t, v, axiom, window=None):
+    """schnyder._vertex_violations on the masks of t: the outgoing arcs
+    carry colors 1..p once each, in one clockwise turn; with window =
+    (a, b), every incoming color-c arc lies strictly clockwise between the
+    outgoing arcs of colors c+a and c+b."""
+    m = t.host.map
+    p = t.n_colors
+    orbit = m.vertex_orbit(v)
+    n = len(orbit)
+    pos = {}
+    for k, h in enumerate(orbit):
+        for c in colors_of(t.masks[h], p):
+            if c in pos:
+                return [(axiom, v, f"color {c}: two outgoing arcs at {v}")]
+            pos[c] = k
+    if len(pos) != p:
+        return [(axiom, v, f"outgoing colors at {v}: {sorted(pos)}")]
+    if sum((pos[c % p + 1] - pos[c]) % n for c in pos) != n:
+        return [(axiom, v, f"outgoing colors not clockwise at {v}")]
+    if window is None:
+        return []
+    a, b = window
+    return [(axiom, v, f"incoming color {c} at {v} outside "
+                       f"({_mod(c + a, p)},{_mod(c + b, p)})")
+            for k, h in enumerate(orbit)
+            for c in colors_of(t.masks[m.twin[h]], p)
+            if not _strictly_between_cw(k, pos[_mod(c + a, p)],
+                                        pos[_mod(c + b, p)], n)]
+
+
+def _strictly_between_cw(t, a, b, n):
+    """Is position t strictly between positions a and b, walking clockwise
+    from a to b (positions index the clockwise dart order at the vertex)?"""
+    if a == b:
+        return t != a
+    return 0 < (t - a) % n < (b - a) % n
+
+
+def dual_violations(t):
+    """duality._dual_violations with vertex_violations and tree_violations
+    as its vertex rule and tree check."""
+    rv = t.host
+    m = rv.map
+    p = t.n_colors
+    step = rv.d // p
+    prime = "'" * t.REDUCED
+    if len(t.masks) != m.n_darts:
+        return [("malformed", None, "mask table length mismatch")]
+    least, many = (0, "at most") if t.REDUCED else (1, "exactly")
+    out = []
+    for h, mk in enumerate(t.masks):
+        if m.origin[h] == rv.root_vertex and not t.REDUCED:
+            if mk:
+                out.append(("ii", h, "arc leaving the root vertex carries "
+                                     "a color"))
+        elif mk >> p or not least <= bin(mk).count("1") <= 1:
+            out.append(("i" + prime, h, f"arc {h} must carry {many} one "
+                                        f"color in 1..{p}"))
+    if out:
+        return out
+    root_edge = {m.edge(h): j for j, h in enumerate(rv.root_darts, start=1)}
+    for h in m.edges():
+        a, b = t.masks[h], t.masks[m.twin[h]]
+        j = root_edge.get(h)
+        want = 2 // step if j is None else int(j % step == 0)
+        if a & b or bin(a | b).count("1") != want:
+            out.append(("partition" if t.REDUCED else "i", h,
+                        f"edge {h} must lie in {want} trees, once each"))
+    for i in range(1, p + 1):
+        x = m.twin[rv.root_darts[step * i - 1]]
+        if t.masks[x] != 1 << (i - 1):
+            out.append(("ii" + prime, x, f"root edge e_{step * i}* does not "
+                                         f"carry color {i} toward the root"))
+    if t.REDUCED:
+        black = black_faces(rv)
+        out.extend(("i'", h, f"arc {h} has a white face on its right")
+                   for h, mk in enumerate(t.masks)
+                   if mk and not black[m.face_of[m.twin[h]]])
+    for v in rv.non_root_vertices():
+        out.extend(vertex_violations(t, v, "iii" + prime))
+    return out + tree_violations(t)
+
+
+def tree_violations(rd):
+    """Each color class of rd must be a spanning tree oriented toward v*."""
+    rv = rd.host
+    out = []
+    for i in range(1, rd.n_colors + 1):
+        ends = path_ends(rd, i, root=rv.root_vertex)
+        out.extend(("tree", v, f"color {i} path from {v} misses the root")
+                   for v in rv.non_root_vertices() if ends[v] != rv.root_vertex)
+    return out
+
+
 # -- colored-dart paths, one walk per vertex ------------------------------
 
 def walk_path_ends(t, i, root=None):
-    """DartTable.path_ends by walking from every vertex separately with a
+    """path_ends by walking from every vertex separately with a
     fresh seen set (O(V x depth)): where the color-i parent path from each
     vertex stops, or CYCLE."""
     m = t.host.map
@@ -928,8 +1136,8 @@ def regular_decomposition_axioms(rd):
                 out.append(("i", h, f"edge {h}: both arcs have the same color"))
     # (iii) outgoing colors 1..d in clockwise order around non-root vertices
     for v in rv.non_root_vertices():
-        out.extend(_vertex_violations(rd, v, "iii"))
-    return out + _tree_violations(rd)
+        out.extend(vertex_violations(rd, v, "iii"))
+    return out + tree_violations(rd)
 
 
 def reduced_regular_axioms(rrd):
@@ -965,5 +1173,5 @@ def reduced_regular_axioms(rrd):
             out.append(("i'", h, f"arc {h} has a white face on its right"))
     # (iii') parent arcs clockwise around non-root vertices
     for v in rv.non_root_vertices():
-        out.extend(_vertex_violations(rrd, v, "iii'"))
-    return out + _tree_violations(rrd)
+        out.extend(vertex_violations(rrd, v, "iii'"))
+    return out + tree_violations(rrd)

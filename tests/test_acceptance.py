@@ -39,9 +39,13 @@ def enum_angulations(d, max_faces):
 
 
 @pytest.fixture(scope="module")
-def quad_lattices(study_corpus):
-    """(angulation, lattice elements) for the d=4 study corpus."""
-    return [(ang, O.lattice_enumerate(ang)) for ang in study_corpus[4]]
+def quad_evens(even_decompositions):
+    """(angulation, s, chi(s)) over the even Schnyder decompositions s of
+    the d=4 study corpus: the quadrangulations with at most 7 faces and the
+    handmade ones."""
+    return [x for key in [*range(2, 8), "cube", "cube_plus", "rings3",
+                          "wheel4", "wheel5"]
+            for x in even_decompositions[key]]
 
 
 def internal_edge_ids(ang):
@@ -223,33 +227,27 @@ def test_criterion_04_duality(study_corpus):
           f"instances ({structures} decompositions)")
 
 
-def test_criterion_05_even_reductions(quad_lattices):
+def test_criterion_05_even_reductions(quad_evens):
     structures = 0
-    for ang, elems in quad_lattices:
-        dm = None
-        for o in elems:
-            if not O.is_even(o):
-                continue
-            s = S.phi(S.psi_inverse(o))
-            rs = E.lambda_(s)
-            assert E.validate_reduced_schnyder(rs) == []
-            assert E.lambda_inverse(rs).masks == s.masks
-            rd = D.chi(s)
-            rrd = E.lambda_star(rd)
-            assert E.validate_reduced_regular(rrd) == []
-            assert E.lambda_star_inverse(rrd).masks == rd.masks
-            # p = 2: the two reduced trees partition all dual edges except
-            # the root edges e_1* and e_3*
-            rv = rd.host
-            dm = rv.map
-            excluded = {dm.edge(rv.root_darts[0]), dm.edge(rv.root_darts[2])}
-            colors = {e: set() for e in dm.edges()}
-            for i in (1, 2):
-                for h in rrd.arcs_of_color(i):
-                    colors[dm.edge(h)].add(i)
-            for e, cs in colors.items():
-                assert len(cs) == (0 if e in excluded else 1)
-            structures += 1
+    for ang, s, rd in quad_evens:
+        rs = E.lambda_(s)
+        assert E.validate_reduced_schnyder(rs) == []
+        assert E.lambda_inverse(rs).masks == s.masks
+        rrd = E.lambda_star(rd)
+        assert E.validate_reduced_regular(rrd) == []
+        assert E.lambda_star_inverse(rrd).masks == rd.masks
+        # p = 2: the two reduced trees partition all dual edges except
+        # the root edges e_1* and e_3*
+        rv = rd.host
+        dm = rv.map
+        excluded = {dm.edge(rv.root_darts[0]), dm.edge(rv.root_darts[2])}
+        colors = {e: set() for e in dm.edges()}
+        for i in (1, 2):
+            for h in rrd.arcs_of_color(i):
+                colors[dm.edge(h)].add(i)
+        for e, cs in colors.items():
+            assert len(cs) == (0 if e in excluded else 1)
+        structures += 1
     assert structures > 0
     print(f"CRITERION 5: PASS - reduction round trips, validation, and the "
           f"p=2 tree partition verified on {structures} even structures")
@@ -348,16 +346,11 @@ def test_criterion_06_orthogonal_drawing():
           f"(exhaustive <= 8 vertices plus 500 sampled, {elapsed:.1f}s)")
 
 
-def test_criterion_07_placement_equivalence(quad_lattices):
+def test_criterion_07_placement_equivalence(quad_evens):
     checked = 0
-    for ang, elems in quad_lattices:
-        for o in elems:
-            if not O.is_even(o):
-                continue
-            rd = D.chi(S.phi(S.psi_inverse(o)))
-            assert place_by_face_counting(rd) == \
-                DR.place_by_equatorial_lines(rd)
-            checked += 1
+    for ang, s, rd in quad_evens:
+        assert place_by_face_counting(rd) == DR.place_by_equatorial_lines(rd)
+        checked += 1
     timings = {}
     for m_half in (125, 500):
         rv = D.dualize(as_angulation(I.pseudo_double_wheel(m_half), 4))
@@ -372,17 +365,12 @@ def test_criterion_07_placement_equivalence(quad_lattices):
           f"(250 vertices: {timings[250]*1000:.0f}ms)")
 
 
-def _even_rds(ang):
-    return [D.chi(S.phi(S.psi_inverse(o)))
-            for o in O.lattice_enumerate(ang) if O.is_even(o)]
-
-
-def test_criterion_08_straight_line_and_reductions():
+def test_criterion_08_straight_line_and_reductions(even_decompositions):
     rng = random.Random(808)
     drawings = reductions = 0
     rds = []
     for m in (4, 5, 6):
-        rds += _even_rds(as_angulation(I.pseudo_double_wheel(m), 4))
+        rds += [rd for _, _, rd in even_decompositions[f"wheel{m}"]]
     for inst in (I.cube(), I.cube_plus(), I.concentric_quadrangulation(3)):
         rv = D.dualize(as_angulation(inst, 4))
         rds.append(E.compute_even_regular_decomposition(rv))
@@ -412,11 +400,10 @@ def test_criterion_08_straight_line_and_reductions():
           f"{reductions} reductions")
 
 
-def test_criterion_09_face_classification():
+def test_criterion_09_face_classification(even_decompositions):
     checked = 0
     for m in (4, 5, 6):
-        ang = as_angulation(I.pseudo_double_wheel(m), 4)
-        for rd in _even_rds(ang):
+        for ang, _, rd in even_decompositions[f"wheel{m}"]:
             gd = DR.orthogonal_drawing(rd)
             fc = DR.classify_faces(gd)
             oracle = _dual_degree_classification(ang, rd)
@@ -435,10 +422,10 @@ def test_criterion_09_face_classification():
           f"dual-tree-degree oracle on {checked} instances")
 
 
-def test_criterion_10_sampler_uniformity():
+def test_criterion_10_sampler_uniformity(small_pairs):
     n = 8
     cells = {(t.alpha, t.beta, t.gamma): 0
-             for t in (SA.encode(a, s) for a, s in SA.enumerate_pairs(n))}
+             for t in (SA.encode(a, s) for a, s in small_pairs[n])}
     assert len(cells) == 2074
     samples = 10 ** 4
     rng = random.Random(1010)
@@ -450,7 +437,7 @@ def test_criterion_10_sampler_uniformity():
     critical = chi2.ppf(0.99, len(cells) - 1)
     assert stat < critical
     for k in range(2, 9):
-        for ang, s in SA.enumerate_pairs(k):
+        for ang, s in small_pairs[k]:
             ang2, s2 = SA.decode(SA.encode(ang, s))
             assert pair_code(ang, s) == pair_code(ang2, s2)
     print(f"CRITERION 10: PASS - chi-square {stat:.1f} < {critical:.1f} "

@@ -233,6 +233,16 @@ def test_sample_rejects_nonpositive_attempts_and_jobs(option):
     assert option[0].lstrip("-").replace("-", "_") in err["detail"]
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_enumerate_rejects_fewer_than_two_faces(n):
+    """As sample does: no pair has fewer than two faces."""
+    rc, text = run(["enumerate", "--n", str(n)])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert err == {"stage": "sampler", "kind": "BadParameter",
+                   "detail": f"n = {n} must be at least 2"}
+
+
 def test_enumerate_outputs_validate(tmp_path):
     rc, text = run(["enumerate", "--n", "3"])
     assert rc == 0

@@ -8,12 +8,10 @@ import pytest
 
 from schnyder_kit.errors import DrawingError
 from schnyder_kit.planar_map import as_angulation, as_regular
-import schnyder_kit.orientation as O
 import schnyder_kit.schnyder as S
 import schnyder_kit.duality as D
 import schnyder_kit.even as E
 import schnyder_kit.drawing as DR
-import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
@@ -33,21 +31,18 @@ def host_corpus():
             as_regular(I.octahedron(), 4, root=0)]
 
 
-def even_decompositions(ang):
-    """Every even regular decomposition of the dual of ang."""
-    out = []
-    for o in O.lattice_enumerate(ang):
-        if O.is_even(o):
-            out.append(D.chi(S.phi(S.psi_inverse(o))))
-    return out
+def wheel_duals(even_decompositions, m):
+    """Every even regular decomposition of the dual of
+    pseudo_double_wheel(m), with its angulation."""
+    return [(ang, rd) for ang, _, rd in even_decompositions[f"wheel{m}"]]
 
 
-def test_face_counting_matches_equatorial_lines():
+def test_face_counting_matches_equatorial_lines(even_decompositions):
     for rv in host_corpus():
         rd = E.compute_even_regular_decomposition(rv)
         assert place_by_face_counting(rd) == DR.place_by_equatorial_lines(rd)
     for m in (4, 5):
-        for rd in even_decompositions(as_angulation(I.pseudo_double_wheel(m), 4)):
+        for _, rd in wheel_duals(even_decompositions, m):
             assert place_by_face_counting(rd) == \
                 DR.place_by_equatorial_lines(rd)
 
@@ -139,11 +134,10 @@ def _dual_degree_classification(ang, rd):
     return out
 
 
-def test_face_classification_matches_dual_degrees():
+def test_face_classification_matches_dual_degrees(even_decompositions):
     seen = set()
     for m in (4, 5, 6):
-        ang = as_angulation(I.pseudo_double_wheel(m), 4)
-        for rd in even_decompositions(ang):
+        for ang, rd in wheel_duals(even_decompositions, m):
             gd = DR.orthogonal_drawing(rd)
             fc = DR.classify_faces(gd)
             oracle = _dual_degree_classification(ang, rd)
@@ -153,12 +147,11 @@ def test_face_classification_matches_dual_degrees():
 
 
 @pytest.fixture(scope="module")
-def marker_corpus():
+def marker_corpus(even_decompositions):
     """Every even regular decomposition of the quadrangulations with at most
     8 faces (2,619), then the even decomposition of the pipeline on one
     face-split dual per V* in (20, 100, 400, 1600)."""
-    rds = [rd for m in SA.enumerate_angulations(4, 8)
-           for rd in even_decompositions(as_angulation(m, 4))]
+    rds = [rd for n in range(2, 9) for _, _, rd in even_decompositions[n]]
     for faces in (20, 100, 400, 1600):
         q = I.face_split_quadrangulation(faces, random.Random(faces))
         rds.append(E.compute_even_regular_decomposition(
@@ -211,13 +204,13 @@ def test_placement_rejects_a_broken_marker_chain(monkeypatch):
     assert DR._chain({1: 2, 2: 3}, 1, 3, "L_1") == [1, 2, 3]
 
 
-def exhaustive_reductions():
+def exhaustive_reductions(even_decompositions):
     """(m, gd, rc, reduced drawing) for every even decomposition of the
     duals of pseudo_double_wheel(m), m = 4, 5, 6, and every reduction
     choice: the balanced one and each split of the partly reducible
     faces."""
     for m in (4, 5, 6):
-        for rd in even_decompositions(as_angulation(I.pseudo_double_wheel(m), 4)):
+        for _, rd in wheel_duals(even_decompositions, m):
             gd = DR.orthogonal_drawing(rd)
             fc = DR.classify_faces(gd)
             partly = [f for f, info in fc.faces.items()
@@ -230,8 +223,8 @@ def exhaustive_reductions():
                 yield m, gd, rc, DR.apply_reduction(gd, rc)
 
 
-def test_reductions_stay_planar():
-    for m, gd, rc, gred in exhaustive_reductions():
+def test_reductions_stay_planar(even_decompositions):
+    for m, gd, rc, gred in exhaustive_reductions(even_decompositions):
         for g in (gred, DR.add_root(gred)):
             ok, crossings = check_orthogonal_planarity(g)
             assert ok, (m, rc, crossings)
@@ -343,7 +336,7 @@ def _bend_flipped(gd, e):
     return replace(gd, bends={**gd.bends, e: b})
 
 
-def test_sweep_matches_the_pairwise_oracle():
+def test_sweep_matches_the_pairwise_oracle(even_decompositions):
     """Equal verdicts of the sweep and check_planarity on the hand-made
     cases, on every drawing of the exhaustive reduction loop, with and
     without the root, and on those drawings with one bend moved."""
@@ -351,7 +344,7 @@ def test_sweep_matches_the_pairwise_oracle():
         assert check_orthogonal_planarity(segs)[0] == planar
         assert check_orthogonal_planarity(segs[::-1])[0] == planar
     verdicts = Counter()
-    grids = [g for _, _, _, g in exhaustive_reductions()]
+    grids = [g for _, _, _, g in exhaustive_reductions(even_decompositions)]
     for gd in grids + [DR.orthogonal_drawing(
             E.compute_even_regular_decomposition(rv)) for rv in host_corpus()]:
         moved = [_bend_flipped(gd, e) for e in sorted(gd.bends)]

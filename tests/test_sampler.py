@@ -1,20 +1,24 @@
 import hashlib
+import io
+import json
 import random
+import sys
 from bisect import bisect_right
 from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
 
 from schnyder_kit.errors import SamplerError
 from schnyder_kit.planar_map import as_angulation
-import schnyder_kit.orientation as O
+import schnyder_kit.cli as cli
+import schnyder_kit.planar_map as PM
 import schnyder_kit.schnyder as S
-import schnyder_kit.duality as D
 import schnyder_kit.drawing as DR
+import schnyder_kit.even as E
 import schnyder_kit.sampler as SA
 
-import instances as I
 from oracles import (
     _fixed_popcount_word, _geometric, bit_filter_sample,
     decode_every_triple_sample, grow_tree, pair_code, rejection_sample,
@@ -23,10 +27,9 @@ from oracles import (
 )
 
 
-def even_pairs(m):
-    ang = as_angulation(m, 4)
-    return [(ang, S.phi(S.psi_inverse(o)))
-            for o in O.lattice_enumerate(ang) if O.is_even(o)]
+def even_pairs(even_decompositions, name):
+    """The pairs (angulation, s) of a handmade quadrangulation."""
+    return [(ang, s) for ang, s, _ in even_decompositions[name]]
 
 
 def compositions(n, k):
@@ -46,19 +49,19 @@ def all_sum_valid_triples(n):
                     yield SA.EncodingTriple(alpha, beta, gamma)
 
 
-def test_encode_cube():
-    triples = {(t.alpha, t.beta, t.gamma)
-               for t in (SA.encode(a, s) for a, s in even_pairs(I.cube()))}
+def test_encode_cube(even_decompositions):
+    triples = {(t.alpha, t.beta, t.gamma) for t in (
+        SA.encode(a, s) for a, s in even_pairs(even_decompositions, "cube"))}
     assert triples == {((3, 2, 1), (1, 1, 2, 2), (2, 2, 1, 1)),
                        ((3, 2, 1), (1, 2, 1, 2), (2, 1, 2, 1))}
     for alpha, beta, gamma in triples:
         assert sum(alpha) == sum(beta) == sum(gamma) == 6
 
 
-def test_round_trip_exhaustive_small_n():
+def test_round_trip_exhaustive_small_n(small_pairs):
     for n in range(2, 7):
         seen = set()
-        for ang, s in SA.enumerate_pairs(n):
+        for ang, s in small_pairs[n]:
             t = SA.encode(ang, s)
             key = (t.alpha, t.beta, t.gamma)
             assert key not in seen      # encode is injective
@@ -67,10 +70,9 @@ def test_round_trip_exhaustive_small_n():
             assert pair_code(ang, s) == pair_code(ang2, s2)
 
 
-def test_round_trip_handmade_instances():
-    for m in (I.cube(), I.cube_plus(), I.concentric_quadrangulation(3),
-              I.pseudo_double_wheel(4), I.pseudo_double_wheel(5)):
-        for ang, s in even_pairs(m):
+def test_round_trip_handmade_instances(even_decompositions):
+    for name in ("cube", "cube_plus", "rings3", "wheel4", "wheel5"):
+        for ang, s in even_pairs(even_decompositions, name):
             ang2, s2 = SA.decode(SA.encode(ang, s))
             assert pair_code(ang, s) == pair_code(ang2, s2)
 
@@ -555,11 +557,11 @@ def test_rejection_sample_validates_and_limits():
     assert ei.value.kind == "RejectionLimitExceeded"
 
 
-def test_part_full_counts_pair_vs_geometry():
-    for m in (I.pseudo_double_wheel(4), I.pseudo_double_wheel(5)):
-        for ang, s in even_pairs(m):
+def test_part_full_counts_pair_vs_geometry(even_decompositions):
+    for m in (4, 5):
+        for ang, s, rd in even_decompositions[f"wheel{m}"]:
             part, full = SA.part_full_counts((ang, s))
-            fc = DR.classify_faces(DR.orthogonal_drawing(D.chi(s)))
+            fc = DR.classify_faces(DR.orthogonal_drawing(rd))
             cls = [info.cls for info in fc.faces.values()]
             assert (part, full) == (cls.count("partly_reducible"),
                                     cls.count("fully_reducible"))
@@ -602,3 +604,94 @@ def test_concentration_experiment_reproducible_and_parallel():
     assert st1.accepted == 12 and len(st1.part_counts) == 12
     obj = st1.to_json_obj()
     assert obj["summary"]["acceptance_rate"] == 12 / st1.attempts
+
+
+def _balanced_grid(rd):
+    """(width, height) of the drawing of rd after the balanced reduction."""
+    gd = DR.orthogonal_drawing(rd)
+    red = DR.apply_reduction(
+        gd, DR.balanced_reduction_choice(DR.classify_faces(gd)))
+    return (max(x for x, _ in red.coords.values()) + 1,
+            max(y for _, y in red.coords.values()) + 1)
+
+
+def _grid_from_counts(n, part, full):
+    """Every reducible face removes its own row or column: a fully
+    reducible one both, the partly reducible ones alternately a column and
+    a row, starting with a column."""
+    return n - 1 - full - (part + 1) // 2, n - 1 - full - part // 2
+
+
+def test_reduced_grid_is_set_by_part_and_full(even_decompositions):
+    """After the balanced reduction the drawing of a pair with n faces is
+    n - 1 - full - ceil(part/2) wide and n - 1 - full - floor(part/2)
+    high, on every pair with n <= 7 faces and on 40 samples each at n = 24
+    and n = 40; the drawing is the oracle.  concentration_experiment still
+    draws each sample rather than using the identity, because the
+    benchmark's sample workload needs its drawing.* spans."""
+    pairs = 0
+    for n in range(2, 8):
+        for ang, s, rd in even_decompositions[n]:
+            part, full = SA.part_full_counts((ang, s))
+            assert _balanced_grid(rd) == _grid_from_counts(n, part, full)
+            pairs += 1
+    assert pairs == 545
+    for n in (24, 40):
+        st = SA.concentration_experiment(n, 40, seed=n, max_attempts=10 ** 8)
+        assert [_grid_from_counts(n, part, full)
+                for part, full in zip(st.part_counts, st.full_counts)] == \
+            list(zip(st.reduced_width, st.reduced_height))
+
+
+# n -> (E[part], E[full]) over all pairs with n faces
+EXACT_MEANS = {
+    2: (0, 0), 3: (0, 0), 4: (0, 0), 5: (Fraction(1, 11), 0),
+    6: (Fraction(4, 23), Fraction(1, 23)),
+    7: (Fraction(52, 211), Fraction(25, 211)),
+    8: (Fraction(326, 1037), Fraction(220, 1037)),
+}
+
+
+def test_exact_means_of_part_and_full(small_pairs):
+    """The exact means of the part and full counts over every pair with
+    n <= 8 faces (2,074 pairs at n = 8)."""
+    for n, pairs in small_pairs.items():
+        counts = [SA.part_full_counts(pair) for pair in pairs]
+        assert (Fraction(sum(p for p, _ in counts), len(pairs)),
+                Fraction(sum(f for _, f in counts), len(pairs))) == \
+            EXACT_MEANS[n]
+    assert len(small_pairs[8]) == 2074
+
+
+def _counting(monkeypatch, fn, calls):
+    """Replace every module-level binding of fn in the package by a wrapper
+    that appends its first argument to calls."""
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "schnyder_kit":
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+def test_each_sample_is_validated_once_and_bipartitioned_once(monkeypatch):
+    """One in-process sample --n 24 --count 3: each of the two validators
+    on its path runs once per delivered sample, and the two-coloring search
+    once per map and kind (the vertices of the quadrangulation and the
+    faces of its dual, one each per sample)."""
+    reduced, full, searched = [], [], []
+    _counting(monkeypatch, E.validate_reduced_schnyder, reduced)
+    _counting(monkeypatch, S.validate_schnyder, full)
+    _counting(monkeypatch, PM.two_coloring, searched)
+    out = io.StringIO()
+    assert cli.main(["sample", "--n", "24", "--count", "3", "--seed", "3",
+                     "--max-attempts", str(10 ** 8), "--jobs", "1"],
+                    out=out) == 0
+    assert json.loads(out.getvalue())["accepted"] == 3
+    assert len(reduced) == len(full) == 3
+    assert len({id(rs) for rs in reduced}) == len({id(s) for s in full}) == 3
+    assert len(searched) == 6
+    assert len({id(cell) for cell in searched}) == 6

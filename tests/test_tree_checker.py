@@ -1,6 +1,7 @@
-"""The one-pass forest/tree checker against a walk from every vertex, the
-shared vertex rule against each validator's former one, and the corner rule
-and dual rule against the labelling and dual validators they replaced."""
+"""The single-sweep forest/tree checker against the validators as coded
+before it and against a walk from every vertex, the shared vertex rule
+against each validator's former one, and the corner rule and dual rule
+against the labelling and dual validators they replaced."""
 
 import random
 from collections import Counter
@@ -13,12 +14,14 @@ import schnyder_kit.duality as D
 import schnyder_kit.even as E
 
 import instances as I
+import oracles
 from oracles import (
-    cyclic_step_violations, labelling_axioms, reduced_regular_axioms,
-    reduced_regular_vertex_rule, reduced_vertex_rule,
+    CYCLE, cyclic_step_violations, dual_violations, labelling_axioms,
+    path_ends, reduced_regular_axioms, reduced_regular_vertex_rule,
+    reduced_schnyder_violations, reduced_vertex_rule,
     regular_decomposition_axioms, regular_labelling_axioms,
-    regular_vertex_rule, schnyder_vertex_rule, sufficiency_violations,
-    walk_path_ends,
+    regular_vertex_rule, schnyder_vertex_rule, schnyder_violations,
+    sufficiency_violations, walk_path_ends,
 )
 
 def decompositions():
@@ -101,23 +104,86 @@ def _pairs(violations):
 
 
 def test_path_ends_matches_the_walk_from_every_vertex(monkeypatch):
+    """The path ends of the validators' parent table, and those of the
+    oracles' path_ends, equal a walk from every vertex, on valid tables
+    and tables near them; each validator meets a cycle somewhere, and the
+    oracle validators give the same verdicts with the walk in place of
+    path_ends."""
     cycles = set()
     for validator, t in decompositions():
+        m = t.host.map
+        nv = m.n_vertices
         roots = {None, getattr(t.host, "root_vertex", None)}
         for x in [t] + mutations(t):
-            for i in range(1, x.n_colors + 1):
-                for root in roots:
-                    ends = x.path_ends(i, root)
-                    assert ends == walk_path_ends(x, i, root)
-                    if S.CYCLE in ends:
+            for root in roots:
+                _, nxt, ends, _ = S._sweep(m, x.masks, x.n_colors, root)
+                for i in range(1, x.n_colors + 1):
+                    walk = walk_path_ends(x, i, root)
+                    assert path_ends(x, i, root) == walk
+                    base = (i - 1) * nv
+                    assert [CYCLE if nxt[e] != e else e - base
+                            for e in ends[base:base + nv]] == walk
+                    if CYCLE in walk:
                         cycles.add(validator.__name__)
             fast = _pairs(validator(x))
             assert (fast == set()) == (x is t)
             with monkeypatch.context() as mp:
-                mp.setattr(S.DartTable, "path_ends", walk_path_ends)
-                assert _pairs(validator(x)) == fast, validator.__name__
+                mp.setattr(oracles, "path_ends", walk_path_ends)
+                assert _pairs(EXACT_ORACLES[validator](x)) == fast, \
+                    validator.__name__
     assert cycles == {"validate_schnyder", "validate_regular_decomposition",
                       "validate_reduced_schnyder", "validate_reduced_regular"}
+
+
+# validator -> its body as coded before the single sweep
+EXACT_ORACLES = {
+    S.validate_schnyder: schnyder_violations,
+    E.validate_reduced_schnyder: reduced_schnyder_violations,
+    D.validate_regular_decomposition: dual_violations,
+    E.validate_reduced_regular: dual_violations,
+}
+
+
+def test_validators_return_the_oracle_lists(even_decompositions):
+    """Each validator returns the oracle's (axiom, where, message) list,
+    in its order, on the valid tables of decompositions(), on the tables
+    near them and on two malformed ones, and on all four tables of every
+    even decomposition of the quadrangulations with at most 8 faces, and
+    on four random tables near each of those with at most 6 faces."""
+    rng = random.Random(17)
+    axioms = {validator: set() for validator in EXACT_ORACLES}
+    for validator, t in decompositions():
+        oracle = EXACT_ORACLES[validator]
+        malformed = [t.masks[:-1], (1 << t.n_colors,) + t.masks[1:]]
+        for x in [t] + mutations(t) + random_mutations(t, rng) + [
+                type(t)(host=t.host, masks=mk, primal=t.primal)
+                for mk in malformed]:
+            got = validator(x)
+            assert got == oracle(x), (validator.__name__, x.masks)
+            axioms[validator] |= {axiom for axiom, _, _ in got}
+    tables = 0
+    for n in range(2, 9):
+        for _ang, s, rd in even_decompositions[n]:
+            for validator, x in ((S.validate_schnyder, s),
+                                 (E.validate_reduced_schnyder, E.lambda_(s)),
+                                 (D.validate_regular_decomposition, rd),
+                                 (E.validate_reduced_regular,
+                                  E.lambda_star(rd))):
+                assert validator(x) == EXACT_ORACLES[validator](x) == []
+                tables += 1
+                for y in random_mutations(x, rng, 1) if n <= 6 else []:
+                    got = validator(y)
+                    assert got == EXACT_ORACLES[validator](y), \
+                        (validator.__name__, y.masks)
+                    axioms[validator] |= {axiom for axiom, _, _ in got}
+    assert tables == 4 * 2619
+    assert axioms == {
+        S.validate_schnyder: {"malformed", "i", "ii", "iii"},
+        E.validate_reduced_schnyder: {"malformed", "i'", "ii'", "iii'"},
+        D.validate_regular_decomposition:
+            {"malformed", "i", "ii", "iii", "tree"},
+        E.validate_reduced_regular:
+            {"malformed", "i'", "partition", "ii'", "iii'", "tree"}}
 
 
 def _reduced_primal_rule(rs, v):
