@@ -261,10 +261,6 @@ def double(o):
     return replace(o, k=2 * o.k, values=vals)
 
 
-def is_even(o):
-    return all(v % 2 == 0 for v in o.values if v >= 0)
-
-
 # -- cycles and pushing ---------------------------------------------------
 
 def _simple_cycles_of_length(m, length, edge_ids):

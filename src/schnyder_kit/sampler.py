@@ -34,9 +34,9 @@ rejects a triple whose tree stage (alpha[0] = 1, or _contour_closes) or
 closure stage (_strands_close) fails on the three flip words, before it
 turns any word into a degree list; it decodes the rest, about one per
 sample.  The geometric-draw sampler itself is the test oracle
-tests/oracles.rejection_sample.  The module also houses the exhaustive
-small-n enumeration used as the oracle for uniformity tests, and the
-grid-concentration experiment.
+tests/oracles.rejection_sample.  enumerate_pairs lists every pair of a
+given size by decoding each triple of flip words that passes both tests,
+and the module also houses the grid-concentration experiment.
 """
 
 from __future__ import annotations
@@ -45,15 +45,12 @@ import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import comb
 
+from . import drawing, duality
 from .errors import EvenError, MapError, SamplerError
-from .planar_map import (
-    PlaneMap, add_edges, as_angulation, build_map, shortest_cycle,
-)
-from .orientation import is_even, lattice_enumerate
-from .schnyder import phi, psi_inverse
+from .planar_map import as_angulation, build_map
 from .even import (
     ReducedSchnyderDecomposition, black_vertices, lambda_, lambda_inverse,
 )
@@ -365,6 +362,14 @@ def _word_to_runs(word, n):
     return [len(ones) + 1 for ones in flips.split("0")[:-1]]
 
 
+def _triple_from_words(a, b, c, n):
+    """The triple whose alpha, beta and gamma are read off the flip words
+    a, b and c of n flips each."""
+    return EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
+                          beta=tuple(_word_to_runs(b, n)),
+                          gamma=tuple(_word_to_runs(c, n)))
+
+
 def _runs_to_word(seq):
     """The flip word of a degree sequence: _word_to_runs reversed."""
     return int("".join("1" * (deg - 1) + "0" for deg in seq)[::-1], 2)
@@ -442,9 +447,7 @@ def rejection_sample_fast(n, rng, max_attempts=None):
         if not (a & 1 and _contour_closes(a, b, n) and
                 _strands_close(a, b, c)):
             continue
-        t = EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
-                           beta=tuple(_word_to_runs(b, n)),
-                           gamma=tuple(_word_to_runs(c, n)))
+        t = _triple_from_words(a, b, c, n)
         try:
             pair = decode(t)
         except SamplerError as exc:
@@ -478,167 +481,37 @@ def part_full_counts(pair):
 
 # -- exhaustive enumeration ------------------------------------------------
 
-def _min_fill(boundary_len, d):
-    """Fewest d-gons that can fill a disk with this boundary length, or
-    None when the parity rules it out (interior edges count twice, so
-    k*d - boundary_len must be even for some k)."""
-    if d % 2 == 0 and boundary_len % 2 == 1:
-        return None
-    k = max(1, -(-boundary_len // d))
-    if (k * d - boundary_len) % 2:
-        k += 1
-    return k
-
-
-def _assemble_map(edges, faces):
-    n_darts = 2 * len(edges)
-    face_next = [None] * n_darts
-    for f in faces:
-        for i, h in enumerate(f):
-            face_next[h] = f[(i + 1) % len(f)]
-    origin = [None] * n_darts
-    for e, (a, b) in enumerate(edges):
-        origin[2 * e] = a
-        origin[2 * e + 1] = b
-    twin = tuple(h ^ 1 for h in range(n_darts))
-    next_cw = tuple(face_next[h ^ 1] for h in range(n_darts))
-    return PlaneMap(twin, next_cw, tuple(origin), outer_dart=0)
-
-
-def _face_walks(d, nv, edges, region):
-    """All ways to reveal the d-gon adjacent to the first boundary dart.
-
-    The region boundary is a simple cycle of darts with the region on the
-    left.  The new face starts with the peeled dart; every later step either
-    advances along the boundary, opens a chord to a strictly later boundary
-    vertex, or inserts a fresh vertex.  Yields (face_darts, new_edges,
-    new_nv, subregions); subregions are the pieces cut off between
-    consecutive boundary touches."""
-    b0 = region[0]
-    path = region[1:]
-    pos_v = [edges[h // 2][h % 2] for h in path]       # tails of path darts
-    u = edges[b0 // 2][b0 % 2]
-    w = edges[b0 // 2][1 - b0 % 2]
-    pos_v.append(u)
-    last = len(pos_v) - 1                              # position of u
-    edge_pairs = {frozenset(e) for e in edges}
-
-    def walk(pos, cur, touch, steps, pending, face, news, subs, new_nv):
-        if steps == 0:
-            if pos == last:
-                yield list(face), list(news), new_nv, [list(r) for r in subs]
-            return
-        # advance along the boundary
-        if pos is not None and pos < last and (pos + 1 < last or steps == 1):
-            face.append(path[pos])
-            yield from walk(pos + 1, pos_v[pos + 1], pos + 1, steps - 1,
-                            pending, face, news, subs, new_nv)
-            face.pop()
-        # chord to a later boundary vertex
-        lo = (pos if pos is not None else touch) + 1
-        for q in range(lo, last + 1):
-            if (q == last) != (steps == 1):
-                continue
-            tv = pos_v[q]
-            pair = frozenset((cur, tv))
-            if pair in edge_pairs:
-                continue           # a parallel edge would be a 2-cycle
-            eid = len(edges) + len(news)
-            news.append((cur, tv))
-            edge_pairs.add(pair)
-            h = 2 * eid
-            face.append(h)
-            sub = path[touch:q] + [g ^ 1 for g in reversed(pending + [h])]
-            subs.append(sub)
-            yield from walk(q, tv, q, steps - 1, [], face, news, subs, new_nv)
-            subs.pop()
-            face.pop()
-            edge_pairs.discard(pair)
-            news.pop()
-        # fresh vertex
-        if steps >= 2:
-            eid = len(edges) + len(news)
-            news.append((cur, new_nv))
-            h = 2 * eid
-            face.append(h)
-            yield from walk(None, new_nv, touch, steps - 1, pending + [h],
-                            face, news, subs, new_nv + 1)
-            face.pop()
-            news.pop()
-
-    yield from walk(0, w, 0, d - 1, [], [], [], [], nv)
-
-
-def enumerate_angulations(d, max_faces):
-    """All rooted d-angulations of girth d with 2..max_faces faces.
-
-    Rooted means a marked outer dart; each rooted map appears exactly once.
-    Peeling search: starting from the bare d-cycle, repeatedly reveal the
-    face adjacent to the first boundary dart of the oldest unexplored
-    region.  The revealed face determines the peeling history, so distinct
-    final maps come from distinct branches; partial maps whose graph girth
-    drops below d are pruned (faces only ever add edges, so girth never
-    recovers)."""
-    if d < 3:
-        raise SamplerError("BadParameter", "d must be at least 3")
-    edges0 = [(i, (i + 1) % d) for i in range(d)]
-    outer = [2 * i for i in range(d)]
-    inner = [2 * i + 1 for i in reversed(range(d))]
-    adj = [[] for _ in range(d)]     # of the partial map on the current path
-    add_edges(adj, edges0)
-
-    def fill(nv, edges, faces, regions):
-        if not regions:
-            yield _assemble_map(edges, faces)
-            return
-        budget = max_faces - len(faces)
-        need = 0
-        for r in regions:
-            k = _min_fill(len(r), d)
-            if k is None:
-                return
-            need += k
-        if need > budget:
-            return
-        region = regions[0]
-        for face, news, new_nv, subs in _face_walks(d, nv, edges, region):
-            adj.extend([] for _ in range(new_nv - nv))
-            add_edges(adj, news, len(edges))
-            try:
-                # the partial map had girth d, so a shorter cycle uses a
-                # run of new edges; fresh vertices have degree 2, so the
-                # cycle passes through the old vertex where that run starts
-                if news and shortest_cycle(
-                        adj, d, {u for u, _ in news if u < nv}) < d:
-                    continue
-                yield from fill(new_nv, edges + news,
-                                faces + [[region[0]] + face],
-                                regions[1:] + [s for s in subs if s])
-            finally:
-                for u, w in news:
-                    adj[u].pop()
-                    adj[w].pop()
-                del adj[nv:]
-
-    if max_faces >= 2:
-        yield from fill(d, list(edges0), [outer], [inner])
+def _words(width, k):
+    """The width-bit words with popcount k, in combinations order."""
+    return [sum(1 << i for i in bits) for bits in combinations(range(width), k)]
 
 
 def enumerate_pairs(n):
     """All pairs (rooted girth-4 quadrangulation with n faces, even Schnyder
-    decomposition), each exactly once, for 2 <= n <= ENUMERATION_CAP."""
+    decomposition), each exactly once, for 2 <= n <= ENUMERATION_CAP.
+
+    The pairs are the decoded closing triples, in walk order: for s =
+    1..n-1, every flip word a with popcount s and bit 0 set, then every b
+    and every c with popcount n-1-s, each in combinations order, such that
+    _contour_closes(a, b, n) and _strands_close(a, b, c) hold.  These
+    triples number the pairs (Baxter(n-1) of them), and decode accepts
+    every one."""
     _require_faces(n)
     if n > ENUMERATION_CAP:
         raise SamplerError("CapExceeded", f"n = {n} exceeds the enumeration "
                                           f"cap {ENUMERATION_CAP}")
     out = []
-    for m in enumerate_angulations(4, n):
-        if m.n_faces != n:
-            continue
-        ang = as_angulation(m, 4)
-        for o in lattice_enumerate(ang):
-            if is_even(o):
-                out.append((ang, phi(psi_inverse(o))))
+    for s in range(1, n):
+        words = _words(n - 1, n - 1 - s)
+        for a in _words(n - 1, s):
+            if not a & 1:
+                continue
+            for b in words:
+                if not _contour_closes(a, b, n):
+                    continue
+                for c in words:
+                    if _strands_close(a, b, c):
+                        out.append(decode(_triple_from_words(a, b, c, n)))
     return out
 
 
@@ -690,7 +563,6 @@ def _one_sample(args):
     rng = sample_stream_rng(seed, index)
     (ang, s), t, attempts = rejection_sample_fast(n, rng, max_attempts)
     part, full = part_full_counts((ang, s))
-    from . import duality, drawing
     gd = drawing.orthogonal_drawing(duality.chi(s))
     rc = drawing.balanced_reduction_choice(drawing.classify_faces(gd))
     red = drawing.apply_reduction(gd, rc)

@@ -3,12 +3,12 @@
 import pytest
 
 from schnyder_kit.duality import chi
-from schnyder_kit.orientation import is_even, lattice_enumerate
+from schnyder_kit.orientation import lattice_enumerate
 from schnyder_kit.planar_map import as_angulation
-from schnyder_kit.sampler import enumerate_angulations, enumerate_pairs
 from schnyder_kit.schnyder import phi, psi_inverse
 
 import instances as I
+from oracles import enumerate_angulations, enumerate_pairs, is_even
 
 
 @pytest.fixture(scope="session")
@@ -30,8 +30,9 @@ def study_corpus():
 
 @pytest.fixture(scope="session")
 def small_pairs():
-    """n -> enumerate_pairs(n) for n = 2..8: every even decomposition of
-    the quadrangulations with at most 8 faces (2,619 pairs)."""
+    """n -> oracles.enumerate_pairs(n) for n = 2..8: every even
+    decomposition of the quadrangulations with at most 8 faces (2,619
+    pairs), found by peeling and the lattice, never by decode."""
     return {n: enumerate_pairs(n) for n in range(2, 9)}
 
 

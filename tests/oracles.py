@@ -10,13 +10,18 @@ from schnyder_kit.errors import (
 from schnyder_kit.even import _require_even_d, black_faces, black_vertices
 from schnyder_kit.orientation import (
     FracOrientation, _left_faces, _simple_cycles_of_length, ccw_traversal,
+    lattice_enumerate,
+)
+from schnyder_kit.planar_map import (
+    PlaneMap, add_edges, as_angulation, shortest_cycle,
 )
 from schnyder_kit.schnyder import (
     CornerLabelling, _corner_violations, _mod, clockwise_jump, colors_of,
+    phi, psi_inverse,
 )
 from schnyder_kit.sampler import (
-    DEFAULT_MAX_ATTEMPTS, EncodingTriple, _popcount_table, _word_to_runs,
-    decode, default_max_decodes,
+    DEFAULT_MAX_ATTEMPTS, ENUMERATION_CAP, EncodingTriple, _popcount_table,
+    _require_faces, _word_to_runs, decode, default_max_decodes,
 )
 
 
@@ -1175,3 +1180,173 @@ def reduced_regular_axioms(rrd):
     for v in rv.non_root_vertices():
         out.extend(vertex_violations(rrd, v, "iii'"))
     return out + tree_violations(rrd)
+
+
+# -- exhaustive enumeration by peeling, pairs through the lattice ---------
+
+def _min_fill(boundary_len, d):
+    """Fewest d-gons that can fill a disk with this boundary length, or
+    None when the parity rules it out (interior edges count twice, so
+    k*d - boundary_len must be even for some k)."""
+    if d % 2 == 0 and boundary_len % 2 == 1:
+        return None
+    k = max(1, -(-boundary_len // d))
+    if (k * d - boundary_len) % 2:
+        k += 1
+    return k
+
+
+def _assemble_map(edges, faces):
+    n_darts = 2 * len(edges)
+    face_next = [None] * n_darts
+    for f in faces:
+        for i, h in enumerate(f):
+            face_next[h] = f[(i + 1) % len(f)]
+    origin = [None] * n_darts
+    for e, (a, b) in enumerate(edges):
+        origin[2 * e] = a
+        origin[2 * e + 1] = b
+    twin = tuple(h ^ 1 for h in range(n_darts))
+    next_cw = tuple(face_next[h ^ 1] for h in range(n_darts))
+    return PlaneMap(twin, next_cw, tuple(origin), outer_dart=0)
+
+
+def _face_walks(d, nv, edges, region):
+    """All ways to reveal the d-gon adjacent to the first boundary dart.
+
+    The region boundary is a simple cycle of darts with the region on the
+    left.  The new face starts with the peeled dart; every later step either
+    advances along the boundary, opens a chord to a strictly later boundary
+    vertex, or inserts a fresh vertex.  Yields (face_darts, new_edges,
+    new_nv, subregions); subregions are the pieces cut off between
+    consecutive boundary touches."""
+    b0 = region[0]
+    path = region[1:]
+    pos_v = [edges[h // 2][h % 2] for h in path]       # tails of path darts
+    u = edges[b0 // 2][b0 % 2]
+    w = edges[b0 // 2][1 - b0 % 2]
+    pos_v.append(u)
+    last = len(pos_v) - 1                              # position of u
+    edge_pairs = {frozenset(e) for e in edges}
+
+    def walk(pos, cur, touch, steps, pending, face, news, subs, new_nv):
+        if steps == 0:
+            if pos == last:
+                yield list(face), list(news), new_nv, [list(r) for r in subs]
+            return
+        # advance along the boundary
+        if pos is not None and pos < last and (pos + 1 < last or steps == 1):
+            face.append(path[pos])
+            yield from walk(pos + 1, pos_v[pos + 1], pos + 1, steps - 1,
+                            pending, face, news, subs, new_nv)
+            face.pop()
+        # chord to a later boundary vertex
+        lo = (pos if pos is not None else touch) + 1
+        for q in range(lo, last + 1):
+            if (q == last) != (steps == 1):
+                continue
+            tv = pos_v[q]
+            pair = frozenset((cur, tv))
+            if pair in edge_pairs:
+                continue           # a parallel edge would be a 2-cycle
+            eid = len(edges) + len(news)
+            news.append((cur, tv))
+            edge_pairs.add(pair)
+            h = 2 * eid
+            face.append(h)
+            sub = path[touch:q] + [g ^ 1 for g in reversed(pending + [h])]
+            subs.append(sub)
+            yield from walk(q, tv, q, steps - 1, [], face, news, subs, new_nv)
+            subs.pop()
+            face.pop()
+            edge_pairs.discard(pair)
+            news.pop()
+        # fresh vertex
+        if steps >= 2:
+            eid = len(edges) + len(news)
+            news.append((cur, new_nv))
+            h = 2 * eid
+            face.append(h)
+            yield from walk(None, new_nv, touch, steps - 1, pending + [h],
+                            face, news, subs, new_nv + 1)
+            face.pop()
+            news.pop()
+
+    yield from walk(0, w, 0, d - 1, [], [], [], [], nv)
+
+
+def enumerate_angulations(d, max_faces):
+    """All rooted d-angulations of girth d with 2..max_faces faces.
+
+    Rooted means a marked outer dart; each rooted map appears exactly once.
+    Peeling search: starting from the bare d-cycle, repeatedly reveal the
+    face adjacent to the first boundary dart of the oldest unexplored
+    region.  The revealed face determines the peeling history, so distinct
+    final maps come from distinct branches; partial maps whose graph girth
+    drops below d are pruned (faces only ever add edges, so girth never
+    recovers)."""
+    if d < 3:
+        raise SamplerError("BadParameter", "d must be at least 3")
+    edges0 = [(i, (i + 1) % d) for i in range(d)]
+    outer = [2 * i for i in range(d)]
+    inner = [2 * i + 1 for i in reversed(range(d))]
+    adj = [[] for _ in range(d)]     # of the partial map on the current path
+    add_edges(adj, edges0)
+
+    def fill(nv, edges, faces, regions):
+        if not regions:
+            yield _assemble_map(edges, faces)
+            return
+        budget = max_faces - len(faces)
+        need = 0
+        for r in regions:
+            k = _min_fill(len(r), d)
+            if k is None:
+                return
+            need += k
+        if need > budget:
+            return
+        region = regions[0]
+        for face, news, new_nv, subs in _face_walks(d, nv, edges, region):
+            adj.extend([] for _ in range(new_nv - nv))
+            add_edges(adj, news, len(edges))
+            try:
+                # the partial map had girth d, so a shorter cycle uses a
+                # run of new edges; fresh vertices have degree 2, so the
+                # cycle passes through the old vertex where that run starts
+                if news and shortest_cycle(
+                        adj, d, {u for u, _ in news if u < nv}) < d:
+                    continue
+                yield from fill(new_nv, edges + news,
+                                faces + [[region[0]] + face],
+                                regions[1:] + [s for s in subs if s])
+            finally:
+                for u, w in news:
+                    adj[u].pop()
+                    adj[w].pop()
+                del adj[nv:]
+
+    if max_faces >= 2:
+        yield from fill(d, list(edges0), [outer], [inner])
+
+
+def is_even(o):
+    return all(v % 2 == 0 for v in o.values if v >= 0)
+
+
+def enumerate_pairs(n):
+    """All pairs (rooted girth-4 quadrangulation with n faces, even Schnyder
+    decomposition), each exactly once, for 2 <= n <= ENUMERATION_CAP."""
+    _require_faces(n)
+    if n > ENUMERATION_CAP:
+        raise SamplerError("CapExceeded", f"n = {n} exceeds the enumeration "
+                                          f"cap {ENUMERATION_CAP}")
+    out = []
+    for m in enumerate_angulations(4, n):
+        if m.n_faces != n:
+            continue
+        ang = as_angulation(m, 4)
+        for o in lattice_enumerate(ang):
+            if is_even(o):
+                out.append((ang, phi(psi_inverse(o))))
+    return out

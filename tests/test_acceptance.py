@@ -23,8 +23,8 @@ import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
-    bend_count, check_planarity, pair_code, place_by_face_counting,
-    sufficiency_violations,
+    bend_count, check_planarity, enumerate_angulations, pair_code,
+    place_by_face_counting, sufficiency_violations,
 )
 from sweep import check_orthogonal_planarity
 from test_drawing import _dual_degree_classification
@@ -35,7 +35,7 @@ def okey(o):
 
 
 def enum_angulations(d, max_faces):
-    return [as_angulation(m, d) for m in SA.enumerate_angulations(d, max_faces)]
+    return [as_angulation(m, d) for m in enumerate_angulations(d, max_faces)]
 
 
 @pytest.fixture(scope="module")

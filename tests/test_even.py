@@ -8,6 +8,7 @@ import schnyder_kit.duality as D
 import schnyder_kit.even as E
 
 import instances as I
+from oracles import is_even
 
 
 def quad_corpus():
@@ -31,7 +32,7 @@ def test_parity_characterizations_agree():
 
 def test_uneven_instances_detected():
     ang = as_angulation(I.cube(), 4)
-    uneven = [o for o in O.lattice_enumerate(ang) if not O.is_even(o)]
+    uneven = [o for o in O.lattice_enumerate(ang) if not is_even(o)]
     assert uneven  # the cube lattice holds 3 elements, only 2 are even
     for o in uneven:
         l = S.psi_inverse(o)

@@ -8,7 +8,7 @@ import schnyder_kit.orientation as O
 
 import instances as I
 from oracles import (
-    brute_force_dd2, brute_force_orientations, flood_fill_d_circuits,
+    brute_force_dd2, brute_force_orientations, flood_fill_d_circuits, is_even,
 )
 
 
@@ -86,8 +86,8 @@ def test_p_p1_and_doubling():
     d = O.double(o)
     d.validate()
     assert d.k == 2
-    assert O.is_even(d)
-    assert not O.is_even(O.compute_dd2_orientation(tetra()))
+    assert is_even(d)
+    assert not is_even(O.compute_dd2_orientation(tetra()))
 
 
 def test_dodecahedron_5_3_orientation():

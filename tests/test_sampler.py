@@ -19,6 +19,7 @@ import schnyder_kit.drawing as DR
 import schnyder_kit.even as E
 import schnyder_kit.sampler as SA
 
+import oracles
 from oracles import (
     _fixed_popcount_word, _geometric, bit_filter_sample,
     decode_every_triple_sample, grow_tree, pair_code, rejection_sample,
@@ -80,7 +81,7 @@ def test_round_trip_handmade_instances(even_decompositions):
 def test_decode_accepts_exactly_the_encodable_triples():
     n = 5
     image = {(t.alpha, t.beta, t.gamma)
-             for t in (SA.encode(a, s) for a, s in SA.enumerate_pairs(n))}
+             for t in (SA.encode(a, s) for a, s in oracles.enumerate_pairs(n))}
     accepted = set()
     stages = Counter()
     for t in all_sum_valid_triples(n):
@@ -568,9 +569,10 @@ def test_part_full_counts_pair_vs_geometry(even_decompositions):
 
 
 def test_enumerate_angulations_counts_and_validity():
-    by_faces = Counter(m.n_faces for m in SA.enumerate_angulations(3, 8))
+    by_faces = Counter(m.n_faces
+                       for m in oracles.enumerate_angulations(3, 8))
     assert by_faces == {2: 1, 4: 1, 6: 3, 8: 13}
-    maps = list(SA.enumerate_angulations(4, 5))
+    maps = list(oracles.enumerate_angulations(4, 5))
     assert Counter(m.n_faces for m in maps) == {2: 1, 3: 2, 4: 6, 5: 22}
     codes = set()
     for m in maps:
@@ -583,11 +585,20 @@ def test_enumerate_angulations_counts_and_validity():
 
 def test_enumerate_pairs_counts():
     # 1, 2, 6, 22, 92: the Baxter numbers, independently of the sampler
-    assert [len(SA.enumerate_pairs(n)) for n in (2, 3, 4, 5, 6)] == \
+    assert [len(oracles.enumerate_pairs(n)) for n in (2, 3, 4, 5, 6)] == \
         [1, 2, 6, 22, 92]
     with pytest.raises(SamplerError) as ei:
         SA.enumerate_pairs(SA.ENUMERATION_CAP + 1)
     assert ei.value.kind == "CapExceeded"
+
+
+def test_enumerate_pairs_decodes_each_oracle_pair_once(small_pairs):
+    """The decoded closing triples are the pairs that the peeling oracle
+    finds, each exactly once, for every n <= 8 (2,619 pairs)."""
+    for n, pairs in small_pairs.items():
+        codes = Counter(pair_code(ang, s) for ang, s in SA.enumerate_pairs(n))
+        assert codes == Counter(pair_code(ang, s) for ang, s in pairs), n
+        assert set(codes.values()) == {1}, n
 
 
 @pytest.mark.parametrize("max_attempts", [0, -5])
@@ -649,18 +660,21 @@ EXACT_MEANS = {
     6: (Fraction(4, 23), Fraction(1, 23)),
     7: (Fraction(52, 211), Fraction(25, 211)),
     8: (Fraction(326, 1037), Fraction(220, 1037)),
+    9: (Fraction(2041, 5377), Fraction(1714, 5377)),
 }
 
 
 def test_exact_means_of_part_and_full(small_pairs):
     """The exact means of the part and full counts over every pair with
-    n <= 8 faces (2,074 pairs at n = 8)."""
-    for n, pairs in small_pairs.items():
+    n <= 9 faces: the oracle's pairs for n <= 8 (2,074 at n = 8), the
+    decoded closing triples at n = 9 (10,754)."""
+    by_n = {**small_pairs, 9: SA.enumerate_pairs(9)}
+    for n, pairs in by_n.items():
         counts = [SA.part_full_counts(pair) for pair in pairs]
         assert (Fraction(sum(p for p, _ in counts), len(pairs)),
                 Fraction(sum(f for _, f in counts), len(pairs))) == \
             EXACT_MEANS[n]
-    assert len(small_pairs[8]) == 2074
+    assert len(by_n[8]) == 2074 and len(by_n[9]) == 10754
 
 
 def _counting(monkeypatch, fn, calls):
