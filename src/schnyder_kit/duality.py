@@ -7,17 +7,16 @@ are the primal outer-face orbit (counterclockwise in the dual), which makes
 the root face f_i* coincide with the dual face of the external vertex u_i.
 
 Colors are in [d]; on decompositions each dart not leaving v* carries exactly
-one color, encoded as a one-bit mask.
+one color, encoded as a one-bit mask, which chi reads off the primal corner
+colors of a Schnyder decomposition.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
-    CornerLabelling, DartTable, _corner_violations, _sweep,
+    CornerLabelling, DartTable, _corner_colors, _corner_violations, _sweep,
     _vertex_violations, phi, validate_labelling, validate_schnyder,
 )
 
@@ -218,43 +217,22 @@ def _dual_violations(t):
 # -- chi ------------------------------------------------------------------
 
 def chi(s):
-    """Regular decomposition dual to a Schnyder decomposition.
-
-    Tree i of the result consists of the dual edges of the primal edges NOT
-    in T_i, where T_i is forest i plus every external edge except the one
-    joining u_i and u_{i+1}; each tree is oriented toward v*.
-    """
+    """Regular decomposition dual to a Schnyder decomposition: xi of the
+    dual labelling of phi_inverse(s), read off the corner colors of s.
+    Each arc h not leaving v* takes the color of the primal corner(twin(h)),
+    so tree i holds the duals of the primal edges NOT in T_i (forest i and
+    every external edge but u_i u_{i+1}): the paper's definition, which is
+    the test oracle tests/oracles.chi_by_complemented_trees."""
     bad = validate_schnyder(s)
     if bad:
         raise DualityError("InvalidDecomposition", str(bad[:3]))
-    ang = s.host
-    m = ang.map
-    d = ang.d
-    rv = dualize(ang)
+    rv = dualize(s.host)
     dm = rv.map
-    masks = [0] * dm.n_darts
-    for i in range(1, d + 1):
-        in_tree = {m.edge(h) for h in s.arcs_of_color(i)}
-        in_tree.update(ang.external_edge_ids)
-        in_tree.discard(m.edge(ang.outer_orbit[i - 1]))  # the u_i u_{i+1} edge
-        darts_at = [[] for _ in range(dm.n_vertices)]
-        for h in range(dm.n_darts):
-            if dm.edge(h) not in in_tree:
-                darts_at[dm.origin[h]].append(h)
-        reached = {rv.root_vertex}
-        q = deque([rv.root_vertex])
-        while q:
-            u = q.popleft()
-            for h in darts_at[u]:
-                w = dm.target(h)
-                if w not in reached:
-                    reached.add(w)
-                    masks[dm.twin[h]] |= 1 << (i - 1)  # w's parent arc
-                    q.append(w)
-        if len(reached) != dm.n_vertices:
-            raise DualityError("InvalidDecomposition",
-                               f"complemented dual of tree {i} does not span")
-    return RegularDecomposition(host=rv, masks=tuple(masks), primal=ang)
+    colors = _corner_colors(s)
+    masks = tuple(0 if dm.origin[h] == rv.root_vertex
+                  else 1 << (colors[dm.twin[h]] - 1)
+                  for h in range(dm.n_darts))
+    return RegularDecomposition(host=rv, masks=masks, primal=s.host)
 
 
 def chi_inverse(rd):

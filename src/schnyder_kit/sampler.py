@@ -56,7 +56,7 @@ from .even import (
 )
 
 DEFAULT_MAX_ATTEMPTS = 10 ** 6
-ENUMERATION_CAP = 12
+ENUMERATION_CAP = 10
 
 
 # -- the encoding triple ---------------------------------------------------
@@ -404,8 +404,8 @@ def default_max_decodes(n):
 
 def rejection_sample_fast(n, rng, max_attempts=None):
     """A uniform pair with n >= 2 faces: draw triples whose sums are
-    already n, test their tree and closure stages, and decode those that
-    pass, until one decodes.
+    already n, test their tree and closure stages, and decode the first
+    that passes.
 
     Each sequence is read from n coin flips (_word_to_runs): it sums to
     exactly n iff flip n-1 ends a run, and its length is the number of zero
@@ -422,7 +422,8 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     (alpha[0] = 1) or the ballot test _contour_closes(a, b, n) is false
     (some prefix of a and b has more (0, 0) flips than (1, 1) flips), and
     its closure stage when _strands_close(a, b, c) is false, exactly when
-    decode fails the same stage.  Only the rest are decoded.  attempts (and
+    decode fails the same stage.  The first that passes is decoded (every
+    such triple decodes for n <= 10, see enumerate_pairs).  attempts (and
     max_attempts, default default_max_decodes(n)) count drawn triples, so
     the result at a given seed is the one that decoding every drawn triple
     gives."""
@@ -448,13 +449,7 @@ def rejection_sample_fast(n, rng, max_attempts=None):
                 _strands_close(a, b, c)):
             continue
         t = _triple_from_words(a, b, c, n)
-        try:
-            pair = decode(t)
-        except SamplerError as exc:
-            if exc.kind != "Invalid":
-                raise
-            continue
-        return pair, t, attempt
+        return decode(t), t, attempt
     raise SamplerError("RejectionLimitExceeded",
                        f"no valid triple in {max_attempts} attempts at n={n}")
 

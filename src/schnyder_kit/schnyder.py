@@ -218,7 +218,8 @@ def clockwise_jump(l, h):
 # -- Psi ------------------------------------------------------------------
 
 def psi(l):
-    """Clockwise-jump orientation of a valid labelling (a d/(d-2)-orientation)."""
+    """Clockwise-jump orientation of a valid labelling (a d/(d-2)-orientation;
+    only l is validated: its axioms make the jumps on each edge sum to d-2)."""
     ang = l.host
     bad = validate_labelling(l)
     if bad:
@@ -228,8 +229,7 @@ def psi(l):
     vals = [-1] * m.n_darts
     for h in ang.internal_darts():
         vals[h] = clockwise_jump(l, h)
-    o = FracOrientation(map=m, k=ang.d - 2, values=tuple(vals), host=ang)
-    return o.validate()
+    return FracOrientation(map=m, k=ang.d - 2, values=tuple(vals), host=ang)
 
 
 def psi_inverse(o):
@@ -300,13 +300,39 @@ def gamma(s):
 
 
 def phi_inverse(s):
-    """The labelling l with phi(l) = s (via psi_inverse of gamma).  Only
+    """The labelling l with phi(l) = s, read off s by _corner_colors.  Only
     the input is validated: Phi is a bijection between labellings and
     Schnyder decompositions, so a valid s is phi of the result."""
     bad = validate_schnyder(s)
     if bad:
         raise SchnyderError("InvalidDecomposition", str(bad[:3]))
-    return psi_inverse(gamma(s).validate())
+    return CornerLabelling(host=s.host, colors=_corner_colors(s))
+
+
+def _corner_colors(s):
+    """The corner colors of the l with phi(l) = s, for a valid s, by vertex:
+    the corners at u_i have color i; around an internal vertex the corner
+    after a colored dart is one past the last color of its cyclic span, and
+    the corner after an uncolored dart repeats the corner before it."""
+    ang = s.host
+    m = ang.map
+    d = ang.d
+    masks = s.masks
+    after = {mk: next(c for c in range(1, d + 1)
+                      if mk >> ((c - 2) % d) & 1 and not mk >> (c - 1) & 1)
+             for mk in set(masks) if mk}
+    colors = [0] * m.n_darts
+    for i, u in enumerate(ang.external, start=1):
+        for h in m.vertex_orbit(u):
+            colors[h] = i
+    for v in ang.internal_vertices():
+        orbit = m.vertex_orbit(v)
+        k = next(k for k, h in enumerate(orbit) if masks[h])
+        c = None
+        for h in orbit[k:] + orbit[:k]:
+            c = after.get(masks[h], c)
+            colors[h] = c
+    return tuple(colors)
 
 
 # -- decomposition validation --------------------------------------------

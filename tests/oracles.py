@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to freeze expected values."""
 
 from bisect import bisect_right
+from collections import deque
 from itertools import product
 
-from schnyder_kit.duality import _vertex_steps
+from schnyder_kit.duality import (
+    RegularDecomposition, _vertex_steps, dualize,
+)
 from schnyder_kit.errors import (
-    DrawingError, MapError, SamplerError, SchnyderError,
+    DrawingError, DualityError, MapError, SamplerError, SchnyderError,
 )
 from schnyder_kit.even import _require_even_d, black_faces, black_vertices
 from schnyder_kit.orientation import (
@@ -17,7 +20,7 @@ from schnyder_kit.planar_map import (
 )
 from schnyder_kit.schnyder import (
     CornerLabelling, _corner_violations, _mod, clockwise_jump, colors_of,
-    phi, psi_inverse,
+    phi, psi_inverse, validate_schnyder,
 )
 from schnyder_kit.sampler import (
     DEFAULT_MAX_ATTEMPTS, ENUMERATION_CAP, EncodingTriple, _popcount_table,
@@ -1109,6 +1112,47 @@ def sufficiency_violations(r):
         if len(cs) == 1:
             out.append(("iv'", f, f"face {f} is monochromatic"))
     return out
+
+
+def chi_by_complemented_trees(s):
+    """Regular decomposition dual to a Schnyder decomposition, by the
+    paper's definition of chi: one BFS from v* per color.
+
+    Tree i of the result consists of the dual edges of the primal edges NOT
+    in T_i, where T_i is forest i plus every external edge except the one
+    joining u_i and u_{i+1}; each tree is oriented toward v*.
+    """
+    bad = validate_schnyder(s)
+    if bad:
+        raise DualityError("InvalidDecomposition", str(bad[:3]))
+    ang = s.host
+    m = ang.map
+    d = ang.d
+    rv = dualize(ang)
+    dm = rv.map
+    masks = [0] * dm.n_darts
+    for i in range(1, d + 1):
+        in_tree = {m.edge(h) for h in s.arcs_of_color(i)}
+        in_tree.update(ang.external_edge_ids)
+        in_tree.discard(m.edge(ang.outer_orbit[i - 1]))  # the u_i u_{i+1} edge
+        darts_at = [[] for _ in range(dm.n_vertices)]
+        for h in range(dm.n_darts):
+            if dm.edge(h) not in in_tree:
+                darts_at[dm.origin[h]].append(h)
+        reached = {rv.root_vertex}
+        q = deque([rv.root_vertex])
+        while q:
+            u = q.popleft()
+            for h in darts_at[u]:
+                w = dm.target(h)
+                if w not in reached:
+                    reached.add(w)
+                    masks[dm.twin[h]] |= 1 << (i - 1)  # w's parent arc
+                    q.append(w)
+        if len(reached) != dm.n_vertices:
+            raise DualityError("InvalidDecomposition",
+                               f"complemented dual of tree {i} does not span")
+    return RegularDecomposition(host=rv, masks=tuple(masks), primal=ang)
 
 
 def regular_decomposition_axioms(rd):

@@ -243,6 +243,15 @@ def test_enumerate_rejects_fewer_than_two_faces(n):
                    "detail": f"n = {n} must be at least 2"}
 
 
+def test_enumerate_above_the_cap_answers_at_once():
+    """n = 11 would hold its 326,240 pairs in memory; the cap refuses it
+    with one JSON object before any triple is walked."""
+    rc, text = run(["enumerate", "--n", "11"])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert err["stage"] == "sampler" and err["kind"] == "CapExceeded"
+
+
 def test_enumerate_outputs_validate(tmp_path):
     rc, text = run(["enumerate", "--n", "3"])
     assert rc == 0

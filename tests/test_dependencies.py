@@ -1,6 +1,7 @@
 """The package imports nothing outside the standard library, as its empty
-`dependencies` list in pyproject.toml promises, and defines nothing that it
-does not use itself, apart from the paper's maps that only tests call."""
+`dependencies` list in pyproject.toml promises, imports nothing that it
+does not read, and defines nothing that it does not use itself, apart from
+the paper's maps that only tests call."""
 
 import ast
 import pathlib
@@ -32,7 +33,7 @@ def test_the_package_imports_only_the_standard_library():
 
 # paper maps that nothing in the package calls; the tests check each one
 KEEP = {"lambda_star", "lambda_star_inverse", "chi_inverse", "dual_labelling",
-        "is_even_labelling", "xi", "encode"}
+        "is_even_labelling", "xi", "encode", "gamma"}
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -68,6 +69,26 @@ def test_the_package_defines_only_what_it_uses():
     """Test-only helpers belong in tests/: every definition in the package
     is used by the package, or is one of the paper's maps in KEEP."""
     assert unused_definitions(sorted(PACKAGE.rglob("*.py"))) - KEEP == set()
+
+
+def unused_imports(path):
+    """The names that module-level imports of a source file bind and that
+    no Name node of the file reads (__future__ imports aside)."""
+    tree = parse(path)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+
+def test_the_package_imports_only_what_it_uses():
+    sources = sorted(PACKAGE.rglob("*.py"))
+    unused = {(path.name, name) for path in sources
+              for name in unused_imports(path)}
+    assert unused == set()
 
 
 def top_level_names(node):

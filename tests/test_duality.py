@@ -7,7 +7,10 @@ import schnyder_kit.schnyder as S
 import schnyder_kit.duality as D
 
 import instances as I
-from oracles import isomorphic, sufficiency_violations
+from oracles import (
+    chi_by_complemented_trees, enumerate_angulations, isomorphic,
+    sufficiency_violations,
+)
 
 
 def corpus():
@@ -63,6 +66,30 @@ def test_chi_equals_corner_route():
         s = S.phi(labelling_of(ang))
         via_corners = D.xi(D.dual_labelling(S.phi_inverse(s)))
         assert D.chi(s).masks == via_corners.masks
+
+
+def _assert_chi_and_phi_inverse_match_their_oracles(s):
+    assert D.chi(s).masks == chi_by_complemented_trees(s).masks
+    assert S.phi_inverse(s).colors == S.psi_inverse(S.gamma(s)).colors
+
+
+@pytest.mark.parametrize("d, max_faces", [(3, 7), (4, 6), (5, 5), (6, 5)])
+def test_read_off_matches_the_oracles_on_every_lattice(d, max_faces):
+    """chi and phi_inverse read the corner colors off the masks; the
+    complemented-tree BFS and the Gamma/Psi^-1 route must agree on every
+    lattice element of every girth-d d-angulation, the bare d-cycle too."""
+    angs = [as_angulation(m, d) for m in enumerate_angulations(d, max_faces)]
+    assert any(ang.map.n_faces == 2 for ang in angs)
+    for ang in angs:
+        for o in O.lattice_enumerate(ang):
+            _assert_chi_and_phi_inverse_match_their_oracles(
+                S.phi(S.psi_inverse(o)))
+
+
+def test_read_off_matches_the_oracles_on_small_pairs(small_pairs):
+    for pairs in small_pairs.values():
+        for _, s in pairs:
+            _assert_chi_and_phi_inverse_match_their_oracles(s)
 
 
 def test_chi_round_trip():

@@ -15,10 +15,12 @@ from schnyder_kit.planar_map import as_angulation
 import schnyder_kit.cli as cli
 import schnyder_kit.planar_map as PM
 import schnyder_kit.schnyder as S
+import schnyder_kit.duality as D
 import schnyder_kit.drawing as DR
 import schnyder_kit.even as E
 import schnyder_kit.sampler as SA
 
+import instances as I
 import oracles
 from oracles import (
     _fixed_popcount_word, _geometric, bit_filter_sample,
@@ -709,3 +711,22 @@ def test_each_sample_is_validated_once_and_bipartitioned_once(monkeypatch):
     assert len({id(rs) for rs in reduced}) == len({id(s) for s in full}) == 3
     assert len(searched) == 6
     assert len({id(cell) for cell in searched}) == 6
+
+
+def test_each_draw_validates_each_structure_once(monkeypatch, tmp_path):
+    """One in-process draw --compact --with-root: the labelling, the
+    Schnyder decomposition and the regular decomposition on its path are
+    each validated once, by the map that takes them as input."""
+    ang = as_angulation(I.pseudo_double_wheel(5), 4)
+    doc = tmp_path / "dual.json"
+    doc.write_text(json.dumps({"map": D.dualize(ang).map.to_json_obj(),
+                               "d": 4}))
+    calls = {fn: [] for fn in (S.validate_labelling, S.validate_schnyder,
+                               D.validate_regular_decomposition)}
+    for fn, seen in calls.items():
+        _counting(monkeypatch, fn, seen)
+    out = io.StringIO()
+    assert cli.main(["draw", str(doc), "--compact", "--with-root"],
+                    out=out) == 0
+    assert json.loads(out.getvalue())["coords"]
+    assert [len(seen) for seen in calls.values()] == [1, 1, 1]
