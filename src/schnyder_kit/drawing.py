@@ -13,7 +13,8 @@ before and after a non-root face are that face's x-markers (on L_1) or
 y-markers (on L_4): the ends of its two special edges, which face_markers
 parses from the face's arc-color pattern.  This module reads both lines off
 the markers in linear time; the tests keep the walk along each line and face
-counting as its oracles.  Compaction classifies faces by the same markers.
+counting as its oracles.  Compaction classifies faces by the same markers,
+parsed once per drawing and carried on the GridDrawing.
 Grid reduction, root completion and the SVG/JSON emitters round out the
 pipeline; the planarity checks of a drawing live with the tests.
 """
@@ -39,16 +40,30 @@ def _color(rd, h):
 
 # -- placement -------------------------------------------------------------
 
-def place_by_equatorial_lines(rd):
+def marker_table(rd):
+    """Non-root face f -> ((a, a', b, b'), (fx-, fx+, fy-, fy+)): each face's
+    pattern parsed once by face_markers, for the placement and for the face
+    classification."""
+    rv = rd.host
+    fb = black_faces(rv)
+    table = {}
+    for f in rv.non_root_faces():
+        special = face_markers(rd, f, fb[f])
+        table[f] = special, _xy_markers(*special, fb[f])
+    return table
+
+
+def place_by_equatorial_lines(rd, markers=None):
     """p(v) as (rank along L_1, rank along L_4); linear time.  Each non-root
     face links its fx- to its fx+ on L_1 and its fy- to its fy+ on L_4, so
-    the two lines are the chains of these links from v_2* and from v_1*."""
+    the two lines are the chains of these links from v_2* and from v_1*.
+    markers is rd's marker_table, parsed here when not given."""
     rv = rd.host
     m = rv.map
-    fb = black_faces(rv)
+    if markers is None:
+        markers = marker_table(rd)
     next_x, next_y = {}, {}
-    for f in rv.non_root_faces():
-        fxm, fxp, fym, fyp = _xy_markers(*face_markers(rd, f, fb[f]), fb[f])
+    for f, (_, (fxm, fxp, fym, fyp)) in markers.items():
         if fxm in next_x or fym in next_y:
             raise DrawingError("InternalInvariantViolation",
                                f"face {f} repeats a marker of another face")
@@ -84,6 +99,7 @@ class GridDrawing:
     root_pos: tuple = None
     root_routes: tuple = None   # polyline per root edge e_1*..e_4*
     reduction: "ReductionChoice" = None
+    markers: dict = field(default=None, compare=False)   # marker_table(rd)
 
     @property
     def host(self):
@@ -112,8 +128,9 @@ def orthogonal_drawing(rd, coords=None):
     """One-bend orthogonal drawing of G minus the root vertex."""
     rv = rd.host
     m = rv.map
+    markers = marker_table(rd)
     if coords is None:
-        coords = place_by_equatorial_lines(rd)
+        coords = place_by_equatorial_lines(rd, markers)
     n = m.n_vertices
     if sorted(x for x, _ in coords.values()) != list(range(n - 1)) or \
             sorted(y for _, y in coords.values()) != list(range(n - 1)):
@@ -125,7 +142,8 @@ def orthogonal_drawing(rd, coords=None):
         if e in root_ids:
             continue
         bends[e] = _bend_point(rd, coords, e)
-    return GridDrawing(decomposition=rd, coords=dict(coords), bends=bends)
+    return GridDrawing(decomposition=rd, coords=dict(coords), bends=bends,
+                       markers=markers)
 
 
 # -- straight-line drawing -------------------------------------------------
@@ -209,13 +227,8 @@ def _xy_markers(a, a2, b, b2, is_black):
 
 
 def classify_faces(gd):
-    rd = gd.decomposition
-    rv = rd.host
-    fb = black_faces(rv)
     faces = {}
-    for f in rv.non_root_faces():
-        a, a2, b, b2 = face_markers(rd, f, fb[f])
-        fxm, fxp, fym, fyp = _xy_markers(a, a2, b, b2, fb[f])
+    for f, ((a, a2, b, b2), (fxm, fxp, fym, fyp)) in gd.markers.items():
         if gd.coords[fxm][0] + 1 != gd.coords[fxp][0] or \
                 gd.coords[fym][1] + 1 != gd.coords[fyp][1]:
             raise DrawingError("InternalInvariantViolation",
@@ -273,7 +286,7 @@ def apply_reduction(gd, rc):
               for v, (x, y) in gd.coords.items()}
     bends = {e: _bend_point(rd, coords, e) for e in gd.bends}
     return GridDrawing(decomposition=rd, coords=coords, bends=bends,
-                       reduction=rc)
+                       reduction=rc, markers=gd.markers)
 
 
 # -- root completion -------------------------------------------------------

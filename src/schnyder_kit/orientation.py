@@ -12,8 +12,9 @@ decrements its counterclockwise arcs and increments its clockwise arcs, and
 the covers are exactly the pushes of ccw circuits of length d.  Circuits
 are found orientation first, side second: each simple d-cycle of oriented
 edges is first tested against the dart values in both directions, and only a
-cycle that is a circuit in one of them gets the face flood fill that tells
-its counterclockwise direction.
+cycle that is a circuit in one of them gets the side test that tells its
+counterclockwise direction: a parity count on the map's dual spanning tree,
+O(d) per cycle (PlaneMap.outer_face_left_of).
 """
 
 from __future__ import annotations
@@ -296,32 +297,10 @@ def _simple_cycles_of_length(m, length, edge_ids):
     return out
 
 
-def _left_faces(m, cycle_darts):
-    """Faces in the region left of a dart cycle (flood fill not crossing it)."""
-    cyc_edges = {m.edge(h) for h in cycle_darts}
-    region = set()
-    q = deque()
-    for h in cycle_darts:
-        f = m.face_of[h]
-        if f not in region:
-            region.add(f)
-            q.append(f)
-    while q:
-        f = q.popleft()
-        for h in m.faces[f]:
-            if m.edge(h) in cyc_edges:
-                continue
-            g = m.face_of[m.twin[h]]
-            if g not in region:
-                region.add(g)
-                q.append(g)
-    return region
-
-
 def ccw_traversal(m, cycle_darts):
     """Reorient a dart cycle so that its bounded side lies on the left
     (counterclockwise traversal); requires an outer face on the map."""
-    if m.outer_face in _left_faces(m, cycle_darts):
+    if m.outer_face_left_of(cycle_darts):
         return tuple(m.twin[h] for h in reversed(cycle_darts))
     return tuple(cycle_darts)
 

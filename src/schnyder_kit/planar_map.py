@@ -31,7 +31,7 @@ class PlaneMap:
         "twin", "next_cw", "origin", "outer_dart", "root_vertex",
         "prev_cw", "n_vertices", "n_edges", "n_faces",
         "face_of", "faces", "vertex_darts", "outer_face",
-        "_girth", "_vertex_sides", "_face_sides", "_frozen",
+        "_girth", "_vertex_sides", "_face_sides", "_side_index", "_frozen",
     )
 
     def __init__(self, twin, next_cw, origin, outer_dart, root_vertex=None):
@@ -44,6 +44,7 @@ class PlaneMap:
         self._build_derived()
         self._validate_topology()
         self._girth = self._vertex_sides = self._face_sides = None  # lazy
+        self._side_index = None
         self._frozen = True
 
     def __setattr__(self, name, value):
@@ -269,6 +270,24 @@ class PlaneMap:
             object.__setattr__(self, slot, sides)
         return sides if sides[c0] else tuple(not b for b in sides)
 
+    def outer_face_left_of(self, cycle_darts):
+        """Whether the outer face lies on the left of a simple dart cycle.
+
+        A dual spanning tree rooted at the outer face, built once per map,
+        gives each face f a preorder number and each dart of a tree edge
+        the preorder interval of the subtree below that edge.  The tree path
+        from the outer face to the face left of cycle_darts[0] crosses the
+        cycle once for each cycle dart whose interval holds that face, and
+        the two faces lie on one side iff the count is even: d checks for a
+        d-cycle, no flood fill."""
+        index = self._side_index
+        if index is None:
+            index = dual_tree_intervals(self)
+            object.__setattr__(self, "_side_index", index)
+        pre, lo, hi = index
+        p = pre[self.face_of[cycle_darts[0]]]
+        return sum(lo[h] <= p < hi[h] for h in cycle_darts) % 2 == 0
+
     # -- serialization ----------------------------------------------------
 
     def to_json_obj(self):
@@ -362,6 +381,35 @@ def shortest_cycle(adj, bound, sources):
                 elif du + dw + 1 < best:
                     best = du + dw + 1
     return best
+
+
+def dual_tree_intervals(m):
+    """(pre, lo, hi) of a depth-first spanning tree of the dual of m rooted
+    at the outer face: pre[f] is the preorder number of face f, and for
+    each dart h of a tree edge with child face c, [lo[h], hi[h]) is the
+    preorder interval of the subtree of c (empty, [0, 0), off the tree)."""
+    face_of, twin = m.face_of, m.twin
+    into = [-1] * m.n_faces          # the dart crossed to reach each face
+    pre = [0] * m.n_faces
+    order = []
+    stack = [(m.outer_face, m.outer_dart)]
+    while stack:
+        f, h = stack.pop()
+        if into[f] < 0:
+            into[f], pre[f] = h, len(order)
+            order.append(f)
+            stack.extend((face_of[twin[g]], g) for g in m.faces[f])
+    end = [p + 1 for p in pre]       # one past the last preorder below f
+    for f in reversed(order[1:]):
+        parent = face_of[into[f]]
+        end[parent] = max(end[parent], end[f])
+    lo = [0] * m.n_darts
+    hi = [0] * m.n_darts
+    for f in order[1:]:
+        h = into[f]
+        lo[h] = lo[twin[h]] = pre[f]
+        hi[h] = hi[twin[h]] = end[f]
+    return tuple(pre), tuple(lo), tuple(hi)
 
 
 def two_coloring(cell, twin, c0):

@@ -58,7 +58,12 @@ class DartTable:
     "dual"), REDUCED (colors 1..d/2 instead of 1..d), KEY (the JSON key of
     the table: "dart_colors" for color sets, "corner_colors" for corner
     colors) and the ERROR class and KIND that a payload of the wrong shape
-    raises."""
+    raises.
+
+    Equality compares the class, the host view and the tuple; it ignores
+    ``primal``.  A host view compares its PlaneMap by identity, so tables on
+    separately built maps (two dualize calls, say) are never equal, even
+    when their entries agree: compare their ``masks`` instead."""
 
     host: object
     table: tuple

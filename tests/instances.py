@@ -230,9 +230,25 @@ def face_split_quadrangulation(n_faces, rng):
     from a 4-cycle, n_faces - 2 times join a new vertex to two opposite
     corners of a random inner face.  It stays simple and bipartite, so its
     girth is 4 and its dual is 4-regular with mincut 4."""
-    nbrs = [[1, 3], [2, 0], [3, 1], [0, 2]]    # clockwise neighbours
-    faces = [(0, 3, 2, 1)]                     # inner face orbits
-    for _ in range(n_faces - 2):
+    return ringed_quadrangulation(1, n_faces - 2, rng)
+
+
+def ringed_quadrangulation(rings, splits, rng):
+    """rings concentric 4-cycles joined by spokes, the outer one the outer
+    face, then splits random face splits as in face_split_quadrangulation:
+    the shape of the hosts whose orientation lattice is tall."""
+    nbrs = []                                  # clockwise neighbours
+    for r in range(rings):
+        for i in range(4):
+            v = 4 * r + i
+            ring = [4 * r + (i + 1) % 4, 4 * r + (i - 1) % 4]
+            nbrs.append(([v - 4] if r else []) + ring[:1] +
+                        ([v + 4] if r + 1 < rings else []) + ring[1:])
+    faces = [(4 * r + i, 4 * r + i + 4, 4 * r + (i + 1) % 4 + 4,
+              4 * r + (i + 1) % 4)             # inner face orbits
+             for r in range(rings - 1) for i in range(4)]
+    faces.append(tuple(4 * (rings - 1) + i for i in (0, 3, 2, 1)))
+    for _ in range(splits):
         k, turn = rng.randrange(len(faces)), rng.randrange(4)
         a, b, c, d = faces[k][turn:] + faces[k][:turn]
         x = len(nbrs)

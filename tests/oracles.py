@@ -12,8 +12,7 @@ from schnyder_kit.errors import (
 )
 from schnyder_kit.even import _require_even_d, black_faces, black_vertices
 from schnyder_kit.orientation import (
-    FracOrientation, _left_faces, _simple_cycles_of_length, ccw_traversal,
-    lattice_enumerate,
+    FracOrientation, _simple_cycles_of_length, lattice_enumerate,
 )
 from schnyder_kit.planar_map import (
     PlaneMap, add_edges, as_angulation, shortest_cycle,
@@ -775,7 +774,7 @@ def region_faces(rd, v, i):
                            f"paths {i} and {_mod(i + 2, 4)} from {v} meet at "
                            f"{sorted(mid1 & mid2)}")
     cycle = p1 + [m.twin[h] for h in reversed(p2)]
-    left = _left_faces(m, cycle)
+    left = left_faces(m, cycle)
     marker = m.face_of[rv.root_darts[i % 4]]  # a face beside e_{i+1}*
     if marker in left:
         return left
@@ -954,6 +953,38 @@ def pair_code(ang, s):
                                    for h in dart_bfs(m, m.outer_dart)),)
 
 
+# -- the side of a cycle, by flood fill -----------------------------------
+
+def left_faces(m, cycle_darts):
+    """Faces in the region left of a dart cycle (flood fill not crossing it)."""
+    cyc_edges = {m.edge(h) for h in cycle_darts}
+    region = set()
+    q = deque()
+    for h in cycle_darts:
+        f = m.face_of[h]
+        if f not in region:
+            region.add(f)
+            q.append(f)
+    while q:
+        f = q.popleft()
+        for h in m.faces[f]:
+            if m.edge(h) in cyc_edges:
+                continue
+            g = m.face_of[m.twin[h]]
+            if g not in region:
+                region.add(g)
+                q.append(g)
+    return region
+
+
+def ccw_traversal_by_flood_fill(m, cycle_darts):
+    """orientation.ccw_traversal with the side found by flood-filling the
+    faces left of the cycle: reversed iff the outer face is among them."""
+    if m.outer_face in left_faces(m, cycle_darts):
+        return tuple(m.twin[h] for h in reversed(cycle_darts))
+    return tuple(cycle_darts)
+
+
 # -- the lattice push seen on labellings -----------------------------------
 
 def labelling_push(l, traversal):
@@ -966,7 +997,7 @@ def labelling_push(l, traversal):
         if clockwise_jump(l, h) == 0:
             raise SchnyderError("NotAdmissible",
                                 f"corners around arc {h} share a color")
-    interior = _left_faces(m, traversal)
+    interior = left_faces(m, traversal)
     if m.outer_face in interior:
         raise SchnyderError("NotAdmissible", "traversal is not counterclockwise")
     colors = list(l.colors)
@@ -983,12 +1014,12 @@ def flood_fill_d_circuits(o, ccw):
     """find_ccw_d_circuits (ccw=True) or find_cw_d_circuits by the side
     first: every simple d-cycle of oriented edges is turned counterclockwise
     by a face flood fill, then kept if that traversal (or its reverse, for
-    cw) is a circuit."""
+    cw) is a circuit.  It shares only the cycle listing with the library."""
     m = o.map
     out = []
     for cyc in _simple_cycles_of_length(m, o.host.d,
                                         [m.edge(h) for h in o.oriented_edges()]):
-        trav = ccw_traversal(m, cyc)
+        trav = ccw_traversal_by_flood_fill(m, cyc)
         if not ccw:
             trav = tuple(m.twin[h] for h in reversed(trav))
         if all(o.values[h] > 0 for h in trav):

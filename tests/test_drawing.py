@@ -146,6 +146,24 @@ def test_face_classification_matches_dual_degrees(even_decompositions):
     assert seen == {"non_reducible", "partly_reducible", "fully_reducible"}
 
 
+def test_a_drawing_parses_each_face_once(monkeypatch):
+    """Placement and classification of one drawing share one marker
+    table, which reduction and root completion carry along: face_markers
+    runs once per non-root face."""
+    q = I.face_split_quadrangulation(40, random.Random(40))
+    rv = D.dualize(as_angulation(q, 4))
+    rd = E.compute_even_regular_decomposition(rv)
+    parsed = []
+    markers = DR.face_markers
+    monkeypatch.setattr(DR, "face_markers", lambda rd, f, is_black: (
+        parsed.append(f) or markers(rd, f, is_black)))
+    gd = DR.orthogonal_drawing(rd)
+    red = DR.apply_reduction(
+        gd, DR.balanced_reduction_choice(DR.classify_faces(gd)))
+    assert DR.add_root(red).markers is gd.markers
+    assert sorted(parsed) == sorted(rv.non_root_faces())
+
+
 @pytest.fixture(scope="module")
 def marker_corpus(even_decompositions):
     """Every even regular decomposition of the quadrangulations with at most

@@ -92,6 +92,20 @@ def test_read_off_matches_the_oracles_on_small_pairs(small_pairs):
             _assert_chi_and_phi_inverse_match_their_oracles(s)
 
 
+def test_table_equality_compares_the_host_map_by_identity():
+    """Tables from separate dualize calls agree on their masks but are not
+    equal, since each call builds its own PlaneMap; on one host, equal
+    entries make equal tables whatever their primal view."""
+    ang = as_angulation(I.cube(), 4)
+    s = S.phi(labelling_of(ang))
+    rd1, rd2 = D.chi(s), D.chi(s)
+    assert rd1.masks == rd2.masks
+    assert rd1.host.map is not rd2.host.map
+    assert rd1 != rd2
+    assert rd1 == D.RegularDecomposition(host=rd1.host, masks=rd1.masks)
+    assert s == S.SchnyderDecomposition(host=ang, masks=s.masks, primal=ang)
+
+
 def test_chi_round_trip():
     for ang in corpus():
         s = S.phi(labelling_of(ang))

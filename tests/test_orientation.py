@@ -5,10 +5,12 @@ import pytest
 from schnyder_kit.errors import OrientationError
 from schnyder_kit.planar_map import as_angulation
 import schnyder_kit.orientation as O
+import schnyder_kit.planar_map as P
 
 import instances as I
 from oracles import (
-    brute_force_dd2, brute_force_orientations, flood_fill_d_circuits, is_even,
+    brute_force_dd2, brute_force_orientations, ccw_traversal_by_flood_fill,
+    enumerate_angulations, flood_fill_d_circuits, is_even,
 )
 
 
@@ -167,6 +169,71 @@ def test_circuit_scan_matches_flood_fill_oracle(study_corpus):
             pushes += 1
         assert pushes > 0
         assert o.values == O.minimal_orientation(ang).values
+
+
+def _side_test_hosts():
+    """(map, d): every girth-d d-angulation with (d, faces) = (3, 7),
+    (4, 6), (5, 5), (6, 5), and quadrangulations whose 4-cycles nest:
+    ringed ones with and without face splits, face-split ones and the
+    concentric ones of the instances."""
+    for d, faces in ((3, 7), (4, 6), (5, 5), (6, 5)):
+        yield from ((m, d) for m in enumerate_angulations(d, faces))
+    for rings in range(1, 7):
+        for splits in (0, 3, 12):
+            yield I.ringed_quadrangulation(
+                rings, splits, random.Random(100 * rings + splits)), 4
+    for faces in (3, 5, 9, 17, 30, 60):
+        yield I.face_split_quadrangulation(faces, random.Random(faces)), 4
+    for k in (2, 3, 5):
+        yield I.concentric_quadrangulation(k), 4
+    yield I.ringed_quadrangulation(25, 20, random.Random("ringed:0")), 4
+
+
+def test_ccw_traversal_matches_flood_fill_on_every_d_cycle():
+    """The parity count on the dual spanning tree turns every simple
+    d-cycle, given in either direction, the way the face flood fill does."""
+    hosts = cycles = 0
+    for m, d in _side_test_hosts():
+        hosts += 1
+        for cyc in O._simple_cycles_of_length(m, d, m.edges()):
+            for trav in (cyc, tuple(m.twin[h] for h in reversed(cyc))):
+                assert O.ccw_traversal(m, trav) == \
+                    ccw_traversal_by_flood_fill(m, trav)
+                cycles += 1
+    assert hosts == 310 and cycles > 6000
+
+
+class _CountedReads(tuple):
+    """A tuple that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_minimal_orientation_builds_one_side_index(monkeypatch):
+    """A walk to the minimum on 25 concentric 4-cycles (100 vertices, 48
+    pushes, the size of the benchmark's ringed hosts) builds the dual-tree
+    side index once for all its scans, and reads no face orbit beyond that
+    build: a flood fill per cycle would read many."""
+    ang = as_angulation(I.concentric_quadrangulation(25), 4)
+    m = ang.map
+    builds = []
+    build = P.dual_tree_intervals
+    monkeypatch.setattr(P, "dual_tree_intervals",
+                        lambda m: builds.append(m) or build(m))
+    faces = _CountedReads(m.faces)
+    object.__setattr__(m, "faces", faces)    # PlaneMap refuses setattr
+    scans = []
+    scan = O._find_d_circuits
+    monkeypatch.setattr(O, "_find_d_circuits",
+                        lambda o, ccw: scans.append(ccw) or scan(o, ccw))
+    O.minimal_orientation(ang)
+    assert len(scans) == 49                  # 48 pushes, then none left
+    assert builds == [m]
+    assert faces.reads == m.n_faces
 
 
 def test_push_rejects_non_circuit():

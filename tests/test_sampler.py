@@ -679,6 +679,19 @@ def test_exact_means_of_part_and_full(small_pairs):
     assert len(by_n[8]) == 2074 and len(by_n[9]) == 10754
 
 
+def test_sampled_means_lie_near_the_exact_means():
+    """The sampler's mean part and full counts over 2,000 samples at n = 9
+    lie within 4 standard errors of the exact 2041/5377 and 1714/5377.  The
+    mean of 2,000 bounded counts is nearly normal, so a uniform sampler
+    fails this at any seed with probability about 1e-4."""
+    st = SA.concentration_experiment(9, 2000, seed=1)
+    for counts, exact in zip((st.part_counts, st.full_counts), EXACT_MEANS[9]):
+        mean = Fraction(sum(counts), len(counts))
+        var = sum((c - mean) ** 2 for c in counts) / (len(counts) - 1)
+        z = (mean - exact) / (var / len(counts)) ** 0.5
+        assert abs(z) < 4, (float(mean), float(exact), float(z))
+
+
 def _counting(monkeypatch, fn, calls):
     """Replace every module-level binding of fn in the package by a wrapper
     that appends its first argument to calls."""

@@ -6,7 +6,9 @@ import schnyder_kit.orientation as O
 import schnyder_kit.schnyder as S
 
 import instances as I
-from oracles import brute_force_dd2, forest_path_to_root, labelling_push
+from oracles import (
+    brute_force_dd2, forest_path_to_root, labelling_push, left_faces,
+)
 
 
 def angulations():
@@ -127,8 +129,7 @@ def test_push_d_times_is_identity():
     for o in O.lattice_enumerate(ang):
         l = S.psi_inverse(o)
         for trav in O.find_ccw_d_circuits(o):
-            from schnyder_kit.orientation import _left_faces
-            interior = _left_faces(ang.map, trav)
+            interior = left_faces(ang.map, trav)
             colors = list(l.colors)
             for _ in range(ang.d):
                 colors = [S._mod(c + 1, ang.d)
