@@ -227,6 +227,9 @@ def _xy_markers(a, a2, b, b2, is_black):
 
 
 def classify_faces(gd):
+    if gd.reduction is not None:
+        raise DrawingError("InternalInvariantViolation",
+                           "classify the faces before reducing the drawing")
     faces = {}
     for f, ((a, a2, b, b2), (fxm, fxp, fym, fyp)) in gd.markers.items():
         if gd.coords[fxm][0] + 1 != gd.coords[fxp][0] or \

@@ -10,17 +10,21 @@ The set of all d/(d-2)-orientations of a d-angulation of girth d forms a
 distributive lattice under cycle pushing: pushing a counterclockwise circuit
 decrements its counterclockwise arcs and increments its clockwise arcs, and
 the covers are exactly the pushes of ccw circuits of length d.  Circuits
-are found orientation first, side second: each simple d-cycle of oriented
-edges is first tested against the dart values in both directions, and only a
-cycle that is a circuit in one of them gets the side test that tells its
-counterclockwise direction: a parity count on the map's dual spanning tree,
-O(d) per cycle (PlaneMap.outer_face_left_of).
+are found orientation first, side second: the simple d-cycles of oriented
+edges are listed one at a time, each is tested against the dart values in
+both directions, and only a cycle that is a circuit in one of them gets the
+side test that tells its counterclockwise direction: a parity count on the
+map's dual spanning tree, O(d) per cycle (PlaneMap.outer_face_left_of).
+The walk to the lattice minimum pushes only the first ccw circuit of each
+scan, so it stops each scan there; only its last scan, which finds no
+circuit, lists every d-cycle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .errors import OrientationError
 from .planar_map import AngulationView, PlaneMap
@@ -265,10 +269,9 @@ def double(o):
 # -- cycles and pushing ---------------------------------------------------
 
 def _simple_cycles_of_length(m, length, edge_ids):
-    """All simple cycles of the given length using only the given edges,
-    as dart tuples (one traversal direction each, deduplicated)."""
+    """Yield every simple cycle of the given length using only the given
+    edges, as a dart tuple (one traversal direction each, deduplicated)."""
     allowed = set(edge_ids)
-    out = []
     seen = set()
     adj = [[] for _ in range(m.n_vertices)]
     for v in range(m.n_vertices):
@@ -286,15 +289,14 @@ def _simple_cycles_of_length(m, length, edge_ids):
                 key = frozenset(m.edge(x) for x in cyc)
                 if len(key) == length and key not in seen:
                     seen.add(key)
-                    out.append(tuple(cyc))
+                    yield tuple(cyc)
             elif w > start and w not in visited:
                 visited.add(w)
-                dfs(start, w, path_darts + [h], visited)
+                yield from dfs(start, w, path_darts + [h], visited)
                 visited.remove(w)
 
     for start in range(m.n_vertices):
-        dfs(start, start, [], {start})
-    return out
+        yield from dfs(start, start, [], {start})
 
 
 def ccw_traversal(m, cycle_darts):
@@ -310,25 +312,27 @@ def _is_circuit(o, traversal):
     return all(o.values[h] > 0 for h in traversal)
 
 
-def find_ccw_d_circuits(o):
-    """All ccw circuits of length d (candidate cover pushes downward)."""
-    return _find_d_circuits(o, ccw=True)
-
-
 def find_cw_d_circuits(o):
     """All cw circuits of length d (candidate cover pushes upward)."""
     return _find_d_circuits(o, ccw=False)
 
 
-def _find_d_circuits(o, ccw):
-    ang = o.host
-    if ang is None:
+def _find_d_circuits(o, ccw, limit=None):
+    """The first `limit` d-circuits of o (all of them if limit is None) in
+    cycle-listing order: counterclockwise ones if ccw, else clockwise ones.
+    The d-cycles are listed lazily, so the scan stops at its limit; the
+    circuits come back as a list, so the whole scan runs inside this call."""
+    if o.host is None:
         raise OrientationError("InvalidOrientation", "orientation has no angulation host")
+    return list(islice(_d_circuits(o, ccw), limit))
+
+
+def _d_circuits(o, ccw):
+    """Yield the d-circuits of _find_d_circuits one at a time."""
     m = o.map
-    d = ang.d
     values, twin = o.values, m.twin
-    out = []
-    for cyc in _simple_cycles_of_length(m, d, [m.edge(h) for h in o.oriented_edges()]):
+    for cyc in _simple_cycles_of_length(m, o.host.d,
+                                        [m.edge(h) for h in o.oriented_edges()]):
         if not (all(values[h] > 0 for h in cyc) or
                 all(values[twin[h]] > 0 for h in cyc)):
             continue                       # a circuit in neither direction
@@ -336,8 +340,7 @@ def _find_d_circuits(o, ccw):
         if not ccw:
             trav = tuple(twin[h] for h in reversed(trav))
         if _is_circuit(o, trav):
-            out.append(trav)
-    return out
+            yield trav
 
 
 def push_cycle(o, traversal):
@@ -359,15 +362,15 @@ def push_cycle(o, traversal):
 
 
 def minimal_orientation(ang_or_o):
-    """The lattice minimum: push ccw d-circuits until none remain."""
+    """The lattice minimum: push the first ccw d-circuit until none remain.
+    Each scan stops at its first circuit, so only the last scan, which
+    finds none, lists every d-cycle."""
     o = ang_or_o
     if isinstance(o, AngulationView):
         o = compute_dd2_orientation(o)
-    while True:
-        circuits = find_ccw_d_circuits(o)
-        if not circuits:
-            return o
+    while circuits := _find_d_circuits(o, True, limit=1):
         o = push_cycle(o, circuits[0])
+    return o
 
 
 def lattice_enumerate(ang, cap=10**6):

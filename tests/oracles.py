@@ -12,7 +12,8 @@ from schnyder_kit.errors import (
 )
 from schnyder_kit.even import _require_even_d, black_faces, black_vertices
 from schnyder_kit.orientation import (
-    FracOrientation, _simple_cycles_of_length, lattice_enumerate,
+    FracOrientation, _find_d_circuits, _simple_cycles_of_length,
+    lattice_enumerate,
 )
 from schnyder_kit.planar_map import (
     PlaneMap, add_edges, as_angulation, shortest_cycle,
@@ -1009,6 +1010,13 @@ def labelling_push(l, traversal):
 
 
 # -- lattice circuits, every cycle flood-filled ---------------------------
+
+def find_ccw_d_circuits(o):
+    """Every ccw d-circuit of o (the candidate cover pushes downward) in the
+    library's scan order: the full list, where the walk to the minimum
+    stops its scans at the first one."""
+    return _find_d_circuits(o, ccw=True)
+
 
 def flood_fill_d_circuits(o, ccw):
     """find_ccw_d_circuits (ccw=True) or find_cw_d_circuits by the side

@@ -164,6 +164,21 @@ def test_a_drawing_parses_each_face_once(monkeypatch):
     assert sorted(parsed) == sorted(rv.non_root_faces())
 
 
+def test_classification_refuses_a_reduced_drawing():
+    """The faces of a reduced drawing, with or without its root, are not
+    classified again: the refusal names the misuse instead of a broken
+    marker."""
+    q = I.face_split_quadrangulation(40, random.Random(40))
+    gd = DR.orthogonal_drawing(E.compute_even_regular_decomposition(
+        D.dualize(as_angulation(q, 4))))
+    red = DR.apply_reduction(
+        gd, DR.balanced_reduction_choice(DR.classify_faces(gd)))
+    for drawn in (red, DR.add_root(red)):
+        with pytest.raises(DrawingError, match="before reducing") as ei:
+            DR.classify_faces(drawn)
+        assert ei.value.kind == "InternalInvariantViolation"
+
+
 @pytest.fixture(scope="module")
 def marker_corpus(even_decompositions):
     """Every even regular decomposition of the quadrangulations with at most

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,8 @@ import schnyder_kit.planar_map as P
 import instances as I
 from oracles import (
     brute_force_dd2, brute_force_orientations, ccw_traversal_by_flood_fill,
-    enumerate_angulations, flood_fill_d_circuits, is_even,
+    enumerate_angulations, find_ccw_d_circuits, flood_fill_d_circuits,
+    is_even,
 )
 
 
@@ -129,7 +131,7 @@ def test_flow_meets_alpha_without_a_certificate(study_corpus):
 def test_push_preserves_outdegrees():
     c = cube()
     for o in O.lattice_enumerate(c):
-        for trav in O.find_ccw_d_circuits(o):
+        for trav in find_ccw_d_circuits(o):
             o2 = O.push_cycle(o, trav)
             o2.validate()
             for v in range(c.map.n_vertices):
@@ -141,7 +143,7 @@ def test_push_preserves_outdegrees():
 
 def _checked_ccw_circuits(o):
     """find_ccw_d_circuits(o), once both scans match the oracle's lists."""
-    circuits = O.find_ccw_d_circuits(o)
+    circuits = find_ccw_d_circuits(o)
     assert circuits == flood_fill_d_circuits(o, ccw=True)
     assert O.find_cw_d_circuits(o) == flood_fill_d_circuits(o, ccw=False)
     return circuits
@@ -149,10 +151,8 @@ def _checked_ccw_circuits(o):
 
 def test_circuit_scan_matches_flood_fill_oracle(study_corpus):
     """The scan that tests dart values before the side lists the same
-    circuits in the same order as flood-filling every d-cycle: on every
-    lattice element of the study corpus, and at every step of the walk
-    down to the minimum on concentric quadrangulations, whose nested
-    4-cycles separate."""
+    circuits in the same order as flood-filling every d-cycle, on every
+    lattice element of the study corpus."""
     elements = circuits = 0
     for angs in study_corpus.values():
         for ang in angs:
@@ -160,15 +160,75 @@ def test_circuit_scan_matches_flood_fill_oracle(study_corpus):
                 circuits += len(_checked_ccw_circuits(o))
                 elements += 1
     assert elements == 1154 and circuits == 1130
-    for k in (4, 6):
-        ang = as_angulation(I.concentric_quadrangulation(k), 4)
+
+
+def _walk_hosts():
+    """(map, pushes of the walk to the minimum): quadrangulations whose
+    nested 4-cycles separate.  The ringed one has the vertex count of the
+    benchmark's ringed hosts (25 rings, 20 face splits, 120 vertices) but
+    a walk of 2 pushes; 25 concentric 4-cycles give a walk of 48 pushes,
+    as tall as the one the benchmark times."""
+    yield I.ringed_quadrangulation(25, 20, random.Random("ringed:0")), 2
+    yield I.concentric_quadrangulation(4), 6
+    yield I.concentric_quadrangulation(6), 10
+    yield I.concentric_quadrangulation(25), 48
+
+
+def test_walk_to_the_minimum_pushes_the_oracle_first_circuit():
+    """At every step of the walk down to the minimum, the scan stopped at
+    its first circuit returns the first circuit of the full lists, the
+    library's and the flood-fill oracle's, and the walk ends at
+    minimal_orientation."""
+    for m, height in _walk_hosts():
+        ang = as_angulation(m, 4)
         o = O.compute_dd2_orientation(ang)
         pushes = 0
-        while circuits := _checked_ccw_circuits(o):
-            o = O.push_cycle(o, circuits[0])
+        while True:
+            first = O._find_d_circuits(o, True, limit=1)
+            assert first == _checked_ccw_circuits(o)[:1] == \
+                flood_fill_d_circuits(o, ccw=True)[:1]
+            if not first:
+                break
+            o = O.push_cycle(o, first[0])
             pushes += 1
-        assert pushes > 0
+        assert pushes == height
         assert o.values == O.minimal_orientation(ang).values
+
+
+def test_limited_scan_stops_drawing_d_cycles(monkeypatch):
+    """The scan stopped at its first circuit draws fewer d-cycles from the
+    listing than the full scan: the cycles are listed lazily."""
+    listing = O._simple_cycles_of_length
+    drawn = []
+
+    def counted(*args):
+        for cyc in listing(*args):
+            drawn.append(cyc)
+            yield cyc
+
+    monkeypatch.setattr(O, "_simple_cycles_of_length", counted)
+    ang = as_angulation(next(_walk_hosts())[0], 4)
+    o = O.compute_dd2_orientation(ang)
+    first = O._find_d_circuits(o, True, limit=1)
+    limited = len(drawn)
+    drawn.clear()
+    circuits = find_ccw_d_circuits(o)
+    assert first == circuits[:1] and len(first) == 1
+    assert 0 < limited < len(drawn)
+
+
+def test_host_less_orientation_fails_at_once():
+    """An orientation without its angulation host is refused by the call
+    of every circuit scan itself, the limited one too, not when its result
+    is read."""
+    o = replace(O.compute_dd2_orientation(cube()), host=None)
+    for scan in (find_ccw_d_circuits, O.find_cw_d_circuits,
+                 O.minimal_orientation,
+                 lambda o: O._find_d_circuits(o, True, limit=1)):
+        with pytest.raises(OrientationError,
+                           match="orientation has no angulation host") as e:
+            scan(o)
+        assert e.value.kind == "InvalidOrientation"
 
 
 def _side_test_hosts():
@@ -229,7 +289,8 @@ def test_minimal_orientation_builds_one_side_index(monkeypatch):
     scans = []
     scan = O._find_d_circuits
     monkeypatch.setattr(O, "_find_d_circuits",
-                        lambda o, ccw: scans.append(ccw) or scan(o, ccw))
+                        lambda o, ccw, limit=None:
+                        scans.append(ccw) or scan(o, ccw, limit))
     O.minimal_orientation(ang)
     assert len(scans) == 49                  # 48 pushes, then none left
     assert builds == [m]
@@ -248,7 +309,7 @@ def test_minimal_orientation_start_independent():
     mins = {O.minimal_orientation(o).values for o in lat}
     assert len(mins) == 1
     m0 = O.minimal_orientation(c)
-    assert O.find_ccw_d_circuits(m0) == []
+    assert find_ccw_d_circuits(m0) == []
     assert O.minimal_orientation(m0).values == m0.values  # idempotent
 
 
@@ -260,7 +321,7 @@ def test_lattice_counts_match_brute_force():
     lat = {o.values for o in O.lattice_enumerate(c)}
     assert O.minimal_orientation(c).values in lat
     for o in O.lattice_enumerate(c):
-        for trav in O.find_ccw_d_circuits(o):
+        for trav in find_ccw_d_circuits(o):
             assert O.push_cycle(o, trav).values in lat
 
 
@@ -271,7 +332,7 @@ def test_two_orientation_lattice_cube():
     o = O.compute_p_p1_orientation(c)
     # push saturation inside the 2-orientation lattice also works
     o_min = O.minimal_orientation(o)
-    assert O.find_ccw_d_circuits(o_min) == []
+    assert find_ccw_d_circuits(o_min) == []
 
 
 def test_explosion_guard():

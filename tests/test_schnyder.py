@@ -7,7 +7,8 @@ import schnyder_kit.schnyder as S
 
 import instances as I
 from oracles import (
-    brute_force_dd2, forest_path_to_root, labelling_push, left_faces,
+    brute_force_dd2, find_ccw_d_circuits, forest_path_to_root,
+    labelling_push, left_faces,
 )
 
 
@@ -118,7 +119,7 @@ def test_labelling_push_commutes():
     ang = as_angulation(I.cube(), 4)
     for o in O.lattice_enumerate(ang):
         l = S.psi_inverse(o)
-        for trav in O.find_ccw_d_circuits(o):
+        for trav in find_ccw_d_circuits(o):
             assert S.psi(labelling_push(l, trav)).values == \
                 O.push_cycle(o, trav).values
 
@@ -128,7 +129,7 @@ def test_push_d_times_is_identity():
     ang = as_angulation(I.cube(), 4)
     for o in O.lattice_enumerate(ang):
         l = S.psi_inverse(o)
-        for trav in O.find_ccw_d_circuits(o):
+        for trav in find_ccw_d_circuits(o):
             interior = left_faces(ang.map, trav)
             colors = list(l.colors)
             for _ in range(ang.d):
