@@ -5,7 +5,10 @@ clockwise rotations come from sorting darts by decreasing angle, and the
 outer face is detected as the unique face orbit with negative signed area.
 """
 
+import functools
+import importlib.util
 import math
+import pathlib
 
 from schnyder_kit.planar_map import PlaneMap, build_map
 
@@ -225,42 +228,36 @@ def path_map():
     return build_map(rotations, outer_dart=0)
 
 
+@functools.cache
+def benchmark_hosts():
+    """perfbench/hosts.py, loaded by path: the benchmark's own seeded host
+    generators, so the tests build the maps that it times."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_hosts", pathlib.Path(__file__).parents[1] / "perfbench" /
+        "hosts.py")
+    hosts = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hosts)
+    return hosts
+
+
+def _host_map(q):
+    doc = benchmark_hosts().primal_document(q)
+    return PlaneMap.from_json_obj(doc["map"])
+
+
 def face_split_quadrangulation(n_faces, rng):
     """A random quadrangulation with n_faces faces, the outer one included:
     from a 4-cycle, n_faces - 2 times join a new vertex to two opposite
     corners of a random inner face.  It stays simple and bipartite, so its
     girth is 4 and its dual is 4-regular with mincut 4."""
-    return ringed_quadrangulation(1, n_faces - 2, rng)
+    return _host_map(benchmark_hosts().face_split_quadrangulation(n_faces,
+                                                                  rng))
 
 
 def ringed_quadrangulation(rings, splits, rng):
     """rings concentric 4-cycles joined by spokes, the outer one the outer
     face, then splits random face splits as in face_split_quadrangulation:
-    the shape of the hosts whose orientation lattice is tall."""
-    nbrs = []                                  # clockwise neighbours
-    for r in range(rings):
-        for i in range(4):
-            v = 4 * r + i
-            ring = [4 * r + (i + 1) % 4, 4 * r + (i - 1) % 4]
-            nbrs.append(([v - 4] if r else []) + ring[:1] +
-                        ([v + 4] if r + 1 < rings else []) + ring[1:])
-    faces = [(4 * r + i, 4 * r + i + 4, 4 * r + (i + 1) % 4 + 4,
-              4 * r + (i + 1) % 4)             # inner face orbits
-             for r in range(rings - 1) for i in range(4)]
-    faces.append(tuple(4 * (rings - 1) + i for i in (0, 3, 2, 1)))
-    for _ in range(splits):
-        k, turn = rng.randrange(len(faces)), rng.randrange(4)
-        a, b, c, d = faces[k][turn:] + faces[k][:turn]
-        x = len(nbrs)
-        nbrs[c].insert(nbrs[c].index(b) + 1, x)
-        nbrs[a].insert(nbrs[a].index(d) + 1, x)
-        nbrs.append([c, a])
-        faces[k] = (a, b, c, x)
-        faces.append((a, x, c, d))
-    dart = {}
-    for u, ws in enumerate(nbrs):
-        for w in ws:
-            if (u, w) not in dart:
-                dart[u, w], dart[w, u] = len(dart), len(dart) + 1
-    return build_map([[dart[u, w] for w in ws] for u, ws in enumerate(nbrs)],
-                     outer_dart=dart[0, 1])
+    the hosts of the benchmark's orient-min workload, whose orientation
+    lattice is tall."""
+    return _host_map(benchmark_hosts().ringed_quadrangulation(rings, splits,
+                                                              rng))

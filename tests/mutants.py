@@ -1,0 +1,265 @@
+"""Deliberate faults in the library that the tests must catch.
+
+Each mutant replaces a text that occurs exactly once in a file of
+src/schnyder_kit by another one, and names the tests (pytest node ids,
+relative to the repository root, without parameters) that must each fail
+on the mutated library.  Together they stand for the fast paths that the
+oracles of tests/oracles.py guard: the validators, the circuit scan and its
+side test, the sampler's word walks and draws, the placement and the face
+classification, and the girth search.
+
+    python tests/mutants.py
+
+copies the checkout to a temporary directory, applies each mutant there in
+turn, runs its tests with pytest and prints one line per mutant and the
+number killed: a mutant is killed when every test it names fails (a
+parametrized test fails when one of its cases does).  The working tree is
+never edited.  The exit status is 0 when every mutant is killed.  The whole
+run takes about ten minutes on a 2-core machine; it is not part of tier-1,
+but tests/test_mutants.py checks that each entry still applies.
+"""
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+Mutant = namedtuple("Mutant", "what file old new kills")
+TIMEOUT = 600                     # seconds for the tests of one mutant
+
+
+def _mutant(what, file, old, new, *kills):
+    return Mutant(what, "src/schnyder_kit/" + file, old, new, kills)
+
+
+ORIENT = "tests/test_orientation.py::"
+PMAP = "tests/test_planar_map.py::"
+CHECK = "tests/test_tree_checker.py::"
+SCHN = "tests/test_schnyder.py::"
+SAMP = "tests/test_sampler.py::"
+DRAW = "tests/test_drawing.py::"
+ACCEPT = "tests/test_acceptance.py::"
+
+MUTANTS = [
+    # -- the side test and the circuit scan -------------------------------
+    _mutant("side test parity flipped", "planar_map.py",
+            "for h in cycle_darts) % 2 == 0",
+            "for h in cycle_darts) % 2 == 1",
+            ORIENT + "test_ccw_traversal_matches_flood_fill_on_every_d_cycle",
+            ORIENT + "test_circuit_scan_matches_flood_fill_oracle"),
+    _mutant("subtree interval ends at its last child", "planar_map.py",
+            "end[parent] = max(end[parent], end[f])",
+            "end[parent] = end[f]",
+            ORIENT + "test_ccw_traversal_matches_flood_fill_on_every_d_cycle"),
+    _mutant("side index not cached", "planar_map.py",
+            'object.__setattr__(self, "_side_index", index)',
+            "pass",
+            ORIENT + "test_minimal_orientation_builds_one_side_index"),
+    _mutant("scan keeps cycles that are a circuit in both directions only",
+            "orientation.py",
+            "all(values[h] > 0 for h in cyc) or",
+            "all(values[h] > 0 for h in cyc) and",
+            ORIENT + "test_circuit_scan_matches_flood_fill_oracle"),
+    _mutant("scan drops the twin-direction test", "orientation.py",
+            "all(values[twin[h]] > 0 for h in cyc)):",
+            "False):",
+            ORIENT + "test_circuit_scan_matches_flood_fill_oracle"),
+    _mutant("scan skips the side test", "orientation.py",
+            "trav = ccw_traversal(m, cyc)",
+            "trav = cyc",
+            ORIENT + "test_circuit_scan_matches_flood_fill_oracle",
+            ORIENT + "test_walk_to_the_minimum_pushes_the_oracle_first_circuit"),
+    _mutant("limited scan lists every cycle first", "orientation.py",
+            "return list(islice(_d_circuits(o, ccw), limit))",
+            "return list(_d_circuits(o, ccw))[:limit]",
+            ORIENT + "test_limited_scan_stops_drawing_d_cycles"),
+    # -- the girth search --------------------------------------------------
+    _mutant("girth prune one level too early", "planar_map.py",
+            "if 2 * du + 1 >= best:",
+            "if 2 * du + 2 >= best:",
+            PMAP + "test_shortest_cycle_from_all_or_from_new_edges"),
+    _mutant("girth search walks back along its tree edge", "planar_map.py",
+            "if e == via[u]:",
+            "if False:",
+            PMAP + "test_shortest_cycle_from_all_or_from_new_edges"),
+    _mutant("girth search miscounts a closed cycle", "planar_map.py",
+            "best = du + dw + 1",
+            "best = du + dw",
+            PMAP + "test_shortest_cycle_from_all_or_from_new_edges"),
+    # -- the validators ----------------------------------------------------
+    _mutant("a path into a 2-cycle reported as no outgoing arc",
+            "schnyder.py",
+            'f"no outgoing arc at internal {v}" if nxt[base + v] == base + v',
+            'f"no outgoing arc at internal {v}" if nxt[base + v] == base + v '
+            "or nxt[nxt[base + v]] == base + v",
+            SCHN + "test_validator_messages_name_the_broken_path"),
+    _mutant("pointer jumping stops one round early", "schnyder.py",
+            "for _ in range((nv - 1).bit_length()):",
+            "for _ in range((nv - 1).bit_length() - 1):",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("a second outgoing arc of one color goes unreported",
+            "schnyder.py",
+            "                    twice.append((c, v))",
+            "                    pass",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("vertex rule accepts zero clockwise turns", "schnyder.py",
+            "elif sum(map(lt, turn[1:] + turn[:1], turn)) != 1:",
+            "elif sum(map(lt, turn[1:] + turn[:1], turn)) > 1:",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("incoming window includes its first end", "schnyder.py",
+            "not 0 < (k - lo) % n < (hi - lo) % n:",
+            "not 0 <= (k - lo) % n < (hi - lo) % n:",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("primal edge rule ignores a color on both arcs", "schnyder.py",
+            "elif a & b or (a | b).bit_count() != want:",
+            "elif (a | b).bit_count() != want:",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("forest avoids one excluded root only", "schnyder.py",
+            "avoid = {ang.external[j - 1], ang.external[j % ang.d]}",
+            "avoid = {ang.external[j - 1]}",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("labelling rule accepts two descents", "schnyder.py",
+            "        if desc != 1:",
+            "        if desc not in (1, 2):",
+            CHECK + "test_corner_rule_flags_what_each_former_validator_flagged"),
+    _mutant("dual tree walk leaves the root", "duality.py",
+            "cols, _, ends, _ = _sweep(m, masks, p, root=rv.root_vertex)",
+            "cols, _, ends, _ = _sweep(m, masks, p)",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("dual edge rule ignores a color on both arcs", "duality.py",
+            "if a & b or bin(a | b).count(\"1\") != want:",
+            "if bin(a | b).count(\"1\") != want:",
+            CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("chi reads the corner of the dart, not of its twin", "duality.py",
+            "else 1 << (colors[dm.twin[h]] - 1)",
+            "else 1 << (colors[h] - 1)",
+            "tests/test_duality.py::"
+            "test_read_off_matches_the_oracles_on_every_lattice"),
+    # -- the sampler -------------------------------------------------------
+    _mutant("ballot test lets the sum touch -1", "sampler.py",
+            "if (both & (low - 1)).bit_count() < k:",
+            "if (both & (low - 1)).bit_count() <= k:",
+            SAMP + "test_tree_stage_counts_plane_trees",
+            SAMP + "test_pretest_fails_exactly_when_the_tree_does",
+            SAMP + "test_word_walk_agrees_with_the_tree_on_random_pairs"),
+    _mutant("ballot test reads the top flip", "sampler.py",
+            "zeros = ~(a | b) & ((1 << (n - 1)) - 1)",
+            "zeros = ~(a | b) & ((1 << n) - 1)",
+            SAMP + "test_tree_stage_counts_plane_trees",
+            SAMP + "test_pretest_fails_exactly_when_the_tree_does"),
+    _mutant("ballot test counts zeros from 0", "sampler.py",
+            "    k = 0\n    while zeros:",
+            "    k = -1\n    while zeros:",
+            SAMP + "test_tree_stage_counts_plane_trees",
+            SAMP + "test_pretest_fails_exactly_when_the_tree_does"),
+    _mutant("a white offers gamma slots, not gamma-1", "sampler.py",
+            "slots += gammas.pop() - 1",
+            "slots += gammas.pop()",
+            SAMP + "test_strands_pretest_fails_exactly_when_the_sweep_does",
+            SAMP + "test_strands_word_walk_agrees_with_the_sweep"),
+    _mutant("a black vertex takes no slot", "sampler.py",
+            "slots -= 1",
+            "slots -= 0",
+            SAMP + "test_strands_pretest_fails_exactly_when_the_sweep_does",
+            SAMP + "test_strands_word_walk_agrees_with_the_sweep"),
+    _mutant("class draw one bit short", "sampler.py",
+            "bits = total.bit_length()",
+            "bits = (total - 1).bit_length()",
+            SAMP + "test_class_draw_consumes_the_generator_as_randrange"),
+    _mutant("word c drawn only after the tree test", "sampler.py",
+            "        while (c := getrandbits(width)).bit_count() != k:\n"
+            "            pass\n"
+            "        if not (a & 1 and _contour_closes(a, b, n) and\n"
+            "                _strands_close(a, b, c)):",
+            "        if not (a & 1 and _contour_closes(a, b, n)):\n"
+            "            continue\n"
+            "        while (c := getrandbits(width)).bit_count() != k:\n"
+            "            pass\n"
+            "        if not _strands_close(a, b, c):",
+            SAMP + "test_decode_results_are_pinned",
+            "tests/test_cli.py::test_sample_stdout_is_pinned"),
+    _mutant("enumeration skips the first c word", "sampler.py",
+            "                for c in words:",
+            "                for c in words[1:]:",
+            SAMP + "test_enumerate_pairs_decodes_each_oracle_pair_once"),
+    _mutant("decode takes a bool for a degree", "sampler.py",
+            "if not all(type(x) is int for x in seq) or min(seq) < 1:",
+            "if not all(isinstance(x, int) for x in seq) or min(seq) < 1:",
+            SAMP + "test_decode_error_stages"),
+    # -- the placement and the face classification -------------------------
+    _mutant("fx- and fx+ swapped on white faces", "drawing.py",
+            "else (b2, a2, a, b)",
+            "else (a2, b2, a, b)",
+            DRAW + "test_face_counting_matches_equatorial_lines",
+            ACCEPT + "test_criterion_07_placement_equivalence"),
+    _mutant("x-chain starts at v_1*", "drawing.py",
+            'xs = _chain(next_x, m.target(rv.root_darts[1]), count, "L_1")',
+            'xs = _chain(next_x, m.target(rv.root_darts[0]), count, "L_1")',
+            DRAW + "test_face_counting_matches_equatorial_lines",
+            ACCEPT + "test_criterion_07_placement_equivalence"),
+    _mutant("partly and fully reducible faces swapped", "drawing.py",
+            "for h in gd.host.map.faces[f]} == markers:",
+            "for h in gd.host.map.faces[f]} != markers:",
+            DRAW + "test_face_classification_matches_dual_degrees",
+            ACCEPT + "test_criterion_09_face_classification"),
+]
+
+
+def _failed(output):
+    """The node ids, without parameters, that a pytest -rfE summary
+    reports as failed or in error (a collection error names its file)."""
+    out = set()
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                out.add(line[len(tag):].split(" - ")[0].split("[")[0])
+    return out
+
+
+def run(mutant, copy):
+    """The named tests of a mutant that did not fail on the mutated copy
+    (all of them when the run takes over TIMEOUT seconds)."""
+    path = copy / mutant.file
+    text = path.read_text()
+    path.write_text(text.replace(mutant.old, mutant.new))
+    try:
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE",
+             "-p", "no:cacheprovider", *mutant.kills],
+            cwd=copy, env=env, capture_output=True, text=True,
+            timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return list(mutant.kills)
+    finally:
+        path.write_text(text)
+    failed = _failed(proc.stdout)
+    return [k for k in mutant.kills
+            if k not in failed and k.split("::")[0] not in failed]
+
+
+def main():
+    killed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
+        for i, mutant in enumerate(MUTANTS, start=1):
+            survivors = run(mutant, copy)
+            killed += not survivors
+            verdict = "killed" if not survivors else \
+                "SURVIVED " + ", ".join(s.split("::")[1] for s in survivors)
+            print(f"{i:2d} {pathlib.Path(mutant.file).name}: {mutant.what}: "
+                  f"{verdict}", flush=True)
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

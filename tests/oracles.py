@@ -1,7 +1,6 @@
 """Independent brute-force oracles used to freeze expected values."""
 
-from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from itertools import product
 
 from schnyder_kit.duality import (
@@ -10,21 +9,17 @@ from schnyder_kit.duality import (
 from schnyder_kit.errors import (
     DrawingError, DualityError, MapError, SamplerError, SchnyderError,
 )
-from schnyder_kit.even import _require_even_d, black_faces, black_vertices
 from schnyder_kit.orientation import (
-    FracOrientation, _find_d_circuits, _simple_cycles_of_length,
-    lattice_enumerate,
+    FracOrientation, _simple_cycles_of_length, lattice_enumerate,
 )
-from schnyder_kit.planar_map import (
-    PlaneMap, add_edges, as_angulation, shortest_cycle,
-)
+from schnyder_kit.planar_map import PlaneMap, as_angulation
 from schnyder_kit.schnyder import (
-    CornerLabelling, _corner_violations, _mod, clockwise_jump, colors_of,
-    phi, psi_inverse, validate_schnyder,
+    CornerLabelling, _corner_violations, _mod, clockwise_jump, phi,
+    psi_inverse, validate_schnyder,
 )
 from schnyder_kit.sampler import (
-    DEFAULT_MAX_ATTEMPTS, ENUMERATION_CAP, EncodingTriple, _popcount_table,
-    _require_faces, _word_to_runs, decode, default_max_decodes,
+    DEFAULT_MAX_ATTEMPTS, ENUMERATION_CAP, EncodingTriple, _require_faces,
+    decode,
 )
 
 
@@ -74,37 +69,6 @@ def brute_force_dd2(ang):
     return brute_force_orientations(ang, ang.d, ang.d - 2)
 
 
-def bit_filter_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
-    """The sampler by plain rejection on three n-bit flip words: keep a
-    triple only when all three sums are n (top bits 0, popcount(a) = s,
-    popcount(b) = popcount(c) = n-1-s), then decode.  Attempts count every
-    word triple drawn.  Returns ((Q, F), triple, attempts)."""
-    top = 1 << (n - 1)
-    for attempt in range(1, max_attempts + 1):
-        a = rng.getrandbits(n)
-        if a & top:
-            continue
-        s = a.bit_count()          # zeros of a = r = n - s
-        b = rng.getrandbits(n)
-        if b & top or b.bit_count() != n - s - 1:
-            continue
-        c = rng.getrandbits(n)
-        if c & top or c.bit_count() != n - s - 1:
-            continue
-        t = EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
-                           beta=tuple(_word_to_runs(b, n)),
-                           gamma=tuple(_word_to_runs(c, n)))
-        try:
-            pair = decode(t)
-        except SamplerError as exc:
-            if exc.kind != "Invalid":
-                raise
-            continue
-        return pair, t, attempt
-    raise SamplerError("RejectionLimitExceeded",
-                       f"no valid triple in {max_attempts} attempts at n={n}")
-
-
 def _geometric(rng):
     k = 1
     while rng.getrandbits(1):
@@ -114,19 +78,28 @@ def _geometric(rng):
 
 def sample_geometric_triple(n, rng):
     """A triple of independent 2-geometric sequences: alpha stops at the
-    first partial sum >= n (r terms), beta and gamma have n - r + 1 terms."""
+    first partial sum >= n (r terms), beta and gamma have n - r + 1 terms.
+    Each term is _geometric's draw, written inline."""
     if n < 1:
         raise SamplerError("BadParameter", f"n = {n} must be positive")
+    bit = rng.getrandbits
     alpha = []
     total = 0
     while total < n:
-        a = _geometric(rng)
-        alpha.append(a)
-        total += a
+        k = 1
+        while bit(1):
+            k += 1
+        alpha.append(k)
+        total += k
     s = n - len(alpha)
-    beta = tuple(_geometric(rng) for _ in range(s + 1))
-    gamma = tuple(_geometric(rng) for _ in range(s + 1))
-    return EncodingTriple(alpha=tuple(alpha), beta=tuple(beta), gamma=gamma)
+    rest = []
+    for _ in range(2 * s + 2):
+        k = 1
+        while bit(1):
+            k += 1
+        rest.append(k)
+    return EncodingTriple(alpha=tuple(alpha), beta=tuple(rest[:s + 1]),
+                          gamma=tuple(rest[s + 1:]))
 
 
 def rejection_sample(n, rng, max_attempts=DEFAULT_MAX_ATTEMPTS):
@@ -155,35 +128,6 @@ def _fixed_popcount_word(rng, width, k):
     while (w := getrandbits(width)).bit_count() != k:
         pass
     return w
-
-
-def decode_every_triple_sample(n, rng, max_attempts=None):
-    """rejection_sample_fast without its pre-tests: the same
-    draws (s by Random.randrange, then words a, b, c by
-    _fixed_popcount_word, per attempt), but every drawn triple is decoded.
-    Returns ((Q, F), triple, attempts)."""
-    if n < 1:
-        raise SamplerError("BadParameter", f"n = {n} must be positive")
-    cum = _popcount_table(n)
-    if max_attempts is None:
-        max_attempts = default_max_decodes(n)
-    for attempt in range(1, max_attempts + 1):
-        s = bisect_right(cum, rng.randrange(cum[-1]))
-        a = _fixed_popcount_word(rng, n - 1, s)
-        b = _fixed_popcount_word(rng, n - 1, n - 1 - s)
-        c = _fixed_popcount_word(rng, n - 1, n - 1 - s)
-        t = EncodingTriple(alpha=tuple(_word_to_runs(a, n)),
-                           beta=tuple(_word_to_runs(b, n)),
-                           gamma=tuple(_word_to_runs(c, n)))
-        try:
-            pair = decode(t)
-        except SamplerError as exc:
-            if exc.kind != "Invalid":
-                raise
-            continue
-        return pair, t, attempt
-    raise SamplerError("RejectionLimitExceeded",
-                       f"no valid triple in {max_attempts} attempts at n={n}")
 
 
 def tree_word_closes(alpha, beta):
@@ -258,506 +202,19 @@ def sweep_closes(color, children, gamma_of):
         leftover[-1] == children[0][-1]
 
 
-_SLOT = -1                       # an incoming T2' slot on the strand stack
-
-
-def strands_close_on_lists(alpha, beta, gamma):
-    """Whether the T2' strands close, by the preorder walk of
-    sampler._strands_close on the degree lists instead of the flip words,
-    reading each degree by index (tree_word_closes must hold), but keeping
-    the strand stack itself instead of a count of open slots: outs are
-    white ids, slots are _SLOT.  A white vertex whose subtree ends
-    pushes its out and then gamma-1 slots; a non-root black vertex pops the
-    trailing outs and then needs one slot.  True iff every black vertex
-    finds its slot and only outs remain, the bottom one from u2 (white 0,
-    the first child of u1) and the top one from u4 (the last child)."""
-    ia, ib = 1, 0
-    top = alpha[0]
-    white = True                           # top's children are white
-    stack = []
-    whites = []                            # the open white vertices
-    strands = []
-    u4 = 0
-    while True:
-        if top:
-            if white:
-                if not stack:
-                    u4 = ib
-                whites.append(ib)
-                deg = beta[ib]
-                ib += 1
-            else:
-                deg = alpha[ia]
-                ia += 1
-                while strands and strands[-1] != _SLOT:
-                    strands.pop()
-                if not strands:
-                    return False
-                strands.pop()
-            stack.append(top - 1)
-            top = deg - 1
-            white = not white
-        elif stack:
-            if not white:                  # a white vertex's subtree ends
-                w = whites.pop()
-                strands.append(w)
-                strands.extend([_SLOT] * (gamma[w] - 1))
-            top = stack.pop()
-            white = not white
-        else:
-            return bool(strands) and strands[0] == 0 and \
-                strands[-1] == u4 and _SLOT not in strands
-
-
-# -- the decomposition validators as coded before the single sweep --------
-
-CYCLE = -1          # path_ends: the path runs into a cycle
-_WHITE, _GREY = -2, -3
-
-
-def path_ends(t, i, root=None):
-    """end[v]: where the color-i parent path from vertex v of the dart
-    table t stops.
-
-    The parent of v is the target of its color-i arc (the last one in
-    dart order when there are several).  The path stops at the first
-    vertex without a parent, or at ``root``; end[v] is CYCLE when it runs
-    into a cycle instead.  White/grey/black marks settle every vertex once,
-    so this is O(V) where a walk per vertex is O(V x depth)."""
-    m = t.host.map
-    nxt = [None] * m.n_vertices
-    for h in t.arcs_of_color(i):
-        nxt[m.origin[h]] = m.target(h)
-    if root is not None:
-        nxt[root] = None
-    end = [_WHITE] * m.n_vertices
-    for v0 in range(m.n_vertices):
-        path, v = [], v0
-        while end[v] == _WHITE:
-            path.append(v)
-            end[v] = _GREY
-            if nxt[v] is None:
-                end[v] = v
-            else:
-                v = nxt[v]
-        stop = CYCLE if end[v] == _GREY else end[v]
-        for u in path:
-            end[u] = stop
-    return end
-
-
-def schnyder_violations(s):
-    """validate_schnyder with a scan and path_ends per color and a colors_of
-    list per dart."""
-    return primal_violations(s, lambda v: (1, -1))
-
-
-def reduced_schnyder_violations(rs):
-    """validate_reduced_schnyder, as schnyder_violations."""
-    black = black_vertices(rs.host)
-    return primal_violations(rs, lambda v: (1, 0) if black[v] else (0, -1))
-
-
-def primal_violations(t, window_of):
-    """schnyder._primal_violations: (i) internal edges lie in (d-2)/step
-    forests, once each, external edges in none; (ii) forest i spans the
-    internal vertices toward the external roots other than u_j and
-    u_{j+1}, with j = step*i; (iii) the vertex rule with window_of(v)."""
-    ang = t.host
-    m = ang.map
-    p = t.n_colors
-    step = ang.d // p
-    prime = "'" * t.REDUCED
-    if len(t.masks) != m.n_darts or any(mk >> p for mk in t.masks):
-        return [("malformed", None, "masks must cover all darts with colors "
-                                    f"in 1..{p}")]
-    out = []
-    ext_edges = ang.external_edge_ids
-    want = (ang.d - 2) // step
-    for h in m.edges():
-        a, b = t.masks[h], t.masks[m.twin[h]]
-        if h in ext_edges:
-            if a or b:
-                out.append(("i" + prime, h, "external edge carries colors"))
-        elif a & b or bin(a | b).count("1") != want:
-            out.append(("i" + prime, h, f"edge must lie in {want} forests, "
-                                        "once each"))
-    for i in range(1, p + 1):
-        j = step * i
-        avoid = {ang.external[j - 1], ang.external[j % ang.d]}
-        out.extend(forest_violations(t, i, avoid, "ii" + prime))
-    for v in ang.internal_vertices():
-        out.extend(vertex_violations(t, v, "iii" + prime, window_of(v)))
-    return out
-
-
-def forest_violations(t, i, avoid, axiom):
-    """Violations of "the color-i arcs of t form a forest that spans the
-    internal vertices, oriented toward external roots outside avoid", each
-    reported under the given axiom name."""
-    ang = t.host
-    m = ang.map
-    out = []
-    ext = set(ang.external)
-    arcs = t.arcs_of_color(i)
-    has_parent = set()
-    for h in arcs:
-        v = m.origin[h]
-        if v in has_parent:
-            out.append((axiom, v, f"color {i}: two outgoing arcs at {v}"))
-        has_parent.add(v)
-    touched = has_parent | {m.target(h) for h in arcs}
-    for v in avoid & touched:
-        out.append((axiom, v, f"color {i} touches the excluded root {v}"))
-    for u in ext & has_parent:
-        out.append((axiom, u, f"color {i}: outgoing arc at external {u}"))
-    ends = path_ends(t, i)
-    for v in ang.internal_vertices():
-        if v not in has_parent:
-            out.append((axiom, v, f"color {i}: no outgoing arc at internal {v}"))
-        elif ends[v] == CYCLE:
-            out.append((axiom, v, f"color {i}: the path from {v} runs into "
-                                  "a cycle"))
-        elif ends[v] not in ext or ends[v] in avoid:
-            out.append((axiom, v, f"color {i}: path from {v} ends at "
-                                  f"{ends[v]}"))
-    return out
-
-
-def vertex_violations(t, v, axiom, window=None):
-    """schnyder._vertex_violations on the masks of t: the outgoing arcs
-    carry colors 1..p once each, in one clockwise turn; with window =
-    (a, b), every incoming color-c arc lies strictly clockwise between the
-    outgoing arcs of colors c+a and c+b."""
-    m = t.host.map
-    p = t.n_colors
-    orbit = m.vertex_orbit(v)
-    n = len(orbit)
-    pos = {}
-    for k, h in enumerate(orbit):
-        for c in colors_of(t.masks[h], p):
-            if c in pos:
-                return [(axiom, v, f"color {c}: two outgoing arcs at {v}")]
-            pos[c] = k
-    if len(pos) != p:
-        return [(axiom, v, f"outgoing colors at {v}: {sorted(pos)}")]
-    if sum((pos[c % p + 1] - pos[c]) % n for c in pos) != n:
-        return [(axiom, v, f"outgoing colors not clockwise at {v}")]
-    if window is None:
-        return []
-    a, b = window
-    return [(axiom, v, f"incoming color {c} at {v} outside "
-                       f"({_mod(c + a, p)},{_mod(c + b, p)})")
-            for k, h in enumerate(orbit)
-            for c in colors_of(t.masks[m.twin[h]], p)
-            if not _strictly_between_cw(k, pos[_mod(c + a, p)],
-                                        pos[_mod(c + b, p)], n)]
-
-
-def _strictly_between_cw(t, a, b, n):
-    """Is position t strictly between positions a and b, walking clockwise
-    from a to b (positions index the clockwise dart order at the vertex)?"""
-    if a == b:
-        return t != a
-    return 0 < (t - a) % n < (b - a) % n
-
-
-def dual_violations(t):
-    """duality._dual_violations with vertex_violations and tree_violations
-    as its vertex rule and tree check."""
-    rv = t.host
-    m = rv.map
-    p = t.n_colors
-    step = rv.d // p
-    prime = "'" * t.REDUCED
-    if len(t.masks) != m.n_darts:
-        return [("malformed", None, "mask table length mismatch")]
-    least, many = (0, "at most") if t.REDUCED else (1, "exactly")
-    out = []
-    for h, mk in enumerate(t.masks):
-        if m.origin[h] == rv.root_vertex and not t.REDUCED:
-            if mk:
-                out.append(("ii", h, "arc leaving the root vertex carries "
-                                     "a color"))
-        elif mk >> p or not least <= bin(mk).count("1") <= 1:
-            out.append(("i" + prime, h, f"arc {h} must carry {many} one "
-                                        f"color in 1..{p}"))
-    if out:
-        return out
-    root_edge = {m.edge(h): j for j, h in enumerate(rv.root_darts, start=1)}
-    for h in m.edges():
-        a, b = t.masks[h], t.masks[m.twin[h]]
-        j = root_edge.get(h)
-        want = 2 // step if j is None else int(j % step == 0)
-        if a & b or bin(a | b).count("1") != want:
-            out.append(("partition" if t.REDUCED else "i", h,
-                        f"edge {h} must lie in {want} trees, once each"))
-    for i in range(1, p + 1):
-        x = m.twin[rv.root_darts[step * i - 1]]
-        if t.masks[x] != 1 << (i - 1):
-            out.append(("ii" + prime, x, f"root edge e_{step * i}* does not "
-                                         f"carry color {i} toward the root"))
-    if t.REDUCED:
-        black = black_faces(rv)
-        out.extend(("i'", h, f"arc {h} has a white face on its right")
-                   for h, mk in enumerate(t.masks)
-                   if mk and not black[m.face_of[m.twin[h]]])
-    for v in rv.non_root_vertices():
-        out.extend(vertex_violations(t, v, "iii" + prime))
-    return out + tree_violations(t)
-
-
-def tree_violations(rd):
-    """Each color class of rd must be a spanning tree oriented toward v*."""
-    rv = rd.host
-    out = []
-    for i in range(1, rd.n_colors + 1):
-        ends = path_ends(rd, i, root=rv.root_vertex)
-        out.extend(("tree", v, f"color {i} path from {v} misses the root")
-                   for v in rv.non_root_vertices() if ends[v] != rv.root_vertex)
-    return out
-
-
-# -- colored-dart paths, one walk per vertex ------------------------------
-
-def walk_path_ends(t, i, root=None):
-    """path_ends by walking from every vertex separately with a
-    fresh seen set (O(V x depth)): where the color-i parent path from each
-    vertex stops, or CYCLE."""
-    m = t.host.map
-    parent = {m.origin[h]: h for h in t.arcs_of_color(i)}
-    parent.pop(root, None)
-    end = []
-    for v in range(m.n_vertices):
-        seen = set()
-        w = v
-        while w in parent and w not in seen:
-            seen.add(w)
-            w = m.target(parent[w])
-        end.append(CYCLE if w in parent else w)
-    return end
-
-
-# -- the vertex rule as each validator coded it before the shared checker --
-
-def schnyder_vertex_rule(s, v):
-    """Axiom (iii) of validate_schnyder at internal v: outgoing colors 1..d
-    clockwise; incoming color-i arcs strictly between e_{i+1} and e_{i-1}
-    clockwise."""
-    m = s.host.map
-    d = s.host.d
-    orbit = m.vertex_orbit(v)
-    seq = []  # outgoing colors in clockwise dart order
-    for h in orbit:
-        run = _cyclic_interval(s.masks[h], d)
-        if run is None:
-            return [("iii", v, f"arc {h} colors are not cyclically consecutive")]
-        seq.extend(run)
-    if sorted(seq) != list(range(1, d + 1)):
-        return [("iii", v, f"outgoing colors at {v}: {sorted(seq)}")]
-    start = seq.index(1)
-    if [seq[(start + t) % d] for t in range(d)] != list(range(1, d + 1)):
-        return [("iii", v, f"outgoing colors not clockwise at {v}: {seq}")]
-    out = []
-    pos_out = {}
-    for t, h in enumerate(orbit):
-        for c in colors_of(s.masks[h], d):
-            pos_out[c] = t
-    for t, h in enumerate(orbit):
-        for c in colors_of(s.masks[m.twin[h]], d):
-            a = pos_out[_mod(c + 1, d)]
-            b = pos_out[_mod(c - 1, d)]
-            if not _strictly_between_cw(t, a, b, len(orbit)):
-                out.append(("iii", v, f"incoming color {c} at {v} outside "
-                                      f"({_mod(c + 1, d)},{_mod(c - 1, d)})"))
-    return out
-
-
-def _cyclic_interval(mask, d):
-    """The colors of a mask as a cyclically consecutive run i..j-1 (list in
-    run order), or None when the mask is not a single cyclic interval."""
-    if mask == 0:
-        return []
-    starts = [c for c in range(1, d + 1)
-              if mask >> (c - 1) & 1 and not mask >> (_mod(c - 1, d) - 1) & 1]
-    if len(starts) != 1:
-        return None
-    run = []
-    c = starts[0]
-    while mask >> (c - 1) & 1:
-        run.append(c)
-        c = _mod(c + 1, d)
-        if len(run) > d:
-            return None
-    if len(run) != bin(mask).count("1"):
-        return None
-    return run
-
-
-def reduced_vertex_rule(rs, v, is_black):
-    """Axiom (iii') of validate_reduced_schnyder at internal v: parent edges
-    e_1'..e_p' clockwise (zero turns accepted too, and of two outgoing arcs
-    of one color the later one counts); incoming color-i edges strictly
-    between e_{i+1}' and e_i' at black vertices, between e_i' and e_{i-1}'
-    at white ones."""
-    p = rs.p
-    m = rs.host.map
-    orbit = m.vertex_orbit(v)
-    n = len(orbit)
-    pos = {}
-    for t, h in enumerate(orbit):
-        for c in rs.dart_colors(h):
-            pos[c] = t
-    if sorted(pos) != list(range(1, p + 1)):
-        return [("iii'", v, f"outgoing colors at {v}: {sorted(pos)}")]
-    turns = sum((pos[_mod(i + 1, p)] - pos[i]) % n for i in range(1, p + 1))
-    if turns not in (0, n):
-        return [("iii'", v, f"parent edges not clockwise at {v}")]
-    out = []
-    for t, h in enumerate(orbit):
-        for c in colors_of(rs.masks[m.twin[h]], p):
-            a, b = (pos[_mod(c + 1, p)], pos[c]) if is_black else \
-                   (pos[c], pos[_mod(c - 1, p)])
-            if t in (a, b) or not _strictly_between_cw(t, a, b, n):
-                out.append(("iii'", v, f"incoming color {c} misplaced at {v}"))
-    return out
-
-
-def regular_vertex_rule(rd, v):
-    """Axiom (iii) of validate_regular_decomposition at non-root v, once
-    every arc not leaving v* carries one color: the outgoing colors read
-    1..d clockwise."""
-    d = rd.host.d
-    seq = [rd.dart_colors(h)[0] for h in rd.host.map.vertex_orbit(v)]
-    start = seq.index(1) if 1 in seq else 0
-    if [seq[(start + t) % len(seq)] for t in range(len(seq))] != \
-            list(range(1, d + 1)):
-        return [("iii", v, f"outgoing colors not clockwise at {v}: {seq}")]
-    return []
-
-
-def reduced_regular_vertex_rule(rrd, v):
-    """Axiom (iii') of validate_reduced_regular at non-root v, once every
-    arc carries at most one color: parent arcs of colors 1..p clockwise."""
-    p = rrd.p
-    orbit = rrd.host.map.vertex_orbit(v)
-    n = len(orbit)
-    out = []
-    pos = {}
-    for t, h in enumerate(orbit):
-        for c in rrd.dart_colors(h):
-            if c in pos:
-                out.append(("iii'", v, f"color {c}: two outgoing arcs at {v}"))
-            pos[c] = t
-    if sorted(pos) != list(range(1, p + 1)):
-        return out + [("iii'", v, f"outgoing colors at {v}: {sorted(pos)}")]
-    turns = sum((pos[_mod(i + 1, p)] - pos[i]) % n for i in range(1, p + 1))
-    if turns not in (0, n):
-        out.append(("iii'", v, f"parent arcs not clockwise at {v}"))
-    return out
-
-
-def forest_path_to_root(s, i, v):
-    """Vertices of the color-i directed path from v to its external root."""
-    ang = s.host
-    m = ang.map
-    parent = {}
-    for h in s.arcs_of_color(i):
-        parent[m.origin[h]] = h
-    path = [v]
-    seen = {v}
-    while path[-1] in parent:
-        w = m.target(parent[path[-1]])
-        if w in seen:
-            raise SchnyderError("InvalidDecomposition",
-                                f"color {i} cycle through {w}")
-        seen.add(w)
-        path.append(w)
-    if path[-1] not in set(ang.external):
-        raise SchnyderError("InvalidDecomposition",
-                            f"color {i} path from {v} ends at internal "
-                            f"{path[-1]}")
-    return path
-
-
-def color_dart(rd, v, i):
-    """The dart of color i leaving the non-root vertex v."""
-    for h in rd.host.map.vertex_orbit(v):
-        if rd.masks[h] == 1 << (i - 1):
-            return h
-    raise DrawingError("InvalidDecomposition",
-                       f"vertex {v} has no outgoing arc of color {i}")
-
-
-def equatorial_line(rd, i):
-    """The line L_i from v_{i+1}* to v_{i+3}*, alternating non-root vertices
-    and non-root faces, with color-i edges on its right and color-(i+2) edges
-    on its left: a walk that searches each face for its exit arc, the oracle
-    of the marker chains of place_by_equatorial_lines."""
-    rv = rd.host
-    m = rv.map
-    lo, hi = 1 << (i - 1), 1 << (_mod(i + 2, 4) - 1)
-    start = m.target(rv.root_darts[i % 4])        # v_{i+1}*
-    stop = m.target(rv.root_darts[(i + 2) % 4])   # v_{i+3}*
-    seq = [("v", start)]
-    u = start
-    while u != stop:
-        h = color_dart(rd, u, _mod(i + 3, 4))
-        c = rd.masks[m.twin[h]]
-        if c == hi:
-            f = m.face_of[m.twin[h]]  # face on the right of h
-        elif c == lo:
-            f = m.face_of[h]          # face on the left of h
-        else:
-            raise DrawingError("InvalidDecomposition",
-                               f"equatorial step stuck at vertex {u}")
-        seq.append(("f", f))
-        # leave f through its color-(i+1) arc whose twin closes the pattern
-        exits = []
-        for g in m.faces[f]:
-            for cand in (g, m.twin[g]):
-                if rd.masks[cand] == 1 << (_mod(i + 1, 4) - 1):
-                    tw = rd.masks[m.twin[cand]]
-                    if tw == lo and m.face_of[m.twin[cand]] == f:
-                        exits.append(cand)
-                    elif tw == hi and m.face_of[cand] == f:
-                        exits.append(cand)
-        if len(set(exits)) != 1:
-            raise DrawingError("InvalidDecomposition",
-                               f"face {f} has {len(set(exits))} exits on L_{i}")
-        u = m.origin[exits[0]]
-        seq.append(("v", u))
-        if len(seq) > 2 * (m.n_vertices + m.n_faces):
-            raise DrawingError("InvalidDecomposition", f"line L_{i} loops")
-    want = 2 * m.n_vertices - 3
-    if len(seq) != want or \
-            {x for k, x in seq if k == "v"} != set(rv.non_root_vertices()) or \
-            {x for k, x in seq if k == "f"} != set(rv.non_root_faces()):
-        raise DrawingError("InternalInvariantViolation",
-                           f"line L_{i} does not visit everything once")
-    return seq
-
-
-def place_by_walking_lines(rd):
-    """p(v) as (rank along L_1, rank along L_4) by the walks of
-    equatorial_line."""
-    xs = [x for k, x in equatorial_line(rd, 1) if k == "v"]
-    ys = [x for k, x in equatorial_line(rd, 4) if k == "v"]
-    y = {v: t for t, v in enumerate(ys)}
-    return {v: (t, y[v]) for t, v in enumerate(xs)}
-
-
 def path_to_root(rd, v, i):
     """Darts of the color-i path P_i(v) from v to the root vertex."""
     m = rd.host.map
     darts = []
     w = v
     while w != rd.host.root_vertex:
-        h = color_dart(rd, w, i)
+        h = next((h for h in m.vertex_orbit(w) if rd.masks[h] == 1 << (i - 1)),
+                 None)
+        if h is None or len(darts) == m.n_vertices:
+            raise DrawingError("InvalidDecomposition",
+                               f"no color-{i} path from {v} to the root")
         darts.append(h)
         w = m.target(h)
-        if len(darts) > m.n_vertices:
-            raise DrawingError("InvalidDecomposition", f"color {i} cycle at {v}")
     return darts
 
 
@@ -954,22 +411,17 @@ def pair_code(ang, s):
                                    for h in dart_bfs(m, m.outer_dart)),)
 
 
-# -- the side of a cycle, by flood fill -----------------------------------
+# -- the side of a cycle and the lattice circuits, by flood fill -----------
 
 def left_faces(m, cycle_darts):
     """Faces in the region left of a dart cycle (flood fill not crossing it)."""
-    cyc_edges = {m.edge(h) for h in cycle_darts}
-    region = set()
-    q = deque()
-    for h in cycle_darts:
-        f = m.face_of[h]
-        if f not in region:
-            region.add(f)
-            q.append(f)
+    cut = set(cycle_darts) | {m.twin[h] for h in cycle_darts}
+    region = {m.face_of[h] for h in cycle_darts}
+    q = deque(region)
     while q:
         f = q.popleft()
         for h in m.faces[f]:
-            if m.edge(h) in cyc_edges:
+            if h in cut:
                 continue
             g = m.face_of[m.twin[h]]
             if g not in region:
@@ -984,6 +436,25 @@ def ccw_traversal_by_flood_fill(m, cycle_darts):
     if m.outer_face in left_faces(m, cycle_darts):
         return tuple(m.twin[h] for h in reversed(cycle_darts))
     return tuple(cycle_darts)
+
+
+def flood_fill_d_circuits(o):
+    """(ccw, cw): the counterclockwise and the clockwise d-circuits of o, in
+    the order of the library's scans, by the side first: every simple
+    d-cycle of oriented edges is turned counterclockwise by a face flood
+    fill, and that traversal is kept in ccw if it is a circuit, its reverse
+    in cw if that is one.  It shares only the cycle listing with the
+    library."""
+    m = o.map
+    ccw, cw = [], []
+    for cyc in _simple_cycles_of_length(m, o.host.d,
+                                        [m.edge(h) for h in o.oriented_edges()]):
+        trav = ccw_traversal_by_flood_fill(m, cyc)
+        back = tuple(m.twin[h] for h in reversed(trav))
+        for out, t in ((ccw, trav), (cw, back)):
+            if all(o.values[h] > 0 for h in t):
+                out.append(t)
+    return ccw, cw
 
 
 # -- the lattice push seen on labellings -----------------------------------
@@ -1009,33 +480,7 @@ def labelling_push(l, traversal):
     return CornerLabelling(host=ang, colors=tuple(colors))
 
 
-# -- lattice circuits, every cycle flood-filled ---------------------------
-
-def find_ccw_d_circuits(o):
-    """Every ccw d-circuit of o (the candidate cover pushes downward) in the
-    library's scan order: the full list, where the walk to the minimum
-    stops its scans at the first one."""
-    return _find_d_circuits(o, ccw=True)
-
-
-def flood_fill_d_circuits(o, ccw):
-    """find_ccw_d_circuits (ccw=True) or find_cw_d_circuits by the side
-    first: every simple d-cycle of oriented edges is turned counterclockwise
-    by a face flood fill, then kept if that traversal (or its reverse, for
-    cw) is a circuit.  It shares only the cycle listing with the library."""
-    m = o.map
-    out = []
-    for cyc in _simple_cycles_of_length(m, o.host.d,
-                                        [m.edge(h) for h in o.oriented_edges()]):
-        trav = ccw_traversal_by_flood_fill(m, cyc)
-        if not ccw:
-            trav = tuple(m.twin[h] for h in reversed(trav))
-        if all(o.values[h] > 0 for h in trav):
-            out.append(trav)
-    return out
-
-
-# -- the labelling and dual validators as coded before the shared rules ---
+# -- the labelling axioms, as the validators coded them before the corner rule
 
 def labelling_axioms(l):
     """validate_labelling as coded before the corner rule: each face read in
@@ -1049,22 +494,18 @@ def labelling_axioms(l):
     # (i) colors 1..d in clockwise order around each face
     for f, orbit in enumerate(m.faces):
         step = 1 if f == m.outer_face else -1
-        for t in range(len(orbit)):
-            c0 = l.colors[m.twin[orbit[t]]]
-            c1 = l.colors[m.twin[orbit[(t + 1) % len(orbit)]]]
-            if c1 != _mod(c0 + step, d):
-                out.append(("i", f, f"face {f}: corner colors {c0}->{c1} not a "
-                                    "clockwise +1 step"))
+        cs = [l.colors[m.twin[h]] for h in orbit]
+        out += [("i", f, f"face {f}: corner colors {a}->{b} not a clockwise "
+                         "+1 step")
+                for a, b in zip(cs, cs[1:] + cs[:1]) if b != _mod(a + step, d)]
     # (ii) corners at u_i colored i
-    for i, u in enumerate(ang.external, start=1):
-        for h in m.vertex_orbit(u):
-            if l.colors[h] != i:
-                out.append(("ii", u, f"corner {h} at u_{i} has color {l.colors[h]}"))
+    out += [("ii", u, f"corner {h} at u_{i} has color {l.colors[h]}")
+            for i, u in enumerate(ang.external, start=1)
+            for h in m.vertex_orbit(u) if l.colors[h] != i]
     # (iii) exactly one clockwise descent around each internal vertex
     for v in ang.internal_vertices():
-        orbit = m.vertex_orbit(v)
-        desc = sum(1 for t in range(len(orbit))
-                   if l.colors[orbit[t]] > l.colors[orbit[(t + 1) % len(orbit)]])
+        cs = [l.colors[h] for h in m.vertex_orbit(v)]
+        desc = sum(a > b for a, b in zip(cs, cs[1:] + cs[:1]))
         if desc != 1:
             out.append(("iii", v, f"vertex {v} has {desc} descents"))
     return out
@@ -1082,19 +523,17 @@ def regular_labelling_axioms(r):
         return [("malformed", None, "colors must cover all corners with values in [d]")]
     out = cyclic_step_violations(r, "i")
     # (ii) corners of the root face f_i* colored i
-    for i, f in enumerate(rv.root_faces, start=1):
-        for h in m.faces[f]:
-            if r.colors[m.twin[h]] != i:
-                out.append(("ii", f, f"corner {m.twin[h]} of root face {i} has "
-                                     f"color {r.colors[m.twin[h]]}"))
+    out += [("ii", f, f"corner {m.twin[h]} of root face {i} has color "
+                      f"{r.colors[m.twin[h]]}")
+            for i, f in enumerate(rv.root_faces, start=1)
+            for h in m.faces[f] if r.colors[m.twin[h]] != i]
     # (iii) exactly one clockwise descent around each non-root face
     for f in rv.non_root_faces():
         orbit = m.faces[f]
         seq = [r.colors[m.twin[h]] for h in orbit]
         if f != m.outer_face:
             seq.reverse()  # clockwise traversal of an inner face
-        desc = sum(1 for t in range(len(seq))
-                   if seq[t] > seq[(t + 1) % len(seq)])
+        desc = sum(a > b for a, b in zip(seq, seq[1:] + seq[:1]))
         if desc != 1:
             out.append(("iii", f, f"face {f} has {desc} descents"))
     return out
@@ -1109,13 +548,10 @@ def cyclic_step_violations(r, axiom):
     out = []
     for v in range(m.n_vertices):
         step = -1 if v == rv.root_vertex else 1
-        orbit = m.vertex_orbit(v)
-        for t in range(len(orbit)):
-            c0 = r.colors[orbit[t]]
-            c1 = r.colors[orbit[(t + 1) % len(orbit)]]
-            if c1 != _mod(c0 + step, rv.d):
-                out.append((axiom, v, f"vertex {v}: corner colors {c0}->{c1} "
-                                      f"not a clockwise {step:+d} step"))
+        cs = [r.colors[h] for h in m.vertex_orbit(v)]
+        out += [(axiom, v, f"vertex {v}: corner colors {a}->{b} not a "
+                           f"clockwise {step:+d} step")
+                for a, b in zip(cs, cs[1:] + cs[:1]) if b != _mod(a + step, rv.d)]
     return out
 
 
@@ -1194,8 +630,144 @@ def chi_by_complemented_trees(s):
     return RegularDecomposition(host=rv, masks=tuple(masks), primal=ang)
 
 
+# -- the decomposition axioms, from the definitions -------------------------
+
+def _black(start, neighbors):
+    """The cells at even distance from start: the black side of a
+    bipartition, by breadth-first search over neighbors(cell)."""
+    dist = {start: 0}
+    q = deque([start])
+    while q:
+        c = q.popleft()
+        for x in neighbors(c):
+            if x not in dist:
+                dist[x] = dist[c] + 1
+                q.append(x)
+    return {c for c, k in dist.items() if k % 2 == 0}
+
+
+def _parents(t, i, root=None):
+    """v -> the target of v's color-i arc (its last one in dart order when
+    it has several); the root vertex has none."""
+    m = t.host.map
+    return {m.origin[h]: m.target(h) for h in range(m.n_darts)
+            if t.masks[h] >> (i - 1) & 1 and m.origin[h] != root}
+
+
+def _path_end(up, v):
+    """Where the path v, up[v], up[up[v]], ... stops, or None when it runs
+    into a cycle."""
+    seen = set()
+    while v in up:
+        if v in seen:
+            return None
+        seen.add(v)
+        v = up[v]
+    return v
+
+
+def vertex_rule(t, v, axiom, window=None):
+    """The vertex rule at v: the outgoing arcs carry colors 1..p once each
+    in one clockwise turn, that is the clockwise steps from the arc of
+    color c to that of color c+1 add up to one turn around v; with window
+    (a, b), each incoming color-c arc lies strictly clockwise between the
+    outgoing arcs of colors c+a and c+b.  One violation when the outgoing
+    colors break the rule, else one per misplaced incoming color."""
+    m = t.host.map
+    p = t.n_colors
+    orbit = m.vertex_orbit(v)
+    n = len(orbit)
+    pos = {}
+    for k, h in enumerate(orbit):
+        for c in range(1, p + 1):
+            if t.masks[h] >> (c - 1) & 1:
+                if c in pos:
+                    return [(axiom, v, f"color {c}: two outgoing arcs")]
+                pos[c] = k
+    if len(pos) != p or sum((pos[c % p + 1] - pos[c]) % n for c in pos) != n:
+        return [(axiom, v, "outgoing colors not one clockwise turn")]
+    if window is None:
+        return []
+    out = []
+    for k, h in enumerate(orbit):
+        for c in range(1, p + 1):
+            if t.masks[m.twin[h]] >> (c - 1) & 1:
+                lo, hi = (pos[(c + x - 1) % p + 1] for x in window)
+                # k strictly clockwise from lo to hi (all but lo if equal)
+                if not 1 <= (k - lo) % n <= (hi - lo - 1) % n:
+                    out.append((axiom, v, f"incoming color {c} misplaced"))
+    return out
+
+
+def schnyder_axioms(t):
+    """The axioms of a Schnyder decomposition of a d-angulation, or of a
+    reduced one (p = d/2 colors, reduced color i standing for color 2i, step
+    2, axioms primed): (i) every internal edge lies in (d-2)/step forests,
+    once each, and no external edge in any; (ii) forest i, with j =
+    step*i, has one outgoing arc at every internal vertex and none at an
+    external one, the path from every internal vertex ends at an external
+    vertex other than u_j and u_{j+1}, and no arc touches those two; (iii)
+    the vertex rule at every internal vertex, with incoming color-c arcs
+    between the outgoing arcs c+1 and c-1 (reduced: c+1 and c at black
+    vertices, c and c-1 at white ones, u_1 black)."""
+    ang = t.host
+    m = ang.map
+    p = t.n_colors
+    step = ang.d // p
+    prime = "'" * t.REDUCED
+    if len(t.masks) != m.n_darts or any(mk >> p for mk in t.masks):
+        return [("malformed", None, f"not one color set in 1..{p} per dart")]
+    out = []
+    for h in m.edges():
+        a, b = t.masks[h], t.masks[m.twin[h]]
+        want = 0 if ang.is_external_edge(h) else (ang.d - 2) // step
+        if a & b or bin(a | b).count("1") != want:
+            out.append(("i" + prime, h, "edge in the wrong forests"))
+    ext = set(ang.external)
+    for i in range(1, p + 1):
+        j = step * i
+        avoid = {ang.external[j - 1], ang.external[j % ang.d]}
+        arcs = [h for h in range(m.n_darts) if t.masks[h] >> (i - 1) & 1]
+        leaving = Counter(m.origin[h] for h in arcs)
+        touched = set(leaving) | {m.target(h) for h in arcs}
+        up = _parents(t, i)
+        out += [("ii" + prime, v, f"color {i}: another outgoing arc")
+                for v, k in leaving.items() for _ in range(k - 1)]
+        out += [("ii" + prime, v, f"color {i} touches excluded {v}")
+                for v in avoid & touched]
+        out += [("ii" + prime, u, f"color {i} leaves external {u}")
+                for u in ext & set(leaving)]
+        out += [("ii" + prime, v, f"color {i} path from {v} strays")
+                for v in ang.internal_vertices()
+                if _path_end(up, v) not in ext - avoid]
+    black = _black(ang.external[0], lambda v: map(m.target,
+                                                   m.vertex_orbit(v)))
+    for v in ang.internal_vertices():
+        window = (1, 0) if v in black else (0, -1)
+        out += vertex_rule(t, v, "iii" + prime, window if t.REDUCED
+                           else (1, -1))
+    return out
+
+
+def _tree_axiom(t):
+    """("tree", v) for each color i and non-root vertex v whose path of
+    color-i parent arcs misses the root vertex."""
+    rv = t.host
+    out = []
+    for i in range(1, t.n_colors + 1):
+        up = _parents(t, i, rv.root_vertex)
+        out += [("tree", v, f"color {i} path from {v} misses the root")
+                for v in rv.non_root_vertices()
+                if _path_end(up, v) != rv.root_vertex]
+    return out
+
+
 def regular_decomposition_axioms(rd):
-    """validate_regular_decomposition as coded before the dual rule."""
+    """The axioms of a regular decomposition: (i) every arc not leaving v*
+    carries one color and (ii) no arc leaving v* any; each non-root edge
+    has two colors, one per direction; root edge e_i* carries color i
+    toward v*; (iii) the vertex rule at non-root vertices; and every color
+    class is a spanning tree oriented toward v*."""
     rv = rd.host
     m = rv.map
     d = rv.d
@@ -1210,28 +782,27 @@ def regular_decomposition_axioms(rd):
             out.append(("i", h, f"arc {h} must carry exactly one color in [d]"))
     if out:
         return out
-    # (i)/(ii) per edge: non-root edges lie in two distinct trees with
-    # opposite directions; root edge e_i* only in T_i*, toward v*
-    root_in = {m.twin[e]: i for i, e in enumerate(rv.root_darts, start=1)}
-    for h in m.edges():
-        a, b = rd.masks[h], rd.masks[m.twin[h]]
-        for x, i in ((h, root_in.get(h)), (m.twin[h], root_in.get(m.twin[h]))):
-            if i is not None and rd.masks[x] != 1 << (i - 1):
-                out.append(("ii", x, f"root edge {i} does not carry color {i} "
-                                     "toward the root"))
-        if m.origin[h] != rv.root_vertex and m.target(h) != rv.root_vertex:
-            if a == b:
-                out.append(("i", h, f"edge {h}: both arcs have the same color"))
-    # (iii) outgoing colors 1..d in clockwise order around non-root vertices
+    for i, e in enumerate(rv.root_darts, start=1):
+        if rd.masks[m.twin[e]] != 1 << (i - 1):
+            out.append(("ii", m.twin[e], f"root edge {i} does not carry "
+                                         f"color {i} toward the root"))
+    out += [("i", h, f"edge {h}: both arcs have the same color")
+            for h in m.edges() if rd.masks[h] == rd.masks[m.twin[h]] and
+            rv.root_vertex not in (m.origin[h], m.target(h))]
     for v in rv.non_root_vertices():
-        out.extend(vertex_violations(rd, v, "iii"))
-    return out + tree_violations(rd)
+        out += vertex_rule(rd, v, "iii")
+    return out + _tree_axiom(rd)
 
 
 def reduced_regular_axioms(rrd):
-    """validate_reduced_regular as coded before the dual rule."""
+    """The axioms of a reduced regular decomposition (p = d/2 colors):
+    (i') every arc carries at most one color, and a colored arc has a black
+    face on its right (f_1* black); the edges but the odd root edges are
+    partitioned among the trees; (ii') root edge e_2i* carries color i
+    toward v*; (iii') the vertex rule at non-root vertices; and every color
+    class is a spanning tree oriented toward v*."""
     rv = rrd.host
-    p = _require_even_d(rv.d)
+    p = rrd.n_colors
     m = rv.map
     out = []
     if len(rrd.masks) != m.n_darts:
@@ -1241,7 +812,6 @@ def reduced_regular_axioms(rrd):
             out.append(("i'", h, f"arc {h} carries more than one color"))
     if out:
         return out
-    # partition of all edges except the odd root-edges
     odd_root = {m.edge(rv.root_darts[2 * i - 2]) for i in range(1, p + 1)}
     even_root_in = {m.twin[rv.root_darts[2 * i - 1]]: i for i in range(1, p + 1)}
     for h in m.edges():
@@ -1254,15 +824,14 @@ def reduced_regular_axioms(rrd):
     for x, i in even_root_in.items():
         if rrd.masks[x] != 1 << (i - 1):
             out.append(("ii'", x, f"root edge e_{{2i}}* of tree {i} miscolored"))
-    # (i') black face on the right of every arc
-    face_black = black_faces(rv)
+    black = _black(rv.root_faces[0], lambda f: (m.face_of[m.twin[h]]
+                                                for h in m.faces[f]))
     for h in range(m.n_darts):
-        if rrd.masks[h] and not face_black[m.face_of[m.twin[h]]]:
+        if rrd.masks[h] and m.face_of[m.twin[h]] not in black:
             out.append(("i'", h, f"arc {h} has a white face on its right"))
-    # (iii') parent arcs clockwise around non-root vertices
     for v in rv.non_root_vertices():
-        out.extend(vertex_violations(rrd, v, "iii'"))
-    return out + tree_violations(rrd)
+        out += vertex_rule(rrd, v, "iii'")
+    return out + _tree_axiom(rrd)
 
 
 # -- exhaustive enumeration by peeling, pairs through the lattice ---------
@@ -1294,15 +863,27 @@ def _assemble_map(edges, faces):
     return PlaneMap(twin, next_cw, tuple(origin), outer_dart=0)
 
 
-def _face_walks(d, nv, edges, region):
-    """All ways to reveal the d-gon adjacent to the first boundary dart.
+def _within(nbrs, a, b, k):
+    """Whether b lies at most k edges from a in the simple graph whose
+    vertex v has the neighbor set nbrs[v]."""
+    seen = layer = {a}
+    for _ in range(k):
+        layer = {w for x in layer for w in nbrs[x]} - seen
+        if b in layer:
+            return True
+        seen = seen | layer
+    return False
 
-    The region boundary is a simple cycle of darts with the region on the
-    left.  The new face starts with the peeled dart; every later step either
-    advances along the boundary, opens a chord to a strictly later boundary
-    vertex, or inserts a fresh vertex.  Yields (face_darts, new_edges,
-    new_nv, subregions); subregions are the pieces cut off between
-    consecutive boundary touches."""
+
+def _face_walks(d, nbrs, edges, region):
+    """All ways to reveal the d-gon adjacent to the first boundary dart of
+    a region, a simple dart cycle with the region on its left.  The face
+    starts with that dart; each later step advances along the boundary,
+    opens a chord to a later boundary vertex, or inserts a fresh vertex.
+    A chord whose ends lie at most d - 2 edges apart would close a cycle
+    shorter than d, so it is not opened; nbrs, the neighbor sets of the
+    partial map, holds each new edge and vertex while the walk does.
+    Yields (face_darts, new_edges, subregions cut off between touches)."""
     b0 = region[0]
     path = region[1:]
     pos_v = [edges[h // 2][h % 2] for h in path]       # tails of path darts
@@ -1310,107 +891,86 @@ def _face_walks(d, nv, edges, region):
     w = edges[b0 // 2][1 - b0 % 2]
     pos_v.append(u)
     last = len(pos_v) - 1                              # position of u
-    edge_pairs = {frozenset(e) for e in edges}
 
-    def walk(pos, cur, touch, steps, pending, face, news, subs, new_nv):
+    def walk(pos, cur, touch, steps, pending, face, news, subs):
         if steps == 0:
             if pos == last:
-                yield list(face), list(news), new_nv, [list(r) for r in subs]
+                yield list(face), list(news), [list(r) for r in subs]
             return
         # advance along the boundary
         if pos is not None and pos < last and (pos + 1 < last or steps == 1):
             face.append(path[pos])
             yield from walk(pos + 1, pos_v[pos + 1], pos + 1, steps - 1,
-                            pending, face, news, subs, new_nv)
+                            pending, face, news, subs)
             face.pop()
         # chord to a later boundary vertex
         lo = (pos if pos is not None else touch) + 1
-        for q in range(lo, last + 1):
-            if (q == last) != (steps == 1):
-                continue
+        for q in range(max(lo, last), last + 1) if steps == 1 else \
+                range(lo, last):
             tv = pos_v[q]
-            pair = frozenset((cur, tv))
-            if pair in edge_pairs:
-                continue           # a parallel edge would be a 2-cycle
-            eid = len(edges) + len(news)
+            if _within(nbrs, cur, tv, d - 2):
+                continue           # it would close a cycle shorter than d
+            h = 2 * (len(edges) + len(news))
             news.append((cur, tv))
-            edge_pairs.add(pair)
-            h = 2 * eid
+            nbrs[cur].add(tv)
+            nbrs[tv].add(cur)
             face.append(h)
             sub = path[touch:q] + [g ^ 1 for g in reversed(pending + [h])]
             subs.append(sub)
-            yield from walk(q, tv, q, steps - 1, [], face, news, subs, new_nv)
+            yield from walk(q, tv, q, steps - 1, [], face, news, subs)
             subs.pop()
             face.pop()
-            edge_pairs.discard(pair)
+            nbrs[cur].discard(tv)
+            nbrs[tv].discard(cur)
             news.pop()
         # fresh vertex
         if steps >= 2:
-            eid = len(edges) + len(news)
-            news.append((cur, new_nv))
-            h = 2 * eid
+            x = len(nbrs)
+            h = 2 * (len(edges) + len(news))
+            news.append((cur, x))
+            nbrs[cur].add(x)
+            nbrs.append({cur})
             face.append(h)
-            yield from walk(None, new_nv, touch, steps - 1, pending + [h],
-                            face, news, subs, new_nv + 1)
+            yield from walk(None, x, touch, steps - 1, pending + [h],
+                            face, news, subs)
             face.pop()
+            nbrs.pop()
+            nbrs[cur].discard(x)
             news.pop()
 
-    yield from walk(0, w, 0, d - 1, [], [], [], [], nv)
+    yield from walk(0, w, 0, d - 1, [], [], [], [])
 
 
 def enumerate_angulations(d, max_faces):
     """All rooted d-angulations of girth d with 2..max_faces faces.
 
     Rooted means a marked outer dart; each rooted map appears exactly once.
-    Peeling search: starting from the bare d-cycle, repeatedly reveal the
-    face adjacent to the first boundary dart of the oldest unexplored
-    region.  The revealed face determines the peeling history, so distinct
-    final maps come from distinct branches; partial maps whose graph girth
-    drops below d are pruned (faces only ever add edges, so girth never
-    recovers)."""
+    Peeling search: from the bare d-cycle, reveal the face beside the first
+    boundary dart of the oldest unexplored region, again and again.  The
+    revealed faces determine the history, so distinct maps come from
+    distinct branches; no face that closes a cycle shorter than d is
+    revealed (faces only add edges, so girth never recovers)."""
     if d < 3:
         raise SamplerError("BadParameter", "d must be at least 3")
     edges0 = [(i, (i + 1) % d) for i in range(d)]
     outer = [2 * i for i in range(d)]
     inner = [2 * i + 1 for i in reversed(range(d))]
-    adj = [[] for _ in range(d)]     # of the partial map on the current path
-    add_edges(adj, edges0)
+    nbrs = [{(i - 1) % d, (i + 1) % d} for i in range(d)]
 
-    def fill(nv, edges, faces, regions):
+    def fill(edges, faces, regions):
         if not regions:
             yield _assemble_map(edges, faces)
             return
-        budget = max_faces - len(faces)
-        need = 0
-        for r in regions:
-            k = _min_fill(len(r), d)
-            if k is None:
-                return
-            need += k
-        if need > budget:
+        need = [_min_fill(len(r), d) for r in regions]
+        if None in need or sum(need) > max_faces - len(faces):
             return
         region = regions[0]
-        for face, news, new_nv, subs in _face_walks(d, nv, edges, region):
-            adj.extend([] for _ in range(new_nv - nv))
-            add_edges(adj, news, len(edges))
-            try:
-                # the partial map had girth d, so a shorter cycle uses a
-                # run of new edges; fresh vertices have degree 2, so the
-                # cycle passes through the old vertex where that run starts
-                if news and shortest_cycle(
-                        adj, d, {u for u, _ in news if u < nv}) < d:
-                    continue
-                yield from fill(new_nv, edges + news,
-                                faces + [[region[0]] + face],
-                                regions[1:] + [s for s in subs if s])
-            finally:
-                for u, w in news:
-                    adj[u].pop()
-                    adj[w].pop()
-                del adj[nv:]
+        for face, news, subs in _face_walks(d, nbrs, edges, region):
+            yield from fill(edges + news, faces + [[region[0]] + face],
+                            regions[1:] + [s for s in subs if s])
 
     if max_faces >= 2:
-        yield from fill(d, list(edges0), [outer], [inner])
+        yield from fill(list(edges0), [outer], [inner])
 
 
 def is_even(o):

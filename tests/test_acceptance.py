@@ -23,8 +23,8 @@ import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
-    bend_count, check_planarity, enumerate_angulations, find_ccw_d_circuits,
-    pair_code, place_by_face_counting, sufficiency_violations,
+    bend_count, check_planarity, enumerate_angulations, pair_code,
+    place_by_face_counting, sufficiency_violations,
 )
 from sweep import check_orthogonal_planarity
 from test_drawing import _dual_degree_classification
@@ -169,7 +169,7 @@ def test_criterion_03_lattice(study_corpus):
             succ = {}
             for o in elems:
                 succ[okey(o)] = [okey(O.push_cycle(o, c))
-                                 for c in find_ccw_d_circuits(o)]
+                                 for c in O._find_d_circuits(o, True)]
                 assert all(k in keys for k in succ[okey(o)])
             sinks = [x for x, ups in succ.items() if not ups]
             assert sinks == [okey(minimal)]

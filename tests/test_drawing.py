@@ -15,8 +15,8 @@ import schnyder_kit.drawing as DR
 
 import instances as I
 from oracles import (
-    bend_count, check_planarity, equatorial_line, place_by_face_counting,
-    place_by_walking_lines, special_face_of_edge,
+    bend_count, check_planarity, place_by_face_counting,
+    special_face_of_edge,
 )
 from sweep import check_orthogonal_planarity
 
@@ -38,7 +38,12 @@ def wheel_duals(even_decompositions, m):
 
 
 def test_face_counting_matches_equatorial_lines(even_decompositions):
-    for rv in host_corpus():
+    """The marker chains place every vertex where face counting does, on
+    the host corpus, the wheel duals and face-split duals with V* = 20 and
+    100."""
+    for rv in host_corpus() + [D.dualize(as_angulation(
+            I.face_split_quadrangulation(n, random.Random(n)), 4))
+            for n in (20, 100)]:
         rd = E.compute_even_regular_decomposition(rv)
         assert place_by_face_counting(rd) == DR.place_by_equatorial_lines(rd)
     for m in (4, 5):
@@ -177,41 +182,6 @@ def test_classification_refuses_a_reduced_drawing():
         with pytest.raises(DrawingError, match="before reducing") as ei:
             DR.classify_faces(drawn)
         assert ei.value.kind == "InternalInvariantViolation"
-
-
-@pytest.fixture(scope="module")
-def marker_corpus(even_decompositions):
-    """Every even regular decomposition of the quadrangulations with at most
-    8 faces (2,619), then the even decomposition of the pipeline on one
-    face-split dual per V* in (20, 100, 400, 1600)."""
-    rds = [rd for n in range(2, 9) for _, _, rd in even_decompositions[n]]
-    for faces in (20, 100, 400, 1600):
-        q = I.face_split_quadrangulation(faces, random.Random(faces))
-        rds.append(E.compute_even_regular_decomposition(
-            D.dualize(as_angulation(q, 4))))
-    assert len(rds) == 2619 + 4
-    return rds
-
-
-def test_placement_equals_the_equatorial_walk(marker_corpus):
-    """The marker chains of place_by_equatorial_lines visit the vertices in
-    the order of the walk along each line, which searches every face for
-    its exit arc."""
-    for rd in marker_corpus:
-        assert DR.place_by_equatorial_lines(rd) == place_by_walking_lines(rd)
-
-
-def test_equatorial_line_passes_face_markers_consecutively(marker_corpus):
-    for rd in marker_corpus:
-        fc = DR.classify_faces(DR.orthogonal_drawing(rd))
-        for i, (pre, post) in ((1, ("fx_minus", "fx_plus")),
-                               (4, ("fy_minus", "fy_plus"))):
-            seq = equatorial_line(rd, i)
-            for t in range(1, len(seq), 2):
-                kind, f = seq[t]
-                assert kind == "f"
-                assert seq[t - 1] == ("v", getattr(fc.faces[f], pre))
-                assert seq[t + 1] == ("v", getattr(fc.faces[f], post))
 
 
 def test_placement_rejects_a_broken_marker_chain(monkeypatch):

@@ -11,8 +11,7 @@ import schnyder_kit.planar_map as P
 import instances as I
 from oracles import (
     brute_force_dd2, brute_force_orientations, ccw_traversal_by_flood_fill,
-    enumerate_angulations, find_ccw_d_circuits, flood_fill_d_circuits,
-    is_even,
+    enumerate_angulations, flood_fill_d_circuits, is_even,
 )
 
 
@@ -131,7 +130,7 @@ def test_flow_meets_alpha_without_a_certificate(study_corpus):
 def test_push_preserves_outdegrees():
     c = cube()
     for o in O.lattice_enumerate(c):
-        for trav in find_ccw_d_circuits(o):
+        for trav in flood_fill_d_circuits(o)[0]:
             o2 = O.push_cycle(o, trav)
             o2.validate()
             for v in range(c.map.n_vertices):
@@ -142,10 +141,9 @@ def test_push_preserves_outdegrees():
 
 
 def _checked_ccw_circuits(o):
-    """find_ccw_d_circuits(o), once both scans match the oracle's lists."""
-    circuits = find_ccw_d_circuits(o)
-    assert circuits == flood_fill_d_circuits(o, ccw=True)
-    assert O.find_cw_d_circuits(o) == flood_fill_d_circuits(o, ccw=False)
+    """The full ccw scan of o, once both scans match the oracle's lists."""
+    circuits = O._find_d_circuits(o, True)
+    assert (circuits, O.find_cw_d_circuits(o)) == flood_fill_d_circuits(o)
     return circuits
 
 
@@ -164,14 +162,12 @@ def test_circuit_scan_matches_flood_fill_oracle(study_corpus):
 
 def _walk_hosts():
     """(map, pushes of the walk to the minimum): quadrangulations whose
-    nested 4-cycles separate.  The ringed one has the vertex count of the
-    benchmark's ringed hosts (25 rings, 20 face splits, 120 vertices) but
-    a walk of 2 pushes; 25 concentric 4-cycles give a walk of 48 pushes,
-    as tall as the one the benchmark times."""
-    yield I.ringed_quadrangulation(25, 20, random.Random("ringed:0")), 2
+    nested 4-cycles separate.  The ringed one is host 0 of the benchmark's
+    orient-min workload (25 rings, 20 face splits, 120 vertices), whose
+    walk the benchmark times."""
+    yield I.ringed_quadrangulation(25, 20, random.Random("ringed:0")), 48
     yield I.concentric_quadrangulation(4), 6
     yield I.concentric_quadrangulation(6), 10
-    yield I.concentric_quadrangulation(25), 48
 
 
 def test_walk_to_the_minimum_pushes_the_oracle_first_circuit():
@@ -185,8 +181,7 @@ def test_walk_to_the_minimum_pushes_the_oracle_first_circuit():
         pushes = 0
         while True:
             first = O._find_d_circuits(o, True, limit=1)
-            assert first == _checked_ccw_circuits(o)[:1] == \
-                flood_fill_d_circuits(o, ccw=True)[:1]
+            assert first == _checked_ccw_circuits(o)[:1]
             if not first:
                 break
             o = O.push_cycle(o, first[0])
@@ -212,7 +207,7 @@ def test_limited_scan_stops_drawing_d_cycles(monkeypatch):
     first = O._find_d_circuits(o, True, limit=1)
     limited = len(drawn)
     drawn.clear()
-    circuits = find_ccw_d_circuits(o)
+    circuits = O._find_d_circuits(o, True)
     assert first == circuits[:1] and len(first) == 1
     assert 0 < limited < len(drawn)
 
@@ -222,8 +217,8 @@ def test_host_less_orientation_fails_at_once():
     of every circuit scan itself, the limited one too, not when its result
     is read."""
     o = replace(O.compute_dd2_orientation(cube()), host=None)
-    for scan in (find_ccw_d_circuits, O.find_cw_d_circuits,
-                 O.minimal_orientation,
+    for scan in (lambda o: O._find_d_circuits(o, True),
+                 O.find_cw_d_circuits, O.minimal_orientation,
                  lambda o: O._find_d_circuits(o, True, limit=1)):
         with pytest.raises(OrientationError,
                            match="orientation has no angulation host") as e:
@@ -234,8 +229,9 @@ def test_host_less_orientation_fails_at_once():
 def _side_test_hosts():
     """(map, d): every girth-d d-angulation with (d, faces) = (3, 7),
     (4, 6), (5, 5), (6, 5), and quadrangulations whose 4-cycles nest:
-    ringed ones with and without face splits, face-split ones and the
-    concentric ones of the instances."""
+    ringed ones with and without face splits (the last one host 0 of the
+    benchmark's orient-min workload), face-split ones and the concentric
+    ones of the instances."""
     for d, faces in ((3, 7), (4, 6), (5, 5), (6, 5)):
         yield from ((m, d) for m in enumerate_angulations(d, faces))
     for rings in range(1, 7):
@@ -274,11 +270,11 @@ class _CountedReads(tuple):
 
 
 def test_minimal_orientation_builds_one_side_index(monkeypatch):
-    """A walk to the minimum on 25 concentric 4-cycles (100 vertices, 48
-    pushes, the size of the benchmark's ringed hosts) builds the dual-tree
-    side index once for all its scans, and reads no face orbit beyond that
-    build: a flood fill per cycle would read many."""
-    ang = as_angulation(I.concentric_quadrangulation(25), 4)
+    """A walk to the minimum on host 0 of the benchmark's orient-min
+    workload (120 vertices, 48 pushes) builds the dual-tree side index once
+    for all its scans, and reads no face orbit beyond that build: a flood
+    fill per cycle would read many."""
+    ang = as_angulation(next(_walk_hosts())[0], 4)
     m = ang.map
     builds = []
     build = P.dual_tree_intervals
@@ -309,7 +305,7 @@ def test_minimal_orientation_start_independent():
     mins = {O.minimal_orientation(o).values for o in lat}
     assert len(mins) == 1
     m0 = O.minimal_orientation(c)
-    assert find_ccw_d_circuits(m0) == []
+    assert O._find_d_circuits(m0, True) == []
     assert O.minimal_orientation(m0).values == m0.values  # idempotent
 
 
@@ -321,7 +317,7 @@ def test_lattice_counts_match_brute_force():
     lat = {o.values for o in O.lattice_enumerate(c)}
     assert O.minimal_orientation(c).values in lat
     for o in O.lattice_enumerate(c):
-        for trav in find_ccw_d_circuits(o):
+        for trav in O._find_d_circuits(o, True):
             assert O.push_cycle(o, trav).values in lat
 
 
@@ -332,7 +328,7 @@ def test_two_orientation_lattice_cube():
     o = O.compute_p_p1_orientation(c)
     # push saturation inside the 2-orientation lattice also works
     o_min = O.minimal_orientation(o)
-    assert find_ccw_d_circuits(o_min) == []
+    assert O._find_d_circuits(o_min, True) == []
 
 
 def test_explosion_guard():

@@ -23,9 +23,8 @@ import schnyder_kit.sampler as SA
 import instances as I
 import oracles
 from oracles import (
-    _fixed_popcount_word, _geometric, bit_filter_sample,
-    decode_every_triple_sample, grow_tree, pair_code, rejection_sample,
-    rooted_code, sample_geometric_triple, strands_close_on_lists,
+    _fixed_popcount_word, _geometric, grow_tree, pair_code,
+    rejection_sample, rooted_code, sample_geometric_triple,
     sweep_closes, tree_word_closes,
 )
 
@@ -181,16 +180,6 @@ def test_fast_sampler_matches_reference_distribution():
         assert abs(h_slow[key] - h_fast[key]) / k < 0.05
 
 
-@pytest.mark.parametrize("n, pairs", [(5, 22), (6, 92)])
-def test_fast_sampler_matches_bit_filter_oracle(n, pairs):
-    k = 1500
-    h_filter = accepted_histogram(bit_filter_sample, n, 12, k)
-    h_fast = accepted_histogram(SA.rejection_sample_fast, n, 12, k)
-    assert set(h_filter) == set(h_fast) and len(h_fast) == pairs
-    for key in h_filter:
-        assert abs(h_filter[key] - h_fast[key]) / k < 0.05
-
-
 def test_exact_conditioning_weights_match_the_bit_filter():
     # The bit filter keeps a word triple iff its words pass independent
     # per-word tests once s = popcount(a) is fixed, so the triples it keeps
@@ -241,41 +230,41 @@ class LoggingRandom(random.Random):
 
 
 def test_attempts_count_drawn_triples(monkeypatch):
-    # the sampler makes exactly the getrandbits calls of the oracle, which
-    # draws s by randrange and each word by _fixed_popcount_word, with the
-    # same values, and returns its triple and attempts; it decodes at most
-    # one triple per attempt, the returned one last
+    # each attempt draws one class, by total.bit_length()-bit draws until
+    # one is below total, and then its three words, so the attempts
+    # returned (or the cap reached) equal the class draws kept in the log
+    # of getrandbits calls; the sampler decodes at most one triple per
+    # attempt, the returned one last
     decoded = []
     decode = SA.decode
     monkeypatch.setattr(SA, "decode", lambda t: decoded.append(t) or decode(t))
 
-    def logged(fn, n, seed, *cap):
-        rng = LoggingRandom(seed)
-        try:
-            _, t, attempts = fn(n, rng, *cap)
-        except SamplerError as exc:
-            return rng.log, (exc.kind, exc.detail)
-        return rng.log, (t, attempts)
+    def classes(log, n):
+        total = SA._popcount_table(n)[-1]
+        return sum(k == total.bit_length() and value < total
+                   for k, value in log)
 
     for n in (4, 10, 24):
         for seed in range(40):
             decoded.clear()
-            log, result = logged(SA.rejection_sample_fast, n, seed)
-            assert (log, result) == \
-                logged(decode_every_triple_sample, n, seed), (n, seed)
-            if isinstance(result[0], SA.EncodingTriple):
-                t, attempts = result
-                assert 1 <= len(decoded) <= attempts and decoded[-1] == t
-                assert all(sum(seq) == n for seq in (t.alpha, t.beta, t.gamma))
-    decoded.clear()
-    log, result = logged(SA.rejection_sample_fast, 24, 0, 3)
-    assert result[0] == "RejectionLimitExceeded" and len(decoded) <= 3
-    assert (log, result) == logged(decode_every_triple_sample, 24, 0, 3)
-    decoded.clear()
+            rng = LoggingRandom(seed)
+            try:
+                _, t, attempts = SA.rejection_sample_fast(n, rng)
+            except SamplerError as exc:
+                assert exc.kind == "RejectionLimitExceeded"
+                assert classes(rng.log, n) == SA.default_max_decodes(n)
+                continue
+            assert classes(rng.log, n) == attempts, (n, seed)
+            assert 1 <= len(decoded) <= attempts and decoded[-1] == t
+            assert all(sum(seq) == n for seq in (t.alpha, t.beta, t.gamma))
     monkeypatch.setattr(SA, "default_max_decodes", lambda n: 2)
-    log, result = logged(SA.rejection_sample_fast, 24, 0)
-    assert result[0] == "RejectionLimitExceeded" and len(decoded) <= 2
-    assert (log, result) == logged(decode_every_triple_sample, 24, 0, 2)
+    for cap, limit in ((3, 3), (None, 2)):
+        decoded.clear()
+        rng = LoggingRandom(0)
+        with pytest.raises(SamplerError) as ei:
+            SA.rejection_sample_fast(24, rng, cap)
+        assert ei.value.kind == "RejectionLimitExceeded"
+        assert classes(rng.log, 24) == limit >= len(decoded)
 
 
 class _ClassDrawn(Exception):
@@ -321,21 +310,33 @@ def test_n_below_two_is_a_bad_parameter_before_any_draw(n):
     assert rng.log == []
 
 
+# sha256 prefixes of the outcomes of seeds 0-39, recorded where decoding
+# every drawn triple gave the same outcomes
+PRETEST_OUTCOMES = {
+    (4, None): "052304e28903960b", (6, None): "53a5d93adbaf3e9a",
+    (10, None): "ef553519828db1da", (24, None): "eabd6f4782b98fb6",
+    (4, 3): "8da6a1c678da4466", (6, 3): "cae396ce120bae5c",
+    (10, 3): "fac7df5f4d00ceb9", (24, 3): "9b29bfa2519a77b1",
+}
+
+
 @pytest.mark.parametrize("n", [4, 6, 10, 24])
 @pytest.mark.parametrize("cap", [None, 3])
 def test_pretest_keeps_the_draws_and_results(n, cap):
     # the tree-stage pre-test only skips decodes that would fail, so the
-    # sampler returns what decoding every drawn triple returns
-    def outcome(fn, seed):
+    # sampler returns the (triple, attempts), or the error, that decoding
+    # every drawn triple returns
+    def outcome(seed):
         try:
-            _, t, attempts = fn(n, random.Random(seed), cap)
+            _, t, attempts = SA.rejection_sample_fast(n, random.Random(seed),
+                                                      cap)
         except SamplerError as exc:
             return exc.kind, exc.detail
-        return t, attempts
+        return (t.alpha, t.beta, t.gamma), attempts
 
-    for seed in range(40):
-        assert outcome(SA.rejection_sample_fast, seed) == \
-            outcome(decode_every_triple_sample, seed), seed
+    outcomes = repr([outcome(seed) for seed in range(40)]).encode()
+    assert hashlib.sha256(outcomes).hexdigest()[:16] == \
+        PRETEST_OUTCOMES[n, cap]
 
 
 def test_pretest_fails_exactly_when_the_tree_does():
@@ -470,14 +471,15 @@ def test_strands_pretest_fails_exactly_when_the_sweep_does():
 
 
 @pytest.mark.parametrize("n", [24, 40, 100])
-def test_strands_word_walk_agrees_with_the_list_walk(n):
+def test_strands_word_walk_agrees_with_the_sweep(n):
     # triples drawn as the sampler draws them that pass the tree stage, at
-    # sizes the exhaustive test cannot reach; few of them close, so the
-    # triples of three samples, which all close, are compared too
+    # sizes the exhaustive test cannot reach, against the matching sweep
+    # over the grown tree; few of them close, so the triples of three
+    # samples, which all close, are compared too
     def agree(a, b, c):
         closes = SA._strands_close(a, b, c)
         lists = [SA._word_to_runs(w, n) for w in (a, b, c)]
-        assert closes == strands_close_on_lists(*lists), (n, a, b, c)
+        assert closes == sweep_closes(*grow_tree(*lists)), (n, a, b, c)
         return closes
 
     rng = random.Random(n)

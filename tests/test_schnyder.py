@@ -7,7 +7,7 @@ import schnyder_kit.schnyder as S
 
 import instances as I
 from oracles import (
-    brute_force_dd2, find_ccw_d_circuits, forest_path_to_root,
+    _parents, _path_end, brute_force_dd2, flood_fill_d_circuits,
     labelling_push, left_faces,
 )
 
@@ -42,6 +42,31 @@ def test_validator_catches_corruption():
     assert len(viol) > 1  # reports all violations, not just the first
     short = S.SchnyderDecomposition(host=ang, masks=(1,))
     assert [v[:2] for v in S.validate_schnyder(short)] == [("malformed", None)]
+
+
+def test_validator_messages_name_the_broken_path():
+    """A color-1 arc v -> w turned into a 2-cycle by giving w the arc back
+    to v, and a removed color-1 arc, are reported at the internal vertices
+    whose paths they break, each with its break named."""
+    ang = as_angulation(I.cube(), 4)
+    s = S.phi(S.psi_inverse(O.compute_dd2_orientation(ang)))
+    m = ang.map
+    internal = ang.internal_vertices()
+    h = next(h for h in s.arcs_of_color(1) if m.target(h) in internal)
+    v, w = m.origin[h], m.target(h)
+    g = next(g for g in m.vertex_orbit(w) if s.masks[g] & 1)
+    masks = list(s.masks)
+    masks[g], masks[m.twin[h]] = masks[m.twin[h]], masks[g]
+    got = S.validate_schnyder(S.SchnyderDecomposition(host=ang,
+                                                      masks=tuple(masks)))
+    for x in (v, w):
+        assert ("ii", x, f"color 1: the path from {x} runs into a cycle") \
+            in got
+    masks = list(s.masks)
+    masks[h] &= ~1
+    got = S.validate_schnyder(S.SchnyderDecomposition(host=ang,
+                                                      masks=tuple(masks)))
+    assert ("ii", v, f"color 1: no outgoing arc at internal {v}") in got
 
 
 def test_psi_round_trip_full_lattice():
@@ -119,7 +144,7 @@ def test_labelling_push_commutes():
     ang = as_angulation(I.cube(), 4)
     for o in O.lattice_enumerate(ang):
         l = S.psi_inverse(o)
-        for trav in find_ccw_d_circuits(o):
+        for trav in flood_fill_d_circuits(o)[0]:
             assert S.psi(labelling_push(l, trav)).values == \
                 O.push_cycle(o, trav).values
 
@@ -129,7 +154,7 @@ def test_push_d_times_is_identity():
     ang = as_angulation(I.cube(), 4)
     for o in O.lattice_enumerate(ang):
         l = S.psi_inverse(o)
-        for trav in find_ccw_d_circuits(o):
+        for trav in flood_fill_d_circuits(o)[0]:
             interior = left_faces(ang.map, trav)
             colors = list(l.colors)
             for _ in range(ang.d):
@@ -153,16 +178,16 @@ def test_push_rejects_non_admissible():
 
 
 def test_forest_paths():
+    """The color-i path from every internal vertex of a valid decomposition
+    ends at an external vertex other than u_i and u_{i+1}."""
     for ang in angulations():
         s = S.phi(S.psi_inverse(O.compute_dd2_orientation(ang)))
-        for v in ang.internal_vertices():
-            for i in range(1, ang.d + 1):
-                p = forest_path_to_root(s, i, v)
-                assert p[0] == v
-                assert p[-1] in ang.external
-                j = ang.external.index(p[-1]) + 1
-                assert j not in (i, i % ang.d + 1)
-                assert len(p) <= ang.map.n_vertices
+        for i in range(1, ang.d + 1):
+            up = _parents(s, i)
+            for v in ang.internal_vertices():
+                end = _path_end(up, v)
+                assert end in ang.external
+                assert ang.external.index(end) + 1 not in (i, i % ang.d + 1)
 
 
 def test_degenerate_cycle_angulation():

@@ -1,7 +1,6 @@
-"""The single-sweep forest/tree checker against the validators as coded
-before it and against a walk from every vertex, the shared vertex rule
-against each validator's former one, and the corner rule and dual rule
-against the labelling and dual validators they replaced."""
+"""The decomposition validators against their axioms written from the
+definitions, and the corner rule against the labelling validators it
+replaced."""
 
 import random
 from collections import Counter
@@ -14,14 +13,10 @@ import schnyder_kit.duality as D
 import schnyder_kit.even as E
 
 import instances as I
-import oracles
 from oracles import (
-    CYCLE, cyclic_step_violations, dual_violations, labelling_axioms,
-    path_ends, reduced_regular_axioms, reduced_regular_vertex_rule,
-    reduced_schnyder_violations, reduced_vertex_rule,
+    cyclic_step_violations, labelling_axioms, reduced_regular_axioms,
     regular_decomposition_axioms, regular_labelling_axioms,
-    regular_vertex_rule, schnyder_vertex_rule, schnyder_violations,
-    sufficiency_violations, walk_path_ends,
+    schnyder_axioms, sufficiency_violations,
 )
 
 def decompositions():
@@ -99,119 +94,17 @@ def mutations(t):
             for mk in out]
 
 
-def _pairs(violations):
-    return {(axiom, where) for axiom, where, _ in violations}
+def _multiset(violations):
+    return Counter((axiom, where) for axiom, where, _ in violations)
 
 
-def test_path_ends_matches_the_walk_from_every_vertex(monkeypatch):
-    """The path ends of the validators' parent table, and those of the
-    oracles' path_ends, equal a walk from every vertex, on valid tables
-    and tables near them; each validator meets a cycle somewhere, and the
-    oracle validators give the same verdicts with the walk in place of
-    path_ends."""
-    cycles = set()
-    for validator, t in decompositions():
-        m = t.host.map
-        nv = m.n_vertices
-        roots = {None, getattr(t.host, "root_vertex", None)}
-        for x in [t] + mutations(t):
-            for root in roots:
-                _, nxt, ends, _ = S._sweep(m, x.masks, x.n_colors, root)
-                for i in range(1, x.n_colors + 1):
-                    walk = walk_path_ends(x, i, root)
-                    assert path_ends(x, i, root) == walk
-                    base = (i - 1) * nv
-                    assert [CYCLE if nxt[e] != e else e - base
-                            for e in ends[base:base + nv]] == walk
-                    if CYCLE in walk:
-                        cycles.add(validator.__name__)
-            fast = _pairs(validator(x))
-            assert (fast == set()) == (x is t)
-            with monkeypatch.context() as mp:
-                mp.setattr(oracles, "path_ends", walk_path_ends)
-                assert _pairs(EXACT_ORACLES[validator](x)) == fast, \
-                    validator.__name__
-    assert cycles == {"validate_schnyder", "validate_regular_decomposition",
-                      "validate_reduced_schnyder", "validate_reduced_regular"}
-
-
-# validator -> its body as coded before the single sweep
-EXACT_ORACLES = {
-    S.validate_schnyder: schnyder_violations,
-    E.validate_reduced_schnyder: reduced_schnyder_violations,
-    D.validate_regular_decomposition: dual_violations,
-    E.validate_reduced_regular: dual_violations,
+# validator -> its axioms, written from the definitions
+AXIOMS = {
+    S.validate_schnyder: schnyder_axioms,
+    E.validate_reduced_schnyder: schnyder_axioms,
+    D.validate_regular_decomposition: regular_decomposition_axioms,
+    E.validate_reduced_regular: reduced_regular_axioms,
 }
-
-
-def test_validators_return_the_oracle_lists(even_decompositions):
-    """Each validator returns the oracle's (axiom, where, message) list,
-    in its order, on the valid tables of decompositions(), on the tables
-    near them and on two malformed ones, and on all four tables of every
-    even decomposition of the quadrangulations with at most 8 faces, and
-    on four random tables near each of those with at most 6 faces."""
-    rng = random.Random(17)
-    axioms = {validator: set() for validator in EXACT_ORACLES}
-    for validator, t in decompositions():
-        oracle = EXACT_ORACLES[validator]
-        malformed = [t.masks[:-1], (1 << t.n_colors,) + t.masks[1:]]
-        for x in [t] + mutations(t) + random_mutations(t, rng) + [
-                type(t)(host=t.host, masks=mk, primal=t.primal)
-                for mk in malformed]:
-            got = validator(x)
-            assert got == oracle(x), (validator.__name__, x.masks)
-            axioms[validator] |= {axiom for axiom, _, _ in got}
-    tables = 0
-    for n in range(2, 9):
-        for _ang, s, rd in even_decompositions[n]:
-            for validator, x in ((S.validate_schnyder, s),
-                                 (E.validate_reduced_schnyder, E.lambda_(s)),
-                                 (D.validate_regular_decomposition, rd),
-                                 (E.validate_reduced_regular,
-                                  E.lambda_star(rd))):
-                assert validator(x) == EXACT_ORACLES[validator](x) == []
-                tables += 1
-                for y in random_mutations(x, rng, 1) if n <= 6 else []:
-                    got = validator(y)
-                    assert got == EXACT_ORACLES[validator](y), \
-                        (validator.__name__, y.masks)
-                    axioms[validator] |= {axiom for axiom, _, _ in got}
-    assert tables == 4 * 2619
-    assert axioms == {
-        S.validate_schnyder: {"malformed", "i", "ii", "iii"},
-        E.validate_reduced_schnyder: {"malformed", "i'", "ii'", "iii'"},
-        D.validate_regular_decomposition:
-            {"malformed", "i", "ii", "iii", "tree"},
-        E.validate_reduced_regular:
-            {"malformed", "i'", "partition", "ii'", "iii'", "tree"}}
-
-
-def _reduced_primal_rule(rs, v):
-    return reduced_vertex_rule(rs, v, E.black_vertices(rs.host)[v])
-
-
-# validator -> (its vertex-rule axiom, the rule it coded before)
-VERTEX_ORACLES = {
-    S.validate_schnyder: ("iii", schnyder_vertex_rule),
-    E.validate_reduced_schnyder: ("iii'", _reduced_primal_rule),
-    D.validate_regular_decomposition: ("iii", regular_vertex_rule),
-    E.validate_reduced_regular: ("iii'", reduced_regular_vertex_rule),
-}
-
-
-def _rule_runs(t):
-    """Whether t's validator reaches its vertex rule: every color is in
-    range and, on the dual host, every arc not leaving v* carries one
-    color (at most one on a reduced table; none leaving v* on a full one)."""
-    p = t.n_colors
-    if any(mk >> p for mk in t.masks):
-        return False
-    if t.HOST == "primal":
-        return True
-    m, root = t.host.map, t.host.root_vertex
-    return all(bin(mk).count("1") <= 1 if t.REDUCED else
-               bin(mk).count("1") == (m.origin[h] != root)
-               for h, mk in enumerate(t.masks))
 
 
 def random_mutations(t, rng, count=40):
@@ -237,51 +130,57 @@ def random_mutations(t, rng, count=40):
             for mk in out if tuple(mk) != t.masks]
 
 
-def _passed_over(rs, v):
-    """Whether reduced v has two outgoing arcs of one color, or all its
-    colors on one arc."""
-    arcs = [rs.dart_colors(h) for h in rs.host.map.vertex_orbit(v)
-            if rs.masks[h]]
-    colors = [c for cs in arcs for c in cs]
-    return len(colors) > len(set(colors)) or \
-        (len(arcs) == 1 and len(colors) == rs.n_colors)
-
-
-def test_vertex_rule_flags_what_each_former_rule_flagged():
-    """The shared rule flags a vertex exactly when the validator's former
-    rule did, with two exceptions at reduced primal vertices, which the
-    shared rule flags: two outgoing arcs of one color (the former rule let
-    the later arc win) and all colors on one arc (the former rule accepted
-    zero clockwise turns as well as one)."""
-    rng = random.Random(7)
-    flagged = excepted = 0
+def test_validators_flag_what_the_axioms_flag(even_decompositions):
+    """Both primal validators report the (axiom, where) multiset of the
+    axioms on the valid tables of decompositions(), on the tables near them
+    and on two malformed ones (the dual ones are compared in the next
+    test); and all four accept all four tables of every even decomposition
+    of the quadrangulations with at most 8 faces, and agree with the
+    axioms on a random table near each of those with at most 6 faces."""
+    rng = random.Random(17)
+    seen = {validator: set() for validator in AXIOMS}
+    flagged = 0
     for validator, t in decompositions():
-        axiom, oracle = VERTEX_ORACLES[validator]
-        for x in [t] + mutations(t) + random_mutations(t, rng):
-            new = {where for a, where, _ in validator(x) if a == axiom}
-            old = {v for v in _non_root_vertices(x) if oracle(x, v)} \
-                if _rule_runs(x) else set()
-            if validator is E.validate_reduced_schnyder:
-                odd = {v for v in old | new if _passed_over(x, v)}
-                assert odd <= new
-                excepted += len(odd - old)
-                new, old = new - odd, old - odd
-            assert new == old, (validator.__name__, x.masks)
-            flagged += len(new)
-    assert flagged and excepted
+        if t.HOST == "dual":
+            continue
+        malformed = [t.masks[:-1], (1 << t.n_colors,) + t.masks[1:]]
+        for x in [t] + mutations(t) + random_mutations(t, rng) + [
+                type(t)(host=t.host, masks=mk, primal=t.primal)
+                for mk in malformed]:
+            got = _multiset(validator(x))
+            assert got == _multiset(AXIOMS[validator](x)), \
+                (validator.__name__, x.masks)
+            assert (not got) == (x is t)
+            seen[validator] |= set(a for a, _ in got)
+            flagged += sum(got.values())
+    tables = 0
+    for n in range(2, 9):
+        for _ang, s, rd in even_decompositions[n]:
+            for validator, x in ((S.validate_schnyder, s),
+                                 (E.validate_reduced_schnyder, E.lambda_(s)),
+                                 (D.validate_regular_decomposition, rd),
+                                 (E.validate_reduced_regular,
+                                  E.lambda_star(rd))):
+                assert validator(x) == []
+                tables += 1
+                if n > 6:
+                    continue
+                assert AXIOMS[validator](x) == []
+                for y in random_mutations(x, rng, 1):
+                    assert _multiset(validator(y)) == \
+                        _multiset(AXIOMS[validator](y)), \
+                        (validator.__name__, y.masks)
+                    seen[validator] |= {a for a, _, _ in validator(y)}
+    assert tables == 4 * 2619 and flagged > 5000
+    assert seen == {
+        S.validate_schnyder: {"malformed", "i", "ii", "iii"},
+        E.validate_reduced_schnyder: {"malformed", "i'", "ii'", "iii'"},
+        D.validate_regular_decomposition: {"i", "ii", "iii", "tree"},
+        E.validate_reduced_regular:
+            {"i'", "partition", "ii'", "iii'", "tree"}}
 
 
-# -- the dual rule and the corner rule against the validators they replaced
-
-DUAL_ORACLES = {
-    D.validate_regular_decomposition: regular_decomposition_axioms,
-    E.validate_reduced_regular: reduced_regular_axioms,
-}
-
-
-def _multiset(violations):
-    return Counter((axiom, where) for axiom, where, _ in violations)
-
+# -- the dual rule, xi_inverse and the corner rule -------------------------
 
 def _outcome(fn, x):
     try:
@@ -312,16 +211,17 @@ def _certified(certificate):
 
 def test_dual_rule_flags_what_each_former_validator_flagged(monkeypatch):
     """Both dual validators report the (axiom, where) multiset of their
-    former bodies on every table near a valid one, and xi_inverse accepts
-    and rejects the same tables under the former rules, and with its output
-    certified by the sufficiency oracle."""
+    axioms on every table near a valid one, and xi_inverse accepts and
+    rejects the same tables under the axioms, and with its output certified
+    by the sufficiency oracle."""
     rng = random.Random(11)
-    seen = {validator: set() for validator in DUAL_ORACLES}
+    seen = {D.validate_regular_decomposition: set(),
+            E.validate_reduced_regular: set()}
     accepted = 0
     for validator, t in decompositions():
-        oracle = DUAL_ORACLES.get(validator)
-        if oracle is None:
+        if t.HOST != "dual":
             continue
+        oracle = AXIOMS[validator]
         short = type(t)(host=t.host, masks=t.masks[:-1], primal=t.primal)
         for x in [t, short] + mutations(t) + random_mutations(t, rng, 100):
             new = _multiset(validator(x))
