@@ -12,9 +12,9 @@ v_2* to v_4*) and L_4 (from v_1* to v_3*), and on each line the vertices
 before and after a non-root face are that face's x-markers (on L_1) or
 y-markers (on L_4): the ends of its two special edges, which face_markers
 parses from the face's arc-color pattern.  This module reads both lines off
-the markers in linear time; the tests keep the walk along each line and face
-counting as its oracles.  Compaction classifies faces by the same markers,
-parsed once per drawing and carried on the GridDrawing.
+the markers in linear time; the tests keep face counting as its oracle.
+Compaction classifies faces by the same markers, parsed once per drawing and
+carried on the GridDrawing.
 Grid reduction, root completion and the SVG/JSON emitters round out the
 pipeline; the planarity checks of a drawing live with the tests.
 """
@@ -181,19 +181,8 @@ def straight_line_drawing(rd, coords=None):
 @dataclass(frozen=True)
 class FaceInfo:
     cls: str                      # non_reducible | partly_reducible | fully_reducible
-    special_a: tuple              # (a, a') of the first special edge
-    special_b: tuple              # (b, b') of the second
-    fx_minus: int
-    fx_plus: int
-    fy_minus: int
-    fy_plus: int
-    x: int
-    y: int
-
-
-@dataclass(frozen=True)
-class FaceClassification:
-    faces: dict                   # non-root face id -> FaceInfo
+    x: int                        # x(fx-): the column the face can remove
+    y: int                        # y(fy-): the row it can remove
 
 
 def face_markers(rd, f, is_black):
@@ -227,11 +216,14 @@ def _xy_markers(a, a2, b, b2, is_black):
 
 
 def classify_faces(gd):
+    """Non-root face -> FaceInfo, from the face's markers: non reducible
+    when two of them coincide, partly reducible when they are all its
+    vertices, fully reducible otherwise."""
     if gd.reduction is not None:
         raise DrawingError("InternalInvariantViolation",
                            "classify the faces before reducing the drawing")
     faces = {}
-    for f, ((a, a2, b, b2), (fxm, fxp, fym, fyp)) in gd.markers.items():
+    for f, (_, (fxm, fxp, fym, fyp)) in gd.markers.items():
         if gd.coords[fxm][0] + 1 != gd.coords[fxp][0] or \
                 gd.coords[fym][1] + 1 != gd.coords[fyp][1]:
             raise DrawingError("InternalInvariantViolation",
@@ -243,11 +235,9 @@ def classify_faces(gd):
             cls = "partly_reducible"
         else:
             cls = "fully_reducible"
-        faces[f] = FaceInfo(cls=cls, special_a=(a, a2),
-                            special_b=(b, b2), fx_minus=fxm, fx_plus=fxp,
-                            fy_minus=fym, fy_plus=fyp,
-                            x=gd.coords[fxm][0], y=gd.coords[fym][1])
-    return FaceClassification(faces=faces)
+        faces[f] = FaceInfo(cls=cls, x=gd.coords[fxm][0],
+                            y=gd.coords[fym][1])
+    return faces
 
 
 @dataclass(frozen=True)
@@ -258,8 +248,9 @@ class ReductionChoice:
 
 def balanced_reduction_choice(fc):
     """Fully reducible faces contribute to both X and Y; partly reducible
-    ones are ordered by x(f) and alternate, even positions into X."""
-    partly = sorted((info.x, info.y, f) for f, info in fc.faces.items()
+    ones are ordered by x(f) and alternate, even positions into X.  fc is
+    the classification of classify_faces."""
+    partly = sorted((info.x, info.y, f) for f, info in fc.items()
                     if info.cls == "partly_reducible")
     return reduction_choice(fc, {f for _, _, f in partly[::2]})
 
@@ -267,9 +258,9 @@ def balanced_reduction_choice(fc):
 def reduction_choice(fc, partly_to_x):
     """The reduction choice sending the given subset of partly reducible
     faces (by face id) to X and the complement to Y."""
-    X = {info.x for info in fc.faces.values() if info.cls == "fully_reducible"}
-    Y = {info.y for info in fc.faces.values() if info.cls == "fully_reducible"}
-    for f, info in fc.faces.items():
+    X = {info.x for info in fc.values() if info.cls == "fully_reducible"}
+    Y = {info.y for info in fc.values() if info.cls == "fully_reducible"}
+    for f, info in fc.items():
         if info.cls == "partly_reducible":
             if f in partly_to_x:
                 X.add(info.x)

@@ -200,8 +200,7 @@ def _dual_violations(t):
             out.append(("ii" + prime, x, f"root edge e_{step * i}* does not "
                                          f"carry color {i} toward the root"))
     if t.REDUCED:
-        from .even import black_faces     # even imports this module
-        black = black_faces(rv)
+        black = m.face_bipartition_from(rv.root_faces[0])
         out.extend(("i'", h, f"arc {h} has a white face on its right")
                    for h, mk in enumerate(masks)
                    if mk and not black[m.face_of[m.twin[h]]])

@@ -11,10 +11,10 @@ distributive lattice under cycle pushing: pushing a counterclockwise circuit
 decrements its counterclockwise arcs and increments its clockwise arcs, and
 the covers are exactly the pushes of ccw circuits of length d.  Circuits
 are found orientation first, side second: the simple d-cycles of oriented
-edges are listed one at a time, each is tested against the dart values in
-both directions, and only a cycle that is a circuit in one of them gets the
-side test that tells its counterclockwise direction: a parity count on the
-map's dual spanning tree, O(d) per cycle (PlaneMap.outer_face_left_of).
+edges are listed one at a time, each is tried in both directions, and a
+direction whose darts are all positive gets the side test that tells
+whether it runs counterclockwise: a parity count on the map's dual spanning
+tree, O(d) per cycle (PlaneMap.outer_face_left_of).
 The walk to the lattice minimum pushes only the first ccw circuit of each
 scan, so it stops each scan there; only its last scan, which finds no
 circuit, lists every d-cycle.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from itertools import islice
 
 from .errors import OrientationError
 from .planar_map import AngulationView, PlaneMap
@@ -221,14 +220,7 @@ def _no_solution(m, edge_ids, alpha, k, net, nv):
 
 def compute_dd2_orientation(ang):
     """The flow-produced d/(d-2)-orientation of a d-angulation of girth d."""
-    d = ang.d
-    m = ang.map
-    _require_girth(ang, d)
-    alpha = [0] * m.n_vertices
-    for v in ang.internal_vertices():
-        alpha[v] = d
-    o = compute_alpha_k_orientation(m, ang.internal_edges(), alpha, d - 2)
-    return replace(o, host=ang)
+    return _angulation_orientation(ang, ang.d, ang.d - 2)
 
 
 def compute_p_p1_orientation(ang):
@@ -236,13 +228,18 @@ def compute_p_p1_orientation(ang):
     values yields an even d/(d-2)-orientation."""
     if ang.d % 2 != 0:
         raise OrientationError("OddD", f"d={ang.d} is odd")
-    p = ang.d // 2
+    return _angulation_orientation(ang, ang.d // 2, ang.d // 2 - 1)
+
+
+def _angulation_orientation(ang, out, k):
+    """The k-fractional orientation of the internal edges of a girth-d
+    d-angulation with outdegree out at every internal vertex."""
     _require_girth(ang, ang.d)
     m = ang.map
     alpha = [0] * m.n_vertices
     for v in ang.internal_vertices():
-        alpha[v] = p
-    o = compute_alpha_k_orientation(m, ang.internal_edges(), alpha, p - 1)
+        alpha[v] = out
+    o = compute_alpha_k_orientation(m, ang.internal_edges(), alpha, k)
     return replace(o, host=ang)
 
 
@@ -299,17 +296,10 @@ def _simple_cycles_of_length(m, length, edge_ids):
         yield from dfs(start, start, [], {start})
 
 
-def ccw_traversal(m, cycle_darts):
-    """Reorient a dart cycle so that its bounded side lies on the left
-    (counterclockwise traversal); requires an outer face on the map."""
-    if m.outer_face_left_of(cycle_darts):
-        return tuple(m.twin[h] for h in reversed(cycle_darts))
-    return tuple(cycle_darts)
-
-
 def _is_circuit(o, traversal):
     """Every traversal dart oriented with positive value."""
-    return all(o.values[h] > 0 for h in traversal)
+    values = o.values
+    return all(values[h] > 0 for h in traversal)
 
 
 def find_cw_d_circuits(o):
@@ -320,27 +310,22 @@ def find_cw_d_circuits(o):
 def _find_d_circuits(o, ccw, limit=None):
     """The first `limit` d-circuits of o (all of them if limit is None) in
     cycle-listing order: counterclockwise ones if ccw, else clockwise ones.
-    The d-cycles are listed lazily, so the scan stops at its limit; the
-    circuits come back as a list, so the whole scan runs inside this call."""
+    Each d-cycle is tried as listed, then reversed; a direction is kept
+    when all its darts are positive and the outer face lies on its right
+    (ccw) or on its left (cw).  The d-cycles are listed lazily, so the scan
+    stops at its limit."""
     if o.host is None:
         raise OrientationError("InvalidOrientation", "orientation has no angulation host")
-    return list(islice(_d_circuits(o, ccw), limit))
-
-
-def _d_circuits(o, ccw):
-    """Yield the d-circuits of _find_d_circuits one at a time."""
     m = o.map
-    values, twin = o.values, m.twin
-    for cyc in _simple_cycles_of_length(m, o.host.d,
-                                        [m.edge(h) for h in o.oriented_edges()]):
-        if not (all(values[h] > 0 for h in cyc) or
-                all(values[twin[h]] > 0 for h in cyc)):
-            continue                       # a circuit in neither direction
-        trav = ccw_traversal(m, cyc)
-        if not ccw:
-            trav = tuple(twin[h] for h in reversed(trav))
-        if _is_circuit(o, trav):
-            yield trav
+    edges = [m.edge(h) for h in o.oriented_edges()]
+    circuits = []
+    for cyc in _simple_cycles_of_length(m, o.host.d, edges):
+        for trav in (cyc, tuple(map(m.twin.__getitem__, reversed(cyc)))):
+            if _is_circuit(o, trav) and m.outer_face_left_of(trav) != ccw:
+                circuits.append(trav)
+                if len(circuits) == limit:
+                    return circuits
+    return circuits
 
 
 def push_cycle(o, traversal):

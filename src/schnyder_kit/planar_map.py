@@ -247,8 +247,7 @@ class PlaneMap:
             adj = [[] for _ in range(self.n_vertices)]
             add_edges(adj, [(self.origin[h], self.target(h))
                             for h in self.edges()])
-            g = shortest_cycle(adj, self.n_vertices + 1,
-                               range(self.n_vertices))
+            g = shortest_cycle(adj)
             object.__setattr__(self, "_girth", g)
         if g > self.n_vertices:
             raise MapError("Acyclic", "map is a tree; girth undefined")
@@ -341,27 +340,25 @@ class PlaneMap:
                 f"f={self.n_faces})")
 
 
-def add_edges(adj, edges, first=0):
-    """Add the vertex pairs edges, numbered from first, to the adjacency
-    lists adj of shortest_cycle."""
-    for e, (u, w) in enumerate(edges, start=first):
+def add_edges(adj, edges):
+    """Add the vertex pairs edges, numbered from 0, to the adjacency lists
+    adj of shortest_cycle."""
+    for e, (u, w) in enumerate(edges):
         adj[u].append((w, e))
         adj[w].append((u, e))
 
 
-def shortest_cycle(adj, bound, sources):
-    """bound, or the length of the shortest cycle below bound that a
-    breadth-first search from one of sources closes, in the multigraph
-    whose vertex v has the (neighbor, edge id) pairs adj[v].
+def shortest_cycle(adj):
+    """The length of a shortest cycle, or len(adj) + 1 when there is none,
+    in the multigraph whose vertex v has the (neighbor, edge id) pairs
+    adj[v].
 
-    A search closes a cycle at each edge that leaves its tree; the closed
-    walk it reports contains a cycle at most that long, and a search from a
-    vertex on a cycle of length L reports one of length at most L.  So the
-    result is min(bound, girth) whenever a shortest cycle passes through a
-    source: always with every vertex a source, and with the endpoints of
-    new edges when the graph without them has girth >= bound."""
-    best = bound
-    for s in sources:
+    A breadth-first search from each vertex closes a cycle at each edge
+    that leaves its tree; the closed walk it reports contains a cycle at
+    most that long, and a search from a vertex on a cycle of length L
+    reports one of length at most L."""
+    best = len(adj) + 1
+    for s in range(len(adj)):
         dist = {s: 0}
         via = {s: -1}
         q = deque([s])

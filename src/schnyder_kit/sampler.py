@@ -44,7 +44,7 @@ from __future__ import annotations
 import os
 import random
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, combinations
 from math import comb
 
@@ -529,14 +529,7 @@ class SampleStats:
     summary: dict = field(compare=False)
 
     def to_json_obj(self):
-        return {"n": self.n, "samples": self.samples,
-                "accepted": self.accepted, "attempts": self.attempts,
-                "seed": self.seed,
-                "part_counts": list(self.part_counts),
-                "full_counts": list(self.full_counts),
-                "reduced_width": list(self.reduced_width),
-                "reduced_height": list(self.reduced_height),
-                "summary": self.summary}
+        return asdict(self)
 
 
 def _summarize(values, n):

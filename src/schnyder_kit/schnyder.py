@@ -91,15 +91,11 @@ class DartTable:
         return self.host.d // 2 if self.REDUCED else self.host.d
 
     def dart_colors(self, dart):
-        """The colors on a dart (for corner colors, the one of its corner)."""
-        if self.KEY == "corner_colors":
-            return [self.table[dart]]
+        """The colors on a dart of a color-set table."""
         return colors_of(self.table[dart], self.n_colors)
 
     def arcs_of_color(self, i):
-        """All darts carrying color i."""
-        if self.KEY == "corner_colors":
-            return [h for h, c in enumerate(self.table) if c == i]
+        """All darts carrying color i, in a color-set table."""
         bit = 1 << (i - 1)
         return [h for h, mk in enumerate(self.table) if mk & bit]
 

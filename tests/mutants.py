@@ -60,37 +60,34 @@ MUTANTS = [
             'object.__setattr__(self, "_side_index", index)',
             "pass",
             ORIENT + "test_minimal_orientation_builds_one_side_index"),
-    _mutant("scan keeps cycles that are a circuit in both directions only",
+    _mutant("scan tries each d-cycle in its listed direction only",
             "orientation.py",
-            "all(values[h] > 0 for h in cyc) or",
-            "all(values[h] > 0 for h in cyc) and",
+            "for trav in (cyc, tuple(map(m.twin.__getitem__, reversed(cyc)))):",
+            "for trav in (cyc,):",
             ORIENT + "test_circuit_scan_matches_flood_fill_oracle"),
-    _mutant("scan drops the twin-direction test", "orientation.py",
-            "all(values[twin[h]] > 0 for h in cyc)):",
-            "False):",
-            ORIENT + "test_circuit_scan_matches_flood_fill_oracle"),
-    _mutant("scan skips the side test", "orientation.py",
-            "trav = ccw_traversal(m, cyc)",
-            "trav = cyc",
+    _mutant("scan takes the listed direction for counterclockwise",
+            "orientation.py",
+            "if _is_circuit(o, trav) and m.outer_face_left_of(trav) != ccw:",
+            "if _is_circuit(o, trav) and (trav is cyc) == ccw:",
             ORIENT + "test_circuit_scan_matches_flood_fill_oracle",
             ORIENT + "test_walk_to_the_minimum_pushes_the_oracle_first_circuit"),
     _mutant("limited scan lists every cycle first", "orientation.py",
-            "return list(islice(_d_circuits(o, ccw), limit))",
-            "return list(_d_circuits(o, ccw))[:limit]",
+            "for cyc in _simple_cycles_of_length(m, o.host.d, edges):",
+            "for cyc in list(_simple_cycles_of_length(m, o.host.d, edges)):",
             ORIENT + "test_limited_scan_stops_drawing_d_cycles"),
     # -- the girth search --------------------------------------------------
     _mutant("girth prune one level too early", "planar_map.py",
             "if 2 * du + 1 >= best:",
             "if 2 * du + 2 >= best:",
-            PMAP + "test_shortest_cycle_from_all_or_from_new_edges"),
+            PMAP + "test_shortest_cycle_matches_edge_by_edge_girth"),
     _mutant("girth search walks back along its tree edge", "planar_map.py",
             "if e == via[u]:",
             "if False:",
-            PMAP + "test_shortest_cycle_from_all_or_from_new_edges"),
+            PMAP + "test_shortest_cycle_matches_edge_by_edge_girth"),
     _mutant("girth search miscounts a closed cycle", "planar_map.py",
             "best = du + dw + 1",
             "best = du + dw",
-            PMAP + "test_shortest_cycle_from_all_or_from_new_edges"),
+            PMAP + "test_shortest_cycle_matches_edge_by_edge_girth"),
     # -- the validators ----------------------------------------------------
     _mutant("a path into a 2-cycle reported as no outgoing arc",
             "schnyder.py",

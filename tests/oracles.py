@@ -333,18 +333,17 @@ def bend_count(gd):
     return n
 
 
-def special_face_of_edge(fc, e, m):
-    """The unique non-root face of a FaceClassification for which edge e is
-    special."""
+def special_face_of_edge(gd, e):
+    """The unique non-root face of a drawing, by its parsed markers, for
+    which edge e is special."""
     # identify by dart pair, not vertex pair, to survive parallel edges
+    m = gd.host.map
     hits = []
-    for f, info in fc.faces.items():
+    for f, ((a, a2, b, b2), _) in gd.markers.items():
         for g in m.face_corners(f):
-            if m.edge(g) == m.edge(e):
-                a, a2 = info.special_a
-                b, b2 = info.special_b
-                if (m.origin[g], m.target(g)) in ((a, a2), (b, b2)):
-                    hits.append(f)
+            if m.edge(g) == m.edge(e) and \
+                    (m.origin[g], m.target(g)) in ((a, a2), (b, b2)):
+                hits.append(f)
     if len(hits) != 1:
         raise DrawingError("InternalInvariantViolation",
                            f"edge {e} special for {len(hits)} faces")
@@ -431,8 +430,9 @@ def left_faces(m, cycle_darts):
 
 
 def ccw_traversal_by_flood_fill(m, cycle_darts):
-    """orientation.ccw_traversal with the side found by flood-filling the
-    faces left of the cycle: reversed iff the outer face is among them."""
+    """A dart cycle turned counterclockwise, with the side found by
+    flood-filling the faces left of the cycle: reversed iff the outer face
+    is among them."""
     if m.outer_face in left_faces(m, cycle_darts):
         return tuple(m.twin[h] for h in reversed(cycle_darts))
     return tuple(cycle_darts)
@@ -749,89 +749,65 @@ def schnyder_axioms(t):
     return out
 
 
-def _tree_axiom(t):
-    """("tree", v) for each color i and non-root vertex v whose path of
-    color-i parent arcs misses the root vertex."""
+def regular_decomposition_axioms(t):
+    """The axioms of a regular decomposition of a rooted d-regular map, or
+    of a reduced one (p = d/2 colors, reduced color i standing for color
+    2i, step 2, axioms primed): (i) every arc not leaving v* carries one
+    color and (ii) no arc leaving v* any, or (i') every arc carries at most
+    one color; each non-root edge lies in 2/step trees, one color per arc,
+    and root edge e_j* in one when step divides j, else in none ("partition"
+    when reduced); (ii) root edge e_{step*i}* carries color i toward v*;
+    (i') a colored arc of a reduced table has a black face on its right
+    (f_1* black); (iii) the vertex rule at non-root vertices; and every
+    color class is a spanning tree oriented toward v*."""
     rv = t.host
+    m = rv.map
+    p = t.n_colors
+    step = rv.d // p
+    prime = "'" * t.REDUCED
     out = []
-    for i in range(1, t.n_colors + 1):
+    if len(t.masks) != m.n_darts:
+        return [("malformed", None, "mask table length mismatch")]
+    for h, mk in enumerate(t.masks):
+        if t.REDUCED:
+            if bin(mk).count("1") > 1 or mk >> p:
+                out.append(("i'", h, f"arc {h} carries more than one color"))
+        elif m.origin[h] == rv.root_vertex:
+            if mk:
+                out.append(("ii", h, "arc leaving the root vertex carries "
+                                     "a color"))
+        elif bin(mk).count("1") != 1 or mk >> p:
+            out.append(("i", h, f"arc {h} must carry exactly one color"))
+    if out:
+        return out
+    root_edge = {m.edge(h): j for j, h in enumerate(rv.root_darts, start=1)}
+    for h in m.edges():
+        a, b = t.masks[h], t.masks[m.twin[h]]
+        j = root_edge.get(h)
+        want = 2 // step if j is None else int(j % step == 0)
+        trees = bin(a).count("1") + bin(b).count("1")
+        if trees != want or a & b:
+            out.append(("partition" if t.REDUCED else "i", h,
+                        f"edge {h} lies in {trees} trees, expected {want}"))
+    for i in range(1, p + 1):
+        x = m.twin[rv.root_darts[step * i - 1]]
+        if t.masks[x] != 1 << (i - 1):
+            out.append(("ii" + prime, x, f"root edge e_{step * i}* does not "
+                                         f"carry color {i} toward the root"))
+    if t.REDUCED:
+        black = _black(rv.root_faces[0], lambda f: (m.face_of[m.twin[h]]
+                                                    for h in m.faces[f]))
+        out += [("i'", h, f"arc {h} has a white face on its right")
+                for h in range(m.n_darts)
+                if t.masks[h] and m.face_of[m.twin[h]] not in black]
+    for v in rv.non_root_vertices():
+        out += vertex_rule(t, v, "iii" + prime)
+    for i in range(1, p + 1):
         up = _parents(t, i, rv.root_vertex)
         out += [("tree", v, f"color {i} path from {v} misses the root")
                 for v in rv.non_root_vertices()
                 if _path_end(up, v) != rv.root_vertex]
     return out
-
-
-def regular_decomposition_axioms(rd):
-    """The axioms of a regular decomposition: (i) every arc not leaving v*
-    carries one color and (ii) no arc leaving v* any; each non-root edge
-    has two colors, one per direction; root edge e_i* carries color i
-    toward v*; (iii) the vertex rule at non-root vertices; and every color
-    class is a spanning tree oriented toward v*."""
-    rv = rd.host
-    m = rv.map
-    d = rv.d
-    out = []
-    if len(rd.masks) != m.n_darts:
-        return [("malformed", None, "mask table length mismatch")]
-    for h in range(m.n_darts):
-        if m.origin[h] == rv.root_vertex:
-            if rd.masks[h]:
-                out.append(("ii", h, "arc leaving the root vertex carries a color"))
-        elif bin(rd.masks[h]).count("1") != 1 or rd.masks[h] >> d:
-            out.append(("i", h, f"arc {h} must carry exactly one color in [d]"))
-    if out:
-        return out
-    for i, e in enumerate(rv.root_darts, start=1):
-        if rd.masks[m.twin[e]] != 1 << (i - 1):
-            out.append(("ii", m.twin[e], f"root edge {i} does not carry "
-                                         f"color {i} toward the root"))
-    out += [("i", h, f"edge {h}: both arcs have the same color")
-            for h in m.edges() if rd.masks[h] == rd.masks[m.twin[h]] and
-            rv.root_vertex not in (m.origin[h], m.target(h))]
-    for v in rv.non_root_vertices():
-        out += vertex_rule(rd, v, "iii")
-    return out + _tree_axiom(rd)
-
-
-def reduced_regular_axioms(rrd):
-    """The axioms of a reduced regular decomposition (p = d/2 colors):
-    (i') every arc carries at most one color, and a colored arc has a black
-    face on its right (f_1* black); the edges but the odd root edges are
-    partitioned among the trees; (ii') root edge e_2i* carries color i
-    toward v*; (iii') the vertex rule at non-root vertices; and every color
-    class is a spanning tree oriented toward v*."""
-    rv = rrd.host
-    p = rrd.n_colors
-    m = rv.map
-    out = []
-    if len(rrd.masks) != m.n_darts:
-        return [("malformed", None, "mask table length mismatch")]
-    for h in range(m.n_darts):
-        if bin(rrd.masks[h]).count("1") > 1 or rrd.masks[h] >> p:
-            out.append(("i'", h, f"arc {h} carries more than one color"))
-    if out:
-        return out
-    odd_root = {m.edge(rv.root_darts[2 * i - 2]) for i in range(1, p + 1)}
-    even_root_in = {m.twin[rv.root_darts[2 * i - 1]]: i for i in range(1, p + 1)}
-    for h in m.edges():
-        n_colors = bin(rrd.masks[h]).count("1") + \
-            bin(rrd.masks[m.twin[h]]).count("1")
-        want = 0 if h in odd_root else 1
-        if n_colors != want:
-            out.append(("partition", h,
-                        f"edge {h} lies in {n_colors} trees, expected {want}"))
-    for x, i in even_root_in.items():
-        if rrd.masks[x] != 1 << (i - 1):
-            out.append(("ii'", x, f"root edge e_{{2i}}* of tree {i} miscolored"))
-    black = _black(rv.root_faces[0], lambda f: (m.face_of[m.twin[h]]
-                                                for h in m.faces[f]))
-    for h in range(m.n_darts):
-        if rrd.masks[h] and m.face_of[m.twin[h]] not in black:
-            out.append(("i'", h, f"arc {h} has a white face on its right"))
-    for v in rv.non_root_vertices():
-        out += vertex_rule(rrd, v, "iii'")
-    return out + _tree_axiom(rrd)
 
 
 # -- exhaustive enumeration by peeling, pairs through the lattice ---------

@@ -380,7 +380,7 @@ def test_criterion_08_straight_line_and_reductions(even_decompositions):
         assert ok, crossings
         gd = DR.orthogonal_drawing(rd)
         fc = DR.classify_faces(gd)
-        partly = [f for f, info in fc.faces.items()
+        partly = [f for f, info in fc.items()
                   if info.cls == "partly_reducible"]
         choices = [DR.balanced_reduction_choice(fc)]
         for _ in range(10):
@@ -407,7 +407,7 @@ def test_criterion_09_face_classification(even_decompositions):
             gd = DR.orthogonal_drawing(rd)
             fc = DR.classify_faces(gd)
             oracle = _dual_degree_classification(ang, rd)
-            assert {f: info.cls for f, info in fc.faces.items()} == oracle
+            assert {f: info.cls for f, info in fc.items()} == oracle
             checked += 1
     rng = random.Random(909)
     for _ in range(25):
@@ -416,7 +416,7 @@ def test_criterion_09_face_classification(even_decompositions):
         rd = D.chi(s)
         fc = DR.classify_faces(DR.orthogonal_drawing(rd))
         oracle = _dual_degree_classification(ang, rd)
-        assert {f: info.cls for f, info in fc.faces.items()} == oracle
+        assert {f: info.cls for f, info in fc.items()} == oracle
         checked += 1
     print(f"CRITERION 9: PASS - geometric face classification equals the "
           f"dual-tree-degree oracle on {checked} instances")

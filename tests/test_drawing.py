@@ -146,8 +146,8 @@ def test_face_classification_matches_dual_degrees(even_decompositions):
             gd = DR.orthogonal_drawing(rd)
             fc = DR.classify_faces(gd)
             oracle = _dual_degree_classification(ang, rd)
-            assert {f: info.cls for f, info in fc.faces.items()} == oracle
-            seen.update(info.cls for info in fc.faces.values())
+            assert {f: info.cls for f, info in fc.items()} == oracle
+            seen.update(info.cls for info in fc.values())
     assert seen == {"non_reducible", "partly_reducible", "fully_reducible"}
 
 
@@ -216,7 +216,7 @@ def exhaustive_reductions(even_decompositions):
         for _, rd in wheel_duals(even_decompositions, m):
             gd = DR.orthogonal_drawing(rd)
             fc = DR.classify_faces(gd)
-            partly = [f for f, info in fc.faces.items()
+            partly = [f for f, info in fc.items()
                       if info.cls == "partly_reducible"]
             choices = [DR.balanced_reduction_choice(fc)]
             for bits in range(1 << len(partly)):
@@ -247,9 +247,8 @@ def test_straight_line_drawing_and_empty_rectangles():
         ok, crossings = check_planarity(segs)
         assert ok, crossings
         gd = DR.orthogonal_drawing(rd, coords)
-        fc = DR.classify_faces(gd)
         for e in DR.collapsed_edges(rv):
-            f = special_face_of_edge(fc, e, m)
+            special_face_of_edge(gd, e)
             (x1, y1), (x2, y2) = coords[m.origin[e]], coords[m.target(e)]
             lo_x, hi_x = sorted((x1, x2))
             lo_y, hi_y = sorted((y1, y2))

@@ -246,15 +246,16 @@ def _side_test_hosts():
 
 
 def test_ccw_traversal_matches_flood_fill_on_every_d_cycle():
-    """The parity count on the dual spanning tree turns every simple
-    d-cycle, given in either direction, the way the face flood fill does."""
+    """The parity count on the dual spanning tree puts the outer face on
+    the left of every simple d-cycle, given in either direction, exactly
+    when the face flood fill turns that direction around."""
     hosts = cycles = 0
     for m, d in _side_test_hosts():
         hosts += 1
         for cyc in O._simple_cycles_of_length(m, d, m.edges()):
             for trav in (cyc, tuple(m.twin[h] for h in reversed(cyc))):
-                assert O.ccw_traversal(m, trav) == \
-                    ccw_traversal_by_flood_fill(m, trav)
+                assert m.outer_face_left_of(trav) == \
+                    (ccw_traversal_by_flood_fill(m, trav) != trav)
                 cycles += 1
     assert hosts == 310 and cycles > 6000
 

@@ -108,27 +108,19 @@ def test_girth_runs_its_bfs_once_per_map(monkeypatch):
     assert len(calls) == 2
 
 
-def test_shortest_cycle_from_all_or_from_new_edges():
-    # random multigraphs with loops and parallel edges: from every vertex
-    # the search gives min(bound, girth); from the ends of edges added to a
-    # graph of girth >= bound (the enumerator's pruning) it does too
+def test_shortest_cycle_matches_edge_by_edge_girth():
+    # random multigraphs with loops and parallel edges: the search from
+    # every vertex gives the girth, or one more than the vertex count
     rng = random.Random(5)
     for _ in range(400):
         nv = rng.randint(1, 9)
         edges = []
         while rng.random() < 0.85:
             edges.append((rng.randrange(nv), rng.randrange(nv)))
-        girth = edge_by_edge_girth(nv, edges) or nv + 1
-        bound = rng.randint(1, nv + 1)
         adj = [[] for _ in range(nv)]
         add_edges(adj, edges)
-        assert shortest_cycle(adj, bound, range(nv)) == min(bound, girth)
-        news = [(rng.randrange(nv), rng.randrange(nv))
-                for _ in range(rng.randint(1, 3))]
-        grown = edge_by_edge_girth(nv, edges + news) or nv + 1
-        sources = {v for e in news for v in e}
-        add_edges(adj, news, len(edges))
-        assert shortest_cycle(adj, girth, sources) == min(girth, grown)
+        assert shortest_cycle(adj) == \
+            (edge_by_edge_girth(nv, edges) or nv + 1)
 
 
 def test_mincut_at_least():

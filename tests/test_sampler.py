@@ -567,7 +567,7 @@ def test_part_full_counts_pair_vs_geometry(even_decompositions):
         for ang, s, rd in even_decompositions[f"wheel{m}"]:
             part, full = SA.part_full_counts((ang, s))
             fc = DR.classify_faces(DR.orthogonal_drawing(rd))
-            cls = [info.cls for info in fc.faces.values()]
+            cls = [info.cls for info in fc.values()]
             assert (part, full) == (cls.count("partly_reducible"),
                                     cls.count("fully_reducible"))
 

@@ -14,9 +14,8 @@ import schnyder_kit.even as E
 
 import instances as I
 from oracles import (
-    cyclic_step_violations, labelling_axioms, reduced_regular_axioms,
-    regular_decomposition_axioms, regular_labelling_axioms,
-    schnyder_axioms, sufficiency_violations,
+    cyclic_step_violations, labelling_axioms, regular_decomposition_axioms,
+    regular_labelling_axioms, schnyder_axioms, sufficiency_violations,
 )
 
 def decompositions():
@@ -103,7 +102,7 @@ AXIOMS = {
     S.validate_schnyder: schnyder_axioms,
     E.validate_reduced_schnyder: schnyder_axioms,
     D.validate_regular_decomposition: regular_decomposition_axioms,
-    E.validate_reduced_regular: reduced_regular_axioms,
+    E.validate_reduced_regular: regular_decomposition_axioms,
 }
 
 
