@@ -2,9 +2,12 @@
 
 An orientation stores one integer value in [0, k] per oriented dart (the two
 darts of an edge sum to k); darts of non-oriented edges carry -1.  Feasible
-orientations are computed by integer max-flow (plain BFS augmenting paths);
-an infeasible instance yields a violated connected vertex subset extracted
-from the min cut.
+orientations are computed by integer max-flow: Edmonds-Karp's shortest
+augmenting paths, each breadth-first search stopped at the first node it
+reaches with a residual arc into the sink, since that node and arc already
+fix the path a search run to the sink would find (_FlowNet).  An infeasible
+instance yields a violated connected vertex subset extracted from the min
+cut.
 
 The set of all d/(d-2)-orientations of a d-angulation of girth d forms a
 distributive lattice under cycle pushing: pushing a counterclockwise circuit
@@ -86,7 +89,15 @@ class FracOrientation:
 # -- max flow -------------------------------------------------------------
 
 class _FlowNet:
-    """Tiny max-flow solver (BFS augmenting paths) on an adjacency list."""
+    """Tiny max-flow solver on an adjacency list: Edmonds-Karp, each
+    augmenting path a shortest one found by breadth-first search.
+
+    A search stops at the first node it reaches that has a residual arc
+    into the sink, and takes that node's first such arc.  Nodes leave the
+    queue in the order they are reached, and every node reached before it
+    has no residual arc into the sink, so a search run to the sink would
+    reach the sink from this node by this arc: the path, and with it every
+    flow value and the final residual graph, is the full search's."""
 
     def __init__(self, n):
         self.n = n
@@ -100,31 +111,41 @@ class _FlowNet:
         return len(self.to) - 2
 
     def max_flow(self, s, t):
+        adj, to, cap = self.adj, self.to, self.cap
+        into_t = [[a for a in arcs if to[a] == t] for arcs in adj]
         total = 0
         while True:
             parent_arc = [-1] * self.n
             parent_arc[s] = -2
+            last = next((b for b in into_t[s] if cap[b] > 0), -1)
             q = deque([s])
-            while q and parent_arc[t] == -1:
+            while q and last < 0:
                 u = q.popleft()
-                for a in self.adj[u]:
-                    v = self.to[a]
-                    if self.cap[a] > 0 and parent_arc[v] == -1:
+                for a in adj[u]:
+                    v = to[a]
+                    if cap[a] > 0 and parent_arc[v] == -1:
                         parent_arc[v] = a
+                        for b in into_t[v]:
+                            if cap[b] > 0:
+                                last = b
+                                break
+                        if last >= 0:
+                            break
                         q.append(v)
-            if parent_arc[t] == -1:
+            if last < 0:
                 return total
             # trace back, find bottleneck
+            parent_arc[t] = last
             path = []
             v = t
             while v != s:
                 a = parent_arc[v]
                 path.append(a)
-                v = self.to[a ^ 1]
-            aug = min(self.cap[a] for a in path)
+                v = to[a ^ 1]
+            aug = min(cap[a] for a in path)
             for a in path:
-                self.cap[a] -= aug
-                self.cap[a ^ 1] += aug
+                cap[a] -= aug
+                cap[a ^ 1] += aug
             total += aug
 
     def reachable(self, s):

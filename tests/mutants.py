@@ -4,17 +4,20 @@ Each mutant replaces a text that occurs exactly once in a file of
 src/schnyder_kit by another one, and names the tests (pytest node ids,
 relative to the repository root, without parameters) that must each fail
 on the mutated library.  Together they stand for the fast paths that the
-oracles of tests/oracles.py guard: the validators, the circuit scan and its
-side test, the sampler's word walks and draws, the placement and the face
-classification, and the girth search.
+oracles of tests/oracles.py and the pinned outputs guard: the flow's early
+stop, the validators, the circuit scan and its side test, the sampler's
+word walks and draws, the placement and the face classification, and the
+girth search.
 
     python tests/mutants.py
 
 copies the checkout to a temporary directory, applies each mutant there in
 turn, runs its tests with pytest and prints one line per mutant and the
-number killed: a mutant is killed when every test it names fails (a
-parametrized test fails when one of its cases does).  The working tree is
-never edited.  The exit status is 0 when every mutant is killed.  The whole
+number detected: a mutant is killed when every test it names fails (a
+parametrized test fails when one of its cases does), and it times out when
+its tests run over TIMEOUT seconds, say because it makes a walk loop
+forever; both detect it, since its tests did not pass.  The working tree is
+never edited.  The exit status is 0 when every mutant is detected.  The whole
 run takes about ten minutes on a 2-core machine; it is not part of tier-1,
 but tests/test_mutants.py checks that each entry still applies.
 """
@@ -38,6 +41,7 @@ def _mutant(what, file, old, new, *kills):
 
 
 ORIENT = "tests/test_orientation.py::"
+CLI = "tests/test_cli.py::"
 PMAP = "tests/test_planar_map.py::"
 CHECK = "tests/test_tree_checker.py::"
 SCHN = "tests/test_schnyder.py::"
@@ -75,6 +79,24 @@ MUTANTS = [
             "for cyc in _simple_cycles_of_length(m, o.host.d, edges):",
             "for cyc in list(_simple_cycles_of_length(m, o.host.d, edges)):",
             ORIENT + "test_limited_scan_stops_drawing_d_cycles"),
+    # -- the flow's early stop ---------------------------------------------
+    _mutant("flow search goes on after its first sink arc", "orientation.py",
+            "while q and last < 0:",
+            "while q:",
+            ORIENT + "test_flow_results_are_pinned",
+            CLI + "test_draw_stdout_is_pinned"),
+    _mutant("a later neighbour's sink arc replaces the first",
+            "orientation.py",
+            "                        if last >= 0:\n"
+            "                            break\n",
+            "",
+            ORIENT + "test_flow_results_are_pinned",
+            CLI + "test_draw_stdout_is_pinned"),
+    _mutant("flow search takes its newest node first", "orientation.py",
+            "u = q.popleft()\n                for a in adj[u]:",
+            "u = q.pop()\n                for a in adj[u]:",
+            ORIENT + "test_flow_results_are_pinned",
+            CLI + "test_draw_stdout_is_pinned"),
     # -- the girth search --------------------------------------------------
     _mutant("girth prune one level too early", "planar_map.py",
             "if 2 * du + 1 >= best:",
@@ -179,7 +201,7 @@ MUTANTS = [
             "            pass\n"
             "        if not _strands_close(a, b, c):",
             SAMP + "test_decode_results_are_pinned",
-            "tests/test_cli.py::test_sample_stdout_is_pinned"),
+            CLI + "test_sample_stdout_is_pinned"),
     _mutant("enumeration skips the first c word", "sampler.py",
             "                for c in words:",
             "                for c in words[1:]:",
@@ -219,8 +241,8 @@ def _failed(output):
 
 
 def run(mutant, copy):
-    """The named tests of a mutant that did not fail on the mutated copy
-    (all of them when the run takes over TIMEOUT seconds)."""
+    """The named tests of a mutant that did not fail on the mutated copy,
+    or None when they ran over TIMEOUT seconds."""
     path = copy / mutant.file
     text = path.read_text()
     path.write_text(text.replace(mutant.old, mutant.new))
@@ -233,7 +255,7 @@ def run(mutant, copy):
             cwd=copy, env=env, capture_output=True, text=True,
             timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
-        return list(mutant.kills)
+        return None
     finally:
         path.write_text(text)
     failed = _failed(proc.stdout)
@@ -241,21 +263,30 @@ def run(mutant, copy):
             if k not in failed and k.split("::")[0] not in failed]
 
 
+def verdict(survivors):
+    """(verdict, detected) on what run returned.  A timed-out run has its
+    own verdict and counts as detected: its tests did not pass."""
+    if survivors is None:
+        return f"timed out after {TIMEOUT} s", True
+    if survivors:
+        return "SURVIVED " + ", ".join(s.split("::")[1]
+                                       for s in survivors), False
+    return "killed", True
+
+
 def main():
-    killed = 0
+    detected = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = pathlib.Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
         for i, mutant in enumerate(MUTANTS, start=1):
-            survivors = run(mutant, copy)
-            killed += not survivors
-            verdict = "killed" if not survivors else \
-                "SURVIVED " + ", ".join(s.split("::")[1] for s in survivors)
+            line, caught = verdict(run(mutant, copy))
+            detected += caught
             print(f"{i:2d} {pathlib.Path(mutant.file).name}: {mutant.what}: "
-                  f"{verdict}", flush=True)
-    print(f"{killed} of {len(MUTANTS)} mutants killed")
-    return 0 if killed == len(MUTANTS) else 1
+                  f"{line}", flush=True)
+    print(f"{detected} of {len(MUTANTS)} mutants killed or timed out")
+    return 0 if detected == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

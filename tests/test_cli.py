@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -194,6 +195,37 @@ def test_sample_stdout_is_pinned():
     rc, text = run(["sample", "--n", "12", "--count", "30", "--seed", "7"])
     assert rc == 0 and _sha256(text) == \
         "41fa299b71cd9cb5ebc7cd506afabd3098a0b22e8e34b9d648552c38cfb88f08"
+
+
+def test_draw_stdout_is_pinned(tmp_path):
+    # digests of draw stdout recorded before each augmenting path search of
+    # the flow stopped at its first sink arc: the benchmark's draw check
+    # accepts any valid drawing, so only a pin sees a different flow.  The
+    # face-split duals are the ones the benchmark draws, but their drawings
+    # stayed the same under each path order of the flow mutants in
+    # tests/mutants.py; the dual of a ringed quadrangulation, whose
+    # orientation lattice is tall, is the one that sees those orders
+    hosts = I.benchmark_hosts()
+    digests = {}
+    for name, q in [
+            ("face-split 200",
+             hosts.face_split_quadrangulation(200, random.Random(200))),
+            ("face-split 800",
+             hosts.face_split_quadrangulation(800, random.Random(800))),
+            ("ringed 60", hosts.ringed_quadrangulation(60, 200,
+                                                       random.Random(60)))]:
+        path = tmp_path / "dual.json"
+        path.write_text(json.dumps(hosts.dual_document(q)))
+        rc, text = run(["draw", str(path), "--compact", "--with-root"])
+        assert rc == 0
+        digests[name] = _sha256(text)
+    assert digests == {
+        "face-split 200":
+            "dbbb3665442bf93c0177ff4385e4ad76d6c8a12827d5722858effa1b858f4e54",
+        "face-split 800":
+            "062fdff855aed753e229319dd7c3a3ed9531dee0d2157ddbfc213ea0bbf6225a",
+        "ringed 60":
+            "6bd43e4d3d60f415f9b0fd295432061f87e8bd7c459b95fce6a47a45e86c7582"}
 
 
 def test_sample_builds_the_report_only_when_asked(tmp_path, monkeypatch):

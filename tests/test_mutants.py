@@ -1,8 +1,10 @@
 """Every committed mutant still applies: its text occurs once in its file,
-its replacement differs, and each test it names exists."""
+its replacement differs, and each test it names exists.  And the runner
+counts a mutant whose tests time out as detected."""
 
 import ast
 import pathlib
+import subprocess
 
 import mutants
 
@@ -38,3 +40,22 @@ def test_every_mutant_applies():
     assert len({m.what for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
     assert stale(mutants.MUTANTS) == []
 
+
+def test_a_timed_out_mutant_counts_as_detected(tmp_path, monkeypatch):
+    """A mutant whose tests run over the time limit, say one that makes a
+    walk loop forever, gets its own verdict and counts as detected, and
+    its file is restored."""
+    m = mutants.MUTANTS[0]
+    (tmp_path / m.file).parent.mkdir(parents=True)
+    (tmp_path / m.file).write_text(m.old)
+
+    def hang(argv, timeout, **kwargs):
+        raise subprocess.TimeoutExpired(argv, timeout)
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    survivors = mutants.run(m, tmp_path)
+    assert survivors is None and (tmp_path / m.file).read_text() == m.old
+    assert mutants.verdict(survivors) == \
+        (f"timed out after {mutants.TIMEOUT} s", True)
+    assert mutants.verdict([]) == ("killed", True)
+    assert mutants.verdict(list(m.kills))[1] is False

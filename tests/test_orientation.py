@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -125,6 +126,43 @@ def test_flow_meets_alpha_without_a_certificate(study_corpus):
         if ang.d == 4:
             O.compute_p_p1_orientation(ang).validate(
                 [2 * (v in internal) for v in range(m.n_vertices)])
+
+
+def test_flow_results_are_pinned(study_corpus):
+    """One sha256 over the flow's answers, recorded before each augmenting
+    path search stopped at its first sink arc: the d/(d-2)-orientation of
+    every study-corpus map, the 2/1-orientation of each d = 4 map, and, on
+    each map with an internal vertex, the answer to the d/(d-2) alpha with
+    1 to d units moved from an internal vertex to a random one: the values
+    when the flow meets it, else the NoSolution detail and certificate."""
+    rng = random.Random(23)
+    digest = hashlib.sha256()
+    refused = certified = 0
+    for d, angs in sorted(study_corpus.items()):
+        for ang in angs:
+            digest.update(repr(O.compute_dd2_orientation(ang).values).encode())
+            if d == 4:
+                digest.update(
+                    repr(O.compute_p_p1_orientation(ang).values).encode())
+            m, internal = ang.map, ang.internal_vertices()
+            if not internal:
+                continue
+            alpha = [d * (v in internal) for v in range(m.n_vertices)]
+            shift = rng.randint(1, d)
+            alpha[rng.choice(internal)] -= shift
+            alpha[rng.randrange(m.n_vertices)] += shift
+            try:
+                answer = O.compute_alpha_k_orientation(
+                    m, ang.internal_edges(), alpha, d - 2).values
+            except OrientationError as err:
+                assert err.kind == "NoSolution"
+                answer = (err.detail, err.certificate)
+                refused += 1
+                certified += err.certificate is not None
+            digest.update(repr(answer).encode())
+    assert (refused, certified) == (459, 459)
+    assert digest.hexdigest() == \
+        "f8b78bfc63f6f1c6d670a09ecd809922bf5abcebc7c4f6c51405a25aa7e97389"
 
 
 def test_push_preserves_outdegrees():
