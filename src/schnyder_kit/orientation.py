@@ -5,9 +5,11 @@ darts of an edge sum to k); darts of non-oriented edges carry -1.  Feasible
 orientations are computed by integer max-flow: Edmonds-Karp's shortest
 augmenting paths, each breadth-first search stopped at the first node it
 reaches with a residual arc into the sink, since that node and arc already
-fix the path a search run to the sink would find (_FlowNet).  An infeasible
-instance yields a violated connected vertex subset extracted from the min
-cut.
+fix the path a search run to the sink would find (_FlowNet).  A search
+costs the arcs of the nodes it expands and nothing per node it does not
+reach: it starts past the source's saturated arcs, which stay saturated
+since no augmenting path enters the source.  An infeasible instance yields
+a violated connected vertex subset extracted from the min cut.
 
 The set of all d/(d-2)-orientations of a d-angulation of girth d forms a
 distributive lattice under cycle pushing: pushing a counterclockwise circuit
@@ -97,7 +99,17 @@ class _FlowNet:
     queue in the order they are reached, and every node reached before it
     has no residual arc into the sink, so a search run to the sink would
     reach the sink from this node by this arc: the path, and with it every
-    flow value and the final residual graph, is the full search's."""
+    flow value and the final residual graph, is the full search's.
+
+    A search pays only for the nodes it reaches and the arcs it scans.  The
+    reached marks and parent arcs live in two arrays per call, a search
+    counter telling this search's marks from older ones; only nodes with
+    arcs into the sink have a list of them to look at.  The scan of the
+    source's arcs starts at the first one with residual capacity: each
+    search marks the source reached before it scans, so no augmenting path
+    enters the source, no arc out of it regains capacity once saturated,
+    and every arc skipped would have been skipped by the full scan too.
+    The same nodes are reached in the same order, on any network."""
 
     def __init__(self, n):
         self.n = n
@@ -112,26 +124,44 @@ class _FlowNet:
 
     def max_flow(self, s, t):
         adj, to, cap = self.adj, self.to, self.cap
-        into_t = [[a for a in arcs if to[a] == t] for arcs in adj]
-        total = 0
+        into_t = [None] * self.n     # per node: its arcs into t, or None
+        for a, v in enumerate(to):
+            if v == t:
+                u = to[a ^ 1]
+                if into_t[u] is None:
+                    into_t[u] = []
+                into_t[u].append(a)
+        reached = [0] * self.n       # reached[v] == search: v reached by it
+        parent_arc = [0] * self.n
+        out_s, first = adj[s], 0
+        total = search = 0
         while True:
-            parent_arc = [-1] * self.n
-            parent_arc[s] = -2
-            last = next((b for b in into_t[s] if cap[b] > 0), -1)
-            q = deque([s])
-            while q and last < 0:
-                u = q.popleft()
-                for a in adj[u]:
+            # no path enters s, so a saturated arc out of s stays saturated
+            while first < len(out_s) and not cap[out_s[first]]:
+                first += 1
+            search += 1
+            reached[s] = search
+            last = next((b for b in into_t[s] or () if cap[b]), -1)
+            arcs = map(out_s.__getitem__, range(first, len(out_s)))
+            queue, head = [], 0
+            while last < 0:
+                for a in arcs:
                     v = to[a]
-                    if cap[a] > 0 and parent_arc[v] == -1:
+                    if cap[a] and reached[v] != search:
+                        reached[v] = search
                         parent_arc[v] = a
-                        for b in into_t[v]:
-                            if cap[b] > 0:
-                                last = b
+                        if into_t[v] is not None:
+                            for b in into_t[v]:
+                                if cap[b]:
+                                    last = b
+                                    break
+                            if last >= 0:
                                 break
-                        if last >= 0:
-                            break
-                        q.append(v)
+                        queue.append(v)
+                if head == len(queue):
+                    break
+                arcs = adj[queue[head]]
+                head += 1
             if last < 0:
                 return total
             # trace back, find bottleneck
@@ -176,22 +206,22 @@ def compute_alpha_k_orientation(m, edge_ids, alpha, k):
     edge sum to k: the result needs no further check.
     """
     edge_ids = list(edge_ids)
-    edge_index = {e: i for i, e in enumerate(edge_ids)}
     nv, ne = m.n_vertices, len(edge_ids)
     S, T = 0, 1
     net = _FlowNet(2 + nv + ne)
     for v in range(nv):
         net.add(S, 2 + v, alpha[v])
-    dart_arc = {}
-    for e in edge_ids:
+    darts, dart_arcs = [], []
+    for node, e in enumerate(edge_ids, start=2 + nv):
         for h in (e, m.twin[e]):
-            dart_arc[h] = net.add(2 + m.origin[h], 2 + nv + edge_index[e], k)
-        net.add(2 + nv + edge_index[e], T, k)
+            darts.append(h)
+            dart_arcs.append(net.add(2 + m.origin[h], node, k))
+        net.add(node, T, k)
     flow = net.max_flow(S, T)
     if flow != k * ne or sum(alpha) != k * ne:
         raise _no_solution(m, edge_ids, alpha, k, net, nv)
     values = [-1] * m.n_darts
-    for h, a in dart_arc.items():
+    for h, a in zip(darts, dart_arcs):
         values[h] = net.flow_on(a)
     return FracOrientation(map=m, k=k, values=tuple(values))
 

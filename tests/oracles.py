@@ -69,6 +69,42 @@ def brute_force_dd2(ang):
     return brute_force_orientations(ang, ang.d, ang.d - 2)
 
 
+def edmonds_karp(n, arcs, s, t):
+    """(max-flow value, residual capacities) of the network on nodes 0..n-1
+    with the given (u, v, capacity) arcs, by textbook Edmonds-Karp: each
+    augmenting path found by a breadth-first search run until it reaches
+    t, with a fresh parent list per search.  Arc i is residual arc 2i and
+    its reverse 2i+1, and each node scans its residual arcs in that order,
+    as in _FlowNet."""
+    adj = [[] for _ in range(n)]
+    to, cap = [], []
+    for u, v, c in arcs:
+        adj[u].append(len(to)); to.append(v); cap.append(c)
+        adj[v].append(len(to)); to.append(u); cap.append(0)
+    total = 0
+    while True:
+        parent = [None] * n
+        parent[s] = -1
+        q = deque([s])
+        while q and parent[t] is None:
+            u = q.popleft()
+            for a in adj[u]:
+                if cap[a] > 0 and parent[to[a]] is None:
+                    parent[to[a]] = a
+                    q.append(to[a])
+        if parent[t] is None:
+            return total, cap
+        path, v = [], t
+        while v != s:
+            path.append(parent[v])
+            v = to[parent[v] ^ 1]
+        aug = min(cap[a] for a in path)
+        for a in path:
+            cap[a] -= aug
+            cap[a ^ 1] += aug
+        total += aug
+
+
 def _geometric(rng):
     k = 1
     while rng.getrandbits(1):

@@ -202,8 +202,8 @@ def test_draw_stdout_is_pinned(tmp_path):
     # the flow stopped at its first sink arc: the benchmark's draw check
     # accepts any valid drawing, so only a pin sees a different flow.  The
     # face-split duals are the ones the benchmark draws, but their drawings
-    # stayed the same under each path order of the flow mutants in
-    # tests/mutants.py; the dual of a ringed quadrangulation, whose
+    # stayed the same under each path order of the first three flow
+    # mutants in tests/mutants.py; the dual of a ringed quadrangulation, whose
     # orientation lattice is tall, is the one that sees those orders
     hosts = I.benchmark_hosts()
     digests = {}

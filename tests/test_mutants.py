@@ -1,6 +1,7 @@
 """Every committed mutant still applies: its text occurs once in its file,
 its replacement differs, and each test it names exists.  And the runner
-counts a mutant whose tests time out as detected."""
+counts a mutant whose tests time out as detected, and runs only the
+mutants named by the words it is given."""
 
 import ast
 import pathlib
@@ -59,3 +60,16 @@ def test_a_timed_out_mutant_counts_as_detected(tmp_path, monkeypatch):
         (f"timed out after {mutants.TIMEOUT} s", True)
     assert mutants.verdict([]) == ("killed", True)
     assert mutants.verdict(list(m.kills))[1] is False
+
+
+def test_words_select_the_mutants_to_run():
+    """With no word every mutant runs; with words, those whose `what`
+    contains one of them, numbered as in the full run."""
+    assert [m for _, m in mutants.select([])] == mutants.MUTANTS
+    flow = mutants.select(["flow"])
+    assert len(flow) == 6 and all("flow" in m.what for _, m in flow)
+    assert all(mutants.MUTANTS[i - 1] is m for i, m in flow)
+    both = mutants.select(["flow", "girth"])
+    assert [m for _, m in both] == [m for m in mutants.MUTANTS
+                                    if "flow" in m.what or "girth" in m.what]
+    assert mutants.select(["no such mutant"]) == []

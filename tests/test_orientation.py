@@ -12,7 +12,7 @@ import schnyder_kit.planar_map as P
 import instances as I
 from oracles import (
     brute_force_dd2, brute_force_orientations, ccw_traversal_by_flood_fill,
-    enumerate_angulations, flood_fill_d_circuits, is_even,
+    edmonds_karp, enumerate_angulations, flood_fill_d_circuits, is_even,
 )
 
 
@@ -126,6 +126,44 @@ def test_flow_meets_alpha_without_a_certificate(study_corpus):
         if ang.d == 4:
             O.compute_p_p1_orientation(ang).validate(
                 [2 * (v in internal) for v in range(m.n_vertices)])
+
+
+def test_max_flow_matches_textbook_edmonds_karp():
+    """_FlowNet.max_flow gives the value and the final residual capacities
+    of textbook Edmonds-Karp on 3,000 seeded random networks of 2 to 9
+    nodes.  Their arcs join random nodes, so the networks have arcs into
+    the source, parallel arcs, arcs between the source's neighbours,
+    several arcs into the sink from one node and zero-capacity arcs: the
+    early stop, the sink-arc lookup and the start past the saturated
+    source arcs are exact without the orientation network's layers."""
+    rng = random.Random(24)
+    seen = {"into s": 0, "parallel": 0, "between s's neighbours": 0,
+            "sink arcs at one node": 0,
+            "saturated source arc before an open one": 0}
+    for _ in range(3000):
+        n = rng.randint(2, 9)
+        arcs = []
+        for _ in range(rng.randint(1, 3 * n)):
+            arcs.append((rng.randrange(n), rng.randrange(n),
+                         rng.choice((0, 1, 1, 2, 3))))
+            if rng.random() < 0.2:
+                arcs.append(arcs[-1])
+        net = O._FlowNet(n)
+        for arc in arcs:
+            net.add(*arc)
+        assert (net.max_flow(0, 1), net.cap) == edmonds_karp(n, arcs, 0, 1)
+        tails = [u for u, v, _ in arcs if v == 1]
+        seen["into s"] += any(v == 0 for _, v, _ in arcs)
+        seen["parallel"] += len(set(arcs)) < len(arcs)
+        nbrs = {v for u, v, _ in arcs if u == 0}
+        seen["between s's neighbours"] += \
+            any(u in nbrs and v in nbrs for u, v, _ in arcs)
+        seen["sink arcs at one node"] += len(set(tails)) < len(tails)
+        out = net.adj[0]             # residual arcs out of the source
+        seen["saturated source arc before an open one"] += \
+            bool(out) and out[0] % 2 == 0 and arcs[out[0] // 2][2] > 0 and \
+            net.cap[out[0]] == 0 and any(net.cap[a] for a in out)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_flow_results_are_pinned(study_corpus):
