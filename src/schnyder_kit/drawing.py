@@ -108,7 +108,7 @@ class GridDrawing:
 
 def _bend_point(rd, coords, e):
     m = rd.host.map
-    u, w = m.origin[e], m.target(e)
+    u, w = m.origin[e], m.target_of[e]
     i, j = _color(rd, e), _color(rd, m.twin[e])
     (xu, yu), (xw, yw) = coords[u], coords[w]
     if i in (1, 3):
@@ -191,9 +191,11 @@ def face_markers(rd, f, is_black):
     colors (4, 3), a run of (2, 3) edges, the special edge (b, b') of colors
     (2, 1) and a run of (4, 1) edges, every color one less on white faces."""
     m = rd.host.map
+    twin, masks = m.twin, rd.masks
     cw = m.face_corners(f)
     shift = 0 if is_black else -1
-    pats = [(_color(rd, g), _color(rd, m.twin[g])) for g in cw]
+    # no dart of a non-root face touches v*, so every mask is one color
+    pats = [(masks[g].bit_length(), masks[twin[g]].bit_length()) for g in cw]
     spec_a, run1, spec_b, run2 = ((_mod(i + shift, 4), _mod(j + shift, 4))
                                   for i, j in ((4, 3), (2, 3), (2, 1), (4, 1)))
     if pats.count(spec_a) != 1 or pats.count(spec_b) != 1:
@@ -206,7 +208,7 @@ def face_markers(rd, f, is_black):
         raise DrawingError("InternalInvariantViolation",
                            f"face {f} breaks the bend pattern")
     ga, gb = cw[ia], cw[ib]
-    return m.origin[ga], m.target(ga), m.origin[gb], m.target(gb)
+    return m.origin[ga], m.target_of[ga], m.origin[gb], m.target_of[gb]
 
 
 def _xy_markers(a, a2, b, b2, is_black):

@@ -41,9 +41,6 @@ class FracOrientation:
     values: tuple  # one value per dart, -1 on non-oriented darts
     host: AngulationView | None = field(default=None, compare=False)
 
-    def oriented_edges(self):
-        return [h for h in self.map.edges() if self.values[h] >= 0]
-
     def outdegree(self, v):
         return sum(self.values[h] for h in self.map.vertex_orbit(v)
                    if self.values[h] >= 0)
@@ -318,23 +315,30 @@ def double(o):
 
 def _simple_cycles_of_length(m, length, edge_ids):
     """Yield every simple cycle of the given length using only the given
-    edges, as a dart tuple (one traversal direction each, deduplicated)."""
+    edges, as a dart tuple (one traversal direction each, deduplicated).
+    adj[v] holds (dart, target) for v's allowed darts in clockwise order
+    from vertex_darts[v], the order that fixes which cycle comes first."""
     allowed = set(edge_ids)
     seen = set()
-    adj = [[] for _ in range(m.n_vertices)]
-    for v in range(m.n_vertices):
-        for h in m.vertex_orbit(v):
-            if m.edge(h) in allowed:
-                adj[v].append(h)
+    next_cw, target_of, edge_of = m.next_cw, m.target_of, m.edge_of
+    adj = []
+    for h0 in m.vertex_darts:
+        out, h = [], h0
+        while True:
+            if edge_of[h] in allowed:
+                out.append((h, target_of[h]))
+            h = next_cw[h]
+            if h == h0:
+                break
+        adj.append(out)
 
     def dfs(start, v, path_darts, visited):
         if len(path_darts) == length:
             return
-        for h in adj[v]:
-            w = m.target(h)
+        for h, w in adj[v]:
             if w == start and len(path_darts) == length - 1:
                 cyc = path_darts + [h]
-                key = frozenset(m.edge(x) for x in cyc)
+                key = frozenset(map(edge_of.__getitem__, cyc))
                 if len(key) == length and key not in seen:
                     seen.add(key)
                     yield tuple(cyc)
@@ -368,7 +372,8 @@ def _find_d_circuits(o, ccw, limit=None):
     if o.host is None:
         raise OrientationError("InvalidOrientation", "orientation has no angulation host")
     m = o.map
-    edges = [m.edge(h) for h in o.oriented_edges()]
+    values = o.values
+    edges = [h for h, e in enumerate(m.edge_of) if h == e and values[h] >= 0]
     circuits = []
     for cyc in _simple_cycles_of_length(m, o.host.d, edges):
         for trav in (cyc, tuple(map(m.twin.__getitem__, reversed(cyc)))):

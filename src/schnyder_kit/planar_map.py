@@ -9,7 +9,11 @@ vertex) and ``origin``.  Face orbits follow the fixed convention
 which keeps the face on the *left* of each dart.  With clockwise rotation
 systems this means internal face orbits run counterclockwise as drawn, while
 the orbit of the outer face lists the external vertices in clockwise order.
-The outer face is identified by one designated dart.
+The outer face is identified by one designated dart.  Derived per-dart
+tables are built once with the map: ``prev_cw``, ``face_of``,
+``target_of`` (origin of the twin) and ``edge_of`` (the smaller dart id of
+the edge); loops over many darts index them rather than call ``target()``
+or ``edge()`` per dart.
 
 Corners are in bijection with darts: ``corner(d)`` is the angular sector swept
 clockwise from d to next_cw[d] at origin[d].  That corner lies in the face on
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import MapError
 
@@ -29,7 +34,7 @@ from .errors import MapError
 class PlaneMap:
     __slots__ = (
         "twin", "next_cw", "origin", "outer_dart", "root_vertex",
-        "prev_cw", "n_vertices", "n_edges", "n_faces",
+        "prev_cw", "target_of", "edge_of", "n_vertices", "n_edges", "n_faces",
         "face_of", "faces", "vertex_darts", "outer_face",
         "_girth", "_vertex_sides", "_face_sides", "_side_index", "_frozen",
     )
@@ -87,6 +92,8 @@ class PlaneMap:
         for d in range(n):
             prev[self.next_cw[d]] = d
         self.prev_cw = tuple(prev)
+        self.target_of = tuple(map(self.origin.__getitem__, self.twin))
+        self.edge_of = tuple(d if d < t else t for d, t in enumerate(self.twin))
 
         # vertex orbits must match the origin table
         n_vertices = max(self.origin) + 1
@@ -143,7 +150,7 @@ class PlaneMap:
             d0 = self.vertex_darts[v]
             d = d0
             while True:
-                w = self.origin[self.twin[d]]
+                w = self.target_of[d]
                 if not seen[w]:
                     seen[w] = True
                     count += 1
@@ -167,26 +174,14 @@ class PlaneMap:
         return len(self.twin)
 
     def target(self, d):
-        return self.origin[self.twin[d]]
+        return self.target_of[d]
 
     def edge(self, d):
         """Canonical edge id of a dart (the smaller of the two dart ids)."""
-        t = self.twin[d]
-        return d if d < t else t
+        return self.edge_of[d]
 
     def next_in_face(self, d):
         return self.next_cw[self.twin[d]]
-
-    def degree(self, v):
-        deg = 0
-        d0 = self.vertex_darts[v]
-        d = d0
-        while True:
-            deg += 1
-            d = self.next_cw[d]
-            if d == d0:
-                break
-        return deg
 
     def vertex_orbit(self, v):
         """Darts at v in clockwise order, starting at the stored representative."""
@@ -211,9 +206,6 @@ class PlaneMap:
     def edges(self):
         return [d for d in range(self.n_darts) if d < self.twin[d]]
 
-    def is_bridge(self, d):
-        return self.face_of[d] == self.face_of[self.twin[d]]
-
     # -- duality ----------------------------------------------------------
 
     def dual(self, outer_dart=None):
@@ -225,14 +217,12 @@ class PlaneMap:
         dual to the primal vertex origin(outer_dart); passing ``outer_dart``
         overrides which dual dart marks the outer face instead.
         """
-        for d in range(self.n_darts):
-            if self.is_bridge(d):
-                raise MapError("MalformedRotation",
-                               "dual would contain a loop (bridge in primal)")
-        twin = self.twin
-        next_cw = [twin[self.prev_cw[d]] for d in range(self.n_darts)]
-        origin = [self.face_of[d] for d in range(self.n_darts)]
-        return PlaneMap(twin, next_cw, origin,
+        twin, face_of = self.twin, self.face_of
+        if any(face_of[d] == face_of[t] for d, t in enumerate(twin)):
+            raise MapError("MalformedRotation",
+                           "dual would contain a loop (bridge in primal)")
+        next_cw = map(twin.__getitem__, self.prev_cw)
+        return PlaneMap(twin, next_cw, face_of,
                         outer_dart=(twin[self.outer_dart]
                                     if outer_dart is None else outer_dart),
                         root_vertex=self.outer_face)
@@ -245,7 +235,7 @@ class PlaneMap:
         g = self._girth
         if g is None:
             adj = [[] for _ in range(self.n_vertices)]
-            add_edges(adj, [(self.origin[h], self.target(h))
+            add_edges(adj, [(self.origin[h], self.target_of[h])
                             for h in self.edges()])
             g = shortest_cycle(adj)
             object.__setattr__(self, "_girth", g)
@@ -356,27 +346,32 @@ def shortest_cycle(adj):
     A breadth-first search from each vertex closes a cycle at each edge
     that leaves its tree; the closed walk it reports contains a cycle at
     most that long, and a search from a vertex on a cycle of length L
-    reports one of length at most L."""
-    best = len(adj) + 1
-    for s in range(len(adj)):
-        dist = {s: 0}
-        via = {s: -1}
-        q = deque([s])
-        while q:
-            u = q.popleft()
+    reports one of length at most L.  dist and via are lists shared by the
+    searches; each search resets the entries of the vertices it reached."""
+    n = len(adj)
+    best = n + 1
+    dist = [-1] * n                    # -1: not reached by this search
+    via = [-1] * n                     # the tree edge into each vertex
+    for s in range(n):
+        dist[s], via[s] = 0, -1
+        q = [s]
+        for u in q:                    # q grows while it is read
             du = dist[u]
             if 2 * du + 1 >= best:     # nor does any later vertex of q
                 break
+            tree_edge = via[u]
             for w, e in adj[u]:
-                if e == via[u]:
+                if e == tree_edge:
                     continue
-                dw = dist.get(w)
-                if dw is None:
+                dw = dist[w]
+                if dw < 0:
                     dist[w] = du + 1
                     via[w] = e
                     q.append(w)
                 elif du + dw + 1 < best:
                     best = du + dw + 1
+        for w in q:
+            dist[w] = -1
     return best
 
 
@@ -467,20 +462,22 @@ class AngulationView:
     external: tuple  # u_1 .. u_d
     outer_orbit: tuple = field(repr=False)  # outer face darts, orbit order
 
-    @property
+    @cached_property
     def external_edge_ids(self):
-        return frozenset(self.map.edge(h) for h in self.outer_orbit)
+        """Built once per view: the edge ids of the outer face."""
+        return frozenset(map(self.map.edge_of.__getitem__, self.outer_orbit))
 
     def is_external_edge(self, dart):
-        return self.map.edge(dart) in self.external_edge_ids
+        return self.map.edge_of[dart] in self.external_edge_ids
 
     def internal_darts(self):
         ext = self.external_edge_ids
-        return [h for h in range(self.map.n_darts) if self.map.edge(h) not in ext]
+        return [h for h, e in enumerate(self.map.edge_of) if e not in ext]
 
     def internal_edges(self):
         ext = self.external_edge_ids
-        return [h for h in self.map.edges() if h not in ext]
+        return [h for h, e in enumerate(self.map.edge_of)
+                if h == e and e not in ext]
 
     def internal_vertices(self):
         ext = set(self.external)
@@ -543,10 +540,13 @@ def as_regular(m, d, root=None, first_root_dart=None):
         raise MapError("NotDRegular", "no root vertex given")
     if type(root) is not int or not 0 <= root < m.n_vertices:
         raise MapError("NotDRegular", f"root {root!r} is not a vertex")
-    for v in range(m.n_vertices):
-        if m.degree(v) != d:
+    degree = [0] * m.n_vertices
+    for v in m.origin:
+        degree[v] += 1
+    for v, k in enumerate(degree):
+        if k != d:
             raise MapError("NotDRegular",
-                           f"vertex {v} has degree {m.degree(v)}, expected {d}")
+                           f"vertex {v} has degree {k}, expected {d}")
     h = first_root_dart if first_root_dart is not None else m.vertex_darts[root]
     if type(h) is not int or not 0 <= h < m.n_darts or m.origin[h] != root:
         raise MapError("NotDRegular", "first root dart not at root vertex")

@@ -7,7 +7,7 @@ on the mutated library.  Together they stand for the fast paths that the
 oracles of tests/oracles.py and the pinned outputs guard: the flow's
 searches, the validators, the circuit scan and its side test, the
 sampler's word walks and draws, the placement and the face
-classification, and the girth search.
+classification, the girth search and the map's per-dart tables.
 
     python tests/mutants.py [word ...]
 
@@ -18,14 +18,18 @@ contains one of them (`python tests/mutants.py flow` runs the flow's).  A
 mutant is killed when every test it names fails (a parametrized test fails
 when one of its cases does), and it times out when its tests run over
 TIMEOUT seconds, say because it makes a walk loop forever; both detect it,
-since its tests did not pass.  The working tree is never edited.  The exit
-status is 0 when every mutant run is detected.  The whole run takes about
-ten minutes on a 2-core machine; it is not part of tier-1, but
-tests/test_mutants.py checks that each entry still applies.
+since its tests did not pass.  The tests run with their address space
+capped at MEMORY bytes, so a mutant whose tests allocate without end fails
+them with MemoryError within seconds and counts as killed.  The working
+tree is never edited.  The exit status is 0 when every mutant run is
+detected.  The whole run takes about seven minutes on a 2-core machine;
+it is not part of tier-1, but tests/test_mutants.py checks that each
+entry still applies.
 """
 
 import os
 import pathlib
+import resource
 import shutil
 import subprocess
 import sys
@@ -36,6 +40,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 Mutant = namedtuple("Mutant", "what file old new kills")
 TIMEOUT = 600                     # seconds for the tests of one mutant
+MEMORY = 1 << 30                  # bytes of address space for those tests
 
 
 def _mutant(what, file, old, new, *kills):
@@ -77,20 +82,22 @@ MUTANTS = [
             "if _is_circuit(o, trav) and (trav is cyc) == ccw:",
             ORIENT + "test_circuit_scan_matches_flood_fill_oracle",
             ORIENT + "test_walk_to_the_minimum_pushes_the_oracle_first_circuit"),
+    _mutant("cycle listing walks each vertex counterclockwise",
+            "orientation.py",
+            "            h = next_cw[h]\n",
+            "            h = m.prev_cw[h]\n",
+            CLI + "test_lattice_stdout_is_pinned"),
     _mutant("limited scan lists every cycle first", "orientation.py",
             "for cyc in _simple_cycles_of_length(m, o.host.d, edges):",
             "for cyc in list(_simple_cycles_of_length(m, o.host.d, edges)):",
             ORIENT + "test_limited_scan_stops_drawing_d_cycles"),
     # -- the flow's searches -----------------------------------------------
-    # Not named here: the textbook oracle test.  On a network with an arc
-    # from the source into the sink, the mutated search reaches the sink,
-    # and the trace back from it runs in a circle, growing its path until
-    # memory runs out.
     _mutant("flow search goes on after its first sink arc", "orientation.py",
             "            while last < 0:\n",
             "            while True:\n",
             ORIENT + "test_flow_results_are_pinned",
-            CLI + "test_draw_stdout_is_pinned"),
+            CLI + "test_draw_stdout_is_pinned",
+            ORIENT + "test_max_flow_matches_textbook_edmonds_karp"),
     _mutant("flow search: a later neighbour's sink arc replaces the first",
             "orientation.py",
             "                            if last >= 0:\n"
@@ -132,13 +139,30 @@ MUTANTS = [
             "if 2 * du + 2 >= best:",
             PMAP + "test_shortest_cycle_matches_edge_by_edge_girth"),
     _mutant("girth search walks back along its tree edge", "planar_map.py",
-            "if e == via[u]:",
+            "if e == tree_edge:",
             "if False:",
             PMAP + "test_shortest_cycle_matches_edge_by_edge_girth"),
     _mutant("girth search miscounts a closed cycle", "planar_map.py",
             "best = du + dw + 1",
             "best = du + dw",
             PMAP + "test_shortest_cycle_matches_edge_by_edge_girth"),
+    _mutant("girth search keeps the distances of the search before",
+            "planar_map.py",
+            "            dist[w] = -1\n",
+            "            pass\n",
+            PMAP + "test_shortest_cycle_matches_edge_by_edge_girth"),
+    # -- the per-dart tables -----------------------------------------------
+    _mutant("target table reads the dart's own origin", "planar_map.py",
+            "self.target_of = tuple(map(self.origin.__getitem__, self.twin))",
+            "self.target_of = self.origin",
+            PMAP + "test_girth",
+            ORIENT + "test_circuit_scan_matches_flood_fill_oracle",
+            CLI + "test_draw_stdout_is_pinned"),
+    _mutant("edge table takes the larger dart id", "planar_map.py",
+            "tuple(d if d < t else t for d, t in enumerate(self.twin))",
+            "tuple(d if d > t else t for d, t in enumerate(self.twin))",
+            ORIENT + "test_circuit_scan_matches_flood_fill_oracle",
+            CLI + "test_draw_stdout_is_pinned"),
     # -- the validators ----------------------------------------------------
     _mutant("a path into a 2-cycle reported as no outgoing arc",
             "schnyder.py",
@@ -269,6 +293,13 @@ def _failed(output):
     return out
 
 
+def limit_memory():
+    """Cap the address space of the calling process at MEMORY bytes; run
+    in the pytest child only, as its preexec_fn."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, hard))
+
+
 def run(mutant, copy):
     """The named tests of a mutant that did not fail on the mutated copy,
     or None when they ran over TIMEOUT seconds."""
@@ -282,7 +313,7 @@ def run(mutant, copy):
             [sys.executable, "-m", "pytest", "-q", "-rfE",
              "-p", "no:cacheprovider", *mutant.kills],
             cwd=copy, env=env, capture_output=True, text=True,
-            timeout=TIMEOUT)
+            timeout=TIMEOUT, preexec_fn=limit_memory)
     except subprocess.TimeoutExpired:
         return None
     finally:

@@ -429,7 +429,8 @@ def mincut_at_least(m, d):
     """True iff every edge cut of m has size >= d (via girth of the dual)."""
     if d <= 0:
         return True
-    if any(m.is_bridge(h) for h in range(m.n_darts)) or m.n_edges == 1:
+    bridge = any(m.face_of[h] == m.face_of[t] for h, t in enumerate(m.twin))
+    if bridge or m.n_edges == 1:
         return d <= 1
     try:
         g = m.dual().girth()
@@ -483,8 +484,8 @@ def flood_fill_d_circuits(o):
     library."""
     m = o.map
     ccw, cw = [], []
-    for cyc in _simple_cycles_of_length(m, o.host.d,
-                                        [m.edge(h) for h in o.oriented_edges()]):
+    for cyc in _simple_cycles_of_length(
+            m, o.host.d, [h for h in m.edges() if o.values[h] >= 0]):
         trav = ccw_traversal_by_flood_fill(m, cyc)
         back = tuple(m.twin[h] for h in reversed(trav))
         for out, t in ((ccw, trav), (cw, back)):

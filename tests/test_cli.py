@@ -16,7 +16,7 @@ import schnyder_kit.orientation as O
 import schnyder_kit.sampler as SA
 import schnyder_kit.schnyder as S
 from schnyder_kit.cli import main, _default_jobs
-from schnyder_kit.planar_map import as_angulation
+from schnyder_kit.planar_map import PlaneMap, as_angulation
 
 import instances as I
 
@@ -195,6 +195,55 @@ def test_sample_stdout_is_pinned():
     rc, text = run(["sample", "--n", "12", "--count", "30", "--seed", "7"])
     assert rc == 0 and _sha256(text) == \
         "41fa299b71cd9cb5ebc7cd506afabd3098a0b22e8e34b9d648552c38cfb88f08"
+
+
+def _labels_reversed(m):
+    """m with vertex v renamed n - 1 - v, n the vertex count."""
+    n = m.n_vertices
+    return PlaneMap(m.twin, m.next_cw, [n - 1 - v for v in m.origin],
+                    m.outer_dart)
+
+
+LATTICE_HOSTS = {
+    # the hubs come first, so the circuits through one of them share their
+    # least vertex and come out in the order of its rotation
+    "pseudo double wheel 7, labels reversed":
+        lambda: _labels_reversed(I.pseudo_double_wheel(7)),
+    "concentric 4": lambda: I.concentric_quadrangulation(4),
+    "ringed 5+8": lambda: I.ringed_quadrangulation(5, 8, random.Random(58)),
+    "ringed 6+10": lambda: I.ringed_quadrangulation(6, 10, random.Random(610)),
+}
+
+
+def test_lattice_stdout_is_pinned(tmp_path):
+    # digests of lattice enumerate and count stdout on hosts with 21, 27,
+    # 81 and 243 orientations: the elements come in the order of the cycle
+    # listing, which the count alone would not see
+    digests = {}
+    for name, host in LATTICE_HOSTS.items():
+        path = tmp_path / "host.json"
+        path.write_text(json.dumps({"map": host().to_json_obj(), "d": 4}))
+        for action in ("enumerate", "count"):
+            rc, text = run(["lattice", str(path), "--d", "4", action])
+            assert rc == 0
+            digests[name, action] = _sha256(text)
+    assert digests == {
+        ("pseudo double wheel 7, labels reversed", "enumerate"):
+            "787e967bfeec2f95e4f4b82420c50fff502491349ba09b0c75d3f5958621d062",
+        ("pseudo double wheel 7, labels reversed", "count"):
+            "07cf779eb31d499212bbe514f33d35f33b242c298447440f2569afa9f385bb12",
+        ("concentric 4", "enumerate"):
+            "582421035759de396c7a0109a421500822d94a1529d004985cc7107acd445be9",
+        ("concentric 4", "count"):
+            "42d76242f78a1ba834f72fd2ac40c9b1bdcf69251f1c506100e89c9827c2e218",
+        ("ringed 5+8", "enumerate"):
+            "f7a81160e77c5e0c0e08d7b1ab1b14c36e03b2a7e97762218a02fe30a578c16f",
+        ("ringed 5+8", "count"):
+            "ee3f4e20f8a6790160c4a02c46f96335e74129b1da5b26e54e2eb11cca23bea5",
+        ("ringed 6+10", "enumerate"):
+            "e91fbcc945ad79ced7e5bbbb6eee4152c566aefe531cf66311e14aae41d98981",
+        ("ringed 6+10", "count"):
+            "f1c5521e705a149b7b9093cf018613362595d18ace827e64dcb6e0b1c921b149"}
 
 
 def test_draw_stdout_is_pinned(tmp_path):

@@ -1,11 +1,13 @@
 """Every committed mutant still applies: its text occurs once in its file,
 its replacement differs, and each test it names exists.  And the runner
-counts a mutant whose tests time out as detected, and runs only the
-mutants named by the words it is given."""
+counts a mutant whose tests time out as detected, kills one whose tests
+allocate without end, and runs only the mutants named by the words it is
+given."""
 
 import ast
 import pathlib
 import subprocess
+import time
 
 import mutants
 
@@ -60,6 +62,28 @@ def test_a_timed_out_mutant_counts_as_detected(tmp_path, monkeypatch):
         (f"timed out after {mutants.TIMEOUT} s", True)
     assert mutants.verdict([]) == ("killed", True)
     assert mutants.verdict(list(m.kills))[1] is False
+
+
+def test_a_mutant_whose_tests_allocate_without_end_is_killed(
+        tmp_path, monkeypatch):
+    """The tests of a mutant run with their address space capped, so a
+    test that allocates without end fails with MemoryError within seconds
+    and the mutant counts as killed.  (The test allocates zeroed blocks,
+    which take address space but no memory until written.)"""
+    m = mutants.Mutant("allocates without end", "src/hog.py", "n = 1",
+                       "n = 2", ("tests/test_hog.py::test_hog",))
+    hog = ("def test_hog():\n"
+           "    blocks = []\n"
+           "    while True:\n"
+           "        blocks.append(bytes(1 << 20))\n")
+    for name, text in ((m.file, m.old), ("tests/test_hog.py", hog)):
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(mutants, "TIMEOUT", 60)
+    start = time.monotonic()
+    survivors = mutants.run(m, tmp_path)
+    assert survivors == [] and time.monotonic() - start < 30
+    assert (tmp_path / m.file).read_text() == m.old
 
 
 def test_words_select_the_mutants_to_run():

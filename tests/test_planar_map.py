@@ -27,7 +27,8 @@ def test_basic_invariants(make):
         assert m.twin[m.twin[d]] == d
         assert m.twin[d] != d
     assert sum(m.face_degree(f) for f in range(m.n_faces)) == 2 * m.n_edges
-    assert sum(m.degree(v) for v in range(m.n_vertices)) == 2 * m.n_edges
+    assert sum(len(m.vertex_orbit(v))
+               for v in range(m.n_vertices)) == 2 * m.n_edges
     assert m.n_vertices - m.n_edges + m.n_faces == 2
     # face orbits partition darts
     assert sorted(d for orbit in m.faces for d in orbit) == list(range(n))
@@ -69,13 +70,13 @@ def test_dual_involution_and_degrees():
     c = I.cube()
     oc = c.dual()
     assert (oc.n_vertices, oc.n_edges, oc.n_faces) == (6, 12, 8)
-    assert all(oc.degree(v) == 4 for v in range(oc.n_vertices))
+    assert all(len(oc.vertex_orbit(v)) == 4 for v in range(oc.n_vertices))
     assert isomorphic(oc.dual(), c)
     t = I.tetrahedron()
     assert isomorphic(t.dual(), t)
     d = I.dodecahedron()
     ico = d.dual()
-    assert all(ico.degree(v) == 5 for v in range(ico.n_vertices))
+    assert all(len(ico.vertex_orbit(v)) == 5 for v in range(ico.n_vertices))
     assert isomorphic(ico.dual(), d)
 
 
