@@ -70,8 +70,8 @@ def place_by_equatorial_lines(rd, markers=None):
         next_x[fxm] = fxp
         next_y[fym] = fyp
     count = m.n_vertices - 1
-    xs = _chain(next_x, m.target(rv.root_darts[1]), count, "L_1")
-    ys = _chain(next_y, m.target(rv.root_darts[0]), count, "L_4")
+    xs = _chain(next_x, m.target_of[rv.root_darts[1]], count, "L_1")
+    ys = _chain(next_y, m.target_of[rv.root_darts[0]], count, "L_4")
     y = {v: t for t, v in enumerate(ys)}
     return {v: (t, y[v]) for t, v in enumerate(xs)}
 
@@ -157,7 +157,8 @@ def collapsed_edges(rv):
     for e in m.edges():
         if e in root_ids:
             continue
-        key = (min(m.origin[e], m.target(e)), max(m.origin[e], m.target(e)))
+        u, w = m.origin[e], m.target_of[e]
+        key = (min(u, w), max(u, w))
         seen.setdefault(key, e)
     return sorted(seen.values())
 
@@ -171,7 +172,7 @@ def straight_line_drawing(rd, coords=None):
     m = rv.map
     segs = []
     for e in collapsed_edges(rv):
-        u, w = m.origin[e], m.target(e)
+        u, w = m.origin[e], m.target_of[e]
         segs.append((coords[u], coords[w], ("v", u), ("v", w)))
     return dict(coords), segs
 
@@ -196,18 +197,19 @@ def face_markers(rd, f, is_black):
     shift = 0 if is_black else -1
     # no dart of a non-root face touches v*, so every mask is one color
     pats = [(masks[g].bit_length(), masks[twin[g]].bit_length()) for g in cw]
-    spec_a, run1, spec_b, run2 = ((_mod(i + shift, 4), _mod(j + shift, 4))
-                                  for i, j in ((4, 3), (2, 3), (2, 1), (4, 1)))
+    spec_a, spec_b = ((_mod(i + shift, 4), _mod(j + shift, 4))
+                      for i, j in ((4, 3), (2, 1)))
     if pats.count(spec_a) != 1 or pats.count(spec_b) != 1:
         raise DrawingError("InternalInvariantViolation",
                            f"face {f} lacks unique special edges")
-    ia, ib = pats.index(spec_a), pats.index(spec_b)
-    k = (ib - ia) % len(cw)
-    want = [spec_a] + [run1] * (k - 1) + [spec_b] + [run2] * (len(cw) - k - 1)
-    if pats[ia:] + pats[:ia] != want:
-        raise DrawingError("InternalInvariantViolation",
-                           f"face {f} breaks the bend pattern")
-    ga, gb = cw[ia], cw[ib]
+    # The runs need no check.  rd is xi of a regular labelling; the edge
+    # from the k-th corner of f to the next, clockwise, has the colors
+    # (c_k - 1, c_{k+1}) of the corner colors c_k, and these rise around f
+    # with one descent.  On a black face (a, a') is then the one step
+    # 1 -> 3 and (b, b') the step 3 -> 1, so every corner is 1 or 3 and the
+    # runs are (2, 3) and (4, 1); on a white face the steps are 4 -> 2 and
+    # 2 -> 4, and every corner is 2 or 4.
+    ga, gb = cw[pats.index(spec_a)], cw[pats.index(spec_b)]
     return m.origin[ga], m.target_of[ga], m.origin[gb], m.target_of[gb]
 
 
@@ -296,7 +298,7 @@ def add_root(gd):
     m = rv.map
     w = max(x for x, _ in gd.coords.values())
     h = max(y for _, y in gd.coords.values())
-    ends = [m.target(e) for e in rv.root_darts]
+    ends = [m.target_of[e] for e in rv.root_darts]
     p1, p2, p3, p4 = (gd.coords[v] for v in ends)
     root = (-1, -1)
     routes = (
@@ -351,7 +353,7 @@ def emit_svg(gd):
     lines = [f'<svg xmlns="http://www.w3.org/2000/svg" '
              f'width="{width}" height="{height}">']
     for e in sorted(gd.bends):
-        u, w = m.origin[e], m.target(e)
+        u, w = m.origin[e], m.target_of[e]
         pts = [gd.coords[u], gd.bends[e], gd.coords[w]]
         d = "M " + " L ".join(f"{pt(p)[0]} {pt(p)[1]}" for p in pts)
         color = TREE_COLORS[_color(rd, e)]

@@ -22,25 +22,17 @@ from .schnyder import (
 
 
 def dualize(ang):
-    """RegularView of the dual of a d-angulation, rooted compatibly.
+    """RegularView of the dual of a d-angulation, rooted compatibly: root
+    face f_i* is the dual face of the external vertex u_i.
 
-    Root edges are chosen so that root face f_i* is the dual face of the
-    external vertex u_i; this is asserted before returning.
+    The dual's prev_cw is the primal next_cw . twin, so the root darts,
+    counterclockwise from the outer dart, are ang.outer_orbit, and f_i* is
+    the dual face of the dart u_{i-1} -> u_i.  The dual face of a dart is
+    the primal vertex it points at (PlaneMap.dual): u_i.
     """
     dm = ang.map.dual()
-    rv = as_regular(dm, ang.d, root=dm.root_vertex,
-                    first_root_dart=ang.map.outer_dart)
-    for i, u in enumerate(ang.external):
-        if rv.root_faces[i] != dual_face_of_vertex(ang, rv, u):
-            raise DualityError("CorrespondenceBroken",
-                               f"root face {i + 1} is not the dual of u_{i + 1}")
-    return rv
-
-
-def dual_face_of_vertex(ang, rv, v):
-    """The dual face that the primal vertex v sits in."""
-    h = ang.map.twin[ang.map.vertex_darts[v]]  # a dart pointing at v
-    return rv.map.face_of[h]
+    return as_regular(dm, ang.d, root=dm.root_vertex,
+                      first_root_dart=ang.map.outer_dart)
 
 
 class RegularLabelling(DartTable):
@@ -186,7 +178,7 @@ def _dual_violations(t):
                                         f"color in 1..{p}"))
     if out:
         return out
-    root_edge = {m.edge(h): j for j, h in enumerate(rv.root_darts, start=1)}
+    root_edge = {m.edge_of[h]: j for j, h in enumerate(rv.root_darts, start=1)}
     for h in m.edges():
         a, b = masks[h], masks[m.twin[h]]
         j = root_edge.get(h)

@@ -15,7 +15,7 @@ anchored at the root face f_1* (black).
 
 from __future__ import annotations
 
-from .errors import EvenError, MapError, OrientationError
+from .errors import EvenError, OrientationError
 from .planar_map import as_angulation
 from .duality import (
     RegularDecomposition, _dual_violations, validate_regular_decomposition,
@@ -35,23 +35,21 @@ def _require_even_d(d):
 
 
 def black_vertices(ang):
-    """Per-vertex blackness of a 2p-angulation, anchored black at u_1."""
+    """Per-vertex blackness of a 2p-angulation, anchored black at u_1.  A
+    plane map whose faces all have even degree is bipartite (a cycle has
+    the parity of the total degree of the faces inside it), so the search
+    cannot fail."""
     _require_even_d(ang.d)
-    try:
-        return ang.map.bipartition_from(ang.external[0])
-    except MapError as exc:
-        raise EvenError("NotBipartite", str(exc)) from exc
+    return ang.map.bipartition_from(ang.external[0])
 
 
 def black_faces(rv):
     """Per-face blackness of the dual host: faces adjacent across an edge get
-    opposite colors, anchored black at the root face f_1*."""
+    opposite colors, anchored black at the root face f_1*.  Every vertex has
+    even degree d, so no edge is a bridge and the dual, whose faces have
+    the degrees of these vertices, is bipartite: the search cannot fail."""
     _require_even_d(rv.d)
-    try:
-        return rv.map.face_bipartition_from(rv.root_faces[0])
-    except MapError as exc:
-        raise EvenError("NotBipartite",
-                        "face adjacencies admit no black/white split") from exc
+    return rv.map.face_bipartition_from(rv.root_faces[0])
 
 
 # -- parity characterizations ---------------------------------------------
@@ -224,16 +222,18 @@ def compute_even_regular_decomposition(rv):
 
     Pipeline: dual quadrangulation, 2-orientation by flow, doubling to an
     even 4/2-orientation, color propagation, and transfer back through the
-    duality.  Raises MincutTooSmall when no 2-orientation exists.
+    duality.  Raises MincutTooSmall when no 2-orientation exists: q is a
+    quadrangulation, so the flow fails only with GirthTooSmall or
+    NoSolution, never OddD.  The result is even with no check: the doubled
+    orientation has even values, so its Schnyder decomposition and the
+    regular decomposition dual to it are even.
     """
     q = primal_quadrangulation(rv)
     try:
         o2 = compute_p_p1_orientation(q)
     except OrientationError as exc:
-        if exc.kind in ("GirthTooSmall", "NoSolution"):
-            raise EvenError("MincutTooSmall",
-                            f"host has a cut of size < 4 ({exc.detail})") from exc
-        raise
+        raise EvenError("MincutTooSmall",
+                        f"host has a cut of size < 4 ({exc.detail})") from exc
     s = phi(psi_inverse(double(o2)))
     dd_rd = _duality.chi(s)
     # the double dual is the original map with darts renamed by twin
@@ -243,6 +243,4 @@ def compute_even_regular_decomposition(rv):
     bad = validate_regular_decomposition(rd)
     if bad:
         raise EvenError("MincutTooSmall", f"transfer failed: {bad[:3]}")
-    if not is_even_regular(rd):
-        raise EvenError("NotEven", "pipeline produced an uneven decomposition")
     return rd

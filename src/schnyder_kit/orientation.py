@@ -224,7 +224,15 @@ def compute_alpha_k_orientation(m, edge_ids, alpha, k):
 
 
 def _no_solution(m, edge_ids, alpha, k, net, nv):
-    """Build the NoSolution error with a violated connected subset."""
+    """Build the NoSolution error with a violated connected subset.
+
+    When sum(alpha) = k|E|, a component of the vertices U that the residual
+    search from the source does not reach is violated.  The min cut costs
+    alpha(U) for the source arcs into U, and at least k for each edge with
+    an endpoint outside U (its sink arc, or the arc from that endpoint), so
+    a flow below k|E| gives alpha(U) < k|E(U)|.  The edges of E(U) lie
+    within the components of (U, E(U)), so with alpha >= 0 one component C
+    has alpha(C) < k|E(C)|, and the loop below always returns."""
     if sum(alpha) != k * len(edge_ids):
         err = OrientationError(
             "NoSolution",
@@ -245,15 +253,15 @@ def _no_solution(m, edge_ids, alpha, k, net, nv):
         while q:
             v = q.popleft()
             for h in m.vertex_orbit(v):
-                if m.edge(h) in edge_set:
-                    w = m.target(h)
+                if m.edge_of[h] in edge_set:
+                    w = m.target_of[h]
                     if not reach[2 + w] and w not in comp_of:
                         comp_of[w] = v0
                         comp.append(w)
                         q.append(w)
         cs = set(comp)
         inner = sum(1 for e in edge_ids
-                    if m.origin[e] in cs and m.target(e) in cs)
+                    if m.origin[e] in cs and m.target_of[e] in cs)
         if sum(alpha[v] for v in comp) < k * inner:
             err = OrientationError(
                 "NoSolution",
@@ -261,9 +269,6 @@ def _no_solution(m, edge_ids, alpha, k, net, nv):
                 f"{sum(alpha[v] for v in comp)} < k*|E_S| = {k * inner}")
             err.certificate = sorted(comp)
             return err
-    err = OrientationError("NoSolution", "max flow below k*|E|")
-    err.certificate = sorted(unreached)
-    return err
 
 
 def compute_dd2_orientation(ang):
@@ -292,14 +297,11 @@ def _angulation_orientation(ang, out, k):
 
 
 def _require_girth(ang, d):
-    m = ang.map
-    if m.n_edges == d:  # bare d-cycle: no internal edge, trivially fine
-        return
-    from .errors import MapError
-    try:
-        g = m.girth()
-    except MapError:
-        raise OrientationError("GirthTooSmall", "acyclic map has no girth")
+    """GirthTooSmall unless the girth is d.  The outer face of a view from
+    as_angulation visits d distinct vertices, so its darts close a d-cycle:
+    girth() never raises Acyclic here and never exceeds d (a bare d-cycle
+    has girth d)."""
+    g = ang.map.girth()
     if g != d:
         raise OrientationError("GirthTooSmall", f"girth {g} != {d}")
 
@@ -389,9 +391,9 @@ def push_cycle(o, traversal):
     ccw arcs lose 1, cw arcs gain 1; outdegrees are preserved."""
     m = o.map
     for i, h in enumerate(traversal):
-        if m.target(h) != m.origin[traversal[(i + 1) % len(traversal)]]:
+        if m.target_of[h] != m.origin[traversal[(i + 1) % len(traversal)]]:
             raise OrientationError("NotACircuit", "darts do not chain into a cycle")
-    if len({m.edge(h) for h in traversal}) != len(traversal):
+    if len({m.edge_of[h] for h in traversal}) != len(traversal):
         raise OrientationError("NotACircuit", "cycle repeats an edge")
     if not _is_circuit(o, traversal):
         raise OrientationError("NotACircuit", "an arc of the circuit has value 0")

@@ -12,8 +12,7 @@ the orbit of the outer face lists the external vertices in clockwise order.
 The outer face is identified by one designated dart.  Derived per-dart
 tables are built once with the map: ``prev_cw``, ``face_of``,
 ``target_of`` (origin of the twin) and ``edge_of`` (the smaller dart id of
-the edge); loops over many darts index them rather than call ``target()``
-or ``edge()`` per dart.
+the edge, its canonical edge id); every reader indexes them.
 
 Corners are in bijection with darts: ``corner(d)`` is the angular sector swept
 clockwise from d to next_cw[d] at origin[d].  That corner lies in the face on
@@ -103,14 +102,13 @@ class PlaneMap:
             v = self.origin[d]
             if vertex_darts[v] is None:
                 vertex_darts[v] = d
+        # next_cw is a permutation that keeps each dart at its origin, so
+        # the orbits walked from distinct vertices are disjoint cycles
         for v, d0 in enumerate(vertex_darts):
             if d0 is None:
                 raise MapError("MalformedRotation", f"vertex {v} has no dart")
             d = d0
             while True:
-                if dart_seen[d]:
-                    raise MapError("MalformedRotation",
-                                   f"rotation orbits disagree with origins at vertex {v}")
                 dart_seen[d] = True
                 d = self.next_cw[d]
                 if d == d0:
@@ -173,16 +171,6 @@ class PlaneMap:
     def n_darts(self):
         return len(self.twin)
 
-    def target(self, d):
-        return self.target_of[d]
-
-    def edge(self, d):
-        """Canonical edge id of a dart (the smaller of the two dart ids)."""
-        return self.edge_of[d]
-
-    def next_in_face(self, d):
-        return self.next_cw[self.twin[d]]
-
     def vertex_orbit(self, v):
         """Darts at v in clockwise order, starting at the stored representative."""
         d0 = self.vertex_darts[v]
@@ -199,9 +187,6 @@ class PlaneMap:
         """Corners of face f in clockwise order: the darts with f on their
         right, i.e. the twins of its orbit, reversed."""
         return [self.twin[h] for h in reversed(self.faces[f])]
-
-    def face_degree(self, f):
-        return len(self.faces[f])
 
     def edges(self):
         return [d for d in range(self.n_darts) if d < self.twin[d]]
@@ -325,10 +310,6 @@ class PlaneMap:
                            "'root_vertex' must be an integer or null")
         return cls(*tables, outer_dart=outer, root_vertex=root)
 
-    def __repr__(self):
-        return (f"PlaneMap(v={self.n_vertices}, e={self.n_edges}, "
-                f"f={self.n_faces})")
-
 
 def add_edges(adj, edges):
     """Add the vertex pairs edges, numbered from 0, to the adjacency lists
@@ -443,8 +424,7 @@ def build_map(rotations, outer_dart, root_vertex=None):
                                f"dart {d} repeated or out of range")
             origin[d] = v
             next_cw[d] = rot[(i + 1) % len(rot)]
-    if any(o is None for o in origin):
-        raise MapError("MalformedRotation", "rotation lists do not cover all darts")
+    # the lists hold n distinct darts of range(n), so they cover every dart
     return PlaneMap([d ^ 1 for d in range(n)], next_cw, origin, outer_dart,
                     root_vertex=root_vertex)
 
@@ -504,22 +484,22 @@ class RegularView:
         return [f for f in range(self.map.n_faces) if f not in rf]
 
     def root_edge_ids(self):
-        return [self.map.edge(h) for h in self.root_darts]
+        return [self.map.edge_of[h] for h in self.root_darts]
 
 
 def as_angulation(m, d):
     """Check every face has degree d and extract the external vertices."""
     if d < 3:
         raise MapError("NotDAngulation", "d must be at least 3")
-    for f in range(m.n_faces):
-        if m.face_degree(f) != d:
+    for f, face in enumerate(m.faces):
+        if len(face) != d:
             raise MapError("NotDAngulation",
-                           f"face {f} has degree {m.face_degree(f)}, expected {d}")
+                           f"face {f} has degree {len(face)}, expected {d}")
     orbit = []
     h = m.outer_dart
     for _ in range(d):
         orbit.append(h)
-        h = m.next_in_face(h)
+        h = m.next_cw[m.twin[h]]
     external = tuple(m.origin[h] for h in orbit)
     if len(set(external)) != d:
         raise MapError("ExternalVerticesNotDistinct",

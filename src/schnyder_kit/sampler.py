@@ -76,30 +76,22 @@ class EncodingTriple:
     gamma: tuple
 
     @property
-    def n(self):
-        return sum(self.alpha)
-
-    @property
     def r(self):
         return len(self.alpha)
-
-    @property
-    def s(self):
-        return len(self.beta) - 1
 
 
 def _spanning_trees(ang, t, i, j):
     """(T1', [T1' degree, T2' degree] per vertex), F1' and F2' being the
     color-i and color-j arcs of t (1, 2 when reduced, 2, 4 when full)."""
     m = ang.map
-    ext = [m.edge(h) for h in ang.outer_orbit]
-    trees = ({m.edge(h) for h in t.arcs_of_color(i)} | {ext[3], ext[0]},
-             {m.edge(h) for h in t.arcs_of_color(j)} | {ext[1], ext[2]})
+    ext = [m.edge_of[h] for h in ang.outer_orbit]
+    trees = ({m.edge_of[h] for h in t.arcs_of_color(i)} | {ext[3], ext[0]},
+             {m.edge_of[h] for h in t.arcs_of_color(j)} | {ext[1], ext[2]})
     deg = [[0, 0] for _ in range(m.n_vertices)]
     for k, tree in enumerate(trees):
         for e in tree:
             deg[m.origin[e]][k] += 1
-            deg[m.target(e)][k] += 1
+            deg[m.target_of[e]][k] += 1
     return trees[0], deg
 
 
@@ -114,12 +106,12 @@ def encode(ang, s):
     seen = {ang.external[0]}
     h = start
     for _ in range(2 * len(t1)):
-        w = m.target(h)
+        w = m.target_of[h]
         if w not in seen:
             seen.add(w)
             order.append(w)
         g = m.next_cw[m.twin[h]]
-        while m.edge(g) not in t1:
+        while m.edge_of[g] not in t1:
             g = m.next_cw[g]
         h = g
     if h != start or len(order) != m.n_vertices - 1:
@@ -292,8 +284,7 @@ def decode(t):
     the sums and lengths bound n by the input's length
     (TreeReconstructionFailed), _strands_close on those and the flip word
     of gamma, and the map that _rotations builds (ClosureFailed), then the
-    quadrangulation and its outer face and the reduced validator
-    (ValidationFailed)."""
+    quadrangulation and the reduced validator (ValidationFailed)."""
     alpha, beta, gamma = t.alpha, t.beta, t.gamma
     if not alpha or not beta or not gamma:
         raise _invalid("TreeReconstructionFailed", "empty degree sequence")
@@ -337,9 +328,10 @@ def decode(t):
         raise _invalid("ValidationFailed",
                        f"completion is not a quadrangulation: {exc.detail}") \
             from exc
-    if ang.external != (0, 1, u3, u4):
-        raise _invalid("ValidationFailed",
-                       f"outer face visits {ang.external}")
+    # No check of the outer face: from dart 1 (u1 -> u2) it runs to u3 and
+    # u4.  u2 has no T1' child, so its out follows its parent dart; that
+    # out is the last dart at u3, and u4's, on top of the strands, the
+    # first (_strands_close).
 
     masks = [0] * m.n_darts        # 2n edges: n in T1', n in T2'
     for v in range(2, u3):
@@ -349,7 +341,7 @@ def decode(t):
     rs = ReducedSchnyderDecomposition(host=ang, masks=tuple(masks))
     try:
         s = lambda_inverse(rs)
-    except (EvenError, MapError) as exc:
+    except EvenError as exc:
         raise _invalid("ValidationFailed", exc.detail) from exc
     return ang, s
 

@@ -112,7 +112,7 @@ class DartTable:
         return obj
 
     @classmethod
-    def from_json_obj(cls, obj, host, primal=None):
+    def from_json_obj(cls, obj, host):
         """The table of a JSON payload on ``host``, after checking its
         shape: an object with the right "host" (default "primal") and
         "reduced" tags, an integer "d" equal to the color count (color sets
@@ -143,9 +143,8 @@ class DartTable:
                             f"{'color' if corners else 'list of colors'} in "
                             f"1..{n} per dart ({host.map.n_darts} darts)")
         if corners:
-            return cls(host=host, colors=tuple(rows), primal=primal)
-        return cls(host=host, masks=tuple(mask_of(r, n) for r in rows),
-                   primal=primal)
+            return cls(host=host, colors=tuple(rows))
+        return cls(host=host, masks=tuple(mask_of(r, n) for r in rows))
 
 
 class CornerLabelling(DartTable):
@@ -434,7 +433,7 @@ def _forest_violations(t, internal, axiom, nxt, ends, twice):
         if doubled or stray or any(nxt[base + u] != base + u for u in ext):
             arcs = t.arcs_of_color(i)
             has_parent = {m.origin[h] for h in arcs}
-            touched = has_parent | {m.target(h) for h in arcs}
+            touched = has_parent | {m.target_of[h] for h in arcs}
             out += [(axiom, v, f"color {i} touches the excluded root {v}")
                     for v in avoid & touched]
             out += [(axiom, u, f"color {i}: outgoing arc at external {u}")

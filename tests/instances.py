@@ -59,6 +59,12 @@ def _find_outer_dart(m, coords):
     return best[1]
 
 
+def dual_face_of_vertex(ang, rv, v):
+    """The face of the dual rv of ang that the primal vertex v sits in."""
+    h = ang.map.twin[ang.map.vertex_darts[v]]  # a dart pointing at v
+    return rv.map.face_of[h]
+
+
 def _ring(n, radius, phase_deg):
     return [(radius * math.cos(math.radians(phase_deg + 360.0 * i / n)),
              radius * math.sin(math.radians(phase_deg + 360.0 * i / n)))

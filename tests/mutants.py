@@ -7,7 +7,8 @@ on the mutated library.  Together they stand for the fast paths that the
 oracles of tests/oracles.py and the pinned outputs guard: the flow's
 searches, the validators, the circuit scan and its side test, the
 sampler's word walks and draws, the placement and the face
-classification, the girth search and the map's per-dart tables.
+classification, the girth search, the map's per-dart tables and the
+checks of user input.
 
     python tests/mutants.py [word ...]
 
@@ -55,6 +56,7 @@ SCHN = "tests/test_schnyder.py::"
 SAMP = "tests/test_sampler.py::"
 DRAW = "tests/test_drawing.py::"
 ACCEPT = "tests/test_acceptance.py::"
+INPUT = "tests/test_input_errors.py::"
 
 MUTANTS = [
     # -- the side test and the circuit scan -------------------------------
@@ -263,6 +265,23 @@ MUTANTS = [
             "if not all(type(x) is int for x in seq) or min(seq) < 1:",
             "if not all(isinstance(x, int) for x in seq) or min(seq) < 1:",
             SAMP + "test_decode_error_stages"),
+    # -- the input checks --------------------------------------------------
+    _mutant("a rotation split into two orbits passes", "planar_map.py",
+            "        if not all(dart_seen):",
+            "        if False:",
+            INPUT + "test_cli_input_errors"),
+    _mutant("an edge whose values miss k passes", "orientation.py",
+            "if a >= 0 and (a + b != self.k or a > self.k or b > self.k):",
+            "if a >= 0 and (a > self.k or b > self.k):",
+            INPUT + "test_cli_input_errors"),
+    _mutant("decode takes beta and gamma of unequal lengths", "sampler.py",
+            "    if len(beta) != len(gamma):",
+            "    if False:",
+            INPUT + "test_library_input_errors"),
+    _mutant("a pushed cycle may repeat an edge", "orientation.py",
+            "if len({m.edge_of[h] for h in traversal}) != len(traversal):",
+            "if False:",
+            INPUT + "test_library_input_errors"),
     # -- the placement and the face classification -------------------------
     _mutant("fx- and fx+ swapped on white faces", "drawing.py",
             "else (b2, a2, a, b)",
@@ -270,8 +289,8 @@ MUTANTS = [
             DRAW + "test_face_counting_matches_equatorial_lines",
             ACCEPT + "test_criterion_07_placement_equivalence"),
     _mutant("x-chain starts at v_1*", "drawing.py",
-            'xs = _chain(next_x, m.target(rv.root_darts[1]), count, "L_1")',
-            'xs = _chain(next_x, m.target(rv.root_darts[0]), count, "L_1")',
+            'xs = _chain(next_x, m.target_of[rv.root_darts[1]], count, "L_1")',
+            'xs = _chain(next_x, m.target_of[rv.root_darts[0]], count, "L_1")',
             DRAW + "test_face_counting_matches_equatorial_lines",
             ACCEPT + "test_criterion_07_placement_equivalence"),
     _mutant("partly and fully reducible faces swapped", "drawing.py",

@@ -250,7 +250,7 @@ def path_to_root(rd, v, i):
             raise DrawingError("InvalidDecomposition",
                                f"no color-{i} path from {v} to the root")
         darts.append(h)
-        w = m.target(h)
+        w = m.target_of[h]
     return darts
 
 
@@ -261,8 +261,8 @@ def region_faces(rd, v, i):
     m = rv.map
     p1 = path_to_root(rd, v, i)
     p2 = path_to_root(rd, v, _mod(i + 2, 4))
-    mid1 = {m.target(h) for h in p1[:-1]}
-    mid2 = {m.target(h) for h in p2[:-1]}
+    mid1 = {m.target_of[h] for h in p1[:-1]}
+    mid2 = {m.target_of[h] for h in p2[:-1]}
     if mid1 & mid2:
         raise DrawingError("InvalidDecomposition",
                            f"paths {i} and {_mod(i + 2, 4)} from {v} meet at "
@@ -297,12 +297,12 @@ def segments(gd):
     m = gd.host.map
     out = []
     for e, b in gd.bends.items():
-        u, w = m.origin[e], m.target(e)
+        u, w = m.origin[e], m.target_of[e]
         out.append((gd.coords[u], b, ("v", u), ("b", e)))
         out.append((b, gd.coords[w], ("b", e), ("v", w)))
     if gd.root_routes is not None:
         for t, pts in enumerate(gd.root_routes):
-            v_end = m.target(gd.host.root_darts[t])
+            v_end = m.target_of[gd.host.root_darts[t]]
             anchors = [("v", v_end)] + \
                 [("r", t, k) for k in range(1, len(pts) - 1)] + [("root",)]
             for k in range(len(pts) - 1):
@@ -377,8 +377,8 @@ def special_face_of_edge(gd, e):
     hits = []
     for f, ((a, a2, b, b2), _) in gd.markers.items():
         for g in m.face_corners(f):
-            if m.edge(g) == m.edge(e) and \
-                    (m.origin[g], m.target(g)) in ((a, a2), (b, b2)):
+            if m.edge_of[g] == m.edge_of[e] and \
+                    (m.origin[g], m.target_of[g]) in ((a, a2), (b, b2)):
                 hits.append(f)
     if len(hits) != 1:
         raise DrawingError("InternalInvariantViolation",
@@ -644,19 +644,20 @@ def chi_by_complemented_trees(s):
     dm = rv.map
     masks = [0] * dm.n_darts
     for i in range(1, d + 1):
-        in_tree = {m.edge(h) for h in s.arcs_of_color(i)}
+        in_tree = {m.edge_of[h] for h in s.arcs_of_color(i)}
         in_tree.update(ang.external_edge_ids)
-        in_tree.discard(m.edge(ang.outer_orbit[i - 1]))  # the u_i u_{i+1} edge
+        # the u_i u_{i+1} edge
+        in_tree.discard(m.edge_of[ang.outer_orbit[i - 1]])
         darts_at = [[] for _ in range(dm.n_vertices)]
         for h in range(dm.n_darts):
-            if dm.edge(h) not in in_tree:
+            if dm.edge_of[h] not in in_tree:
                 darts_at[dm.origin[h]].append(h)
         reached = {rv.root_vertex}
         q = deque([rv.root_vertex])
         while q:
             u = q.popleft()
             for h in darts_at[u]:
-                w = dm.target(h)
+                w = dm.target_of[h]
                 if w not in reached:
                     reached.add(w)
                     masks[dm.twin[h]] |= 1 << (i - 1)  # w's parent arc
@@ -687,7 +688,7 @@ def _parents(t, i, root=None):
     """v -> the target of v's color-i arc (its last one in dart order when
     it has several); the root vertex has none."""
     m = t.host.map
-    return {m.origin[h]: m.target(h) for h in range(m.n_darts)
+    return {m.origin[h]: m.target_of[h] for h in range(m.n_darts)
             if t.masks[h] >> (i - 1) & 1 and m.origin[h] != root}
 
 
@@ -766,7 +767,7 @@ def schnyder_axioms(t):
         avoid = {ang.external[j - 1], ang.external[j % ang.d]}
         arcs = [h for h in range(m.n_darts) if t.masks[h] >> (i - 1) & 1]
         leaving = Counter(m.origin[h] for h in arcs)
-        touched = set(leaving) | {m.target(h) for h in arcs}
+        touched = set(leaving) | {m.target_of[h] for h in arcs}
         up = _parents(t, i)
         out += [("ii" + prime, v, f"color {i}: another outgoing arc")
                 for v, k in leaving.items() for _ in range(k - 1)]
@@ -777,7 +778,7 @@ def schnyder_axioms(t):
         out += [("ii" + prime, v, f"color {i} path from {v} strays")
                 for v in ang.internal_vertices()
                 if _path_end(up, v) not in ext - avoid]
-    black = _black(ang.external[0], lambda v: map(m.target,
+    black = _black(ang.external[0], lambda v: map(m.target_of.__getitem__,
                                                    m.vertex_orbit(v)))
     for v in ang.internal_vertices():
         window = (1, 0) if v in black else (0, -1)
@@ -817,7 +818,7 @@ def regular_decomposition_axioms(t):
             out.append(("i", h, f"arc {h} must carry exactly one color"))
     if out:
         return out
-    root_edge = {m.edge(h): j for j, h in enumerate(rv.root_darts, start=1)}
+    root_edge = {m.edge_of[h]: j for j, h in enumerate(rv.root_darts, start=1)}
     for h in m.edges():
         a, b = t.masks[h], t.masks[m.twin[h]]
         j = root_edge.get(h)

@@ -50,7 +50,7 @@ def quad_evens(even_decompositions):
 
 def internal_edge_ids(ang):
     m = ang.map
-    outer = {m.edge(h) for h in m.faces[m.outer_face]}
+    outer = {m.edge_of[h] for h in m.faces[m.outer_face]}
     return [e for e in m.edges() if e not in outer]
 
 
@@ -202,7 +202,7 @@ def test_criterion_04_duality(study_corpus):
             rv = D.dualize(ang)
             dm = rv.map
             internal = set(internal_edge_ids(ang))
-            root_edge = [dm.edge(h) for h in rv.root_darts]
+            root_edge = [dm.edge_of[h] for h in rv.root_darts]
             for o in O.lattice_enumerate(ang):
                 s = S.phi(S.psi_inverse(o))
                 rd = D.chi(s)
@@ -214,7 +214,7 @@ def test_criterion_04_duality(study_corpus):
                 # of the duals of the internal edges missing color i, plus
                 # the root edge e_i*
                 for i in range(1, d + 1):
-                    dual_i = {dm.edge(h) for h in rd.arcs_of_color(i)}
+                    dual_i = {dm.edge_of[h] for h in rd.arcs_of_color(i)}
                     expect = {e for e in internal
                               if i not in S.colors_of(
                                   s.masks[e] | s.masks[m.twin[e]], d)}
@@ -240,11 +240,11 @@ def test_criterion_05_even_reductions(quad_evens):
         # the root edges e_1* and e_3*
         rv = rd.host
         dm = rv.map
-        excluded = {dm.edge(rv.root_darts[0]), dm.edge(rv.root_darts[2])}
+        excluded = {dm.edge_of[rv.root_darts[0]], dm.edge_of[rv.root_darts[2]]}
         colors = {e: set() for e in dm.edges()}
         for i in (1, 2):
             for h in rrd.arcs_of_color(i):
-                colors[dm.edge(h)].add(i)
+                colors[dm.edge_of[h]].add(i)
         for e, cs in colors.items():
             assert len(cs) == (0 if e in excluded else 1)
         structures += 1
@@ -286,7 +286,7 @@ def _check_host_drawing(rv):
         px, py = gd.coords[v]
         drawn = []
         for p, h in enumerate(orbit):
-            e = m.edge(h)
+            e = m.edge_of[h]
             if e not in gd.bends:
                 continue
             bx, by = gd.bends[e]

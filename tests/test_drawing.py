@@ -8,6 +8,7 @@ import pytest
 
 from schnyder_kit.errors import DrawingError
 from schnyder_kit.planar_map import as_angulation, as_regular
+import schnyder_kit.orientation as O
 import schnyder_kit.schnyder as S
 import schnyder_kit.duality as D
 import schnyder_kit.even as E
@@ -15,7 +16,7 @@ import schnyder_kit.drawing as DR
 
 import instances as I
 from oracles import (
-    bend_count, check_planarity, place_by_face_counting,
+    bend_count, check_planarity, is_even, place_by_face_counting,
     special_face_of_edge,
 )
 from sweep import check_orthogonal_planarity
@@ -67,7 +68,7 @@ def test_grid_permutation_and_boundaries():
         n = rv.map.n_vertices
         assert sorted(x for x, _ in gd.coords.values()) == list(range(n - 1))
         assert sorted(y for _, y in gd.coords.values()) == list(range(n - 1))
-        ends = [rv.map.target(e) for e in rv.root_darts]
+        ends = [rv.map.target_of[e] for e in rv.root_darts]
         assert gd.coords[ends[0]][1] == 0          # v_1* on the down side
         assert gd.coords[ends[1]][0] == 0          # v_2* on the left side
         assert gd.coords[ends[2]][1] == n - 2      # v_3* on the up side
@@ -119,7 +120,7 @@ def _dual_degree_classification(ang, rd):
     for i in (1, 2):
         for h in rs.arcs_of_color(i):
             deg[m.origin[h]][i - 1] += 1
-            deg[m.target(h)][i - 1] += 1
+            deg[m.target_of[h]][i - 1] += 1
     u = ang.external
     tree_ext = {1: [(u[0], u[1]), (u[0], u[3])], 2: [(u[2], u[1]), (u[2], u[3])]}
     for i, pairs in tree_ext.items():
@@ -135,7 +136,7 @@ def _dual_degree_classification(ang, rd):
             cls = "fully_reducible"
         else:
             cls = "non_reducible"
-        out[D.dual_face_of_vertex(ang, rv, v)] = cls
+        out[I.dual_face_of_vertex(ang, rv, v)] = cls
     return out
 
 
@@ -149,6 +150,35 @@ def test_face_classification_matches_dual_degrees(even_decompositions):
             assert {f: info.cls for f, info in fc.items()} == oracle
             seen.update(info.cls for info in fc.values())
     assert seen == {"non_reducible", "partly_reducible", "fully_reducible"}
+
+
+def test_unique_special_edges_fix_the_bend_pattern(study_corpus):
+    """face_markers checks only that a face has one special edge of each
+    kind: on every regular decomposition of the duals of the d = 4 corpus,
+    even or not, a face that has them has the whole pattern, (4, 3), a
+    run of (2, 3), (2, 1), a run of (4, 1), one color lower when white."""
+    checked = Counter()
+    for ang in study_corpus[4]:
+        for o in O.lattice_enumerate(ang):
+            rd = D.chi(S.phi(S.psi_inverse(o)))
+            m, fb = rd.host.map, E.black_faces(rd.host)
+            for f in rd.host.non_root_faces():
+                pats = [(rd.masks[g].bit_length(),
+                         rd.masks[m.twin[g]].bit_length())
+                        for g in m.face_corners(f)]
+                a, run1, b, run2 = ((S._mod(i - (not fb[f]), 4),
+                                     S._mod(j - (not fb[f]), 4))
+                                    for i, j in ((4, 3), (2, 3), (2, 1),
+                                                 (4, 1)))
+                if pats.count(a) != 1 or pats.count(b) != 1:
+                    continue
+                k = pats.index(a)
+                pats = pats[k:] + pats[:k]
+                k = pats.index(b)
+                assert pats == [a] + [run1] * (k - 1) + [b] + \
+                    [run2] * (len(pats) - k - 1)
+                checked[is_even(o)] += 1
+    assert checked[True] > 1000 and checked[False] > 10
 
 
 def test_a_drawing_parses_each_face_once(monkeypatch):
@@ -249,12 +279,12 @@ def test_straight_line_drawing_and_empty_rectangles():
         gd = DR.orthogonal_drawing(rd, coords)
         for e in DR.collapsed_edges(rv):
             special_face_of_edge(gd, e)
-            (x1, y1), (x2, y2) = coords[m.origin[e]], coords[m.target(e)]
+            (x1, y1), (x2, y2) = coords[m.origin[e]], coords[m.target_of[e]]
             lo_x, hi_x = sorted((x1, x2))
             lo_y, hi_y = sorted((y1, y2))
             inside = [v for v, (x, y) in coords.items()
                       if lo_x <= x <= hi_x and lo_y <= y <= hi_y]
-            assert sorted(inside) == sorted((m.origin[e], m.target(e)))
+            assert sorted(inside) == sorted((m.origin[e], m.target_of[e]))
 
 
 def test_degenerate_two_vertex_host():
@@ -331,7 +361,7 @@ def _bend_flipped(gd, e):
     """gd with the bend of edge e moved to the other corner of the box
     spanned by its ends, or None when that corner is an end."""
     m = gd.host.map
-    (xu, yu), (xw, yw) = gd.coords[m.origin[e]], gd.coords[m.target(e)]
+    (xu, yu), (xw, yw) = gd.coords[m.origin[e]], gd.coords[m.target_of[e]]
     b = (xw, yu) if gd.bends[e] == (xu, yw) else (xu, yw)
     if b in ((xu, yu), (xw, yw)):
         return None

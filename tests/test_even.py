@@ -73,7 +73,7 @@ def test_reduced_forest_shape():
             roots = {ang.external[2 * i - 1], ang.external[(2 * i) % ang.d]}
             touched = set()
             for h in rs.arcs_of_color(i):
-                touched.update((m.origin[h], m.target(h)))
+                touched.update((m.origin[h], m.target_of[h]))
             assert touched.isdisjoint(roots)
 
 
@@ -86,9 +86,11 @@ def test_p2_non_crossing_spanning_trees():
         u = ang.external
         ext_edge = {}  # edge id of each external edge {u_i, u_{i+1}}
         for t, h in enumerate(ang.outer_orbit):
-            ext_edge[t] = m.edge(h)
-        t1 = {m.edge(h) for h in rs.arcs_of_color(1)} | {ext_edge[3], ext_edge[0]}
-        t2 = {m.edge(h) for h in rs.arcs_of_color(2)} | {ext_edge[1], ext_edge[2]}
+            ext_edge[t] = m.edge_of[h]
+        t1 = {m.edge_of[h] for h in rs.arcs_of_color(1)} | \
+            {ext_edge[3], ext_edge[0]}
+        t2 = {m.edge_of[h] for h in rs.arcs_of_color(2)} | \
+            {ext_edge[1], ext_edge[2]}
         assert t1.isdisjoint(t2)
         assert t1 | t2 == set(m.edges())
         # each tree spans every vertex except one opposite external corner
@@ -99,7 +101,7 @@ def test_p2_non_crossing_spanning_trees():
             while frontier:
                 frontier = False
                 for e in tree:
-                    a, b = m.origin[e], m.target(e)
+                    a, b = m.origin[e], m.target_of[e]
                     if (a in seen) != (b in seen):
                         seen.update((a, b))
                         frontier = True
@@ -122,10 +124,10 @@ def test_reduced_regular_partition():
         rv = rd.host
         m = rv.map
         rrd = E.lambda_star(rd)
-        odd_roots = {m.edge(rv.root_darts[0]), m.edge(rv.root_darts[2])}
+        odd_roots = {m.edge_of[rv.root_darts[0]], m.edge_of[rv.root_darts[2]]}
         covered = []
         for i in (1, 2):
-            covered += [m.edge(h) for h in rrd.arcs_of_color(i)]
+            covered += [m.edge_of[h] for h in rrd.arcs_of_color(i)]
         assert sorted(covered) == sorted(set(m.edges()) - odd_roots)
 
 
@@ -147,7 +149,7 @@ def test_face_colors_match_primal_vertices():
     fb = E.black_faces(rv)
     bv = E.black_vertices(ang)
     for v in range(ang.map.n_vertices):
-        assert fb[D.dual_face_of_vertex(ang, rv, v)] == bv[v]
+        assert fb[I.dual_face_of_vertex(ang, rv, v)] == bv[v]
     assert bv[ang.external[0]] and not bv[ang.external[1]]
 
 
@@ -165,6 +167,22 @@ def test_compute_even_regular_decomposition():
         # the even trees pair into a partition of the non-odd-root edges
         rrd = E.lambda_star(rd)
         assert E.validate_reduced_regular(rrd) == []
+
+
+def test_even_hosts_are_bipartite_and_the_pipeline_even(study_corpus):
+    """black_vertices and black_faces wrap no error: every quadrangulation
+    of the corpus is bipartite, and so is its 4-regular dual's face
+    adjacency.  And compute_even_regular_decomposition checks no parity:
+    its result is even on every dual of the corpus."""
+    for ang in study_corpus[4]:
+        rv = D.dualize(ang)
+        black, fb = E.black_vertices(ang), E.black_faces(rv)
+        m = ang.map
+        assert all(black[m.origin[h]] != black[m.target_of[h]]
+                   for h in range(m.n_darts))
+        assert all(fb[rv.map.face_of[h]] != fb[rv.map.face_of[m.twin[h]]]
+                   for h in range(m.n_darts))
+        assert E.is_even_regular(E.compute_even_regular_decomposition(rv))
 
 
 def test_mincut_too_small():
@@ -194,7 +212,7 @@ def test_json_round_trips():
     assert rs2.masks == rs.masks
     rrd = E.lambda_star(D.chi(s))
     rrd2 = E.ReducedRegularDecomposition.from_json_obj(
-        rrd.to_json_obj(), rrd.host, primal=ang)
+        rrd.to_json_obj(), rrd.host)
     assert rrd2.masks == rrd.masks
     with pytest.raises(EvenError):
         E.ReducedSchnyderDecomposition.from_json_obj(s.to_json_obj(), ang)

@@ -55,8 +55,32 @@ def test_alpha_k_infeasible_certificate():
     if cert is not None:
         cs = set(cert)
         inner = sum(1 for e in c.internal_edges()
-                    if m.origin[e] in cs and m.target(e) in cs)
+                    if m.origin[e] in cs and m.target_of[e] in cs)
         assert sum(alpha[v] for v in cert) < 1 * inner
+
+
+def test_certificate_search_skips_a_tight_component():
+    """Unreached vertices a-b (a wants its edge, b nothing) form a
+    component that is not violated, and the triangle c, d, e (wanting
+    nothing) one that is: the search passes over b, already in a's
+    component, and certifies the triangle.  Path a-b-x-c, triangle c d e,
+    k = 1, alpha(x) = 5 for x's two edges."""
+    coords = [(-3.0, 0.0), (-2.0, 0.0), (0.0, 0.0), (1.0, 1.0), (1.0, -1.0),
+              (-1.0, 0.0)]
+    m = I.map_from_coords(coords, [(0, 1), (1, 5), (5, 2), (2, 3), (3, 4),
+                                   (4, 2)])
+    with pytest.raises(OrientationError) as ei:
+        O.compute_alpha_k_orientation(m, m.edges(), [1, 0, 0, 0, 0, 5], 1)
+    assert ei.value.kind == "NoSolution"
+    assert ei.value.certificate == [2, 3, 4]
+
+
+def test_every_angulation_closes_a_d_cycle(study_corpus):
+    """The outer face of a view from as_angulation is a d-cycle, so the
+    girth check of the flow needs no case for acyclic maps."""
+    for d, angs in study_corpus.items():
+        for ang in angs:
+            assert ang.map.girth() <= d
 
 
 def test_alpha_sum_mismatch():

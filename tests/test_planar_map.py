@@ -26,7 +26,7 @@ def test_basic_invariants(make):
     for d in range(n):
         assert m.twin[m.twin[d]] == d
         assert m.twin[d] != d
-    assert sum(m.face_degree(f) for f in range(m.n_faces)) == 2 * m.n_edges
+    assert sum(map(len, m.faces)) == 2 * m.n_edges
     assert sum(len(m.vertex_orbit(v))
                for v in range(m.n_vertices)) == 2 * m.n_edges
     assert m.n_vertices - m.n_edges + m.n_faces == 2
@@ -200,6 +200,6 @@ def test_bipartition():
     col = c.bipartition_from(av.external[0])
     assert col[av.external[0]] is True
     for h in c.edges():
-        assert col[c.origin[h]] != col[c.target(h)]
+        assert col[c.origin[h]] != col[c.target_of[h]]
     with pytest.raises(MapError):
         I.tetrahedron().bipartition_from(0)

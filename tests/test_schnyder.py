@@ -52,8 +52,8 @@ def test_validator_messages_name_the_broken_path():
     s = S.phi(S.psi_inverse(O.compute_dd2_orientation(ang)))
     m = ang.map
     internal = ang.internal_vertices()
-    h = next(h for h in s.arcs_of_color(1) if m.target(h) in internal)
-    v, w = m.origin[h], m.target(h)
+    h = next(h for h in s.arcs_of_color(1) if m.target_of[h] in internal)
+    v, w = m.origin[h], m.target_of[h]
     g = next(g for g in m.vertex_orbit(w) if s.masks[g] & 1)
     masks = list(s.masks)
     masks[g], masks[m.twin[h]] = masks[m.twin[h]], masks[g]

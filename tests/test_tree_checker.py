@@ -84,7 +84,7 @@ def mutations(t):
             break
     # v -> w in color 1, then w's color-1 arc turned back onto w -> v
     for h in t.arcs_of_color(1):
-        w = m.target(h)
+        w = m.target_of[h]
         g = next((g for g in m.vertex_orbit(w) if t.masks[g] & 1), None)
         if w != root and g is not None and g != m.twin[h]:
             out.append(_swapped(t.masks, g, m.twin[h]))
