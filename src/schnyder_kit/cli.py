@@ -8,8 +8,9 @@ where the payload keys are "orientation", "labelling", "schnyder" on a
 primal host and "regular_labelling", "regular_decomposition" on a dual
 host (dual documents also carry "root_vertex" and "first_root_dart" so the
 rooted view can be rebuilt).  A bare plane-map object is accepted wherever
-a document is.  All outputs are deterministic: identical invocations write
-byte-identical files, and every run's randomness flows from --seed.
+a document is, and every payload is checked as validate checks it before
+a command uses it.  All outputs are deterministic: identical invocations
+write byte-identical files, and every run's randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -80,31 +81,46 @@ def _regular_view(doc, args, root=None):
     return as_regular(m, _doc_d(doc, args), root=root)
 
 
-PRIMAL_KINDS = ("orientation", "labelling", "schnyder")
+# view -> payload key -> (table, check), primal keys in the order of Psi^-1
+# and Phi: validate, convert and dualize read every payload this way.  A
+# check returns the violations of a payload (none when it is valid); the
+# orientation's raises InvalidOrientation instead.
+PAYLOADS = {
+    "angulation": {
+        "orientation": (orientation_mod.FracOrientation,
+                        orientation_mod.require_dd2_orientation),
+        "labelling": (schnyder_mod.CornerLabelling,
+                      schnyder_mod.validate_labelling),
+        "schnyder": (schnyder_mod.SchnyderDecomposition,
+                     schnyder_mod.validate_schnyder),
+    },
+    "regular": {
+        "regular_labelling": (duality_mod.RegularLabelling,
+                              duality_mod.validate_regular_labelling),
+        "regular_decomposition": (duality_mod.RegularDecomposition,
+                                  duality_mod.validate_regular_decomposition),
+    },
+}
 
 
-def _read_primal_payload(doc, ang, kind):
+def _valid_payload(doc, ang, kind):
+    """doc's `kind` payload on ang; a missing or invalid one raises."""
     if kind not in doc:
         raise MapError("MissingPayload", f"document has no '{kind}' payload")
-    if kind == "orientation":
-        return orientation_mod.FracOrientation.from_json_obj(
-            doc[kind], ang.map, host=ang)
-    if kind == "labelling":
-        return schnyder_mod.CornerLabelling.from_json_obj(doc[kind], ang)
-    return schnyder_mod.SchnyderDecomposition.from_json_obj(doc[kind], ang)
+    table, check = PAYLOADS["angulation"][kind]
+    return schnyder_mod.require_valid(table.from_json_obj(doc[kind], ang),
+                                      check)
 
 
 def _convert_primal(value, src, dst):
-    chain = {"orientation": 0, "labelling": 1, "schnyder": 2}
-    steps_up = [None, schnyder_mod.psi_inverse, schnyder_mod.phi]
-    steps_down = [None, schnyder_mod.psi, schnyder_mod.phi_inverse]
-    i, j = chain[src], chain[dst]
-    while i < j:
-        value = steps_up[i + 1](value)
-        i += 1
-    while i > j:
-        value = steps_down[i](value)
-        i -= 1
+    """value mapped from src to dst: by Psi^-1 and Phi up the primal keys
+    of PAYLOADS, by Phi^-1 and Psi down."""
+    chain = list(PAYLOADS["angulation"])
+    i, j = chain.index(src), chain.index(dst)
+    for step in (schnyder_mod.psi_inverse, schnyder_mod.phi)[i:j]:
+        value = step(value)
+    for step in (schnyder_mod.phi_inverse, schnyder_mod.psi)[2 - i:2 - j]:
+        value = step(value)
     return value
 
 
@@ -112,36 +128,17 @@ def _convert_primal(value, src, dst):
 
 def _cmd_validate(args, out):
     doc = _load_doc(args.input)
-    report = {"ok": True, "checked": []}
-    if args.view == "regular":
-        host = _regular_view(doc, args)
-        report["checked"].append("regular")
-        kinds = (("regular_labelling", duality_mod.RegularLabelling,
-                  duality_mod.validate_regular_labelling),
-                 ("regular_decomposition", duality_mod.RegularDecomposition,
-                  duality_mod.validate_regular_decomposition))
-    else:
-        host = _angulation(doc, args)
-        report["checked"].append("angulation")
-        kinds = (("labelling", schnyder_mod.CornerLabelling,
-                  schnyder_mod.validate_labelling),
-                 ("schnyder", schnyder_mod.SchnyderDecomposition,
-                  schnyder_mod.validate_schnyder))
-    for kind, table, validator in kinds:
+    view = _regular_view if args.view == "regular" else _angulation
+    host = view(doc, args)
+    report = {"ok": True, "checked": [args.view]}
+    for kind, (table, check) in PAYLOADS[args.view].items():
         if kind in doc:
-            bad = validator(table.from_json_obj(doc[kind], host))
+            bad = check(table.from_json_obj(doc[kind], host))
             report["checked"].append(kind)
             if bad:
                 report["ok"] = False
                 report.setdefault("violations", {})[kind] = \
                     [list(b) for b in bad]
-    if args.view != "regular" and "orientation" in doc:
-        # a d/(d-2)-orientation: outdegree d inside, 0 at u_1..u_d
-        alpha = [0] * host.map.n_vertices
-        for v in host.internal_vertices():
-            alpha[v] = host.d
-        _read_primal_payload(doc, host, "orientation").validate(alpha)
-        report["checked"].append("orientation")
     out.write(_dump(report))
     return 0 if report["ok"] else 1
 
@@ -164,7 +161,7 @@ def _cmd_orient(args, out):
 def _cmd_convert(args, out):
     doc = _load_doc(args.input)
     ang = _angulation(doc, args)
-    value = _read_primal_payload(doc, ang, args.src)
+    value = _valid_payload(doc, ang, args.src)
     result = _convert_primal(value, args.src, args.dst)
     out.write(_dump({"map": ang.map.to_json_obj(), "d": ang.d,
                      args.dst: result.to_json_obj()}))
@@ -179,7 +176,7 @@ def _cmd_dualize(args, out):
               "root_vertex": rv.root_vertex,
               "first_root_dart": rv.root_darts[0]}
     if "schnyder" in doc:
-        s = _read_primal_payload(doc, ang, "schnyder")
+        s = _valid_payload(doc, ang, "schnyder")
         result["regular_decomposition"] = duality_mod.chi(s).to_json_obj()
     out.write(_dump(result))
     return 0
@@ -296,8 +293,9 @@ def build_parser():
                             "Schnyder decomposition")
     q.add_argument("input")
     q.add_argument("--d", type=int)
-    q.add_argument("--from", dest="src", choices=PRIMAL_KINDS, required=True)
-    q.add_argument("--to", dest="dst", choices=PRIMAL_KINDS, required=True)
+    kinds = PAYLOADS["angulation"]
+    q.add_argument("--from", dest="src", choices=kinds, required=True)
+    q.add_argument("--to", dest="dst", choices=kinds, required=True)
     q.set_defaults(fn=_cmd_convert)
 
     q = sub.add_parser("dualize",

@@ -17,7 +17,8 @@ from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
     CornerLabelling, DartTable, _corner_colors, _corner_violations, _sweep,
-    _vertex_violations, phi, validate_labelling, validate_schnyder,
+    _vertex_violations, phi, require_valid, validate_labelling,
+    validate_schnyder,
 )
 
 
@@ -68,9 +69,7 @@ def primal_labelling(r):
     if r.primal is None:
         raise DualityError("NoPrimalHost",
                            "regular labelling lacks a primal angulation host")
-    bad = validate_regular_labelling(r)
-    if bad:
-        raise DualityError("InvalidLabelling", str(bad[:3]))
+    require_valid(r, validate_regular_labelling)
     nxt = r.primal.map.next_cw
     colors = tuple(r.colors[nxt[h]] for h in range(r.primal.map.n_darts))
     return CornerLabelling(host=r.primal, colors=colors)
@@ -104,9 +103,7 @@ def _vertex_steps(rv):
 def xi(r):
     """Regular decomposition of a regular labelling: each arc leaving a
     non-root vertex takes the color of its clockwise-preceding corner."""
-    bad = validate_regular_labelling(r)
-    if bad:
-        raise DualityError("InvalidLabelling", str(bad[:3]))
+    require_valid(r, validate_regular_labelling)
     rv = r.host
     m = rv.map
     masks = [0] * m.n_darts
@@ -125,9 +122,7 @@ def xi_inverse(rd):
     conditions for a regular labelling are the test oracle
     tests/oracles.sufficiency_violations.
     """
-    bad = validate_regular_decomposition(rd)
-    if bad:
-        raise DualityError("InvalidDecomposition", str(bad[:3]))
+    require_valid(rd, validate_regular_decomposition)
     rv = rd.host
     m = rv.map
     colors = [None] * m.n_darts

@@ -23,7 +23,7 @@ from .duality import (
 from .orientation import compute_p_p1_orientation, double
 from .schnyder import (
     DartTable, SchnyderDecomposition, _primal_violations, colors_of, phi,
-    psi_inverse,
+    psi_inverse, require_valid,
 )
 from . import duality as _duality
 
@@ -98,7 +98,6 @@ class ReducedSchnyderDecomposition(DartTable):
     REDUCED = True
     ERROR = EvenError
     KIND = "NotEven"
-    p = DartTable.n_colors
 
 
 class ReducedRegularDecomposition(DartTable):
@@ -109,7 +108,6 @@ class ReducedRegularDecomposition(DartTable):
     REDUCED = True
     ERROR = EvenError
     KIND = "NotEven"
-    p = DartTable.n_colors
 
 
 def _spread_even(mask, p):
@@ -143,9 +141,7 @@ def lambda_inverse(rs):
     gives a valid output, and it has no colors at external vertices."""
     ang = rs.host
     p = _require_even_d(ang.d)
-    bad = validate_reduced_schnyder(rs)
-    if bad:
-        raise EvenError("NotEven", str(bad[:3]))
+    require_valid(rs, validate_reduced_schnyder)
     full = (1 << ang.d) - 1
     evens = {mk: _spread_even(mk, p) for mk in set(rs.masks)}
     # color 2i also as 2i - 1 at black vertices, as 2i + 1 (mod d) at white
@@ -186,9 +182,7 @@ def lambda_star_inverse(rrd):
     so a valid reduced input gives an even output."""
     rv = rrd.host
     p = _require_even_d(rv.d)
-    bad = validate_reduced_regular(rrd)
-    if bad:
-        raise EvenError("NotEven", str(bad[:3]))
+    require_valid(rrd, validate_reduced_regular)
     m = rv.map
     full = [_spread_even(mk, p) for mk in rrd.masks]
     for h in range(m.n_darts):

@@ -68,10 +68,11 @@ class FracOrientation:
         return {"k": self.k, "values": list(self.values)}
 
     @classmethod
-    def from_json_obj(cls, obj, m, host=None):
-        """The orientation of a JSON object {"k", "values"} on m, after
+    def from_json_obj(cls, obj, host):
+        """The orientation of a JSON object {"k", "values"} on host, after
         checking its shape: k a non-negative integer and values one integer
         in [-1, k] per dart.  Anything else raises InvalidOrientation."""
+        m = host.map
         k = obj.get("k") if isinstance(obj, dict) else None
         if type(k) is not int or k < 0:
             raise OrientationError("InvalidOrientation", "an orientation is "
@@ -288,12 +289,28 @@ def _angulation_orientation(ang, out, k):
     """The k-fractional orientation of the internal edges of a girth-d
     d-angulation with outdegree out at every internal vertex."""
     _require_girth(ang, ang.d)
-    m = ang.map
-    alpha = [0] * m.n_vertices
-    for v in ang.internal_vertices():
-        alpha[v] = out
-    o = compute_alpha_k_orientation(m, ang.internal_edges(), alpha, k)
+    o = compute_alpha_k_orientation(ang.map, ang.internal_edges(),
+                                    _outdegrees(ang, out), k)
     return replace(o, host=ang)
+
+
+def _outdegrees(ang, out):
+    """out at each internal vertex of ang, 0 at u_1..u_d."""
+    return [0 if v in ang.external else out
+            for v in range(ang.map.n_vertices)]
+
+
+def require_dd2_orientation(o):
+    """InvalidOrientation unless o is a d/(d-2)-orientation of o.host:
+    k = d - 2, each oriented edge's values summing to k, outdegree d at
+    the internal vertices and 0 at u_1..u_d.  Then exactly the internal
+    edges are oriented: an outer edge joins two vertices of outdegree 0,
+    and by Euler's formula the outdegrees sum to d(V - d) = k(E - d), k
+    per oriented edge, E - d the number of internal edges."""
+    if o.k != o.host.d - 2:
+        raise OrientationError("InvalidOrientation",
+                               f"k={o.k}, expected d-2={o.host.d - 2}")
+    o.validate(_outdegrees(o.host, o.host.d))
 
 
 def _require_girth(ang, d):

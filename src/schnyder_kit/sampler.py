@@ -75,10 +75,6 @@ class EncodingTriple:
     beta: tuple
     gamma: tuple
 
-    @property
-    def r(self):
-        return len(self.alpha)
-
 
 def _spanning_trees(ang, t, i, j):
     """(T1', [T1' degree, T2' degree] per vertex), F1' and F2' being the

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import lt
 
 from .errors import SchnyderError
-from .orientation import FracOrientation
+from .orientation import FracOrientation, require_dd2_orientation
 from .planar_map import AngulationView
 
 
@@ -147,6 +147,15 @@ class DartTable:
         return cls(host=host, masks=tuple(mask_of(r, n) for r in rows))
 
 
+def require_valid(t, check):
+    """t, unless check(t) finds violations: then the ERROR(KIND) of t's
+    class names the first three."""
+    bad = check(t)
+    if bad:
+        raise t.ERROR(t.KIND, "; ".join(v[2] for v in bad[:3]))
+    return t
+
+
 class CornerLabelling(DartTable):
     """A clockwise labelling: colors[h] = color of corner(h), in 1..d."""
     KEY = "corner_colors"
@@ -220,11 +229,7 @@ def clockwise_jump(l, h):
 def psi(l):
     """Clockwise-jump orientation of a valid labelling (a d/(d-2)-orientation;
     only l is validated: its axioms make the jumps on each edge sum to d-2)."""
-    ang = l.host
-    bad = validate_labelling(l)
-    if bad:
-        raise SchnyderError("InvalidLabelling", "; ".join(
-            v[2] for v in bad[:3]))
+    ang = require_valid(l, validate_labelling).host
     m = ang.map
     vals = [-1] * m.n_darts
     for h in ang.internal_darts():
@@ -240,13 +245,16 @@ def psi_inverse(o):
     steps by the value of next_cw(a) (external edges count 0); to the next
     corner clockwise around their face, twin(next_cw(a)), it steps by +1 on
     the outer face and -1 on the others.  These steps close the vertex and
-    face cycles, so on a connected map they reach every corner, and each
-    relation is checked once.  The result is validated, which checks the
-    outdegrees of o.
+    face cycles, so on a connected map they reach every corner.  Only o
+    is checked (require_dd2_orientation): Psi is a bijection from the
+    labellings onto the d/(d-2)-orientations, so o = Psi(l) for one l.
+    Each step follows a relation of l, from the color 1 of l at the seed,
+    so the propagation meets no conflict and returns l.
     """
     ang = o.host
     if ang is None:
         raise SchnyderError("InvalidOrientation", "orientation lacks an angulation host")
+    require_dd2_orientation(o)
     m = ang.map
     d = ang.d
     values, next_cw, twin, face_of = o.values, m.next_cw, m.twin, m.face_of
@@ -259,19 +267,10 @@ def psi_inverse(o):
         h = next_cw[a]
         face_step = 1 if face_of[h] == m.outer_face else -1
         for b, delta in ((h, max(values[h], 0)), (twin[h], face_step)):
-            c = _mod(colors[a] + delta, d)
             if colors[b] is None:
-                colors[b] = c
+                colors[b] = _mod(colors[a] + delta, d)
                 stack.append(b)
-            elif colors[b] != c:
-                raise SchnyderError("PropagationConflict",
-                                    f"corner {b}: {colors[b]} vs {c}")
-    l = CornerLabelling(host=ang, colors=tuple(colors))
-    bad = validate_labelling(l)
-    if bad:
-        raise SchnyderError("PropagationConflict",
-                            f"propagated labelling invalid: {bad[:3]}")
-    return l
+    return CornerLabelling(host=ang, colors=tuple(colors))
 
 
 # -- Phi and Gamma --------------------------------------------------------
@@ -303,9 +302,7 @@ def phi_inverse(s):
     """The labelling l with phi(l) = s, read off s by _corner_colors.  Only
     the input is validated: Phi is a bijection between labellings and
     Schnyder decompositions, so a valid s is phi of the result."""
-    bad = validate_schnyder(s)
-    if bad:
-        raise SchnyderError("InvalidDecomposition", str(bad[:3]))
+    require_valid(s, validate_schnyder)
     return CornerLabelling(host=s.host, colors=_corner_colors(s))
 
 

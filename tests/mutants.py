@@ -274,6 +274,15 @@ MUTANTS = [
             "if a >= 0 and (a + b != self.k or a > self.k or b > self.k):",
             "if a >= 0 and (a > self.k or b > self.k):",
             INPUT + "test_cli_input_errors"),
+    _mutant("the d/(d-2) check ignores k", "orientation.py",
+            "    if o.k != o.host.d - 2:\n",
+            "    if False:\n",
+            INPUT + "test_cli_input_errors"),
+    _mutant("convert uses a labelling payload unchecked", "cli.py",
+            "doc[kind], ang),\n                                      check)",
+            "doc[kind], ang),\n                                      check "
+            "if kind != \"labelling\" else lambda t: [])",
+            INPUT + "test_cli_input_errors"),
     _mutant("decode takes beta and gamma of unequal lengths", "sampler.py",
             "    if len(beta) != len(gamma):",
             "    if False:",

@@ -208,23 +208,28 @@ LATTICE_HOSTS = {
     # the hubs come first, so the circuits through one of them share their
     # least vertex and come out in the order of its rotation
     "pseudo double wheel 7, labels reversed":
-        lambda: _labels_reversed(I.pseudo_double_wheel(7)),
-    "concentric 4": lambda: I.concentric_quadrangulation(4),
-    "ringed 5+8": lambda: I.ringed_quadrangulation(5, 8, random.Random(58)),
-    "ringed 6+10": lambda: I.ringed_quadrangulation(6, 10, random.Random(610)),
+        (4, lambda: _labels_reversed(I.pseudo_double_wheel(7))),
+    "concentric 4": (4, lambda: I.concentric_quadrangulation(4)),
+    "ringed 5+8":
+        (4, lambda: I.ringed_quadrangulation(5, 8, random.Random(58))),
+    "ringed 6+10":
+        (4, lambda: I.ringed_quadrangulation(6, 10, random.Random(610))),
+    "icosahedron": (3, lambda: I.dodecahedron().dual()),
+    "dodecahedron": (5, I.dodecahedron),
 }
 
 
 def test_lattice_stdout_is_pinned(tmp_path):
     # digests of lattice enumerate and count stdout on hosts with 21, 27,
-    # 81 and 243 orientations: the elements come in the order of the cycle
-    # listing, which the count alone would not see
+    # 81 and 243 orientations at d = 4, 106 at d = 3 and 312 at d = 5: the
+    # elements come in the order of the cycle listing, which the count
+    # alone would not see
     digests = {}
-    for name, host in LATTICE_HOSTS.items():
+    for name, (d, host) in LATTICE_HOSTS.items():
         path = tmp_path / "host.json"
-        path.write_text(json.dumps({"map": host().to_json_obj(), "d": 4}))
+        path.write_text(json.dumps({"map": host().to_json_obj(), "d": d}))
         for action in ("enumerate", "count"):
-            rc, text = run(["lattice", str(path), "--d", "4", action])
+            rc, text = run(["lattice", str(path), "--d", str(d), action])
             assert rc == 0
             digests[name, action] = _sha256(text)
     assert digests == {
@@ -243,7 +248,15 @@ def test_lattice_stdout_is_pinned(tmp_path):
         ("ringed 6+10", "enumerate"):
             "e91fbcc945ad79ced7e5bbbb6eee4152c566aefe531cf66311e14aae41d98981",
         ("ringed 6+10", "count"):
-            "f1c5521e705a149b7b9093cf018613362595d18ace827e64dcb6e0b1c921b149"}
+            "f1c5521e705a149b7b9093cf018613362595d18ace827e64dcb6e0b1c921b149",
+        ("icosahedron", "enumerate"):
+            "3f9378dea9fb23eeec5e72429afc660644aa8d43e385c6511aa192dfc7685c1f",
+        ("icosahedron", "count"):
+            "f9409a6a69dee05b6f6c70419c4d23799cdceb282e1c44ebb7a7dfa67adf2da7",
+        ("dodecahedron", "enumerate"):
+            "9c0a280eff363691ffc6533d3066a44aedbabc227ff19fef1e893a66844d36cf",
+        ("dodecahedron", "count"):
+            "604f59f39829f5a6a75ceb90ef92d0ff2f8c8484c6d55deacae942e8d11a93d4"}
 
 
 def test_draw_stdout_is_pinned(tmp_path):
@@ -793,7 +806,7 @@ def _argv(draw, inputs, outputs):
     one or not, on the cube documents mostly, at most 2 samples on at most
     2 workers; one in ten argvs loses a token or gains a stray one."""
     out = st.sampled_from(outputs)
-    kinds = st.sampled_from(cli.PRIMAL_KINDS)
+    kinds = st.sampled_from(list(cli.PAYLOADS["angulation"]))
     command = draw(st.sampled_from(["validate", "orient", "convert",
                                     "dualize", "lattice", "draw", "sample",
                                     "enumerate"]))

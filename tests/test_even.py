@@ -64,7 +64,7 @@ def test_lambda_round_trip():
 def test_reduced_forest_shape():
     for ang in quad_corpus():
         rs = E.lambda_(even_schnyder_of(ang))
-        p = rs.p
+        p = rs.n_colors
         m = ang.map
         for h in ang.internal_edges():
             total = bin(rs.masks[h] | rs.masks[m.twin[h]]).count("1")

@@ -81,8 +81,8 @@ def _overfill(values, o):
 def wrong_outdegrees():
     """cube_plus with an orientation whose edges sum to k but whose
     vertices 8 and 4 have outdegree 0 and 2d: every vertex and face cycle
-    closes mod d, so the colors propagate without conflict, and only the
-    check of the propagated labelling refuses it."""
+    closes mod d, so the colors would propagate without conflict; the
+    d/(d-2) check that psi_inverse makes of its input refuses it."""
     ang = as_angulation(I.cube_plus(), 4)
     alpha = [4 * (v in ang.internal_vertices())
              for v in range(ang.map.n_vertices)]
@@ -90,6 +90,30 @@ def wrong_outdegrees():
     alpha[4] += 4
     o = O.compute_alpha_k_orientation(ang.map, ang.internal_edges(), alpha, 2)
     return doc_of(ang.map, orientation=o.to_json_obj())
+
+
+def cube_orientation_with_k_equal_d():
+    """The cube with k = 4 = d, each inner vertex oriented toward its
+    outer neighbour only: every outdegree and every edge sum is right, so
+    only the check that k = d - 2 refuses it."""
+    ang = as_angulation(I.cube(), 4)
+    m, ext = ang.map, set(ang.external)
+    values = [-1] * m.n_darts
+    for h in ang.internal_darts():
+        if m.origin[h] not in ext and m.target_of[h] in ext:
+            values[h], values[m.twin[h]] = 4, 0
+    return doc_of(m, orientation={"k": 4, "values": values})
+
+
+def recoloured_cube_labelling():
+    """The cube's labelling with the first corner of internal vertex 4
+    recoloured.  Phi itself checks nothing, so only the check of the
+    payload as it is read refuses it."""
+    l = cube_labelling()
+    colors = list(l.colors)
+    h = l.host.map.vertex_darts[4]
+    colors[h] = colors[h] % 4 + 1
+    return doc_of(l.host.map, labelling={"corner_colors": colors})
 
 
 def hexangulation_with_bridges():
@@ -156,6 +180,14 @@ CLI_ERRORS = {
         lambda: octahedron_doc(root_vertex=0, first_root_dart=1),
         ["validate", "--as", "regular"],
         "planar_map", "NotDRegular", "first root dart"),
+    "draw at a root past the vertices": (
+        octahedron_doc, ["draw", "--root", "6"],
+        "planar_map", "NotDRegular", "root 6 is not a vertex"),
+    "schnyder payload with the wrong d": (
+        lambda: doc_of(I.cube(), schnyder={
+            "d": 5, "dart_colors": [[]] * CUBE_DARTS}),
+        ["validate"], "schnyder", "InvalidDecomposition",
+        "'d' must be the integer 4"),
     "half-oriented edge": (
         lambda: cube_orientation(_half_orient), ["validate"],
         "orientation", "InvalidOrientation", "half-oriented edge"),
@@ -165,11 +197,22 @@ CLI_ERRORS = {
     "orientation with the wrong outdegrees": (
         wrong_outdegrees,
         ["convert", "--from", "orientation", "--to", "labelling"],
-        "schnyder", "PropagationConflict", "propagated labelling invalid"),
+        "orientation", "InvalidOrientation", "vertex 4 outdegree 8"),
+    "validate an orientation with k = d": (
+        cube_orientation_with_k_equal_d, ["validate"],
+        "orientation", "InvalidOrientation", "expected d-2=2"),
+    "convert an orientation with k = d": (
+        cube_orientation_with_k_equal_d,
+        ["convert", "--from", "orientation", "--to", "labelling"],
+        "orientation", "InvalidOrientation", "expected d-2=2"),
+    "recoloured labelling converted to schnyder": (
+        recoloured_cube_labelling,
+        ["convert", "--from", "labelling", "--to", "schnyder"],
+        "schnyder", "InvalidLabelling", "not a clockwise"),
     "dualize a schnyder payload that breaks the axioms": (
         lambda: doc_of(I.cube(), schnyder={
             "d": 4, "dart_colors": [[]] * CUBE_DARTS}),
-        ["dualize"], "duality", "InvalidDecomposition", "forests"),
+        ["dualize"], "schnyder", "InvalidDecomposition", "forests"),
 }
 
 
@@ -239,6 +282,17 @@ def _mirrored(gd):
                           bends=gd.bends, markers=gd.markers)
 
 
+def _swapped_cube_orientation():
+    """The cube's flow orientation with the two values of its first
+    internal edge swapped: the edge sums stay k, two outdegrees change."""
+    o = O.compute_dd2_orientation(cube())
+    values = list(o.values)
+    h = cube().internal_edges()[0]
+    values[h], values[o.map.twin[h]] = values[o.map.twin[h]], values[h]
+    return O.FracOrientation(map=o.map, k=o.k, values=tuple(values),
+                             host=o.host)
+
+
 def _face_with_an_external_edge():
     ang = cube()
     o = O.compute_dd2_orientation(ang)
@@ -270,6 +324,9 @@ LIBRARY_ERRORS = {
     "xi of an invalid labelling": (
         lambda: D.xi(D.RegularLabelling(host=cube_dual(), colors=ONES)),
         "duality", "InvalidLabelling", "not a clockwise +1 step"),
+    "chi of an invalid decomposition": (
+        lambda: D.chi(S.SchnyderDecomposition(host=cube(), masks=ZEROS)),
+        "duality", "InvalidDecomposition", "forests"),
     "lambda_inverse of an invalid reduction": (
         lambda: E.lambda_inverse(E.ReducedSchnyderDecomposition(
             host=cube(), masks=ZEROS)),
@@ -285,6 +342,9 @@ LIBRARY_ERRORS = {
         lambda: S.psi_inverse(O.FracOrientation(
             map=I.cube(), k=2, values=ZEROS)),
         "schnyder", "InvalidOrientation", "angulation host"),
+    "psi_inverse of an orientation with two values swapped": (
+        lambda: S.psi_inverse(_swapped_cube_orientation()),
+        "orientation", "InvalidOrientation", "outdegree"),
     "push_cycle on a repeated edge": (
         lambda: O.push_cycle(O.compute_dd2_orientation(cube()), (0, 1)),
         "orientation", "NotACircuit", "repeats an edge"),

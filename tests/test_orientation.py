@@ -441,5 +441,5 @@ def test_explosion_guard():
 def test_json_round_trip():
     c = cube()
     o = O.compute_dd2_orientation(c)
-    o2 = O.FracOrientation.from_json_obj(o.to_json_obj(), c.map, host=c)
+    o2 = O.FracOrientation.from_json_obj(o.to_json_obj(), c)
     assert o2.values == o.values and o2.k == o.k

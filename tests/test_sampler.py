@@ -18,6 +18,7 @@ import schnyder_kit.schnyder as S
 import schnyder_kit.duality as D
 import schnyder_kit.drawing as DR
 import schnyder_kit.even as E
+import schnyder_kit.orientation as O
 import schnyder_kit.sampler as SA
 
 import instances as I
@@ -155,7 +156,8 @@ def test_geometric_marginal_and_determinism():
     t1 = sample_geometric_triple(12, random.Random(5))
     t2 = sample_geometric_triple(12, random.Random(5))
     assert t1 == t2
-    assert t1.r <= 12 and len(t1.beta) == len(t1.gamma) == 12 - t1.r + 1
+    r = len(t1.alpha)
+    assert r <= 12 and len(t1.beta) == len(t1.gamma) == 12 - r + 1
     assert sum(t1.alpha) >= 12
 
 
@@ -729,14 +731,16 @@ def test_each_sample_is_validated_once_and_bipartitioned_once(monkeypatch):
 
 
 def test_each_draw_validates_each_structure_once(monkeypatch, tmp_path):
-    """One in-process draw --compact --with-root: the labelling, the
+    """One in-process draw --compact --with-root: the orientation, the
     Schnyder decomposition and the regular decomposition on its path are
-    each validated once, by the map that takes them as input."""
+    each validated once, by the map that takes them as input, and the
+    labelling, which psi_inverse makes of a checked orientation, never."""
     ang = as_angulation(I.pseudo_double_wheel(5), 4)
     doc = tmp_path / "dual.json"
     doc.write_text(json.dumps({"map": D.dualize(ang).map.to_json_obj(),
                                "d": 4}))
-    calls = {fn: [] for fn in (S.validate_labelling, S.validate_schnyder,
+    calls = {fn: [] for fn in (O.require_dd2_orientation,
+                               S.validate_labelling, S.validate_schnyder,
                                D.validate_regular_decomposition)}
     for fn, seen in calls.items():
         _counting(monkeypatch, fn, seen)
@@ -744,4 +748,4 @@ def test_each_draw_validates_each_structure_once(monkeypatch, tmp_path):
     assert cli.main(["draw", str(doc), "--compact", "--with-root"],
                     out=out) == 0
     assert json.loads(out.getvalue())["coords"]
-    assert [len(seen) for seen in calls.values()] == [1, 1, 1]
+    assert [len(seen) for seen in calls.values()] == [1, 0, 1, 1]

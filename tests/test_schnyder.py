@@ -129,17 +129,6 @@ def test_phi_inverse_rejects_invalid():
         S.phi_inverse(S.SchnyderDecomposition(host=ang, masks=tuple(masks)))
 
 
-def test_psi_inverse_conflict_on_bad_orientation():
-    ang = as_angulation(I.cube(), 4)
-    o = O.compute_dd2_orientation(ang)
-    vals = list(o.values)
-    h = ang.internal_edges()[0]
-    vals[h], vals[ang.map.twin[h]] = vals[ang.map.twin[h]], vals[h]
-    bad = O.FracOrientation(map=ang.map, k=o.k, values=tuple(vals), host=ang)
-    with pytest.raises(SchnyderError):
-        S.psi_inverse(bad)
-
-
 def test_labelling_push_commutes():
     ang = as_angulation(I.cube(), 4)
     for o in O.lattice_enumerate(ang):

@@ -12,6 +12,7 @@ import pytest
 
 import schnyder_kit.cli as cli  # imports every layer module
 import schnyder_kit.duality as D
+import schnyder_kit.sampler as SA
 from schnyder_kit.planar_map import as_angulation
 
 import instances as I
@@ -77,19 +78,45 @@ def test_every_workload_of_the_layer_map_has_a_call():
     assert workloads == set(WORKLOAD_CALLS)
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
-def test_every_mapped_span_fires(tmp_path, workload):
-    """A layer call that a refactor drops would otherwise fail only the
-    traced benchmark run."""
-    argv = WORKLOAD_CALLS[workload](tmp_path)
+def traced_call(argv):
+    """(exit status, stdout, OpTrace) of one CLI call under the tracer."""
     tracer = load_tracing().Tracer()
+    out = io.StringIO()
     tracer.install()
     try:
-        rc = cli.main(argv, out=io.StringIO())
+        rc = cli.main(argv, out=out)
     finally:
         op = tracer.uninstall()
-    assert rc == 0
+    return rc, out.getvalue(), op
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
+def test_every_mapped_span_fires(tmp_path, workload):
+    """A layer call that a refactor drops, or a wrapper that changes what
+    a call prints, would otherwise fail only the traced benchmark run,
+    which fails a run whose traced output differs from the untraced one."""
+    argv = WORKLOAD_CALLS[workload](tmp_path)
+    plain = io.StringIO()
+    assert cli.main(argv, out=plain) == 0
+    rc, text, op = traced_call(argv)
+    assert rc == 0 and text == plain.getvalue()
     fired = {name for name, *_ in op.spans}
     want = {span for span, (_metric, where) in layer_map().items()
             if workload in where}
     assert want - fired == set()
+
+
+def test_the_sampler_hooks_count_a_call_over_the_cap():
+    """At seed 3 one sample at n = 24 draws the default cap of triples
+    without an accepted one: the traced call answers as the untraced one,
+    with RejectionLimitExceeded, and the hook of the filter span counts
+    the whole cap and one call over it."""
+    argv = ["sample", "--n", "24", "--count", "1", "--seed", "3"]
+    plain = io.StringIO()
+    assert cli.main(argv, out=plain) == 1
+    rc, text, op = traced_call(argv)
+    assert rc == 1 and text == plain.getvalue()
+    assert json.loads(text)["error"]["kind"] == "RejectionLimitExceeded"
+    assert op.counts == {"sampler.limit_exceeded": 1,
+                         "sampler.attempts": SA.default_max_decodes(24)}
+    assert SA.default_max_decodes(24) == 1968
