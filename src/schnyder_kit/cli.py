@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import KitError, MapError
@@ -81,45 +80,50 @@ def _regular_view(doc, args, root=None):
     return as_regular(m, _doc_d(doc, args), root=root)
 
 
-# view -> payload key -> (table, check), primal keys in the order of Psi^-1
-# and Phi: validate, convert and dualize read every payload this way.  A
-# check returns the violations of a payload (none when it is valid); the
-# orientation's raises InvalidOrientation instead.
+# view -> payload key -> (module, table, check), primal keys in the order of
+# Psi^-1 and Phi.  validate, convert and dualize read every payload this way
+# and look the names up as they read, so that a wrapper on the module runs.
+# A check returns a payload's violations; the orientation's raises instead.
 PAYLOADS = {
     "angulation": {
-        "orientation": (orientation_mod.FracOrientation,
-                        orientation_mod.require_dd2_orientation),
-        "labelling": (schnyder_mod.CornerLabelling,
-                      schnyder_mod.validate_labelling),
-        "schnyder": (schnyder_mod.SchnyderDecomposition,
-                     schnyder_mod.validate_schnyder),
+        "orientation": (orientation_mod, "FracOrientation",
+                        "require_dd2_orientation"),
+        "labelling": (schnyder_mod, "CornerLabelling", "validate_labelling"),
+        "schnyder": (schnyder_mod, "SchnyderDecomposition",
+                     "validate_schnyder"),
     },
     "regular": {
-        "regular_labelling": (duality_mod.RegularLabelling,
-                              duality_mod.validate_regular_labelling),
-        "regular_decomposition": (duality_mod.RegularDecomposition,
-                                  duality_mod.validate_regular_decomposition),
+        "regular_labelling": (duality_mod, "RegularLabelling",
+                              "validate_regular_labelling"),
+        "regular_decomposition": (duality_mod, "RegularDecomposition",
+                                  "validate_regular_decomposition"),
     },
 }
+
+
+def _read_payload(doc, host, view, kind):
+    """doc's `kind` payload on host, and its check."""
+    module, table, check = PAYLOADS[view][kind]
+    return (getattr(module, table).from_json_obj(doc[kind], host),
+            getattr(module, check))
 
 
 def _valid_payload(doc, ang, kind):
     """doc's `kind` payload on ang; a missing or invalid one raises."""
     if kind not in doc:
         raise MapError("MissingPayload", f"document has no '{kind}' payload")
-    table, check = PAYLOADS["angulation"][kind]
-    return schnyder_mod.require_valid(table.from_json_obj(doc[kind], ang),
-                                      check)
+    t, check = _read_payload(doc, ang, "angulation", kind)
+    return schnyder_mod.require_valid(t, check)
 
 
 def _convert_primal(value, src, dst):
-    """value mapped from src to dst: by Psi^-1 and Phi up the primal keys
-    of PAYLOADS, by Phi^-1 and Psi down."""
+    """A valid value mapped from src to dst by the unchecked cores: Psi^-1
+    and Phi up the primal keys of PAYLOADS, Phi^-1 and Psi down."""
     chain = list(PAYLOADS["angulation"])
     i, j = chain.index(src), chain.index(dst)
-    for step in (schnyder_mod.psi_inverse, schnyder_mod.phi)[i:j]:
+    for step in (schnyder_mod._psi_inverse, schnyder_mod.phi)[i:j]:
         value = step(value)
-    for step in (schnyder_mod.phi_inverse, schnyder_mod.psi)[2 - i:2 - j]:
+    for step in (schnyder_mod._phi_inverse, schnyder_mod._psi)[2 - i:2 - j]:
         value = step(value)
     return value
 
@@ -131,9 +135,10 @@ def _cmd_validate(args, out):
     view = _regular_view if args.view == "regular" else _angulation
     host = view(doc, args)
     report = {"ok": True, "checked": [args.view]}
-    for kind, (table, check) in PAYLOADS[args.view].items():
+    for kind in PAYLOADS[args.view]:
         if kind in doc:
-            bad = check(table.from_json_obj(doc[kind], host))
+            t, check = _read_payload(doc, host, args.view, kind)
+            bad = check(t)
             report["checked"].append(kind)
             if bad:
                 report["ok"] = False
@@ -177,7 +182,7 @@ def _cmd_dualize(args, out):
               "first_root_dart": rv.root_darts[0]}
     if "schnyder" in doc:
         s = _valid_payload(doc, ang, "schnyder")
-        result["regular_decomposition"] = duality_mod.chi(s).to_json_obj()
+        result["regular_decomposition"] = duality_mod._chi(s, rv).to_json_obj()
     out.write(_dump(result))
     return 0
 
@@ -233,10 +238,9 @@ def _cmd_draw(args, out):
 
 
 def _cmd_sample(args, out):
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
     stats = sampler_mod.concentration_experiment(
         args.n, args.count, seed=args.seed,
-        max_attempts=args.max_attempts, jobs=jobs)
+        max_attempts=args.max_attempts, jobs=args.jobs)
     if args.report:
         with open(args.report, "w") as f:
             f.write(_dump(stats.to_json_obj()))
@@ -253,17 +257,6 @@ def _cmd_enumerate(args, out):
                                 "schnyder": s.to_json_obj()}
                                for ang, s in pairs]}))
     return 0
-
-
-def _default_jobs():
-    env = os.environ.get("SCHNYDER_KIT_JOBS")
-    if not env:
-        return 1
-    try:
-        return int(env)
-    except ValueError:
-        raise KitError("BadEnvironment", f"SCHNYDER_KIT_JOBS={env!r} is not "
-                       "an integer", stage="cli") from None
 
 
 def build_parser():
@@ -335,10 +328,9 @@ def build_parser():
                         "(default: as many as 10^6 random word triples hold "
                         "on average, 1968 at n=24); the reported attempts "
                         "and acceptance_rate count drawn triples")
-    q.add_argument("--jobs", type=int,
+    q.add_argument("--jobs", type=int, default=1,
                    help="worker processes, at least 1; at most --count and "
-                        "the CPU count run (default: $SCHNYDER_KIT_JOBS, "
-                        "else 1)")
+                        "the CPU count run (default: 1)")
     q.add_argument("--report")
     q.set_defaults(fn=_cmd_sample)
 

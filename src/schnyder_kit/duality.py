@@ -54,14 +54,10 @@ class RegularDecomposition(DartTable):
 
 def dual_labelling(l):
     """Regular labelling of the dual: facing corners keep their color."""
-    bad = validate_labelling(l)
-    if bad:
-        raise DualityError("InvalidLabelling", str(bad[:3]))
-    ang = l.host
-    rv = dualize(ang)
+    ang = require_valid(l, validate_labelling, DualityError).host
     prev = ang.map.prev_cw
     colors = tuple(l.colors[prev[h]] for h in range(ang.map.n_darts))
-    return RegularLabelling(host=rv, colors=colors, primal=ang)
+    return RegularLabelling(host=dualize(ang), colors=colors, primal=ang)
 
 
 def primal_labelling(r):
@@ -209,10 +205,11 @@ def chi(s):
     so tree i holds the duals of the primal edges NOT in T_i (forest i and
     every external edge but u_i u_{i+1}): the paper's definition, which is
     the test oracle tests/oracles.chi_by_complemented_trees."""
-    bad = validate_schnyder(s)
-    if bad:
-        raise DualityError("InvalidDecomposition", str(bad[:3]))
-    rv = dualize(s.host)
+    require_valid(s, validate_schnyder, DualityError)
+    return _chi(s, dualize(s.host))
+
+
+def _chi(s, rv):
     dm = rv.map
     colors = _corner_colors(s)
     masks = tuple(0 if dm.origin[h] == rv.root_vertex

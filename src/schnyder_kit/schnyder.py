@@ -147,12 +147,12 @@ class DartTable:
         return cls(host=host, masks=tuple(mask_of(r, n) for r in rows))
 
 
-def require_valid(t, check):
-    """t, unless check(t) finds violations: then the ERROR(KIND) of t's
-    class names the first three."""
+def require_valid(t, check, error=None):
+    """t, unless check(t) finds violations: then error(KIND), by default
+    the ERROR(KIND) of t's class, names the first three."""
     bad = check(t)
     if bad:
-        raise t.ERROR(t.KIND, "; ".join(v[2] for v in bad[:3]))
+        raise (error or t.ERROR)(t.KIND, "; ".join(v[2] for v in bad[:3]))
     return t
 
 
@@ -229,7 +229,11 @@ def clockwise_jump(l, h):
 def psi(l):
     """Clockwise-jump orientation of a valid labelling (a d/(d-2)-orientation;
     only l is validated: its axioms make the jumps on each edge sum to d-2)."""
-    ang = require_valid(l, validate_labelling).host
+    return _psi(require_valid(l, validate_labelling))
+
+
+def _psi(l):
+    ang = l.host
     m = ang.map
     vals = [-1] * m.n_darts
     for h in ang.internal_darts():
@@ -251,10 +255,14 @@ def psi_inverse(o):
     Each step follows a relation of l, from the color 1 of l at the seed,
     so the propagation meets no conflict and returns l.
     """
-    ang = o.host
-    if ang is None:
+    if o.host is None:
         raise SchnyderError("InvalidOrientation", "orientation lacks an angulation host")
     require_dd2_orientation(o)
+    return _psi_inverse(o)
+
+
+def _psi_inverse(o):
+    ang = o.host
     m = ang.map
     d = ang.d
     values, next_cw, twin, face_of = o.values, m.next_cw, m.twin, m.face_of
@@ -302,7 +310,10 @@ def phi_inverse(s):
     """The labelling l with phi(l) = s, read off s by _corner_colors.  Only
     the input is validated: Phi is a bijection between labellings and
     Schnyder decompositions, so a valid s is phi of the result."""
-    require_valid(s, validate_schnyder)
+    return _phi_inverse(require_valid(s, validate_schnyder))
+
+
+def _phi_inverse(s):
     return CornerLabelling(host=s.host, colors=_corner_colors(s))
 
 

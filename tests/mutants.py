@@ -279,9 +279,18 @@ MUTANTS = [
             "    if False:\n",
             INPUT + "test_cli_input_errors"),
     _mutant("convert uses a labelling payload unchecked", "cli.py",
-            "doc[kind], ang),\n                                      check)",
-            "doc[kind], ang),\n                                      check "
-            "if kind != \"labelling\" else lambda t: [])",
+            "return schnyder_mod.require_valid(t, check)",
+            "return schnyder_mod.require_valid(t, check if kind != "
+            "\"labelling\" else lambda t: [])",
+            INPUT + "test_cli_input_errors"),
+    _mutant("convert reads an orientation payload unchecked", "cli.py",
+            "return schnyder_mod.require_valid(t, check)",
+            "return schnyder_mod.require_valid(t, check if kind != "
+            "\"orientation\" else lambda t: [])",
+            INPUT + "test_cli_input_errors"),
+    _mutant("dualize reads its schnyder payload unchecked", "cli.py",
+            "s = _valid_payload(doc, ang, \"schnyder\")",
+            "s = _read_payload(doc, ang, \"angulation\", \"schnyder\")[0]",
             INPUT + "test_cli_input_errors"),
     _mutant("decode takes beta and gamma of unequal lengths", "sampler.py",
             "    if len(beta) != len(gamma):",

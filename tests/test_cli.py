@@ -15,7 +15,7 @@ import schnyder_kit.duality as D
 import schnyder_kit.orientation as O
 import schnyder_kit.sampler as SA
 import schnyder_kit.schnyder as S
-from schnyder_kit.cli import main, _default_jobs
+from schnyder_kit.cli import main
 from schnyder_kit.planar_map import PlaneMap, as_angulation
 
 import instances as I
@@ -412,30 +412,9 @@ def test_validate_rejects_a_bad_document(tmp_path, text):
     assert err["stage"] == "cli" and err["kind"] == "BadDocument"
 
 
-def test_jobs_default_env(monkeypatch):
-    monkeypatch.delenv("SCHNYDER_KIT_JOBS", raising=False)
-    assert _default_jobs() == 1
-    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "3")
-    assert _default_jobs() == 3
-
-
-def test_jobs_env_that_is_not_an_integer_is_an_error(monkeypatch):
-    # the error comes before sampling, so no worker process is started
-    def unreachable(*args, **kwargs):
-        raise AssertionError("sampling started")
-
-    monkeypatch.setattr(cli.sampler_mod, "concentration_experiment",
-                        unreachable)
-    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "two")
-    rc, text = run(["sample", "--n", "4", "--count", "1"])
-    assert rc == 1
-    err = json.loads(text)["error"]
-    assert (err["stage"], err["kind"]) == ("cli", "BadEnvironment")
-    assert "two" in err["detail"]
-
-
 def test_sample_reads_the_jobs_env_on_every_call(monkeypatch):
-    # the parser is built once, but the --jobs default is resolved per call
+    # the parser is built once, but --jobs is read per call, 1 when absent;
+    # no environment variable sets it
     seen = []
     real = cli.sampler_mod.concentration_experiment
 
@@ -451,12 +430,11 @@ def test_sample_reads_the_jobs_env_on_every_call(monkeypatch):
     monkeypatch.setattr(cli.sampler_mod, "concentration_experiment",
                         recording)
     argv = ["sample", "--n", "4", "--count", "1", "--seed", "3"]
-    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "2")
-    rc1, t1 = run(argv)
-    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "5")
-    rc2, t2 = run(argv)
-    rc3, _ = run(argv + ["--jobs", "1"])
-    assert rc1 == rc2 == rc3 == 0 and t1 == t2
+    rc1, t1 = run(argv + ["--jobs", "2"])
+    rc2, t2 = run(argv + ["--jobs", "5"])
+    monkeypatch.setenv("SCHNYDER_KIT_JOBS", "two")
+    rc3, t3 = run(argv)
+    assert rc1 == rc2 == rc3 == 0 and t1 == t2 == t3
     assert seen == [2, 5, 1]
     assert len(builds) == 1
 

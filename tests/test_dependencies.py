@@ -1,7 +1,8 @@
 """The package imports nothing outside the standard library, as its empty
 `dependencies` list in pyproject.toml promises, imports nothing that it
-does not read, and defines nothing that it does not use itself, apart from
-the paper's maps that only tests call."""
+does not read, defines nothing that it does not use itself, apart from
+the paper's maps that only tests call, and reads no environment
+variable: its command line is its only configuration."""
 
 import ast
 import pathlib
@@ -33,7 +34,7 @@ def test_the_package_imports_only_the_standard_library():
 
 # paper maps that nothing in the package calls; the tests check each one
 KEEP = {"lambda_star", "lambda_star_inverse", "chi_inverse", "dual_labelling",
-        "is_even_labelling", "xi", "encode", "gamma"}
+        "is_even_labelling", "xi", "encode", "gamma", "psi", "phi_inverse"}
 
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -113,3 +114,24 @@ def test_every_oracle_is_used_by_a_test():
     for node in body:
         named |= mentioned([node]) - top_level_names(node)
     assert defined - named == set()
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path):
+    """The lines of a source file that read os.environ or os.getenv, or
+    import either from os."""
+    for node in ast.walk(parse(path)):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id == "os"
+                or isinstance(node, ast.ImportFrom) and node.module == "os"
+                and any(a.name in ENVIRONMENT for a in node.names)):
+            yield node.lineno
+
+
+def test_the_package_reads_no_environment_variable():
+    sources = sorted(PACKAGE.rglob("*.py"))
+    reads = {(path.name, line) for path in sources
+             for line in environment_reads(path)}
+    assert reads == set()

@@ -81,8 +81,8 @@ def _overfill(values, o):
 def wrong_outdegrees():
     """cube_plus with an orientation whose edges sum to k but whose
     vertices 8 and 4 have outdegree 0 and 2d: every vertex and face cycle
-    closes mod d, so the colors would propagate without conflict; the
-    d/(d-2) check that psi_inverse makes of its input refuses it."""
+    closes mod d, so the colors would propagate without conflict; only
+    the d/(d-2) check of the payload as it is read refuses it."""
     ang = as_angulation(I.cube_plus(), 4)
     alpha = [4 * (v in ang.internal_vertices())
              for v in range(ang.map.n_vertices)]
@@ -308,11 +308,12 @@ def _all_zero_decomposition():
 ZEROS = (0,) * CUBE_DARTS
 ONES = (1,) * CUBE_DARTS
 
-# case -> (call, stage, kind, detail part)
+# case -> (call, stage, kind, detail part); a check's detail joins the
+# messages of its first three violations with "; "
 LIBRARY_ERRORS = {
     "dual_labelling of an invalid labelling": (
         lambda: D.dual_labelling(S.CornerLabelling(host=cube(), colors=ONES)),
-        "duality", "InvalidLabelling", "not a clockwise +1 step"),
+        "duality", "InvalidLabelling", "+1 step; corner colors 1->1"),
     "primal_labelling without a primal host": (
         lambda: D.primal_labelling(D.RegularLabelling(host=cube_dual(),
                                                       colors=ONES)),
@@ -326,7 +327,7 @@ LIBRARY_ERRORS = {
         "duality", "InvalidLabelling", "not a clockwise +1 step"),
     "chi of an invalid decomposition": (
         lambda: D.chi(S.SchnyderDecomposition(host=cube(), masks=ZEROS)),
-        "duality", "InvalidDecomposition", "forests"),
+        "duality", "InvalidDecomposition", "once each; edge must lie"),
     "lambda_inverse of an invalid reduction": (
         lambda: E.lambda_inverse(E.ReducedSchnyderDecomposition(
             host=cube(), masks=ZEROS)),

@@ -749,3 +749,49 @@ def test_each_draw_validates_each_structure_once(monkeypatch, tmp_path):
                     out=out) == 0
     assert json.loads(out.getvalue())["coords"]
     assert [len(seen) for seen in calls.values()] == [1, 0, 1, 1]
+
+
+
+def _broken(obj):
+    """A payload object of the same shape that fails its check."""
+    if "k" in obj:
+        return dict(obj, k=obj["k"] + 2)
+    key = "corner_colors" if "corner_colors" in obj else "dart_colors"
+    return dict(obj, **{key: [obj[key][0]] * len(obj[key])})
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["convert", "--from", "schnyder", "--to", "orientation"], "schnyder"),
+    (["convert", "--from", "orientation", "--to", "schnyder"], "orientation"),
+    (["convert", "--from", "labelling", "--to", "orientation"], "labelling"),
+    (["convert", "--from", "schnyder", "--to", "labelling"], "schnyder"),
+    (["dualize"], "schnyder"),
+])
+def test_each_conversion_checks_its_payload_once(monkeypatch, tmp_path,
+                                                 argv, payload):
+    """In-process convert and dualize of the cube: the payload is checked
+    once, as it is read, and nothing that the bijections make of it is
+    checked again; a payload that fails its check is refused by that one
+    call, before any map runs."""
+    ang = as_angulation(I.cube(), 4)
+    o = O.compute_dd2_orientation(ang)
+    l = S.psi_inverse(o)
+    good = {"map": ang.map.to_json_obj(), "d": 4,
+            "orientation": o.to_json_obj(), "labelling": l.to_json_obj(),
+            "schnyder": S.phi(l).to_json_obj()}
+    checks = {"orientation": O.require_dd2_orientation,
+              "labelling": S.validate_labelling,
+              "schnyder": S.validate_schnyder,
+              "regular_decomposition": D.validate_regular_decomposition}
+    once = {kind: int(kind == payload) for kind in checks}
+    bad = dict(good, **{payload: _broken(good[payload])})
+    path = tmp_path / "doc.json"
+    for doc, status in ((good, 0), (bad, 1)):
+        path.write_text(json.dumps(doc))
+        calls = {kind: [] for kind in checks}
+        with monkeypatch.context() as mp:
+            for kind, fn in checks.items():
+                _counting(mp, fn, calls[kind])
+            rc = cli.main([argv[0], str(path), *argv[1:]], out=io.StringIO())
+        assert rc == status
+        assert {kind: len(seen) for kind, seen in calls.items()} == once
