@@ -124,25 +124,22 @@ def _bend_point(rd, coords, e):
     return b
 
 
-def orthogonal_drawing(rd, coords=None):
-    """One-bend orthogonal drawing of G minus the root vertex."""
+def orthogonal_drawing(rd):
+    """One-bend orthogonal drawing of G minus the root vertex at the ranks
+    of place_by_equatorial_lines, whose two _chain checks make each line
+    visit the n - 1 non-root vertices once.  _bend_point checks the rays,
+    since rd comes from the caller."""
     rv = rd.host
     m = rv.map
     markers = marker_table(rd)
-    if coords is None:
-        coords = place_by_equatorial_lines(rd, markers)
-    n = m.n_vertices
-    if sorted(x for x, _ in coords.values()) != list(range(n - 1)) or \
-            sorted(y for _, y in coords.values()) != list(range(n - 1)):
-        raise DrawingError("InternalInvariantViolation",
-                           "coordinates are not a grid permutation")
+    coords = place_by_equatorial_lines(rd, markers)
     root_ids = set(rv.root_edge_ids())
     bends = {}
     for e in m.edges():
         if e in root_ids:
             continue
         bends[e] = _bend_point(rd, coords, e)
-    return GridDrawing(decomposition=rd, coords=dict(coords), bends=bends,
+    return GridDrawing(decomposition=rd, coords=coords, bends=bends,
                        markers=markers)
 
 
@@ -163,11 +160,9 @@ def collapsed_edges(rv):
     return sorted(seen.values())
 
 
-def straight_line_drawing(rd, coords=None):
-    """Vertex placement plus the segment list of the collapsed simple graph,
-    each edge drawn as the segment between its endpoints."""
-    if coords is None:
-        coords = place_by_equatorial_lines(rd)
+def straight_line_drawing(rd, coords):
+    """The given vertex placement plus the segment list of the collapsed
+    simple graph, each edge drawn as the segment between its endpoints."""
     rv = rd.host
     m = rv.map
     segs = []

@@ -107,7 +107,11 @@ class _FlowNet:
     search marks the source reached before it scans, so no augmenting path
     enters the source, no arc out of it regains capacity once saturated,
     and every arc skipped would have been skipped by the full scan too.
-    The same nodes are reached in the same order, on any network."""
+    The same nodes are reached in the same order, on any network.
+
+    max_flow keeps its last search's marks in reached and search; that
+    search finds no sink arc and so empties its queue: reached[v] == search
+    marks the source side of a minimum cut."""
 
     def __init__(self, n):
         self.n = n
@@ -161,6 +165,7 @@ class _FlowNet:
                 arcs = adj[queue[head]]
                 head += 1
             if last < 0:
+                self.reached, self.search = reached, search
                 return total
             # trace back, find bottleneck
             parent_arc[t] = last
@@ -175,22 +180,6 @@ class _FlowNet:
                 cap[a] -= aug
                 cap[a ^ 1] += aug
             total += aug
-
-    def reachable(self, s):
-        seen = [False] * self.n
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.adj[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        return seen
-
-    def flow_on(self, arc):
-        return self.cap[arc ^ 1]
 
 
 def compute_alpha_k_orientation(m, edge_ids, alpha, k):
@@ -220,15 +209,15 @@ def compute_alpha_k_orientation(m, edge_ids, alpha, k):
         raise _no_solution(m, edge_ids, alpha, k, net, nv)
     values = [-1] * m.n_darts
     for h, a in zip(darts, dart_arcs):
-        values[h] = net.flow_on(a)
+        values[h] = net.cap[a ^ 1]
     return FracOrientation(map=m, k=k, values=tuple(values))
 
 
 def _no_solution(m, edge_ids, alpha, k, net, nv):
     """Build the NoSolution error with a violated connected subset.
 
-    When sum(alpha) = k|E|, a component of the vertices U that the residual
-    search from the source does not reach is violated.  The min cut costs
+    When sum(alpha) = k|E|, a component of the vertices U that the last
+    search of net.max_flow does not reach is violated.  The min cut costs
     alpha(U) for the source arcs into U, and at least k for each edge with
     an endpoint outside U (its sink arc, or the arc from that endpoint), so
     a flow below k|E| gives alpha(U) < k|E(U)|.  The edges of E(U) lie
@@ -240,8 +229,8 @@ def _no_solution(m, edge_ids, alpha, k, net, nv):
             f"sum(alpha)={sum(alpha)} but k*|E|={k * len(edge_ids)}")
         err.certificate = None
         return err
-    reach = net.reachable(0)
-    unreached = [v for v in range(nv) if not reach[2 + v]]
+    reached, search = net.reached, net.search
+    unreached = [v for v in range(nv) if reached[2 + v] != search]
     edge_set = set(edge_ids)
     # a violated connected component exists among the unreachable vertices
     comp_of = {}
@@ -256,7 +245,7 @@ def _no_solution(m, edge_ids, alpha, k, net, nv):
             for h in m.vertex_orbit(v):
                 if m.edge_of[h] in edge_set:
                     w = m.target_of[h]
-                    if not reach[2 + w] and w not in comp_of:
+                    if reached[2 + w] != search and w not in comp_of:
                         comp_of[w] = v0
                         comp.append(w)
                         q.append(w)

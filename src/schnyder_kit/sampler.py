@@ -17,11 +17,10 @@ a walk that counts the open slots).  Then one walk along the contour
 planar matching of strands (each white vertex offers its parent strand and
 gamma-1 child slots; each black vertex takes the adjacent strands off a
 stack), appending each dart to its vertex's clockwise list.
-The completed map must be a quadrangulation with outer face u1 u2 u3 u4,
-and its reduced decomposition must pass validate_reduced_schnyder (in
-lambda_inverse); a valid reduced decomposition lifts to a valid even
-Schnyder decomposition, so acceptance is sound without a check of the
-lift.
+A triple that passes both tests always closes into a quadrangulation with
+outer face u1 u2 u3 u4 and a valid reduced decomposition (decode proves it:
+the closure of Fusy, Poulalhon and Schaeffer), which lifts to a valid even
+Schnyder decomposition; so the two tests decide validity exactly.
 
 Since every valid triple has probability 8^-n under independent 2-geometric
 draws, conditioning on validity by rejection yields a uniform pair.
@@ -49,7 +48,7 @@ from itertools import accumulate, combinations
 from math import comb
 
 from . import drawing, duality
-from .errors import EvenError, MapError, SamplerError
+from .errors import SamplerError
 from .planar_map import as_angulation, build_map
 from .even import (
     ReducedSchnyderDecomposition, black_vertices, lambda_, lambda_inverse,
@@ -278,9 +277,8 @@ def decode(t):
     input checks (every degree an int, not a bool), alpha[0] >= 2 and
     _contour_closes on the flip words of alpha and beta, built only once
     the sums and lengths bound n by the input's length
-    (TreeReconstructionFailed), _strands_close on those and the flip word
-    of gamma, and the map that _rotations builds (ClosureFailed), then the
-    quadrangulation and the reduced validator (ValidationFailed)."""
+    (TreeReconstructionFailed), and _strands_close on those and the flip
+    word of gamma (ClosureFailed).  A triple that passes both decodes."""
     alpha, beta, gamma = t.alpha, t.beta, t.gamma
     if not alpha or not beta or not gamma:
         raise _invalid("TreeReconstructionFailed", "empty degree sequence")
@@ -313,33 +311,49 @@ def decode(t):
     rot, up = _rotations(alpha, beta, gamma)
     u3 = len(up)
     u4 = (rot[0][-1] + 1) // 2     # the last child of u1; u2 is node 1
-    try:
-        m = build_map(rot, outer_dart=1)
-    except MapError as exc:
-        raise _invalid("ClosureFailed",
-                       f"completion is not a planar map: {exc.detail}") from exc
-    try:
-        ang = as_angulation(m, 4)
-    except MapError as exc:
-        raise _invalid("ValidationFailed",
-                       f"completion is not a quadrangulation: {exc.detail}") \
-            from exc
-    # No check of the outer face: from dart 1 (u1 -> u2) it runs to u3 and
-    # u4.  u2 has no T1' child, so its out follows its parent dart; that
-    # out is the last dart at u3, and u4's, on top of the strands, the
-    # first (_strands_close).
-
+    # Nothing below can fail: the closure of Fusy, Poulalhon and Schaeffer
+    # (2009).  By _strands_close every black finds a slot and none is left,
+    # u2 has no T1' child and u4 has gamma 1, so each dart of the 2n edges
+    # is placed once and u3 gets the outs of u2 and u4 at least.  Each edge
+    # joins a black (even depth, or u3) to a white, so none is a loop, and
+    # T1' and u2's out connect the n + 2 vertices.  Each face has degree 4.
+    # Darts go in only at the walk's corner or into a slot placed before, so
+    # a face closed on the way stays one.  The stack lists the strands in
+    # their order along the face still open (last in, first out: no chord
+    # crosses), and once u2's out is in, the edges on it lie: 1 (u1 u2)
+    # below u2's out, at the bottom; 2 below any other out; none below a
+    # slot (it is at the corner of the entry below); 1 from the top to the
+    # walk's corner at a black, 2 at a white.  Going down to a white, or up
+    # to it from a black child, adds 1; a white whose subtree ends puts its
+    # out 2 edges above the top and its slots on it, and going up leaves 1.
+    # Going down to a black c makes 3, and c closes a face in each angle up
+    # to its slot's chord: 3 edges and the top out's chord, 2 and the chords
+    # of two outs, or 2 and those of an out and the slot (3 and the slot's
+    # chord if c takes no out); the slot's chord leaves 1 to the new top.
+    # At the end only outs are left, 1 edge from u4's to u1, and u3 takes
+    # them as a black would: 2 edges and 2 chords between each two, and the
+    # outer face u1 u2 u3 u4 (from dart 1, u2's out and u4's follow).  So
+    # F = n and V - E + F = 2.
+    m = build_map(rot, outer_dart=1)
+    ang = as_angulation(m, 4)
     masks = [0] * m.n_darts        # 2n edges: n in T1', n in T2'
     for v in range(2, u3):
         if v != u4:
             masks[2 * v - 2] = 1
             masks[up[v]] = 2
+    # Valid too.  Color 1 is the T1' and color 2 the T2' parent arc of each
+    # vertex but u1..u4: (i') one color on one dart of each edge but the
+    # outer four.  (ii') Color 1 runs up T1' to u1 or stops at u4, missing
+    # u2 (no T1' child) and u3; color 2 misses u1 (no T2' edge) and u4 (no
+    # slot) and has no cycle: with t(v) the step where a black v takes its
+    # slot, or a white v's out is taken (never if u3 takes it), a white's
+    # arc keeps t and a black's raises it, since a white's out is taken
+    # after all its slots.  (iii') Clockwise, a black has its color-1 arc,
+    # the outs it took (incoming 2), its color-2 arc and its T1' children
+    # (incoming 1); a white its color-1 arc, children (incoming 1), out
+    # (color 2) and slots (incoming 2): validate_reduced_schnyder's windows.
     rs = ReducedSchnyderDecomposition(host=ang, masks=tuple(masks))
-    try:
-        s = lambda_inverse(rs)
-    except EvenError as exc:
-        raise _invalid("ValidationFailed", exc.detail) from exc
-    return ang, s
+    return ang, lambda_inverse(rs)
 
 
 # -- sampling --------------------------------------------------------------
@@ -410,11 +424,10 @@ def rejection_sample_fast(n, rng, max_attempts=None):
     (alpha[0] = 1) or the ballot test _contour_closes(a, b, n) is false
     (some prefix of a and b has more (0, 0) flips than (1, 1) flips), and
     its closure stage when _strands_close(a, b, c) is false, exactly when
-    decode fails the same stage.  The first that passes is decoded (every
-    such triple decodes for n <= 10, see enumerate_pairs).  attempts (and
-    max_attempts, default default_max_decodes(n)) count drawn triples, so
-    the result at a given seed is the one that decoding every drawn triple
-    gives."""
+    decode fails the same stage.  The first that passes is decoded, which
+    cannot fail (see decode).  attempts (and max_attempts, default
+    default_max_decodes(n)) count drawn triples, so the result at a given
+    seed is the one that decoding every drawn triple gives."""
     _require_faces(n)
     _require_positive("max_attempts", max_attempts)
     cum = _popcount_table(n)

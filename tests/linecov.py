@@ -45,28 +45,6 @@ ALLOWED = [
      "orientation always transfers, but the call is the duality.validate "
      "span that a traced draw must fire until validation moves to the "
      "public boundary"),
-    ("src/schnyder_kit/sampler.py",
-     "    except MapError as exc:\n"
-     '        raise _invalid("ClosureFailed",\n'
-     '                       f"completion is not a planar map: '
-     '{exc.detail}") from exc',
-     "decode: the paper's bijection closes every triple that passes "
-     "_contour_closes and _strands_close into a plane map, but no proof "
-     "of that is written here; tier-1 decodes every closing triple with "
-     "n <= 8 and sampled ones at n = 24 without reaching this line"),
-    ("src/schnyder_kit/sampler.py",
-     "    except MapError as exc:\n"
-     '        raise _invalid("ValidationFailed",\n'
-     '                       f"completion is not a quadrangulation: '
-     '{exc.detail}") \\\n'
-     "            from exc",
-     "decode: the same for the closed map being a quadrangulation"),
-    ("src/schnyder_kit/sampler.py",
-     "    except EvenError as exc:\n"
-     '        raise _invalid("ValidationFailed", exc.detail) from exc',
-     "decode: the same for its reduced decomposition being valid; the "
-     "lambda_inverse call stays, as the even.validate span that a traced "
-     "sample must fire"),
 ]
 
 

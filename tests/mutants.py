@@ -135,6 +135,15 @@ MUTANTS = [
             "into_t[u].append(a)",
             "into_t[u] = [a]",
             ORIENT + "test_max_flow_matches_textbook_edmonds_karp"),
+    _mutant("NoSolution certificate read off the search before the last",
+            "orientation.py",
+            "reached, search = net.reached, net.search",
+            "reached, search = net.reached, net.search - 1",
+            ORIENT + "test_alpha_k_infeasible_certificate",
+            ORIENT + "test_certificate_search_skips_a_tight_component",
+            ORIENT + "test_flow_results_are_pinned",
+            "tests/test_sampled_hosts.py::"
+            "test_sampled_flow_results_are_pinned"),
     # -- the girth search --------------------------------------------------
     _mutant("girth prune one level too early", "planar_map.py",
             "if 2 * du + 1 >= best:",

@@ -375,7 +375,8 @@ def test_criterion_08_straight_line_and_reductions(even_decompositions):
         rv = D.dualize(as_angulation(inst, 4))
         rds.append(E.compute_even_regular_decomposition(rv))
     for rd in rds:
-        coords, segs = DR.straight_line_drawing(rd)
+        coords, segs = DR.straight_line_drawing(
+            rd, DR.place_by_equatorial_lines(rd))
         ok, crossings = check_planarity(segs)
         assert ok, crossings
         gd = DR.orthogonal_drawing(rd)

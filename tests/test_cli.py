@@ -412,7 +412,7 @@ def test_validate_rejects_a_bad_document(tmp_path, text):
     assert err["stage"] == "cli" and err["kind"] == "BadDocument"
 
 
-def test_sample_reads_the_jobs_env_on_every_call(monkeypatch):
+def test_sample_reads_jobs_on_every_call(monkeypatch):
     # the parser is built once, but --jobs is read per call, 1 when absent;
     # no environment variable sets it
     seen = []

@@ -273,10 +273,11 @@ def test_straight_line_drawing_and_empty_rectangles():
     for rv in host_corpus():
         rd = E.compute_even_regular_decomposition(rv)
         m = rv.map
-        coords, segs = DR.straight_line_drawing(rd)
+        coords, segs = DR.straight_line_drawing(
+            rd, DR.place_by_equatorial_lines(rd))
         ok, crossings = check_planarity(segs)
         assert ok, crossings
-        gd = DR.orthogonal_drawing(rd, coords)
+        gd = DR.orthogonal_drawing(rd)
         for e in DR.collapsed_edges(rv):
             special_face_of_edge(gd, e)
             (x1, y1), (x2, y2) = coords[m.origin[e]], coords[m.target_of[e]]
@@ -298,13 +299,16 @@ def test_degenerate_two_vertex_host():
     assert ok, crossings
 
 
-def test_error_cases():
+def test_error_cases(monkeypatch):
     rv = D.dualize(as_angulation(I.cube(), 4))
     rd = E.compute_even_regular_decomposition(rv)
     bad = {v: (i, i) for i, v in enumerate(rv.non_root_vertices())}
-    with pytest.raises(DrawingError) as ei:
-        DR.orthogonal_drawing(rd, bad)
+    with monkeypatch.context() as mp:
+        mp.setattr(DR, "place_by_equatorial_lines", lambda rd, markers: bad)
+        with pytest.raises(DrawingError) as ei:
+            DR.orthogonal_drawing(rd)
     assert ei.value.kind == "InternalInvariantViolation"
+    assert "misses the bend" in ei.value.detail
     gd = DR.add_root(DR.orthogonal_drawing(rd))
     with pytest.raises(DrawingError):
         DR.add_root(gd)

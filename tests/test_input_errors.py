@@ -374,11 +374,6 @@ LIBRARY_ERRORS = {
     "map tables of unequal lengths": (
         lambda: PlaneMap([1, 0], [0, 1, 2], [0, 1], 0),
         "planar_map", "MalformedRotation", "unequal lengths"),
-    "drawing at coordinates off the grid": (
-        lambda: DR.orthogonal_drawing(
-            E.compute_even_regular_decomposition(cube_dual()),
-            {v: (0, 0) for v in cube_dual().non_root_vertices()}),
-        "drawing", "InternalInvariantViolation", "not a grid permutation"),
     "drawing of an uneven decomposition": (
         lambda: DR.orthogonal_drawing(D.chi(uneven_cube_schnyder())),
         "drawing", "InternalInvariantViolation", "unique special edges"),
