@@ -8,9 +8,10 @@ where the payload keys are "orientation", "labelling", "schnyder" on a
 primal host and "regular_labelling", "regular_decomposition" on a dual
 host (dual documents also carry "root_vertex" and "first_root_dart" so the
 rooted view can be rebuilt).  A bare plane-map object is accepted wherever
-a document is, and every payload is checked as validate checks it before
-a command uses it.  All outputs are deterministic: identical invocations
-write byte-identical files, and every run's randomness flows from --seed.
+a document is.  Each payload's check returns its violations, which validate
+reports and convert and dualize refuse before use.  All outputs are
+deterministic: identical invocations write byte-identical files, and every
+run's randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -83,11 +84,12 @@ def _regular_view(doc, args, root=None):
 # view -> payload key -> (module, table, check), primal keys in the order of
 # Psi^-1 and Phi.  validate, convert and dualize read every payload this way
 # and look the names up as they read, so that a wrapper on the module runs.
-# A check returns a payload's violations; the orientation's raises instead.
+# Every check returns its payload's (axiom, where, message) violations:
+# validate reports them, and require_valid raises the table's error.
 PAYLOADS = {
     "angulation": {
         "orientation": (orientation_mod, "FracOrientation",
-                        "require_dd2_orientation"),
+                        "validate_orientation"),
         "labelling": (schnyder_mod, "CornerLabelling", "validate_labelling"),
         "schnyder": (schnyder_mod, "SchnyderDecomposition",
                      "validate_schnyder"),

@@ -53,15 +53,13 @@ def marker_table(rd):
     return table
 
 
-def place_by_equatorial_lines(rd, markers=None):
+def place_by_equatorial_lines(rd, markers):
     """p(v) as (rank along L_1, rank along L_4); linear time.  Each non-root
     face links its fx- to its fx+ on L_1 and its fy- to its fy+ on L_4, so
     the two lines are the chains of these links from v_2* and from v_1*.
-    markers is rd's marker_table, parsed here when not given."""
+    markers is rd's marker_table."""
     rv = rd.host
     m = rv.map
-    if markers is None:
-        markers = marker_table(rd)
     next_x, next_y = {}, {}
     for f, (_, (fxm, fxp, fym, fyp)) in markers.items():
         if fxm in next_x or fym in next_y:

@@ -41,28 +41,8 @@ class FracOrientation:
     values: tuple  # one value per dart, -1 on non-oriented darts
     host: AngulationView | None = field(default=None, compare=False)
 
-    def outdegree(self, v):
-        return sum(self.values[h] for h in self.map.vertex_orbit(v)
-                   if self.values[h] >= 0)
-
-    def validate(self, alpha=None):
-        m = self.map
-        for h in m.edges():
-            a, b = self.values[h], self.values[m.twin[h]]
-            if (a < 0) != (b < 0):
-                raise OrientationError("InvalidOrientation",
-                                       f"half-oriented edge at dart {h}")
-            if a >= 0 and (a + b != self.k or a > self.k or b > self.k):
-                raise OrientationError("InvalidOrientation",
-                                       f"edge values {a}+{b} != k={self.k} at dart {h}")
-        if alpha is not None:
-            for v, want in enumerate(alpha):
-                got = self.outdegree(v)
-                if got != want:
-                    raise OrientationError(
-                        "InvalidOrientation",
-                        f"vertex {v} outdegree {got}, expected {want}")
-        return self
+    ERROR = OrientationError
+    KIND = "InvalidOrientation"
 
     def to_json_obj(self):
         return {"k": self.k, "values": list(self.values)}
@@ -289,17 +269,35 @@ def _outdegrees(ang, out):
             for v in range(ang.map.n_vertices)]
 
 
-def require_dd2_orientation(o):
-    """InvalidOrientation unless o is a d/(d-2)-orientation of o.host:
-    k = d - 2, each oriented edge's values summing to k, outdegree d at
-    the internal vertices and 0 at u_1..u_d.  Then exactly the internal
-    edges are oriented: an outer edge joins two vertices of outdegree 0,
-    and by Euler's formula the outdegrees sum to d(V - d) = k(E - d), k
-    per oriented edge, E - d the number of internal edges."""
-    if o.k != o.host.d - 2:
-        raise OrientationError("InvalidOrientation",
-                               f"k={o.k}, expected d-2={o.host.d - 2}")
-    o.validate(_outdegrees(o.host, o.host.d))
+def validate_orientation(o):
+    """All violations of o as a d/(d-2)-orientation of o.host (empty =
+    valid): a host, k = d - 2 (if not, reported alone), each oriented edge's
+    values summing to k, outdegree d at the internal vertices and 0 at
+    u_1..u_d.  Then exactly the internal edges are oriented: an outer edge
+    joins two vertices of outdegree 0, and by Euler's formula the
+    outdegrees sum to d(V - d) = k(E - d), k per oriented edge, E - d the
+    number of internal edges."""
+    ang = o.host
+    if ang is None:
+        return [("host", None, "orientation has no angulation host")]
+    k = ang.d - 2
+    if o.k != k:
+        return [("k", None, f"k={o.k}, expected d-2={k}")]
+    m, values = o.map, o.values
+    out, got = [], [0] * m.n_vertices
+    for h, (a, v, t) in enumerate(zip(values, m.origin, m.twin)):
+        got[v] += max(a, 0)
+        if h > t:
+            continue
+        b = values[t]
+        if (a < 0) != (b < 0):
+            out.append(("edge", h, f"half-oriented edge at dart {h}"))
+        elif a >= 0 and a + b != k:
+            out.append(("edge", h, f"edge values {a}+{b} != k={k} at dart {h}"))
+    out.extend(("outdegree", v, f"vertex {v} outdegree {g}, expected {w}")
+               for v, (g, w) in enumerate(zip(got, _outdegrees(ang, ang.d)))
+               if g != w)
+    return out
 
 
 def _require_girth(ang, d):
@@ -422,7 +420,10 @@ def minimal_orientation(ang_or_o):
     return o
 
 
-def lattice_enumerate(ang, cap=10**6):
+LATTICE_CAP = 10**6     # lattice elements before lattice_enumerate refuses
+
+
+def lattice_enumerate(ang):
     """All d/(d-2)-orientations, by BFS from the minimum along inverse
     covers (pushing clockwise circuits of length d)."""
     o0 = minimal_orientation(ang)
@@ -433,9 +434,9 @@ def lattice_enumerate(ang, cap=10**6):
         for trav in find_cw_d_circuits(o):
             o2 = push_cycle(o, trav)
             if o2.values not in seen:
-                if len(seen) >= cap:
-                    raise OrientationError("ExplosionGuard",
-                                           f"more than {cap} lattice elements")
+                if len(seen) >= LATTICE_CAP:
+                    raise OrientationError("ExplosionGuard", "more than "
+                                           f"{LATTICE_CAP} lattice elements")
                 seen[o2.values] = o2
                 q.append(o2)
     return list(seen.values())

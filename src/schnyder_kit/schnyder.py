@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import lt
 
 from .errors import SchnyderError
-from .orientation import FracOrientation, require_dd2_orientation
+from .orientation import FracOrientation, validate_orientation
 from .planar_map import AngulationView
 
 
@@ -250,15 +250,13 @@ def psi_inverse(o):
     corner clockwise around their face, twin(next_cw(a)), it steps by +1 on
     the outer face and -1 on the others.  These steps close the vertex and
     face cycles, so on a connected map they reach every corner.  Only o
-    is checked (require_dd2_orientation): Psi is a bijection from the
-    labellings onto the d/(d-2)-orientations, so o = Psi(l) for one l.
-    Each step follows a relation of l, from the color 1 of l at the seed,
-    so the propagation meets no conflict and returns l.
+    is checked (validate_orientation, whose violations, a missing host
+    among them, raise orientation/InvalidOrientation): Psi is a bijection
+    from the labellings onto the d/(d-2)-orientations, so o = Psi(l) for
+    one l.  Each step follows a relation of l, from the color 1 of l at
+    the seed, so the propagation meets no conflict and returns l.
     """
-    if o.host is None:
-        raise SchnyderError("InvalidOrientation", "orientation lacks an angulation host")
-    require_dd2_orientation(o)
-    return _psi_inverse(o)
+    return _psi_inverse(require_valid(o, validate_orientation))
 
 
 def _psi_inverse(o):

@@ -280,13 +280,20 @@ MUTANTS = [
             "        if False:",
             INPUT + "test_cli_input_errors"),
     _mutant("an edge whose values miss k passes", "orientation.py",
-            "if a >= 0 and (a + b != self.k or a > self.k or b > self.k):",
-            "if a >= 0 and (a > self.k or b > self.k):",
-            INPUT + "test_cli_input_errors"),
+            "elif a >= 0 and a + b != k:",
+            "elif a >= 0 and a + b > 2 * k:",
+            INPUT + "test_cli_input_errors",
+            INPUT + "test_validate_reports_a_bad_orientation"),
     _mutant("the d/(d-2) check ignores k", "orientation.py",
-            "    if o.k != o.host.d - 2:\n",
+            "    if o.k != k:\n",
             "    if False:\n",
-            INPUT + "test_cli_input_errors"),
+            INPUT + "test_cli_input_errors",
+            INPUT + "test_validate_reports_a_bad_orientation"),
+    _mutant("validate reports a bad orientation as ok", "cli.py",
+            "            if bad:\n",
+            "            if bad and kind != \"orientation\":\n",
+            INPUT + "test_validate_reports_a_bad_orientation",
+            CLI + "test_validate_checks_orientation_outdegrees"),
     _mutant("convert uses a labelling payload unchecked", "cli.py",
             "return schnyder_mod.require_valid(t, check)",
             "return schnyder_mod.require_valid(t, check if kind != "

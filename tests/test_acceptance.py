@@ -104,7 +104,8 @@ def test_criterion_01_existence_iff_girth():
             maps.update(repr((m.twin, m.next_cw, m.origin,
                               m.outer_dart)).encode())
             assert m.girth() == d
-            O.compute_dd2_orientation(ang).validate()
+            assert O.validate_orientation(
+                O.compute_dd2_orientation(ang)) == []
             succeeded += 1
     assert succeeded == 17384 and maps.hexdigest() == \
         "b27ab511f437baf4e745bb45c505a36c3db37bc1ec495c1429a465b2b55d02e8"
@@ -349,14 +350,15 @@ def test_criterion_06_orthogonal_drawing():
 def test_criterion_07_placement_equivalence(quad_evens):
     checked = 0
     for ang, s, rd in quad_evens:
-        assert place_by_face_counting(rd) == DR.place_by_equatorial_lines(rd)
+        assert place_by_face_counting(rd) == \
+            DR.place_by_equatorial_lines(rd, DR.marker_table(rd))
         checked += 1
     timings = {}
     for m_half in (125, 500):
         rv = D.dualize(as_angulation(I.pseudo_double_wheel(m_half), 4))
         rd = E.compute_even_regular_decomposition(rv)
         t0 = time.perf_counter()
-        coords = DR.place_by_equatorial_lines(rd)
+        coords = DR.place_by_equatorial_lines(rd, DR.marker_table(rd))
         timings[2 * m_half] = time.perf_counter() - t0
         assert len(coords) == 2 * m_half - 1
     assert timings[1000] < 1.0
@@ -376,7 +378,7 @@ def test_criterion_08_straight_line_and_reductions(even_decompositions):
         rds.append(E.compute_even_regular_decomposition(rv))
     for rd in rds:
         coords, segs = DR.straight_line_drawing(
-            rd, DR.place_by_equatorial_lines(rd))
+            rd, DR.place_by_equatorial_lines(rd, DR.marker_table(rd)))
         ok, crossings = check_planarity(segs)
         assert ok, crossings
         gd = DR.orthogonal_drawing(rd)

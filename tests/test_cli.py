@@ -689,9 +689,11 @@ def test_validate_checks_orientation_outdegrees(tmp_path):
     values[h], values[twin[h]] = values[twin[h]], values[h]
     p.write_text(json.dumps(doc))
     rc, out = run(["validate", str(p)])
-    obj = json.loads(out)
-    assert rc == 1 and list(obj) == ["error"]
-    assert obj["error"]["kind"] == "InvalidOrientation"
+    report = json.loads(out)
+    assert rc == 1 and report["ok"] is False
+    assert report["checked"] == ["angulation", "orientation"]
+    bad = report["violations"]["orientation"]
+    assert [v[0] for v in bad] == ["outdegree", "outdegree"]
 
 
 def test_validate_reads_a_regular_labelling(tmp_path):

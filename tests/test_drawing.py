@@ -3,6 +3,7 @@ import pathlib
 import random
 from collections import Counter
 from dataclasses import replace
+from math import comb
 
 import pytest
 
@@ -13,12 +14,14 @@ import schnyder_kit.schnyder as S
 import schnyder_kit.duality as D
 import schnyder_kit.even as E
 import schnyder_kit.drawing as DR
+import schnyder_kit.sampler as SA
 
 import instances as I
 from oracles import (
     bend_count, check_planarity, is_even, place_by_face_counting,
     special_face_of_edge,
 )
+from sampled_hosts import SAMPLED_HOSTS, triple
 from sweep import check_orthogonal_planarity
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -46,18 +49,19 @@ def test_face_counting_matches_equatorial_lines(even_decompositions):
             I.face_split_quadrangulation(n, random.Random(n)), 4))
             for n in (20, 100)]:
         rd = E.compute_even_regular_decomposition(rv)
-        assert place_by_face_counting(rd) == DR.place_by_equatorial_lines(rd)
+        assert place_by_face_counting(rd) == \
+            DR.place_by_equatorial_lines(rd, DR.marker_table(rd))
     for m in (4, 5):
         for _, rd in wheel_duals(even_decompositions, m):
             assert place_by_face_counting(rd) == \
-                DR.place_by_equatorial_lines(rd)
+                DR.place_by_equatorial_lines(rd, DR.marker_table(rd))
 
 
 def test_known_cube_coordinates():
     # frozen output of the deterministic pipeline on the cube dual
     rv = D.dualize(as_angulation(I.cube(), 4))
     rd = E.compute_even_regular_decomposition(rv)
-    assert DR.place_by_equatorial_lines(rd) == {
+    assert DR.place_by_equatorial_lines(rd, DR.marker_table(rd)) == {
         0: (1, 0), 2: (4, 1), 3: (3, 4), 4: (0, 3), 5: (2, 2)}
 
 
@@ -227,7 +231,7 @@ def test_placement_rejects_a_broken_marker_chain(monkeypatch):
     monkeypatch.setattr(DR, "face_markers", lambda rd, f, is_black: markers(
         rd, f0 if is_black else f, is_black))
     with pytest.raises(DrawingError) as ei:
-        DR.place_by_equatorial_lines(rd)
+        DR.place_by_equatorial_lines(rd, DR.marker_table(rd))
     assert ei.value.kind == "InternalInvariantViolation"
     assert "repeats a marker" in ei.value.detail
     for succ, count in (({1: 2}, 3), ({1: 2, 2: 1}, 3), ({1: 2, 2: 1}, 2)):
@@ -274,7 +278,7 @@ def test_straight_line_drawing_and_empty_rectangles():
         rd = E.compute_even_regular_decomposition(rv)
         m = rv.map
         coords, segs = DR.straight_line_drawing(
-            rd, DR.place_by_equatorial_lines(rd))
+            rd, DR.place_by_equatorial_lines(rd, DR.marker_table(rd)))
         ok, crossings = check_planarity(segs)
         assert ok, crossings
         gd = DR.orthogonal_drawing(rd)
@@ -408,3 +412,67 @@ def test_svg_golden():
     assert DR.emit_svg(gd) == (GOLDEN / "cube_drawing.svg").read_text()
     # emission is deterministic
     assert DR.emit_svg(gd) == DR.emit_svg(gd)
+
+
+def drawn_permutation(rd):
+    """The placement of rd read as a permutation: the y ranks of the
+    non-root vertices in x order."""
+    coords = DR.place_by_equatorial_lines(rd, DR.marker_table(rd))
+    return tuple(y for _, y in sorted(coords.values()))
+
+
+def is_baxter(p):
+    """p avoids the patterns 2-41-3 and 3-14-2: no i < j < j + 1 < k with
+    p[j+1] < p[i] < p[k] < p[j], nor with p[j] < p[k] < p[i] < p[j+1].  For
+    each adjacent pair it suffices to look for the smallest value that can
+    play the 2 (or the 3) and then for the other one; O(n^2) in all."""
+    n = len(p)
+    for j in range(n - 1):
+        lo, hi = sorted(p[j:j + 2])
+        if p[j] > p[j + 1]:     # 2-41-3: smallest p[i] in range, then p[k]
+            mid = min((x for x in p[:j] if lo < x < hi), default=None)
+            rest = p[j + 2:]
+        else:                   # 3-14-2: smallest p[k] in range, then p[i]
+            mid = min((x for x in p[j + 2:] if lo < x < hi), default=None)
+            rest = p[:j]
+        if mid is not None and any(mid < x < hi for x in rest):
+            return False
+    return True
+
+
+def baxter_number(n):
+    """The number of Baxter permutations of size n (Chung, Graham,
+    Hoggatt and Kleiman, 1978)."""
+    return sum(comb(n + 1, k - 1) * comb(n + 1, k) * comb(n + 1, k + 1)
+               for k in range(1, n + 1)) // (comb(n + 1, 1) * comb(n + 1, 2))
+
+
+def test_is_baxter_refuses_both_patterns():
+    assert is_baxter((1, 0, 3, 2)) and is_baxter((0, 1, 2))
+    assert not is_baxter((1, 3, 0, 2))          # 2-41-3
+    assert not is_baxter((2, 0, 3, 1))          # 3-14-2
+    assert is_baxter((1, 4, 2, 0, 3))           # 4 and 1 of 2413 apart
+    assert [baxter_number(n) for n in range(1, 8)] == \
+        [1, 2, 6, 22, 92, 422, 2074]
+
+
+def test_each_drawing_is_its_own_baxter_permutation():
+    """For every pair (quadrangulation with n <= 8 faces, even Schnyder
+    decomposition s), the placement of chi(s) is a Baxter permutation of
+    size n - 1 with one descent fewer than the black vertices of the
+    pair's code (len(alpha)), and no two pairs of one size share it: the
+    drawing is a bijection onto the Baxter permutations.  The same holds
+    on the sampled hosts of tests/sampled_hosts.py (n = 60 and 120)."""
+    pairs = {n: SA.enumerate_pairs(n) for n in range(2, 9)}
+    pairs["sampled"] = [SA.decode(triple(e)) for e in SAMPLED_HOSTS]
+    for key, group in pairs.items():
+        perms = set()
+        for ang, s in group:
+            p = drawn_permutation(D.chi(s))
+            assert len(p) == ang.map.n_faces - 1 and is_baxter(p), key
+            descents = sum(a > b for a, b in zip(p, p[1:]))
+            assert descents + 1 == len(SA.encode(ang, s).alpha), key
+            perms.add(p)
+        assert len(perms) == len(group), key
+        if key != "sampled":
+            assert len(perms) == baxter_number(key - 1)

@@ -136,6 +136,7 @@ def cube_labelling():
 
 
 CUBE_DARTS = I.cube().n_darts
+CONVERT_ORIENTATION = ["convert", "--from", "orientation", "--to", "labelling"]
 
 # case -> (document, argv after the input path, stage, kind, detail part)
 CLI_ERRORS = {
@@ -189,21 +190,16 @@ CLI_ERRORS = {
         ["validate"], "schnyder", "InvalidDecomposition",
         "'d' must be the integer 4"),
     "half-oriented edge": (
-        lambda: cube_orientation(_half_orient), ["validate"],
+        lambda: cube_orientation(_half_orient), CONVERT_ORIENTATION,
         "orientation", "InvalidOrientation", "half-oriented edge"),
     "edge values off k": (
-        lambda: cube_orientation(_overfill), ["validate"],
+        lambda: cube_orientation(_overfill), CONVERT_ORIENTATION,
         "orientation", "InvalidOrientation", "!= k=2"),
     "orientation with the wrong outdegrees": (
-        wrong_outdegrees,
-        ["convert", "--from", "orientation", "--to", "labelling"],
+        wrong_outdegrees, CONVERT_ORIENTATION,
         "orientation", "InvalidOrientation", "vertex 4 outdegree 8"),
-    "validate an orientation with k = d": (
-        cube_orientation_with_k_equal_d, ["validate"],
-        "orientation", "InvalidOrientation", "expected d-2=2"),
     "convert an orientation with k = d": (
-        cube_orientation_with_k_equal_d,
-        ["convert", "--from", "orientation", "--to", "labelling"],
+        cube_orientation_with_k_equal_d, CONVERT_ORIENTATION,
         "orientation", "InvalidOrientation", "expected d-2=2"),
     "recoloured labelling converted to schnyder": (
         recoloured_cube_labelling,
@@ -228,6 +224,39 @@ def test_cli_input_errors(tmp_path, case):
     err = obj["error"]
     assert (err["stage"], err["kind"]) == (stage, kind), err
     assert detail in err["detail"], err
+
+
+# case -> (document, message part): orientations that validate reports as
+# violations and convert refuses; CLI_ERRORS has the convert cases
+BAD_ORIENTATIONS = {
+    "half-oriented edge": (
+        lambda: cube_orientation(_half_orient), "half-oriented edge"),
+    "edge values off k": (lambda: cube_orientation(_overfill), "!= k=2"),
+    "orientation with k = d": (
+        cube_orientation_with_k_equal_d, "expected d-2=2"),
+    "orientation with the wrong outdegrees": (
+        wrong_outdegrees, "vertex 4 outdegree 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ORIENTATIONS))
+def test_validate_reports_a_bad_orientation(tmp_path, case):
+    """validate answers a bad orientation with its violations, as it does
+    any other payload, and convert's error names the first three."""
+    build, part = BAD_ORIENTATIONS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(build()))
+    rc, out = run(["validate", str(path)])
+    report = json.loads(out)
+    assert rc == 1 and report["ok"] is False
+    assert report["checked"] == ["angulation", "orientation"]
+    assert list(report["violations"]) == ["orientation"]
+    messages = [v[2] for v in report["violations"]["orientation"]]
+    assert part in "; ".join(messages)
+    rc, out = run(["convert", str(path), *CONVERT_ORIENTATION[1:]])
+    assert rc == 1 and json.loads(out) == {"error": {
+        "stage": "orientation", "kind": "InvalidOrientation",
+        "detail": "; ".join(messages[:3])}}
 
 
 def test_convert_from_a_labelling(tmp_path):
@@ -342,7 +371,7 @@ LIBRARY_ERRORS = {
     "psi_inverse without a host": (
         lambda: S.psi_inverse(O.FracOrientation(
             map=I.cube(), k=2, values=ZEROS)),
-        "schnyder", "InvalidOrientation", "angulation host"),
+        "orientation", "InvalidOrientation", "angulation host"),
     "psi_inverse of an orientation with two values swapped": (
         lambda: S.psi_inverse(_swapped_cube_orientation()),
         "orientation", "InvalidOrientation", "outdegree"),

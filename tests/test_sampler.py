@@ -739,7 +739,7 @@ def test_each_draw_validates_each_structure_once(monkeypatch, tmp_path):
     doc = tmp_path / "dual.json"
     doc.write_text(json.dumps({"map": D.dualize(ang).map.to_json_obj(),
                                "d": 4}))
-    calls = {fn: [] for fn in (O.require_dd2_orientation,
+    calls = {fn: [] for fn in (O.validate_orientation,
                                S.validate_labelling, S.validate_schnyder,
                                D.validate_regular_decomposition)}
     for fn, seen in calls.items():
@@ -779,7 +779,7 @@ def test_each_conversion_checks_its_payload_once(monkeypatch, tmp_path,
     good = {"map": ang.map.to_json_obj(), "d": 4,
             "orientation": o.to_json_obj(), "labelling": l.to_json_obj(),
             "schnyder": S.phi(l).to_json_obj()}
-    checks = {"orientation": O.require_dd2_orientation,
+    checks = {"orientation": O.validate_orientation,
               "labelling": S.validate_labelling,
               "schnyder": S.validate_schnyder,
               "regular_decomposition": D.validate_regular_decomposition}
@@ -795,3 +795,31 @@ def test_each_conversion_checks_its_payload_once(monkeypatch, tmp_path,
             rc = cli.main([argv[0], str(path), *argv[1:]], out=io.StringIO())
         assert rc == status
         assert {kind: len(seen) for kind, seen in calls.items()} == once
+
+
+def test_every_payload_check_returns_violations():
+    """Every check in cli.PAYLOADS, on the payloads of the cube and of its
+    dual as the CLI reads them: [] for the valid payload, and for the same
+    payload broken (_broken) a non-empty list of (axiom, where, message)
+    triples, raising nothing; so validate reports each payload's faults
+    the same way."""
+    ang = as_angulation(I.cube(), 4)
+    o = O.compute_dd2_orientation(ang)
+    l = S.psi_inverse(o)
+    s = S.phi(l)
+    payloads = {
+        "angulation": (ang, {"orientation": o, "labelling": l,
+                             "schnyder": s}),
+        "regular": (D.dualize(ang), {"regular_labelling": D.dual_labelling(l),
+                                     "regular_decomposition": D.chi(s)}),
+    }
+    for view, (host, tables) in payloads.items():
+        assert list(tables) == list(cli.PAYLOADS[view])
+        for kind, t in tables.items():
+            obj = t.to_json_obj()
+            for payload, valid in ((obj, True), (_broken(obj), False)):
+                read, check = cli._read_payload({kind: payload}, host, view,
+                                                kind)
+                bad = check(read)
+                assert (bad == []) is valid, (kind, bad)
+                assert all(type(v) is tuple and len(v) == 3 for v in bad)
