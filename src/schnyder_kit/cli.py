@@ -219,10 +219,10 @@ def _cmd_draw(args, out):
         gd = drawing_mod.apply_reduction(
             gd, drawing_mod.balanced_reduction_choice(fc))
     if args.mode == "straightline":
-        coords, _segs = drawing_mod.straight_line_drawing(rd, gd.coords)
         payload = {"mode": "straightline",
                    "n": rv.map.n_vertices,
-                   "coords": {str(v): list(p) for v, p in sorted(coords.items())}}
+                   "coords": {str(v): list(p)
+                              for v, p in sorted(gd.coords.items())}}
     else:
         if args.with_root:
             gd = drawing_mod.add_root(gd)

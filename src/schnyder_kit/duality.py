@@ -13,6 +13,8 @@ colors of a Schnyder decomposition.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
@@ -29,11 +31,12 @@ def dualize(ang):
     The dual's prev_cw is the primal next_cw . twin, so the root darts,
     counterclockwise from the outer dart, are ang.outer_orbit, and f_i* is
     the dual face of the dart u_{i-1} -> u_i.  The dual face of a dart is
-    the primal vertex it points at (PlaneMap.dual): u_i.
+    the primal vertex it points at (PlaneMap.dual): u_i.  The view's
+    primal is ang.
     """
     dm = ang.map.dual()
-    return as_regular(dm, ang.d, root=dm.root_vertex,
-                      first_root_dart=ang.map.outer_dart)
+    return replace(as_regular(dm, ang.d, root=dm.root_vertex,
+                              first_root_dart=ang.map.outer_dart), primal=ang)
 
 
 class RegularLabelling(DartTable):
@@ -57,18 +60,20 @@ def dual_labelling(l):
     ang = require_valid(l, validate_labelling, DualityError).host
     prev = ang.map.prev_cw
     colors = tuple(l.colors[prev[h]] for h in range(ang.map.n_darts))
-    return RegularLabelling(host=dualize(ang), colors=colors, primal=ang)
+    return RegularLabelling(host=dualize(ang), colors=colors)
 
 
 def primal_labelling(r):
-    """Inverse transfer: the clockwise labelling whose dual is r."""
-    if r.primal is None:
+    """Inverse transfer: the clockwise labelling whose dual is r.  Only a
+    host made by dualize knows its primal."""
+    ang = r.host.primal
+    if ang is None:
         raise DualityError("NoPrimalHost",
                            "regular labelling lacks a primal angulation host")
     require_valid(r, validate_regular_labelling)
-    nxt = r.primal.map.next_cw
-    colors = tuple(r.colors[nxt[h]] for h in range(r.primal.map.n_darts))
-    return CornerLabelling(host=r.primal, colors=colors)
+    nxt = ang.map.next_cw
+    colors = tuple(r.colors[nxt[h]] for h in range(ang.map.n_darts))
+    return CornerLabelling(host=ang, colors=colors)
 
 
 # -- regular labelling validation ----------------------------------------
@@ -106,7 +111,7 @@ def xi(r):
     for h in range(m.n_darts):
         if m.origin[h] != rv.root_vertex:
             masks[h] = 1 << (r.colors[m.prev_cw[h]] - 1)
-    return RegularDecomposition(host=rv, masks=tuple(masks), primal=r.primal)
+    return RegularDecomposition(host=rv, masks=tuple(masks))
 
 
 def xi_inverse(rd):
@@ -127,7 +132,7 @@ def xi_inverse(rd):
             colors[m.prev_cw[h]] = rd.dart_colors(h)[0]
     for i, h in enumerate(rv.root_darts, start=1):
         colors[h] = i
-    return RegularLabelling(host=rv, colors=tuple(colors), primal=rd.primal)
+    return RegularLabelling(host=rv, colors=tuple(colors))
 
 
 # -- regular decomposition validation -------------------------------------
@@ -215,7 +220,7 @@ def _chi(s, rv):
     masks = tuple(0 if dm.origin[h] == rv.root_vertex
                   else 1 << (colors[dm.twin[h]] - 1)
                   for h in range(dm.n_darts))
-    return RegularDecomposition(host=rv, masks=masks, primal=s.host)
+    return RegularDecomposition(host=rv, masks=masks)
 
 
 def chi_inverse(rd):

@@ -172,7 +172,7 @@ def lambda_star(rd):
         raise EvenError("NotEven", "decomposition has a non-root edge with "
                                    "same-parity colors")
     masks = tuple(_keep_even(mk, p) for mk in rd.masks)
-    return ReducedRegularDecomposition(host=rv, masks=masks, primal=rd.primal)
+    return ReducedRegularDecomposition(host=rv, masks=masks)
 
 
 def lambda_star_inverse(rrd):
@@ -188,7 +188,7 @@ def lambda_star_inverse(rrd):
     for h in range(m.n_darts):
         for i in rrd.dart_colors(h):
             full[m.prev_cw[h]] |= 1 << (2 * i - 2)
-    return RegularDecomposition(host=rv, masks=tuple(full), primal=rrd.primal)
+    return RegularDecomposition(host=rv, masks=tuple(full))
 
 
 def validate_reduced_regular(rrd):
@@ -233,7 +233,7 @@ def compute_even_regular_decomposition(rv):
     # the double dual is the original map with darts renamed by twin
     m = rv.map
     masks = tuple(dd_rd.masks[m.twin[h]] for h in range(m.n_darts))
-    rd = RegularDecomposition(host=rv, masks=masks, primal=None)
+    rd = RegularDecomposition(host=rv, masks=masks)
     bad = validate_regular_decomposition(rd)
     if bad:
         raise EvenError("MincutTooSmall", f"transfer failed: {bad[:3]}")

@@ -28,21 +28,24 @@ circuit, lists every d-cycle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import OrientationError
-from .planar_map import AngulationView, PlaneMap
+from .planar_map import AngulationView
 
 
 @dataclass(frozen=True)
 class FracOrientation:
-    map: PlaneMap
+    host: AngulationView
     k: int
     values: tuple  # one value per dart, -1 on non-oriented darts
-    host: AngulationView | None = field(default=None, compare=False)
 
     ERROR = OrientationError
     KIND = "InvalidOrientation"
+
+    @property
+    def map(self):
+        return self.host.map
 
     def to_json_obj(self):
         return {"k": self.k, "values": list(self.values)}
@@ -63,7 +66,7 @@ class FracOrientation:
             raise OrientationError("InvalidOrientation", "'values' must hold "
                                    f"one integer in [-1, {k}] per dart "
                                    f"({m.n_darts} darts)")
-        return cls(map=m, k=k, values=tuple(values), host=host)
+        return cls(host, k, tuple(values))
 
 
 # -- max flow -------------------------------------------------------------
@@ -163,8 +166,9 @@ class _FlowNet:
 
 
 def compute_alpha_k_orientation(m, edge_ids, alpha, k):
-    """An orientation of the given edges with outdegree alpha(v) at every
-    vertex, or NoSolution carrying a violated connected subset as certificate.
+    """The dart values (-1 off the given edges) of an orientation of the
+    given edges with outdegree alpha(v) at every vertex, or NoSolution
+    carrying a violated connected subset as certificate.
 
     Network: source -> vertex (cap alpha(v)); vertex -> incident edge
     (cap k per dart); edge -> sink (cap k).  A flow of value k*|E| with
@@ -190,7 +194,7 @@ def compute_alpha_k_orientation(m, edge_ids, alpha, k):
     values = [-1] * m.n_darts
     for h, a in zip(darts, dart_arcs):
         values[h] = net.cap[a ^ 1]
-    return FracOrientation(map=m, k=k, values=tuple(values))
+    return tuple(values)
 
 
 def _no_solution(m, edge_ids, alpha, k, net, nv):
@@ -258,9 +262,8 @@ def _angulation_orientation(ang, out, k):
     """The k-fractional orientation of the internal edges of a girth-d
     d-angulation with outdegree out at every internal vertex."""
     _require_girth(ang, ang.d)
-    o = compute_alpha_k_orientation(ang.map, ang.internal_edges(),
-                                    _outdegrees(ang, out), k)
-    return replace(o, host=ang)
+    return FracOrientation(ang, k, compute_alpha_k_orientation(
+        ang.map, ang.internal_edges(), _outdegrees(ang, out), k))
 
 
 def _outdegrees(ang, out):
@@ -271,19 +274,18 @@ def _outdegrees(ang, out):
 
 def validate_orientation(o):
     """All violations of o as a d/(d-2)-orientation of o.host (empty =
-    valid): a host, k = d - 2 (if not, reported alone), each oriented edge's
-    values summing to k, outdegree d at the internal vertices and 0 at
-    u_1..u_d.  Then exactly the internal edges are oriented: an outer edge
+    valid): one value per dart and k = d - 2 (each reported alone), each
+    oriented edge's values summing to k, outdegree d at the internal
+    vertices and 0 at u_1..u_d.  Then exactly the internal edges are oriented: an outer edge
     joins two vertices of outdegree 0, and by Euler's formula the
     outdegrees sum to d(V - d) = k(E - d), k per oriented edge, E - d the
     number of internal edges."""
-    ang = o.host
-    if ang is None:
-        return [("host", None, "orientation has no angulation host")]
+    ang, m, values = o.host, o.map, o.values
+    if len(values) != m.n_darts:
+        return [("malformed", None, f"values must cover all {m.n_darts} darts")]
     k = ang.d - 2
     if o.k != k:
         return [("k", None, f"k={o.k}, expected d-2={k}")]
-    m, values = o.map, o.values
     out, got = [], [0] * m.n_vertices
     for h, (a, v, t) in enumerate(zip(values, m.origin, m.twin)):
         got[v] += max(a, 0)
@@ -375,8 +377,6 @@ def _find_d_circuits(o, ccw, limit=None):
     when all its darts are positive and the outer face lies on its right
     (ccw) or on its left (cw).  The d-cycles are listed lazily, so the scan
     stops at its limit."""
-    if o.host is None:
-        raise OrientationError("InvalidOrientation", "orientation has no angulation host")
     m = o.map
     values = o.values
     edges = [h for h, e in enumerate(m.edge_of) if h == e and values[h] >= 0]

@@ -468,13 +468,15 @@ class AngulationView:
 class RegularView:
     """A d-regular plane map rooted at v*, with root edges e_1*..e_d* in
     counterclockwise order around v* and root faces f_1*..f_d* such that
-    e_i* lies between f_i* and f_{i+1}*."""
+    e_i* lies between f_i* and f_{i+1}*.  ``primal`` is the d-angulation
+    whose dual this is, on the views duality.dualize makes, else None."""
 
     map: PlaneMap
     d: int
     root_vertex: int
     root_darts: tuple  # e_1* .. e_d*, darts at v*, ccw order
     root_faces: tuple  # f_1* .. f_d*
+    primal: AngulationView = field(default=None, compare=False, repr=False)
 
     def non_root_vertices(self):
         return [v for v in range(self.map.n_vertices) if v != self.root_vertex]

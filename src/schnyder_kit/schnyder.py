@@ -14,12 +14,11 @@ d-bit masks (bit i-1 for color i).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import lt
 
 from .errors import SchnyderError
 from .orientation import FracOrientation, validate_orientation
-from .planar_map import AngulationView
 
 
 def _mod(x, d):
@@ -60,14 +59,13 @@ class DartTable:
     colors) and the ERROR class and KIND that a payload of the wrong shape
     raises.
 
-    Equality compares the class, the host view and the tuple; it ignores
-    ``primal``.  A host view compares its PlaneMap by identity, so tables on
-    separately built maps (two dualize calls, say) are never equal, even
-    when their entries agree: compare their ``masks`` instead."""
+    Equality compares the class, the host view and the tuple.  A host view
+    compares its PlaneMap by identity, so tables on separately built maps
+    (two dualize calls, say) are never equal, even when their entries
+    agree: compare their ``masks`` instead."""
 
     host: object
     table: tuple
-    primal: AngulationView = field(default=None, compare=False)
 
     HOST = "primal"
     REDUCED = False
@@ -75,10 +73,9 @@ class DartTable:
     ERROR = SchnyderError
     KIND = "InvalidDecomposition"
 
-    def __init__(self, host, masks=None, colors=None, primal=None):
+    def __init__(self, host, masks=None, colors=None):
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "table", masks if colors is None else colors)
-        object.__setattr__(self, "primal", primal)
 
     @property
     def masks(self):
@@ -238,7 +235,7 @@ def _psi(l):
     vals = [-1] * m.n_darts
     for h in ang.internal_darts():
         vals[h] = clockwise_jump(l, h)
-    return FracOrientation(map=m, k=ang.d - 2, values=tuple(vals), host=ang)
+    return FracOrientation(ang, ang.d - 2, tuple(vals))
 
 
 def psi_inverse(o):
@@ -250,11 +247,11 @@ def psi_inverse(o):
     corner clockwise around their face, twin(next_cw(a)), it steps by +1 on
     the outer face and -1 on the others.  These steps close the vertex and
     face cycles, so on a connected map they reach every corner.  Only o
-    is checked (validate_orientation, whose violations, a missing host
-    among them, raise orientation/InvalidOrientation): Psi is a bijection
-    from the labellings onto the d/(d-2)-orientations, so o = Psi(l) for
-    one l.  Each step follows a relation of l, from the color 1 of l at
-    the seed, so the propagation meets no conflict and returns l.
+    is checked (validate_orientation, whose violations raise
+    orientation/InvalidOrientation): Psi is a bijection from the
+    labellings onto the d/(d-2)-orientations, so o = Psi(l) for one l.
+    Each step follows a relation of l, from the color 1 of l at the seed,
+    so the propagation meets no conflict and returns l.
     """
     return _psi_inverse(require_valid(o, validate_orientation))
 
@@ -301,7 +298,7 @@ def gamma(s):
     vals = tuple(
         bin(mask).count("1") if not ang.is_external_edge(h) else -1
         for h, mask in enumerate(s.masks))
-    return FracOrientation(map=ang.map, k=ang.d - 2, values=vals, host=ang)
+    return FracOrientation(ang, ang.d - 2, vals)
 
 
 def phi_inverse(s):

@@ -57,6 +57,7 @@ SAMP = "tests/test_sampler.py::"
 DRAW = "tests/test_drawing.py::"
 ACCEPT = "tests/test_acceptance.py::"
 INPUT = "tests/test_input_errors.py::"
+SAMPLED = "tests/test_sampled_hosts.py::"
 
 MUTANTS = [
     # -- the side test and the circuit scan -------------------------------
@@ -98,6 +99,7 @@ MUTANTS = [
             "            while last < 0:\n",
             "            while True:\n",
             ORIENT + "test_flow_results_are_pinned",
+            SAMPLED + "test_sampled_flow_results_are_pinned",
             CLI + "test_draw_stdout_is_pinned",
             ORIENT + "test_max_flow_matches_textbook_edmonds_karp"),
     _mutant("flow search: a later neighbour's sink arc replaces the first",
@@ -106,12 +108,14 @@ MUTANTS = [
             "                                break\n",
             "",
             ORIENT + "test_flow_results_are_pinned",
+            SAMPLED + "test_sampled_flow_results_are_pinned",
             CLI + "test_draw_stdout_is_pinned",
             ORIENT + "test_max_flow_matches_textbook_edmonds_karp"),
     _mutant("flow search takes its newest node first", "orientation.py",
             "arcs = adj[queue[head]]",
             "arcs = adj[queue[-1]]",
             ORIENT + "test_flow_results_are_pinned",
+            SAMPLED + "test_sampled_flow_results_are_pinned",
             CLI + "test_draw_stdout_is_pinned",
             ORIENT + "test_max_flow_matches_textbook_edmonds_karp"),
     _mutant("flow search starts one source arc past the first open one",
@@ -119,6 +123,7 @@ MUTANTS = [
             "range(first, len(out_s))",
             "range(first + 1, len(out_s))",
             ORIENT + "test_flow_results_are_pinned",
+            SAMPLED + "test_sampled_flow_results_are_pinned",
             CLI + "test_draw_stdout_is_pinned",
             ORIENT + "test_max_flow_matches_textbook_edmonds_karp"),
     _mutant("flow visited stamp not advanced between searches",
@@ -126,6 +131,7 @@ MUTANTS = [
             "search += 1",
             "search = 1",
             ORIENT + "test_flow_results_are_pinned",
+            SAMPLED + "test_sampled_flow_results_are_pinned",
             CLI + "test_draw_stdout_is_pinned",
             ORIENT + "test_max_flow_matches_textbook_edmonds_karp"),
     # Each node of the orientation network has one arc into the sink, so
@@ -142,8 +148,7 @@ MUTANTS = [
             ORIENT + "test_alpha_k_infeasible_certificate",
             ORIENT + "test_certificate_search_skips_a_tight_component",
             ORIENT + "test_flow_results_are_pinned",
-            "tests/test_sampled_hosts.py::"
-            "test_sampled_flow_results_are_pinned"),
+            SAMPLED + "test_sampled_flow_results_are_pinned"),
     # -- the girth search --------------------------------------------------
     _mutant("girth prune one level too early", "planar_map.py",
             "if 2 * du + 1 >= best:",
@@ -289,6 +294,10 @@ MUTANTS = [
             "    if False:\n",
             INPUT + "test_cli_input_errors",
             INPUT + "test_validate_reports_a_bad_orientation"),
+    _mutant("the d/(d-2) check ignores the values' length", "orientation.py",
+            "    if len(values) != m.n_darts:\n",
+            "    if False:\n",
+            INPUT + "test_library_input_errors"),
     _mutant("validate reports a bad orientation as ok", "cli.py",
             "            if bad:\n",
             "            if bad and kind != \"orientation\":\n",
@@ -321,11 +330,13 @@ MUTANTS = [
             "else (b2, a2, a, b)",
             "else (a2, b2, a, b)",
             DRAW + "test_face_counting_matches_equatorial_lines",
+            DRAW + "test_each_drawing_is_its_own_baxter_permutation",
             ACCEPT + "test_criterion_07_placement_equivalence"),
     _mutant("x-chain starts at v_1*", "drawing.py",
             'xs = _chain(next_x, m.target_of[rv.root_darts[1]], count, "L_1")',
             'xs = _chain(next_x, m.target_of[rv.root_darts[0]], count, "L_1")',
             DRAW + "test_face_counting_matches_equatorial_lines",
+            DRAW + "test_each_drawing_is_its_own_baxter_permutation",
             ACCEPT + "test_criterion_07_placement_equivalence"),
     _mutant("partly and fully reducible faces swapped", "drawing.py",
             "for h in gd.host.map.faces[f]} == markers:",

@@ -61,7 +61,7 @@ def brute_force_orientations(ang, j, k):
             vals[m.twin[e]] = k - a
         if all(sum(vals[h] for h in m.vertex_orbit(v) if vals[h] >= 0) == want[v]
                for v in range(m.n_vertices)):
-            out.append(FracOrientation(map=m, k=k, values=tuple(vals), host=ang))
+            out.append(FracOrientation(ang, k, tuple(vals)))
     return out
 
 
@@ -665,7 +665,7 @@ def chi_by_complemented_trees(s):
         if len(reached) != dm.n_vertices:
             raise DualityError("InvalidDecomposition",
                                f"complemented dual of tree {i} does not span")
-    return RegularDecomposition(host=rv, masks=tuple(masks), primal=ang)
+    return RegularDecomposition(host=rv, masks=tuple(masks))
 
 
 # -- the decomposition axioms, from the definitions -------------------------

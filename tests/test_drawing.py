@@ -116,9 +116,8 @@ def _dual_degree_classification(ang, rd):
     reducible iff both degrees are >= 2 but not (2,2)."""
     m = ang.map
     rv = rd.host
-    prim = S.phi(D.primal_labelling(
-        D.xi_inverse(D.RegularDecomposition(host=rv, masks=rd.masks,
-                                            primal=ang))))
+    assert rv.primal is ang
+    prim = S.phi(D.primal_labelling(D.xi_inverse(rd)))
     rs = E.lambda_(prim)
     deg = {v: [0, 0] for v in range(m.n_vertices)}
     for i in (1, 2):

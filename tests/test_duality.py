@@ -28,6 +28,7 @@ def test_dualize_root_face_correspondence(study_corpus):
     # dualize asserts none of this: its docstring proves it
     for ang in corpus() + [a for d in (3, 4, 5) for a in study_corpus[d]]:
         rv = D.dualize(ang)
+        assert rv.primal is ang
         assert rv.root_darts == ang.outer_orbit
         assert len(rv.root_darts) == ang.d
         for i, u in enumerate(ang.external):
@@ -97,7 +98,7 @@ def test_read_off_matches_the_oracles_on_small_pairs(small_pairs):
 def test_table_equality_compares_the_host_map_by_identity():
     """Tables from separate dualize calls agree on their masks but are not
     equal, since each call builds its own PlaneMap; on one host, equal
-    entries make equal tables whatever their primal view."""
+    entries make equal tables."""
     ang = as_angulation(I.cube(), 4)
     s = S.phi(labelling_of(ang))
     rd1, rd2 = D.chi(s), D.chi(s)
@@ -105,7 +106,6 @@ def test_table_equality_compares_the_host_map_by_identity():
     assert rd1.host.map is not rd2.host.map
     assert rd1 != rd2
     assert rd1 == D.RegularDecomposition(host=rd1.host, masks=rd1.masks)
-    assert s == S.SchnyderDecomposition(host=ang, masks=s.masks, primal=ang)
 
 
 def test_chi_round_trip():
@@ -176,7 +176,7 @@ def test_xi_inverse_rejects_cyclic_color_class():
     masks = list(rd.masks)
     for h in rv.map.faces[f]:  # a directed contour all of one color
         masks[h] = 1
-    bad = D.RegularDecomposition(host=rv, masks=tuple(masks), primal=ang)
+    bad = D.RegularDecomposition(host=rv, masks=tuple(masks))
     assert D.validate_regular_decomposition(bad) != []
     with pytest.raises(DualityError):
         D.xi_inverse(bad)
@@ -190,7 +190,7 @@ def test_validator_catches_swapped_arcs():
     orbit = rv.map.vertex_orbit(v)
     masks = list(rd.masks)
     masks[orbit[0]], masks[orbit[1]] = masks[orbit[1]], masks[orbit[0]]
-    bad = D.RegularDecomposition(host=rv, masks=tuple(masks), primal=ang)
+    bad = D.RegularDecomposition(host=rv, masks=tuple(masks))
     assert any(k == "iii" for k, _, _ in D.validate_regular_decomposition(bad))
 
 

@@ -13,7 +13,8 @@ import pytest
 
 from schnyder_kit.cli import main
 from schnyder_kit.errors import KitError
-from schnyder_kit.planar_map import PlaneMap, as_angulation, build_map
+from schnyder_kit.planar_map import (
+    PlaneMap, as_angulation, as_regular, build_map)
 import schnyder_kit.drawing as DR
 import schnyder_kit.duality as D
 import schnyder_kit.even as E
@@ -88,8 +89,9 @@ def wrong_outdegrees():
              for v in range(ang.map.n_vertices)]
     alpha[8] -= 4
     alpha[4] += 4
-    o = O.compute_alpha_k_orientation(ang.map, ang.internal_edges(), alpha, 2)
-    return doc_of(ang.map, orientation=o.to_json_obj())
+    values = O.compute_alpha_k_orientation(ang.map, ang.internal_edges(),
+                                           alpha, 2)
+    return doc_of(ang.map, orientation={"k": 2, "values": list(values)})
 
 
 def cube_orientation_with_k_equal_d():
@@ -292,6 +294,13 @@ def cube_dual():
     return D.dualize(cube())
 
 
+def cube_dual_as_read():
+    """The cube's dual as the command line reads it, by as_regular: a
+    view that knows no primal."""
+    rv = cube_dual()
+    return as_regular(rv.map, 4, first_root_dart=rv.root_darts[0])
+
+
 def uneven_cube_schnyder():
     o = next(o for o in O.lattice_enumerate(cube()) if not is_even(o))
     return S.phi(S.psi_inverse(o))
@@ -318,8 +327,14 @@ def _swapped_cube_orientation():
     values = list(o.values)
     h = cube().internal_edges()[0]
     values[h], values[o.map.twin[h]] = values[o.map.twin[h]], values[h]
-    return O.FracOrientation(map=o.map, k=o.k, values=tuple(values),
-                             host=o.host)
+    return O.FracOrientation(o.host, o.k, tuple(values))
+
+
+def _lengthened_cube_orientation():
+    """The cube's flow orientation with two values appended: every edge
+    and every outdegree is right on the cube's darts."""
+    o = O.compute_dd2_orientation(cube())
+    return O.FracOrientation(o.host, o.k, o.values + (1, 1))
 
 
 def _face_with_an_external_edge():
@@ -344,12 +359,12 @@ LIBRARY_ERRORS = {
         lambda: D.dual_labelling(S.CornerLabelling(host=cube(), colors=ONES)),
         "duality", "InvalidLabelling", "+1 step; corner colors 1->1"),
     "primal_labelling without a primal host": (
-        lambda: D.primal_labelling(D.RegularLabelling(host=cube_dual(),
-                                                      colors=ONES)),
+        lambda: D.primal_labelling(D.RegularLabelling(
+            host=cube_dual_as_read(), colors=ONES)),
         "duality", "NoPrimalHost", "primal angulation host"),
     "primal_labelling of an invalid labelling": (
         lambda: D.primal_labelling(D.RegularLabelling(
-            host=cube_dual(), colors=ONES, primal=cube())),
+            host=cube_dual(), colors=ONES)),
         "duality", "InvalidLabelling", "not a clockwise +1 step"),
     "xi of an invalid labelling": (
         lambda: D.xi(D.RegularLabelling(host=cube_dual(), colors=ONES)),
@@ -368,10 +383,9 @@ LIBRARY_ERRORS = {
         lambda: E.lambda_star_inverse(E.ReducedRegularDecomposition(
             host=cube_dual(), masks=ZEROS)),
         "even", "NotEven", "must lie in 1 trees"),
-    "psi_inverse without a host": (
-        lambda: S.psi_inverse(O.FracOrientation(
-            map=I.cube(), k=2, values=ZEROS)),
-        "orientation", "InvalidOrientation", "angulation host"),
+    "psi_inverse of an orientation with two values too many": (
+        lambda: S.psi_inverse(_lengthened_cube_orientation()),
+        "orientation", "InvalidOrientation", "values must cover all 24 darts"),
     "psi_inverse of an orientation with two values swapped": (
         lambda: S.psi_inverse(_swapped_cube_orientation()),
         "orientation", "InvalidOrientation", "outdegree"),

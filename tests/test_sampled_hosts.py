@@ -83,7 +83,7 @@ def test_sampled_flow_results_are_pinned():
             alpha[rng.randrange(m.n_vertices)] += shift
             try:
                 answer = O.compute_alpha_k_orientation(
-                    m, ang.internal_edges(), alpha, 2).values
+                    m, ang.internal_edges(), alpha, 2)
             except OrientationError as err:
                 assert err.kind == "NoSolution" and err.certificate
                 answer = (err.detail, err.certificate)

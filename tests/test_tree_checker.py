@@ -89,7 +89,7 @@ def mutations(t):
         if w != root and g is not None and g != m.twin[h]:
             out.append(_swapped(t.masks, g, m.twin[h]))
             break
-    return [type(t)(host=t.host, masks=tuple(mk), primal=t.primal)
+    return [type(t)(host=t.host, masks=tuple(mk))
             for mk in out]
 
 
@@ -125,7 +125,7 @@ def random_mutations(t, rng, count=40):
             masks[orbit[0]] |= masks[h]
             masks[h] = 0
         out.append(masks)
-    return [type(t)(host=t.host, masks=tuple(mk), primal=t.primal)
+    return [type(t)(host=t.host, masks=tuple(mk))
             for mk in out if tuple(mk) != t.masks]
 
 
@@ -144,7 +144,7 @@ def test_validators_flag_what_the_axioms_flag(even_decompositions):
             continue
         malformed = [t.masks[:-1], (1 << t.n_colors,) + t.masks[1:]]
         for x in [t] + mutations(t) + random_mutations(t, rng) + [
-                type(t)(host=t.host, masks=mk, primal=t.primal)
+                type(t)(host=t.host, masks=mk)
                 for mk in malformed]:
             got = _multiset(validator(x))
             assert got == _multiset(AXIOMS[validator](x)), \
@@ -221,7 +221,7 @@ def test_dual_rule_flags_what_each_former_validator_flagged(monkeypatch):
         if t.HOST != "dual":
             continue
         oracle = AXIOMS[validator]
-        short = type(t)(host=t.host, masks=t.masks[:-1], primal=t.primal)
+        short = type(t)(host=t.host, masks=t.masks[:-1])
         for x in [t, short] + mutations(t) + random_mutations(t, rng, 100):
             new = _multiset(validator(x))
             assert new == _multiset(oracle(x)), (validator.__name__, x.masks)
@@ -272,7 +272,7 @@ def corner_mutations(t, rng, count=3):
             c[h] = x
         out.append(c)
     out += [t.colors[:-1], (0,) + t.colors[1:], t.colors[:-1] + (d + 1,)]
-    return [type(t)(host=t.host, colors=tuple(c), primal=t.primal)
+    return [type(t)(host=t.host, colors=tuple(c))
             for c in out]
 
 
