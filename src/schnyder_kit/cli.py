@@ -158,8 +158,6 @@ def _cmd_orient(args, out):
             orientation_mod.compute_p_p1_orientation(ang))
     else:
         o = orientation_mod.compute_dd2_orientation(ang)
-    if args.minimal:
-        o = orientation_mod.minimal_orientation(o)
     out.write(_dump({"map": ang.map.to_json_obj(), "d": ang.d,
                      "orientation": o.to_json_obj()}))
     return 0
@@ -199,7 +197,8 @@ def _cmd_lattice(args, out):
         out.write(_dump({"count": len(elems),
                          "elements": [o.to_json_obj() for o in elems]}))
     else:
-        o = orientation_mod.minimal_orientation(ang)
+        o = orientation_mod.minimal_orientation(
+            orientation_mod.compute_dd2_orientation(ang))
         out.write(_dump({"map": ang.map.to_json_obj(), "d": ang.d,
                          "orientation": o.to_json_obj()}))
     return 0
@@ -280,7 +279,6 @@ def build_parser():
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--even", action="store_true",
                    help="double a p/(p-1)-orientation (even d only)")
-    q.add_argument("--minimal", action="store_true")
     q.set_defaults(fn=_cmd_orient)
 
     q = sub.add_parser("convert",
@@ -310,7 +308,6 @@ def build_parser():
     q.add_argument("input")
     q.add_argument("--root", type=int,
                    help="root vertex (default: the document's root)")
-    q.add_argument("--d", type=int)
     q.add_argument("--mode", choices=("orthogonal", "straightline"),
                    default="orthogonal")
     q.add_argument("--compact", action="store_true",

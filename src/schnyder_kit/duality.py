@@ -18,7 +18,7 @@ from dataclasses import replace
 from .errors import DualityError
 from .planar_map import as_regular
 from .schnyder import (
-    CornerLabelling, DartTable, _corner_colors, _corner_violations, _sweep,
+    CornerLabelling, DartTable, _corner_violations, _phi_inverse, _sweep,
     _vertex_violations, phi, require_valid, validate_labelling,
     validate_schnyder,
 )
@@ -57,7 +57,7 @@ class RegularDecomposition(DartTable):
 
 def dual_labelling(l):
     """Regular labelling of the dual: facing corners keep their color."""
-    ang = require_valid(l, validate_labelling, DualityError).host
+    ang = require_valid(l, validate_labelling).host
     prev = ang.map.prev_cw
     colors = tuple(l.colors[prev[h]] for h in range(ang.map.n_darts))
     return RegularLabelling(host=dualize(ang), colors=colors)
@@ -137,23 +137,19 @@ def xi_inverse(rd):
 
 # -- regular decomposition validation -------------------------------------
 
-def validate_regular_decomposition(rd):
-    """All violations of the regular-decomposition axioms (empty = valid)."""
-    return _dual_violations(rd)
-
-
-def _dual_violations(t):
-    """All violations of the dual decomposition axioms of t, full (d trees,
-    step 1) or reduced (p = d/2 trees, step 2: reduced color i is full
-    color 2i), under axiom names primed when reduced.  (i) Every arc
-    carries one color in 1..p (at most one when reduced), except that on a
-    full table no arc leaving v* carries any (ii); then every non-root edge
-    lies in 2/step trees, once each, and root edge e_j* in one tree when
-    step divides j, in none otherwise ("partition" when reduced).  (ii)
-    Root edge e_{step*i}* carries color i toward v*.  (i') On a reduced
-    table every colored arc has a black face on its right.  (iii) The
-    vertex rule holds at every non-root vertex, and ("tree") every color
-    class is a spanning tree oriented toward v*."""
+def validate_regular_decomposition(t):
+    """All violations of the dual decomposition axioms of t (empty =
+    valid), full (a regular decomposition: d trees, step 1) or reduced
+    (p = d/2 trees, step 2: reduced color i is full color 2i), under axiom
+    names primed when reduced.  (i) Every arc carries one color in 1..p
+    (at most one when reduced), except that on a full table no arc leaving
+    v* carries any (ii); then every non-root edge lies in 2/step trees,
+    once each, and root edge e_j* in one tree when step divides j, in none
+    otherwise ("partition" when reduced).  (ii) Root edge e_{step*i}*
+    carries color i toward v*.  (i') On a reduced table every colored arc
+    has a black face on its right.  (iii) The vertex rule holds at every
+    non-root vertex, and ("tree") every color class is a spanning tree
+    oriented toward v*."""
     rv = t.host
     m = rv.map
     p = t.n_colors
@@ -210,13 +206,13 @@ def chi(s):
     so tree i holds the duals of the primal edges NOT in T_i (forest i and
     every external edge but u_i u_{i+1}): the paper's definition, which is
     the test oracle tests/oracles.chi_by_complemented_trees."""
-    require_valid(s, validate_schnyder, DualityError)
+    require_valid(s, validate_schnyder)
     return _chi(s, dualize(s.host))
 
 
 def _chi(s, rv):
     dm = rv.map
-    colors = _corner_colors(s)
+    colors = _phi_inverse(s).colors
     masks = tuple(0 if dm.origin[h] == rv.root_vertex
                   else 1 << (colors[dm.twin[h]] - 1)
                   for h in range(dm.n_darts))

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from .errors import EvenError, OrientationError
 from .planar_map import as_angulation
-from .duality import (
-    RegularDecomposition, _dual_violations, validate_regular_decomposition,
-)
+from .duality import RegularDecomposition, validate_regular_decomposition
 from .orientation import compute_p_p1_orientation, double
 from .schnyder import (
     DartTable, SchnyderDecomposition, _primal_violations, colors_of, phi,
@@ -193,9 +191,9 @@ def lambda_star_inverse(rrd):
 
 def validate_reduced_regular(rrd):
     """All violations of the reduced dual-decomposition axioms (empty =
-    valid): duality._dual_violations on p = d/2 colors."""
+    valid): validate_regular_decomposition on p = d/2 colors."""
     _require_even_d(rrd.host.d)
-    return _dual_violations(rrd)
+    return validate_regular_decomposition(rrd)
 
 
 # -- the p = 2 construction pipeline --------------------------------------

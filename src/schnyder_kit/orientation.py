@@ -31,12 +31,11 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 from .errors import OrientationError
-from .planar_map import AngulationView
 
 
 @dataclass(frozen=True)
 class FracOrientation:
-    host: AngulationView
+    host: object  # an AngulationView
     k: int
     values: tuple  # one value per dart, -1 on non-oriented darts
 
@@ -365,11 +364,6 @@ def _is_circuit(o, traversal):
     return all(values[h] > 0 for h in traversal)
 
 
-def find_cw_d_circuits(o):
-    """All cw circuits of length d (candidate cover pushes upward)."""
-    return _find_d_circuits(o, ccw=False)
-
-
 def _find_d_circuits(o, ccw, limit=None):
     """The first `limit` d-circuits of o (all of them if limit is None) in
     cycle-listing order: counterclockwise ones if ccw, else clockwise ones.
@@ -391,8 +385,9 @@ def _find_d_circuits(o, ccw, limit=None):
 
 
 def push_cycle(o, traversal):
-    """Push a counterclockwise circuit given by its ccw dart traversal:
-    ccw arcs lose 1, cw arcs gain 1; outdegrees are preserved."""
+    """Push the circuit given by its dart traversal: each traversal dart
+    loses 1 and its twin gains 1, so outdegrees are preserved.  Pushing a
+    ccw circuit moves down the lattice, pushing a cw one moves up."""
     m = o.map
     for i, h in enumerate(traversal):
         if m.target_of[h] != m.origin[traversal[(i + 1) % len(traversal)]]:
@@ -408,13 +403,10 @@ def push_cycle(o, traversal):
     return replace(o, values=tuple(vals))
 
 
-def minimal_orientation(ang_or_o):
-    """The lattice minimum: push the first ccw d-circuit until none remain.
-    Each scan stops at its first circuit, so only the last scan, which
-    finds none, lists every d-cycle."""
-    o = ang_or_o
-    if isinstance(o, AngulationView):
-        o = compute_dd2_orientation(o)
+def minimal_orientation(o):
+    """The lattice minimum, from o: push the first ccw d-circuit until none
+    remain.  Each scan stops at its first circuit, so only the last scan,
+    which finds none, lists every d-cycle."""
     while circuits := _find_d_circuits(o, True, limit=1):
         o = push_cycle(o, circuits[0])
     return o
@@ -426,12 +418,12 @@ LATTICE_CAP = 10**6     # lattice elements before lattice_enumerate refuses
 def lattice_enumerate(ang):
     """All d/(d-2)-orientations, by BFS from the minimum along inverse
     covers (pushing clockwise circuits of length d)."""
-    o0 = minimal_orientation(ang)
+    o0 = minimal_orientation(compute_dd2_orientation(ang))
     seen = {o0.values: o0}
     q = deque([o0])
     while q:
         o = q.popleft()
-        for trav in find_cw_d_circuits(o):
+        for trav in _find_d_circuits(o, ccw=False):
             o2 = push_cycle(o, trav)
             if o2.values not in seen:
                 if len(seen) >= LATTICE_CAP:

@@ -572,6 +572,8 @@ def concentration_experiment(n, sample_count, seed, max_attempts=None,
     _require_positive("sample count", sample_count)
     _require_positive("max_attempts", max_attempts)
     _require_positive("jobs", jobs)
+    # set here, so rejection_sample_fast gets the cap that the benchmark's
+    # tracer reads from its argument
     if max_attempts is None:
         max_attempts = default_max_decodes(n)
     tasks = [(n, seed, i, max_attempts) for i in range(sample_count)]

@@ -37,13 +37,12 @@ def colors_of(mask, d):
 
 
 def _span_mask(i, j, d):
-    """Colors i, i+1, ..., j-1 (cyclically; empty when i == j)."""
-    m = 0
-    c = i
-    while c != j:
-        m |= 1 << ((c - 1) % d)
-        c = _mod(c + 1, d)
-    return m
+    """Colors i, i+1, ..., j-1 (cyclically; empty when i == j).  With a and
+    b the bits of i and j, (1 << b) - (1 << a) sets bits a..b-1; when it is
+    negative, adding all d bits wraps it.  Colors count mod d, so any
+    integers i and j give a mask."""
+    m = (1 << (j - 1) % d) - (1 << (i - 1) % d)
+    return m if m >= 0 else m + (1 << d) - 1
 
 
 @dataclass(frozen=True, init=False)
@@ -144,12 +143,12 @@ class DartTable:
         return cls(host=host, masks=tuple(mask_of(r, n) for r in rows))
 
 
-def require_valid(t, check, error=None):
-    """t, unless check(t) finds violations: then error(KIND), by default
-    the ERROR(KIND) of t's class, names the first three."""
+def require_valid(t, check):
+    """t, unless check(t) finds violations: then the ERROR(KIND) of t's
+    class names the first three."""
     bad = check(t)
     if bad:
-        raise (error or t.ERROR)(t.KIND, "; ".join(v[2] for v in bad[:3]))
+        raise t.ERROR(t.KIND, "; ".join(v[2] for v in bad[:3]))
     return t
 
 
@@ -302,21 +301,17 @@ def gamma(s):
 
 
 def phi_inverse(s):
-    """The labelling l with phi(l) = s, read off s by _corner_colors.  Only
+    """The labelling l with phi(l) = s, read off s by _phi_inverse.  Only
     the input is validated: Phi is a bijection between labellings and
     Schnyder decompositions, so a valid s is phi of the result."""
     return _phi_inverse(require_valid(s, validate_schnyder))
 
 
 def _phi_inverse(s):
-    return CornerLabelling(host=s.host, colors=_corner_colors(s))
-
-
-def _corner_colors(s):
-    """The corner colors of the l with phi(l) = s, for a valid s, by vertex:
-    the corners at u_i have color i; around an internal vertex the corner
-    after a colored dart is one past the last color of its cyclic span, and
-    the corner after an uncolored dart repeats the corner before it."""
+    """The l with phi(l) = s, for a valid s, by vertex: the corners at u_i
+    have color i; around an internal vertex the corner after a colored
+    dart is one past the last color of its cyclic span, and the corner
+    after an uncolored dart repeats the corner before it."""
     ang = s.host
     m = ang.map
     d = ang.d
@@ -335,7 +330,7 @@ def _corner_colors(s):
         for h in orbit[k:] + orbit[:k]:
             c = after.get(masks[h], c)
             colors[h] = c
-    return tuple(colors)
+    return CornerLabelling(host=ang, colors=tuple(colors))
 
 
 # -- decomposition validation --------------------------------------------

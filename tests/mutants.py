@@ -223,6 +223,11 @@ MUTANTS = [
             "if a & b or bin(a | b).count(\"1\") != want:",
             "if bin(a | b).count(\"1\") != want:",
             CHECK + "test_validators_flag_what_the_axioms_flag"),
+    _mutant("Phi's span drops its wrap past color d", "schnyder.py",
+            "return m if m >= 0 else m + (1 << d) - 1",
+            "return m",
+            SCHN + "test_span_mask_is_the_cyclic_range",
+            SCHN + "test_phi_returns_on_colors_outside_1_to_d"),
     _mutant("chi reads the corner of the dart, not of its twin", "duality.py",
             "else 1 << (colors[dm.twin[h]] - 1)",
             "else 1 << (colors[h] - 1)",

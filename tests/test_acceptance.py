@@ -161,7 +161,7 @@ def test_criterion_03_lattice(study_corpus):
         for ang in angs:
             elems = O.lattice_enumerate(ang)
             keys = {okey(o): o for o in elems}
-            minimal = O.minimal_orientation(ang)
+            minimal = O.minimal_orientation(O.compute_dd2_orientation(ang))
             for o in rng.sample(elems, min(5, len(elems))):
                 assert okey(O.minimal_orientation(o)) == okey(minimal)
             # counterclockwise pushes generate the lattice downward:
@@ -174,7 +174,8 @@ def test_criterion_03_lattice(study_corpus):
                 assert all(k in keys for k in succ[okey(o)])
             sinks = [x for x, ups in succ.items() if not ups]
             assert sinks == [okey(minimal)]
-            sources = [okey(o) for o in elems if not O.find_cw_d_circuits(o)]
+            sources = [okey(o) for o in elems
+                       if not O._find_d_circuits(o, False)]
             assert len(sources) == 1
             reach = {okey(minimal)}
             back = {}

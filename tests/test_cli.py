@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import copy
 import hashlib
@@ -43,7 +44,7 @@ def test_validate_plain_map(cube_doc):
 
 
 def test_orient_convert_validate_chain(cube_doc, tmp_path):
-    rc, text = run(["orient", cube_doc, "--d", "4", "--even", "--minimal"])
+    rc, text = run(["lattice", cube_doc, "--d", "4", "min"])
     assert rc == 0
     orient_path = tmp_path / "orient.json"
     orient_path.write_text(text)
@@ -86,8 +87,7 @@ def test_validate_rejects_corrupted_schnyder(cube_doc, tmp_path):
 
 
 def test_dualize_and_draw_golden(cube_doc, tmp_path):
-    _, orient_text = run(["orient", cube_doc, "--d", "4", "--even",
-                          "--minimal"])
+    _, orient_text = run(["lattice", cube_doc, "--d", "4", "min"])
     op = tmp_path / "o.json"
     op.write_text(orient_text)
     _, schn_text = run(["convert", str(op), "--from", "orientation",
@@ -781,26 +781,20 @@ FLAG = st.none()
 PRIMAL = ("cube", "orientation", "labelling", "schnyder")
 
 
-def _argv(draw, inputs, outputs):
-    """An argv for one subcommand: its required arguments, each optional
-    one or not, on the cube documents mostly, at most 2 samples on at most
-    2 workers; one in ten argvs loses a token or gains a stray one."""
-    out = st.sampled_from(outputs)
+def _options(out):
+    """Per subcommand, its (required, optional) options, each with the
+    strategy of its value (FLAG for a switch); out draws output paths."""
     kinds = st.sampled_from(list(cli.PAYLOADS["angulation"]))
-    command = draw(st.sampled_from(["validate", "orient", "convert",
-                                    "dualize", "lattice", "draw", "sample",
-                                    "enumerate"]))
-    required, optional = {
+    return {
         "validate": ([], [("--d", D_VALUES),
                           ("--as", st.sampled_from(["angulation",
                                                     "regular"]))]),
-        "orient": ([("--d", D_VALUES)], [("--even", FLAG),
-                                         ("--minimal", FLAG)]),
+        "orient": ([("--d", D_VALUES)], [("--even", FLAG)]),
         "convert": ([("--from", kinds), ("--to", kinds)],
                     [("--d", D_VALUES)]),
         "dualize": ([], [("--d", D_VALUES)]),
         "lattice": ([("--d", D_VALUES)], []),
-        "draw": ([], [("--root", st.integers(-2, 8)), ("--d", D_VALUES),
+        "draw": ([], [("--root", st.integers(-2, 8)),
                       ("--mode", st.sampled_from(["orthogonal",
                                                   "straightline"])),
                       ("--compact", FLAG), ("--with-root", FLAG),
@@ -811,7 +805,30 @@ def _argv(draw, inputs, outputs):
                     ("--max-attempts", st.integers(-1, 60)),
                     ("--jobs", st.integers(-1, 2)), ("--report", out)]),
         "enumerate": ([("--n", st.integers(-2, 4))], []),
-    }[command]
+    }
+
+
+def test_the_fuzz_covers_exactly_the_cli_options():
+    """The fuzz's option table names each subcommand's options, no more
+    and no fewer (help aside), so a removed option leaves it too."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    table = _options(FLAG)
+    assert sorted(table) == sorted(sub.choices)
+    for command, parser in sub.choices.items():
+        required, optional = table[command]
+        assert {flag for flag, _ in required + optional} == \
+            {o for a in parser._actions for o in a.option_strings} - \
+            {"-h", "--help"}, command
+
+
+def _argv(draw, inputs, outputs):
+    """An argv for one subcommand: its required arguments, each optional
+    one or not, on the cube documents mostly, at most 2 samples on at most
+    2 workers; one in ten argvs loses a token or gains a stray one."""
+    options = _options(st.sampled_from(outputs))
+    command = draw(st.sampled_from(list(options)))
+    required, optional = options[command]
     argv = [command]
     if command not in ("sample", "enumerate"):
         home = ("regular_decomposition",) if command == "draw" else PRIMAL

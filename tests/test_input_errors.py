@@ -357,7 +357,7 @@ ONES = (1,) * CUBE_DARTS
 LIBRARY_ERRORS = {
     "dual_labelling of an invalid labelling": (
         lambda: D.dual_labelling(S.CornerLabelling(host=cube(), colors=ONES)),
-        "duality", "InvalidLabelling", "+1 step; corner colors 1->1"),
+        "schnyder", "InvalidLabelling", "+1 step; corner colors 1->1"),
     "primal_labelling without a primal host": (
         lambda: D.primal_labelling(D.RegularLabelling(
             host=cube_dual_as_read(), colors=ONES)),
@@ -371,7 +371,7 @@ LIBRARY_ERRORS = {
         "duality", "InvalidLabelling", "not a clockwise +1 step"),
     "chi of an invalid decomposition": (
         lambda: D.chi(S.SchnyderDecomposition(host=cube(), masks=ZEROS)),
-        "duality", "InvalidDecomposition", "once each; edge must lie"),
+        "schnyder", "InvalidDecomposition", "once each; edge must lie"),
     "lambda_inverse of an invalid reduction": (
         lambda: E.lambda_inverse(E.ReducedSchnyderDecomposition(
             host=cube(), masks=ZEROS)),

@@ -260,7 +260,8 @@ def test_push_preserves_outdegrees():
 def _checked_ccw_circuits(o):
     """The full ccw scan of o, once both scans match the oracle's lists."""
     circuits = O._find_d_circuits(o, True)
-    assert (circuits, O.find_cw_d_circuits(o)) == flood_fill_d_circuits(o)
+    assert (circuits, O._find_d_circuits(o, False)) == \
+        flood_fill_d_circuits(o)
     return circuits
 
 
@@ -304,7 +305,8 @@ def test_walk_to_the_minimum_pushes_the_oracle_first_circuit():
             o = O.push_cycle(o, first[0])
             pushes += 1
         assert pushes == height
-        assert o.values == O.minimal_orientation(ang).values
+        assert o.values == O.minimal_orientation(
+            O.compute_dd2_orientation(ang)).values
 
 
 def test_limited_scan_stops_drawing_d_cycles(monkeypatch):
@@ -391,14 +393,14 @@ def test_minimal_orientation_builds_one_side_index(monkeypatch):
     monkeypatch.setattr(O, "_find_d_circuits",
                         lambda o, ccw, limit=None:
                         scans.append(ccw) or scan(o, ccw, limit))
-    O.minimal_orientation(ang)
+    O.minimal_orientation(O.compute_dd2_orientation(ang))
     assert len(scans) == 49                  # 48 pushes, then none left
     assert builds == [m]
     assert faces.reads == m.n_faces
 
 
 def test_push_rejects_non_circuit():
-    o = O.minimal_orientation(cube())
+    o = O.minimal_orientation(O.compute_dd2_orientation(cube()))
     with pytest.raises(OrientationError):
         O.push_cycle(o, (0, 5))
 
@@ -408,7 +410,7 @@ def test_minimal_orientation_start_independent():
     lat = O.lattice_enumerate(c)
     mins = {O.minimal_orientation(o).values for o in lat}
     assert len(mins) == 1
-    m0 = O.minimal_orientation(c)
+    m0 = O.minimal_orientation(O.compute_dd2_orientation(c))
     assert O._find_d_circuits(m0, True) == []
     assert O.minimal_orientation(m0).values == m0.values  # idempotent
 
@@ -419,7 +421,8 @@ def test_lattice_counts_match_brute_force():
     # lattice output is closed under ccw pushes and contains the minimum
     c = cube()
     lat = {o.values for o in O.lattice_enumerate(c)}
-    assert O.minimal_orientation(c).values in lat
+    assert O.minimal_orientation(O.compute_dd2_orientation(c)).values \
+        in lat
     for o in O.lattice_enumerate(c):
         for trav in O._find_d_circuits(o, True):
             assert O.push_cycle(o, trav).values in lat

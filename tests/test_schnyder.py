@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from schnyder_kit.errors import SchnyderError
@@ -93,7 +95,8 @@ def test_jump_sums():
 
 def test_phi_gamma_commute_with_psi():
     for ang in angulations():
-        for o in (O.compute_dd2_orientation(ang), O.minimal_orientation(ang)):
+        o0 = O.compute_dd2_orientation(ang)
+        for o in (o0, O.minimal_orientation(o0)):
             l = S.psi_inverse(o)
             s = S.phi(l)
             assert S.gamma(s).values == S.psi(l).values
@@ -106,6 +109,38 @@ def test_dart_color_count_equals_jump():
     s = S.phi(l)
     for h in ang.internal_darts():
         assert len(s.dart_colors(h)) == S.clockwise_jump(l, h)
+
+
+def test_span_mask_is_the_cyclic_range():
+    for d in range(3, 9):
+        for i in range(1, d + 1):
+            for j in range(1, d + 1):
+                span = [(i - 1 + t) % d + 1 for t in range((j - i) % d)]
+                assert S._span_mask(i, j, d) == S.mask_of(span, d), (i, j, d)
+
+
+def test_phi_returns_on_colors_outside_1_to_d():
+    """Phi checks nothing, like gamma, but returns d-bit masks on any
+    corner colors: the cube's labelling with an internal corner of color
+    0, and cube_plus's with two corners recolored in 0..d+1, 60 times."""
+    def labelling(host):
+        ang = as_angulation(host, 4)
+        return ang, list(S.psi_inverse(O.compute_dd2_orientation(ang)).colors)
+
+    ang, colors = labelling(I.cube())
+    internal = set(ang.internal_vertices())
+    colors[next(h for h, v in enumerate(ang.map.origin) if v in internal)] = 0
+    cases = [(ang, colors)]
+    rng = random.Random(33)
+    ang, plus = labelling(I.cube_plus())
+    for _ in range(60):
+        colors = list(plus)
+        for h in rng.sample(range(len(colors)), 2):
+            colors[h] = rng.randint(0, 5)
+        cases.append((ang, colors))
+    for ang, colors in cases:
+        s = S.phi(S.CornerLabelling(host=ang, colors=tuple(colors)))
+        assert all(0 <= mk < 1 << 4 for mk in s.masks)
 
 
 def test_triple_bijection_counts():
@@ -155,7 +190,7 @@ def test_push_d_times_is_identity():
 
 def test_push_rejects_non_admissible():
     ang = as_angulation(I.cube(), 4)
-    o = O.minimal_orientation(ang)
+    o = O.minimal_orientation(O.compute_dd2_orientation(ang))
     l = S.psi_inverse(o)
     # at the minimum there is no ccw circuit: take an internal face orbit,
     # which is a ccw traversal but must have a zero jump somewhere
