@@ -19,7 +19,12 @@ are found orientation first, side second: the simple d-cycles of oriented
 edges are listed one at a time, each is tried in both directions, and a
 direction whose darts are all positive gets the side test that tells
 whether it runs counterclockwise: a parity count on the map's dual spanning
-tree, O(d) per cycle (PlaneMap.outer_face_left_of).
+tree, O(d) per cycle (PlaneMap.outer_face_left_of).  The listing walks the
+rotation of the host's internal edges, built once per host
+(AngulationView.internal_rotation): every orientation the scan sees
+orients exactly those edges.  It meets each d-cycle twice from its least
+vertex and keeps the direction met first, told by the rank of its first
+dart in that vertex's rotation, so it needs no set of cycles seen.
 The walk to the lattice minimum pushes only the first ccw circuit of each
 scan, so it stops each scan there; only its last scan, which finds no
 circuit, lists every d-cycle.
@@ -320,41 +325,31 @@ def double(o):
 
 # -- cycles and pushing ---------------------------------------------------
 
-def _simple_cycles_of_length(m, length, edge_ids):
-    """Yield every simple cycle of the given length using only the given
-    edges, as a dart tuple (one traversal direction each, deduplicated).
-    adj[v] holds (dart, target) for v's allowed darts in clockwise order
-    from vertex_darts[v], the order that fixes which cycle comes first."""
-    allowed = set(edge_ids)
-    seen = set()
-    next_cw, target_of, edge_of = m.next_cw, m.target_of, m.edge_of
-    adj = []
-    for h0 in m.vertex_darts:
-        out, h = [], h0
-        while True:
-            if edge_of[h] in allowed:
-                out.append((h, target_of[h]))
-            h = next_cw[h]
-            if h == h0:
-                break
-        adj.append(out)
+def _simple_cycles_of_length(ang):
+    """Yield every simple ang.d-cycle of ang's internal edges once, as a
+    dart list.  From each vertex s a depth-first search runs through larger
+    vertices, taking each vertex's darts in ang.internal_rotation order
+    (clockwise from vertex_darts[v]), the order that fixes which cycle
+    comes first.  The search meets a cycle twice, from its least vertex s,
+    once per direction; it yields the direction met first, the one whose
+    first dart ranks before the twin of its closing dart in s's list.  The
+    d >= 3 darts of a simple cycle lie on d distinct edges."""
+    adj, rank = ang.internal_rotation
+    twin, length = ang.map.twin, ang.d
 
     def dfs(start, v, path_darts, visited):
         if len(path_darts) == length:
             return
         for h, w in adj[v]:
             if w == start and len(path_darts) == length - 1:
-                cyc = path_darts + [h]
-                key = frozenset(map(edge_of.__getitem__, cyc))
-                if len(key) == length and key not in seen:
-                    seen.add(key)
-                    yield tuple(cyc)
+                if rank[path_darts[0]] < rank[twin[h]]:
+                    yield path_darts + [h]
             elif w > start and w not in visited:
                 visited.add(w)
                 yield from dfs(start, w, path_darts + [h], visited)
                 visited.remove(w)
 
-    for start in range(m.n_vertices):
+    for start in range(len(adj)):
         yield from dfs(start, start, [], {start})
 
 
@@ -369,18 +364,25 @@ def _find_d_circuits(o, ccw, limit=None):
     cycle-listing order: counterclockwise ones if ccw, else clockwise ones.
     Each d-cycle is tried as listed, then reversed; a direction is kept
     when all its darts are positive and the outer face lies on its right
-    (ccw) or on its left (cw).  The d-cycles are listed lazily, so the scan
-    stops at its limit."""
-    m = o.map
-    values = o.values
-    edges = [h for h, e in enumerate(m.edge_of) if h == e and values[h] >= 0]
+    (ccw) or on its left (cw).  The outer face lies left of exactly one
+    direction of a simple cycle, so the side test runs on the listed one.
+    The d-cycles are listed lazily, so the scan stops at its limit.
+
+    The listing walks the host's internal edges, which are exactly the
+    oriented ones: the flow orients internal_edges(), a push keeps every
+    value >= 0, and validate_orientation proves it for any valid o."""
+    values, twin = o.values, o.map.twin
+    side = o.map.outer_face_left_of
     circuits = []
-    for cyc in _simple_cycles_of_length(m, o.host.d, edges):
-        for trav in (cyc, tuple(map(m.twin.__getitem__, reversed(cyc)))):
-            if _is_circuit(o, trav) and m.outer_face_left_of(trav) != ccw:
-                circuits.append(trav)
-                if len(circuits) == limit:
-                    return circuits
+    for cyc in _simple_cycles_of_length(o.host):
+        if all(values[h] > 0 for h in cyc) and side(cyc) != ccw:
+            circuits.append(tuple(cyc))
+        elif all(values[twin[h]] > 0 for h in cyc) and side(cyc) == ccw:
+            circuits.append(tuple(map(twin.__getitem__, reversed(cyc))))
+        else:
+            continue
+        if len(circuits) == limit:
+            break
     return circuits
 
 

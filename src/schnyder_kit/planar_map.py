@@ -447,6 +447,22 @@ class AngulationView:
         """Built once per view: the edge ids of the outer face."""
         return frozenset(map(self.map.edge_of.__getitem__, self.outer_orbit))
 
+    @cached_property
+    def internal_rotation(self):
+        """Built once per view: (adj, rank).  adj[v] lists the (dart,
+        target) pairs of v's internal darts clockwise from vertex_darts[v];
+        rank[h] is the index of internal dart h in its origin's list, None
+        on the darts of outer edges."""
+        m, ext = self.map, self.external_edge_ids
+        adj, rank = [], [None] * m.n_darts
+        for v in range(m.n_vertices):
+            out = tuple((h, m.target_of[h]) for h in m.vertex_orbit(v)
+                        if m.edge_of[h] not in ext)
+            for i, (h, _) in enumerate(out):
+                rank[h] = i
+            adj.append(out)
+        return tuple(adj), tuple(rank)
+
     def is_external_edge(self, dart):
         return self.map.edge_of[dart] in self.external_edge_ids
 

@@ -76,23 +76,28 @@ MUTANTS = [
             ORIENT + "test_minimal_orientation_builds_one_side_index"),
     _mutant("scan tries each d-cycle in its listed direction only",
             "orientation.py",
-            "for trav in (cyc, tuple(map(m.twin.__getitem__, reversed(cyc)))):",
-            "for trav in (cyc,):",
+            "elif all(values[twin[h]] > 0 for h in cyc) and side(cyc) == ccw:",
+            "elif False:",
             ORIENT + "test_circuit_scan_matches_flood_fill_oracle"),
     _mutant("scan takes the listed direction for counterclockwise",
             "orientation.py",
-            "if _is_circuit(o, trav) and m.outer_face_left_of(trav) != ccw:",
-            "if _is_circuit(o, trav) and (trav is cyc) == ccw:",
+            "side = o.map.outer_face_left_of",
+            "side = lambda cyc: False",
             ORIENT + "test_circuit_scan_matches_flood_fill_oracle",
             ORIENT + "test_walk_to_the_minimum_pushes_the_oracle_first_circuit"),
     _mutant("cycle listing walks each vertex counterclockwise",
-            "orientation.py",
-            "            h = next_cw[h]\n",
-            "            h = m.prev_cw[h]\n",
+            "planar_map.py",
+            "for h in m.vertex_orbit(v)",
+            "for h in reversed(m.vertex_orbit(v))",
+            ORIENT + "test_cycle_listing_matches_the_seen_set_listing",
             CLI + "test_lattice_stdout_is_pinned"),
+    _mutant("listing keeps the second-met direction", "orientation.py",
+            "if rank[path_darts[0]] < rank[twin[h]]:",
+            "if rank[path_darts[0]] > rank[twin[h]]:",
+            ORIENT + "test_cycle_listing_matches_the_seen_set_listing"),
     _mutant("limited scan lists every cycle first", "orientation.py",
-            "for cyc in _simple_cycles_of_length(m, o.host.d, edges):",
-            "for cyc in list(_simple_cycles_of_length(m, o.host.d, edges)):",
+            "for cyc in _simple_cycles_of_length(o.host):",
+            "for cyc in list(_simple_cycles_of_length(o.host)):",
             ORIENT + "test_limited_scan_stops_drawing_d_cycles"),
     # -- the flow's searches -----------------------------------------------
     _mutant("flow search goes on after its first sink arc", "orientation.py",

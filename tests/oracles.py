@@ -9,9 +9,7 @@ from schnyder_kit.duality import (
 from schnyder_kit.errors import (
     DrawingError, DualityError, MapError, SamplerError, SchnyderError,
 )
-from schnyder_kit.orientation import (
-    FracOrientation, _simple_cycles_of_length, lattice_enumerate,
-)
+from schnyder_kit.orientation import FracOrientation, lattice_enumerate
 from schnyder_kit.planar_map import PlaneMap, as_angulation
 from schnyder_kit.schnyder import (
     CornerLabelling, _corner_violations, _mod, clockwise_jump, phi,
@@ -466,6 +464,47 @@ def left_faces(m, cycle_darts):
     return region
 
 
+def simple_cycles_of_length(m, length, edge_ids):
+    """Yield every simple cycle of the given length using only the given
+    edges, as a dart tuple (one traversal direction each, deduplicated by
+    a set of the edge sets seen).  adj[v] holds (dart, target) for v's
+    allowed darts in clockwise order from vertex_darts[v], the order that
+    fixes which cycle comes first.  This is the library's listing as it was
+    before it walked the host's rotation and kept a direction by rank: the
+    reference for which cycles, in which direction and order, it yields."""
+    allowed = set(edge_ids)
+    seen = set()
+    next_cw, target_of, edge_of = m.next_cw, m.target_of, m.edge_of
+    adj = []
+    for h0 in m.vertex_darts:
+        out, h = [], h0
+        while True:
+            if edge_of[h] in allowed:
+                out.append((h, target_of[h]))
+            h = next_cw[h]
+            if h == h0:
+                break
+        adj.append(out)
+
+    def dfs(start, v, path_darts, visited):
+        if len(path_darts) == length:
+            return
+        for h, w in adj[v]:
+            if w == start and len(path_darts) == length - 1:
+                cyc = path_darts + [h]
+                key = frozenset(map(edge_of.__getitem__, cyc))
+                if len(key) == length and key not in seen:
+                    seen.add(key)
+                    yield tuple(cyc)
+            elif w > start and w not in visited:
+                visited.add(w)
+                yield from dfs(start, w, path_darts + [h], visited)
+                visited.remove(w)
+
+    for start in range(m.n_vertices):
+        yield from dfs(start, start, [], {start})
+
+
 def ccw_traversal_by_flood_fill(m, cycle_darts):
     """A dart cycle turned counterclockwise, with the side found by
     flood-filling the faces left of the cycle: reversed iff the outer face
@@ -480,11 +519,11 @@ def flood_fill_d_circuits(o):
     the order of the library's scans, by the side first: every simple
     d-cycle of oriented edges is turned counterclockwise by a face flood
     fill, and that traversal is kept in ccw if it is a circuit, its reverse
-    in cw if that is one.  It shares only the cycle listing with the
-    library."""
+    in cw if that is one.  It shares nothing with the library's scan: its
+    cycles come from the seen-set listing above, over the oriented edges."""
     m = o.map
     ccw, cw = [], []
-    for cyc in _simple_cycles_of_length(
+    for cyc in simple_cycles_of_length(
             m, o.host.d, [h for h in m.edges() if o.values[h] >= 0]):
         trav = ccw_traversal_by_flood_fill(m, cyc)
         back = tuple(m.twin[h] for h in reversed(trav))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ import instances as I
 from oracles import (
     brute_force_dd2, brute_force_orientations, ccw_traversal_by_flood_fill,
     edmonds_karp, enumerate_angulations, flood_fill_d_circuits, is_even,
+    simple_cycles_of_length,
 )
 
 
@@ -357,12 +359,58 @@ def test_ccw_traversal_matches_flood_fill_on_every_d_cycle():
     hosts = cycles = 0
     for m, d in _side_test_hosts():
         hosts += 1
-        for cyc in O._simple_cycles_of_length(m, d, m.edges()):
+        for cyc in simple_cycles_of_length(m, d, m.edges()):
             for trav in (cyc, tuple(m.twin[h] for h in reversed(cyc))):
                 assert m.outer_face_left_of(trav) == \
                     (ccw_traversal_by_flood_fill(m, trav) != trav)
                 cycles += 1
     assert hosts == 310 and cycles > 6000
+
+
+def test_cycle_listing_matches_the_seen_set_listing():
+    """The listing that walks the host's rotation and keeps the direction
+    met first by rank yields the seen-set oracle's cycles of internal
+    edges, in the same direction and order: on every side-test host and on
+    hosts 0-7 of the benchmark's orient-min workload."""
+    catalogue = (I.ringed_quadrangulation(25, 20, random.Random(f"ringed:{i}"))
+                 for i in range(8))
+    hosts = cycles = 0
+    for m, d in itertools.chain(_side_test_hosts(),
+                                ((m, 4) for m in catalogue)):
+        ang = as_angulation(m, d)
+        listed = list(map(tuple, O._simple_cycles_of_length(ang)))
+        assert listed == list(
+            simple_cycles_of_length(m, d, ang.internal_edges()))
+        hosts += 1
+        cycles += len(listed)
+    assert hosts == 318 and cycles == 2409
+
+
+def test_oriented_darts_are_the_internal_darts(study_corpus):
+    """The darts with a value >= 0 are exactly the host's internal darts on
+    every lattice element of the study corpus and at every step of the
+    walks to the minimum: the scan lists its cycles on the rotation of the
+    internal edges, built once per host, because of this."""
+    def check(o):
+        assert [h for h, x in enumerate(o.values) if x >= 0] == \
+            o.host.internal_darts()
+
+    elements = steps = 0
+    for angs in study_corpus.values():
+        for ang in angs:
+            for o in O.lattice_enumerate(ang):
+                check(o)
+                elements += 1
+    for m, _ in _walk_hosts():
+        o = O.compute_dd2_orientation(as_angulation(m, 4))
+        while True:
+            check(o)
+            steps += 1
+            first = O._find_d_circuits(o, True, limit=1)
+            if not first:
+                break
+            o = O.push_cycle(o, first[0])
+    assert elements == 1154 and steps == 67
 
 
 class _CountedReads(tuple):
