@@ -40,7 +40,8 @@ def _load_doc(path):
     with open(path) as f:
         try:
             obj = json.load(f)
-        except ValueError as exc:      # malformed JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:
+            # malformed JSON, not UTF-8, or nested past the decoder's depth
             raise KitError("BadDocument", f"not a JSON document: {exc}",
                            stage="cli") from exc
     if not isinstance(obj, dict):
@@ -205,9 +206,6 @@ def _cmd_lattice(args, out):
 
 
 def _cmd_draw(args, out):
-    if args.svg and args.mode == "straightline":
-        raise KitError("BadMode", "--svg requires --mode orthogonal",
-                       stage="cli")
     doc = _load_doc(args.input)
     doc.setdefault("d", 4)
     rv = _regular_view(doc, args, root=args.root)
@@ -217,24 +215,13 @@ def _cmd_draw(args, out):
         fc = drawing_mod.classify_faces(gd)
         gd = drawing_mod.apply_reduction(
             gd, drawing_mod.balanced_reduction_choice(fc))
-    if args.mode == "straightline":
-        payload = {"mode": "straightline",
-                   "n": rv.map.n_vertices,
-                   "coords": {str(v): list(p)
-                              for v, p in sorted(gd.coords.items())}}
-    else:
-        if args.with_root:
-            gd = drawing_mod.add_root(gd)
-        payload = drawing_mod.emit_drawing_json(gd)
-    text = _dump(payload)
-    if args.json:
-        with open(args.json, "w") as f:
-            f.write(text)
-    if args.svg:
+    if args.with_root:
+        gd = drawing_mod.add_root(gd)
+    text = _dump(drawing_mod.emit_drawing_json(gd))
+    if args.svg:                 # before stdout, so a bad path prints no JSON
         with open(args.svg, "w") as f:
             f.write(drawing_mod.emit_svg(gd))
-    if not args.json and not args.svg:
-        out.write(text)
+    out.write(text)
     return 0
 
 
@@ -276,7 +263,7 @@ def build_parser():
 
     q = sub.add_parser("orient", help="compute a d/(d-2)-orientation")
     q.add_argument("input")
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--d", type=int)
     q.add_argument("--even", action="store_true",
                    help="double a p/(p-1)-orientation (even d only)")
     q.set_defaults(fn=_cmd_orient)
@@ -299,22 +286,19 @@ def build_parser():
 
     q = sub.add_parser("lattice", help="the lattice of orientations")
     q.add_argument("input")
-    q.add_argument("--d", type=int, required=True)
+    q.add_argument("--d", type=int)
     q.add_argument("action", choices=("count", "enumerate", "min"))
     q.set_defaults(fn=_cmd_lattice)
 
-    q = sub.add_parser("draw", help="orthogonal or straight-line drawing "
-                                    "of a rooted 4-regular map")
+    q = sub.add_parser("draw", help="orthogonal drawing of a rooted "
+                                    "4-regular map")
     q.add_argument("input")
     q.add_argument("--root", type=int,
                    help="root vertex (default: the document's root)")
-    q.add_argument("--mode", choices=("orthogonal", "straightline"),
-                   default="orthogonal")
     q.add_argument("--compact", action="store_true",
                    help="apply the balanced reduction")
     q.add_argument("--with-root", action="store_true", dest="with_root")
-    q.add_argument("--svg")
-    q.add_argument("--json")
+    q.add_argument("--svg", help="also write the drawing as SVG")
     q.set_defaults(fn=_cmd_draw)
 
     q = sub.add_parser("sample", help="rejection-sample pairs and report "

@@ -519,7 +519,6 @@ class SampleStats:
     means and normal-approximation confidence half-widths."""
 
     n: int
-    samples: int
     accepted: int
     attempts: int
     seed: int
@@ -594,7 +593,7 @@ def concentration_experiment(n, sample_count, seed, max_attempts=None,
                "reduced_width": _summarize(widths, n),
                "reduced_height": _summarize(heights, n),
                "acceptance_rate": sample_count / attempts}
-    return SampleStats(n=n, samples=sample_count, accepted=sample_count,
-                       attempts=attempts, seed=seed, part_counts=parts,
-                       full_counts=fulls, reduced_width=widths,
-                       reduced_height=heights, summary=summary)
+    return SampleStats(n=n, accepted=sample_count, attempts=attempts,
+                       seed=seed, part_counts=parts, full_counts=fulls,
+                       reduced_width=widths, reduced_height=heights,
+                       summary=summary)

@@ -7,6 +7,7 @@ import json
 import os
 import pathlib
 import random
+import shlex
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -106,43 +107,15 @@ def test_dualize_and_draw_golden(cube_doc, tmp_path):
     assert rc == 0
 
     svg = tmp_path / "c.svg"
-    js = tmp_path / "c.json"
-    rc, text = run(["draw", str(dp), "--with-root",
-                    "--svg", str(svg), "--json", str(js)])
-    assert rc == 0 and text == ""
-    assert json.loads(js.read_text()) == \
+    rc, text = run(["draw", str(dp), "--with-root", "--svg", str(svg)])
+    assert rc == 0
+    assert json.loads(text) == \
         json.loads((GOLDEN / "cube_drawing.json").read_text())
     assert svg.read_text() == (GOLDEN / "cube_drawing.svg").read_text()
-
-
-def test_draw_straightline_coordinates(cube_doc, tmp_path):
-    _, orient_text = run(["orient", cube_doc, "--d", "4", "--even"])
-    (tmp_path / "o.json").write_text(orient_text)
-    _, dual_text = run(["dualize", str(tmp_path / "o.json")])
-    dp = tmp_path / "dual.json"
-    dp.write_text(dual_text)
-    rc, text = run(["draw", str(dp), "--mode", "straightline"])
-    assert rc == 0
-    out = json.loads(text)
-    assert out["mode"] == "straightline" and out["n"] == 6
-    assert out["coords"] == {"0": [1, 0], "2": [4, 1], "3": [3, 4],
-                             "4": [0, 3], "5": [2, 2]}
-
-
-def test_draw_rejects_svg_with_straightline_before_writing(cube_doc,
-                                                          tmp_path):
-    _, orient_text = run(["orient", cube_doc, "--d", "4", "--even"])
-    (tmp_path / "o.json").write_text(orient_text)
-    _, dual_text = run(["dualize", str(tmp_path / "o.json")])
-    dp = tmp_path / "dual.json"
-    dp.write_text(dual_text)
-    js, svg = tmp_path / "d.json", tmp_path / "d.svg"
-    rc, text = run(["draw", str(dp), "--mode", "straightline",
-                    "--json", str(js), "--svg", str(svg)])
-    assert rc == 1
-    err = json.loads(text)["error"]
-    assert (err["stage"], err["kind"]) == ("cli", "BadMode")
-    assert not js.exists() and not svg.exists()
+    # the SVG is written before stdout, so a path that cannot be written
+    # answers with the error object alone
+    rc, text = run(["draw", str(dp), "--svg", str(tmp_path)])
+    assert rc == 1 and json.loads(text)["error"]["kind"] == "BadFile"
 
 
 def test_lattice_counts(cube_doc, tmp_path):
@@ -156,6 +129,8 @@ def test_lattice_counts(cube_doc, tmp_path):
     assert len(json.loads(text)["elements"]) == 3
     rc, text = run(["lattice", cube_doc, "--d", "4", "min"])
     assert rc == 0 and "orientation" in json.loads(text)
+    # without --d, the face degree is the document's "d"
+    assert run(["lattice", cube_doc, "min"]) == (0, text)
 
 
 def test_sample_deterministic_with_report(tmp_path):
@@ -304,7 +279,7 @@ def test_sample_builds_the_report_only_when_asked(tmp_path, monkeypatch):
     assert _sha256(text) == \
         "caa560e6e71adef3ecd924dfba81796bacfaf6975300b5003af8f84d8f54e999"
     assert _sha256(rep.read_text()) == \
-        "0ae29dc8cc179117878a1a7cfcde23e12eae764fda88a1ddcddc859fb6c4452c"
+        "c53059b2eb6d88827b56b7ebe66e4a4fc3004b8588d272df2c69b78b57854392"
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -402,7 +377,11 @@ def test_a_directory_for_a_file_is_an_error(tmp_path, argv):
     assert (err["stage"], err["kind"]) == ("cli", "BadFile")
 
 
-@pytest.mark.parametrize("text", ['{"map": ', "[1, 2]"])
+@pytest.mark.parametrize("text", [
+    '{"map": ', "[1, 2]",
+    pytest.param("[" * 200000 + "]" * 200000, id="deep-array"),
+    pytest.param('{"map": ' + "[" * 200000 + "]" * 200000 + "}",
+                 id="deep-map")])
 def test_validate_rejects_a_bad_document(tmp_path, text):
     p = tmp_path / "bad.json"
     p.write_text(text)
@@ -755,6 +734,22 @@ def test_d_zero_is_not_taken_for_absent(cube_doc, argv):
     assert (err["stage"], err["kind"]) == ("planar_map", "NotDAngulation")
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{doc}"],
+    ["orient", "{doc}"],
+    ["lattice", "{doc}", "min"],
+])
+def test_a_map_with_no_face_degree_is_refused(tmp_path, argv):
+    # --d if given, else the document's "d", else this error
+    p = tmp_path / "bare.json"
+    p.write_text(json.dumps(I.cube().to_json_obj()))
+    rc, text = run([arg.format(doc=p) for arg in argv])
+    assert rc == 1
+    assert json.loads(text)["error"] == {
+        "stage": "planar_map", "kind": "NotDAngulation",
+        "detail": "no face degree given (use --d)"}
+
+
 # -- fuzzed arguments ------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -789,16 +784,14 @@ def _options(out):
         "validate": ([], [("--d", D_VALUES),
                           ("--as", st.sampled_from(["angulation",
                                                     "regular"]))]),
-        "orient": ([("--d", D_VALUES)], [("--even", FLAG)]),
+        "orient": ([], [("--d", D_VALUES), ("--even", FLAG)]),
         "convert": ([("--from", kinds), ("--to", kinds)],
                     [("--d", D_VALUES)]),
         "dualize": ([], [("--d", D_VALUES)]),
-        "lattice": ([("--d", D_VALUES)], []),
+        "lattice": ([], [("--d", D_VALUES)]),
         "draw": ([], [("--root", st.integers(-2, 8)),
-                      ("--mode", st.sampled_from(["orthogonal",
-                                                  "straightline"])),
                       ("--compact", FLAG), ("--with-root", FLAG),
-                      ("--svg", out), ("--json", out)]),
+                      ("--svg", out)]),
         "sample": ([("--n", st.integers(0, 8)),
                     ("--count", st.integers(0, 2))],
                    [("--seed", st.integers(-5, 10 ** 6)),
@@ -820,6 +813,41 @@ def test_the_fuzz_covers_exactly_the_cli_options():
         assert {flag for flag, _ in required + optional} == \
             {o for a in parser._actions for o in a.option_strings} - \
             {"-h", "--help"}, command
+
+
+def _expand(tokens):
+    """Every argv that a synopsis line stands for: each alternative of an
+    a|b|c token, and each [...] group left out and put in."""
+    for i, token in enumerate(tokens):
+        if token.startswith("["):
+            j = next(k for k in range(i, len(tokens))
+                     if tokens[k].endswith("]"))
+            group = " ".join(tokens[i:j + 1])[1:-1].split()
+            rest = tokens[j + 1:]
+            return _expand(tokens[:i] + rest) + \
+                _expand(tokens[:i] + group + rest)
+        if "|" in token:
+            return [argv for alt in token.split("|")
+                    for argv in _expand(tokens[:i] + [alt] + tokens[i + 1:])]
+    return [tokens]
+
+
+def test_readme_synopsis_parses():
+    """Each schnyder-kit line of README's sh blocks, in every expansion,
+    is an argv that the parser accepts, and every subcommand has one."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    lines = [shlex.split(line, comments=True)
+             for block in readme.split("```sh\n")[1:]
+             for line in block.split("```")[0].splitlines()
+             if line.startswith("schnyder-kit ")]
+    assert {tokens[1] for tokens in lines} == set(_options(FLAG))
+    parser = cli.build_parser()
+    for tokens in lines:
+        for argv in _expand(tokens[1:]):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README synopsis does not parse: {argv}")
 
 
 def _argv(draw, inputs, outputs):
@@ -855,7 +883,7 @@ def _argv(draw, inputs, outputs):
 @given(data=st.data())
 def test_fuzzed_arguments_answer_with_one_object(cli_files, data):
     # exit 0 or 1 with one JSON object, or argparse's exit 2; a draw that
-    # writes its --json or --svg file prints nothing
+    # succeeds with --svg has also written its file
     argv = _argv(data.draw, *cli_files)
     try:
         rc, out = run(argv)
@@ -863,11 +891,10 @@ def test_fuzzed_arguments_answer_with_one_object(cli_files, data):
         assert exc.code == 2, argv
         return
     assert rc in (0, 1), argv
-    if rc == 0 and argv[0] == "draw" and {"--json", "--svg"} & set(argv):
-        assert out == "", argv
-        return
     obj = json.loads(out)                # exactly one JSON value
     assert isinstance(obj, dict), argv
+    if rc == 0 and argv[0] == "draw" and "--svg" in argv:
+        assert os.path.isfile(argv[argv.index("--svg") + 1]), argv
     if rc == 1:
         assert obj.get("ok") is False or {"stage", "kind"} <= \
             set(obj["error"]), argv

@@ -461,7 +461,7 @@ def test_each_drawing_is_its_own_baxter_permutation():
     size n - 1 with one descent fewer than the black vertices of the
     pair's code (len(alpha)), and no two pairs of one size share it: the
     drawing is a bijection onto the Baxter permutations.  The same holds
-    on the sampled hosts of tests/sampled_hosts.py (n = 60 and 120)."""
+    on the sampled hosts of tests/sampled_hosts.py (n = 60, 120 and 200)."""
     pairs = {n: SA.enumerate_pairs(n) for n in range(2, 9)}
     pairs["sampled"] = [SA.decode(triple(e)) for e in SAMPLED_HOSTS]
     for key, group in pairs.items():

@@ -59,7 +59,11 @@ def test_sampled_draw_stdout_is_pinned(tmp_path):
         (120, 0):
             "6c278f40cdedd5e915d6c501997dc68cd6e30e5da408b872dd4eec8ef942d812",
         (120, 1):
-            "ff8607e618c480f560b30a08d30344482d2c77419fb403b2db28b113a5d89912"}
+            "ff8607e618c480f560b30a08d30344482d2c77419fb403b2db28b113a5d89912",
+        (200, 0):
+            "e031cefc364a25cbdf974d850b4993878e1bead3b67b9bb6946aaac41578356c",
+        (200, 1):
+            "fefdb1b2ec0c4733834c587cc7610a6a8088c4a8aa9aacd834ba7941fc7aba57"}
 
 
 def test_sampled_flow_results_are_pinned():
@@ -90,7 +94,7 @@ def test_sampled_flow_results_are_pinned():
                 refused += 1
             digest.update(repr(answer).encode())
         digests[n, seed] = digest.hexdigest()
-    assert refused == 9
+    assert refused == 16                 # 9 of them on the n <= 120 hosts
     assert digests == {
         (60, 0):
             "a5840405ad99631a77c49ed93169f1d584b30562a5af8c197d0bebfe3eaf5396",
@@ -99,4 +103,8 @@ def test_sampled_flow_results_are_pinned():
         (120, 0):
             "462ebd0e24fbfbd50a0541d09656aef065ba5da7d48eec5c7220f3e67e463784",
         (120, 1):
-            "d871f1141ccf0eeaf081068c937f221b2bdcce2278121c8c6f98974ec598a12e"}
+            "d871f1141ccf0eeaf081068c937f221b2bdcce2278121c8c6f98974ec598a12e",
+        (200, 0):
+            "5209fc17e99493ce435b68903d1ab8f8fe1912ed1509cfb0659ed3be1944cc48",
+        (200, 1):
+            "a3e946c869c5b4d295af9fdc01291be6a11092d47009a31a549390b0830c02fc"}
