@@ -333,24 +333,34 @@ def _simple_cycles_of_length(ang):
     comes first.  The search meets a cycle twice, from its least vertex s,
     once per direction; it yields the direction met first, the one whose
     first dart ranks before the twin of its closing dart in s's list.  The
-    d >= 3 darts of a simple cycle lie on d distinct edges."""
+    d >= 3 darts of a simple cycle lie on d distinct edges.
+
+    The search copies nothing on a descent: it keeps one path list (a dart
+    appended before a descent, popped after it) and one flag per vertex
+    for the vertices on the path, and yields a fresh list only at a closing
+    dart.  The path and the flags belong to this call, not to the host: a
+    caller that stops early (_find_d_circuits with a limit) drops the
+    listing mid-search, so state kept on the host would be left dirty."""
     adj, rank = ang.internal_rotation
     twin, length = ang.map.twin, ang.d
+    path, visited = [], bytearray(len(adj))
 
-    def dfs(start, v, path_darts, visited):
-        if len(path_darts) == length:
+    def dfs(start, v, depth):
+        if depth == length:
             return
         for h, w in adj[v]:
-            if w == start and len(path_darts) == length - 1:
-                if rank[path_darts[0]] < rank[twin[h]]:
-                    yield path_darts + [h]
-            elif w > start and w not in visited:
-                visited.add(w)
-                yield from dfs(start, w, path_darts + [h], visited)
-                visited.remove(w)
+            if w == start and depth == length - 1:
+                if rank[path[0]] < rank[twin[h]]:
+                    yield path + [h]
+            elif w > start and not visited[w]:
+                visited[w] = 1
+                path.append(h)
+                yield from dfs(start, w, depth + 1)
+                path.pop()
+                visited[w] = 0
 
     for start in range(len(adj)):
-        yield from dfs(start, start, [], {start})
+        yield from dfs(start, start, 0)
 
 
 def _is_circuit(o, traversal):

@@ -92,9 +92,15 @@ MUTANTS = [
             ORIENT + "test_cycle_listing_matches_the_seen_set_listing",
             CLI + "test_lattice_stdout_is_pinned"),
     _mutant("listing keeps the second-met direction", "orientation.py",
-            "if rank[path_darts[0]] < rank[twin[h]]:",
-            "if rank[path_darts[0]] > rank[twin[h]]:",
+            "if rank[path[0]] < rank[twin[h]]:",
+            "if rank[path[0]] > rank[twin[h]]:",
             ORIENT + "test_cycle_listing_matches_the_seen_set_listing"),
+    _mutant("listing leaves a vertex flagged after backtracking",
+            "orientation.py",
+            "visited[w] = 0",
+            "pass",
+            ORIENT + "test_cycle_listing_matches_the_seen_set_listing",
+            CLI + "test_lattice_stdout_is_pinned"),
     _mutant("limited scan lists every cycle first", "orientation.py",
             "for cyc in _simple_cycles_of_length(o.host):",
             "for cyc in list(_simple_cycles_of_length(o.host)):",

@@ -321,6 +321,16 @@ def test_enumerate_above_the_cap_answers_at_once():
     assert err["stage"] == "sampler" and err["kind"] == "CapExceeded"
 
 
+def test_sample_above_the_cap_answers_at_once():
+    """n = 1001 is over sampler.SAMPLE_CAP: one error object, before the
+    weight table that grows like n^2.6 is built."""
+    rc, text = run(["sample", "--n", "1001", "--count", "1"])
+    assert rc == 1
+    err = json.loads(text)["error"]
+    assert err == {"stage": "sampler", "kind": "BadParameter",
+                   "detail": "n = 1001 exceeds the cap 1000"}
+
+
 def test_enumerate_outputs_validate(tmp_path):
     rc, text = run(["enumerate", "--n", "3"])
     assert rc == 0

@@ -1,11 +1,14 @@
 import hashlib
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
 from schnyder_kit.errors import OrientationError
 from schnyder_kit.planar_map import as_angulation
+from schnyder_kit.sampler import decode
 import schnyder_kit.orientation as O
 import schnyder_kit.planar_map as P
 
@@ -15,6 +18,7 @@ from oracles import (
     edmonds_karp, enumerate_angulations, flood_fill_d_circuits, is_even,
     simple_cycles_of_length,
 )
+from sampled_hosts import SAMPLED_HOSTS, triple
 
 
 def tetra():
@@ -370,20 +374,23 @@ def test_ccw_traversal_matches_flood_fill_on_every_d_cycle():
 def test_cycle_listing_matches_the_seen_set_listing():
     """The listing that walks the host's rotation and keeps the direction
     met first by rank yields the seen-set oracle's cycles of internal
-    edges, in the same direction and order: on every side-test host and on
-    hosts 0-7 of the benchmark's orient-min workload."""
+    edges, in the same direction and order: on every side-test host, on
+    hosts 0-7 of the benchmark's orient-min workload and on the six
+    quadrangulations of tests/sampled_hosts.py (n = 60 to 200)."""
     catalogue = (I.ringed_quadrangulation(25, 20, random.Random(f"ringed:{i}"))
                  for i in range(8))
+    sampled = (decode(triple(e))[0].map for e in SAMPLED_HOSTS)
     hosts = cycles = 0
     for m, d in itertools.chain(_side_test_hosts(),
-                                ((m, 4) for m in catalogue)):
+                                ((m, 4) for m in catalogue),
+                                ((m, 4) for m in sampled)):
         ang = as_angulation(m, d)
         listed = list(map(tuple, O._simple_cycles_of_length(ang)))
         assert listed == list(
             simple_cycles_of_length(m, d, ang.internal_edges()))
         hosts += 1
         cycles += len(listed)
-    assert hosts == 318 and cycles == 2409
+    assert hosts == 324 and cycles == 3495
 
 
 def test_oriented_darts_are_the_internal_darts(study_corpus):
@@ -474,6 +481,24 @@ def test_lattice_counts_match_brute_force():
     for o in O.lattice_enumerate(c):
         for trav in O._find_d_circuits(o, True):
             assert O.push_cycle(o, trav).values in lat
+
+
+def test_lattice_sizes_are_bonichons_count_of_schnyder_woods():
+    """Summed over the rooted triangulations with F faces, the lattice
+    sizes are C(m)C(m+2) - C(m+1)^2, m = F/2 - 1, C the Catalan numbers:
+    1, 1, 3, 14, 84, 594 for F = 2 to 12, Bonichon's count of Schnyder
+    woods (OEIS A005700).  The count comes from outside the code, and
+    reaches hosts with up to 15 internal edges, past the brute force's
+    reach."""
+    def catalan(n):
+        return math.comb(2 * n, n) // (n + 1)
+
+    totals = Counter()
+    for m in enumerate_angulations(3, 12):
+        totals[m.n_faces] += len(O.lattice_enumerate(as_angulation(m, 3)))
+    assert totals == {
+        f: catalan(f // 2 - 1) * catalan(f // 2 + 1) - catalan(f // 2) ** 2
+        for f in range(2, 13, 2)}
 
 
 def test_two_orientation_lattice_cube():

@@ -312,6 +312,25 @@ def test_n_below_two_is_a_bad_parameter_before_any_draw(n):
     assert rng.log == []
 
 
+def test_n_above_the_sample_cap_is_a_bad_parameter_before_any_table(
+        monkeypatch):
+    """The weight table grows like n^2.6 before the first draw, so n above
+    SAMPLE_CAP is refused before it is built."""
+    def table(n):
+        raise AssertionError("weight table built")
+
+    monkeypatch.setattr(SA, "_popcount_table", table)
+    n = SA.SAMPLE_CAP + 1
+    rng = LoggingRandom(0)
+    for call in (lambda: SA.rejection_sample_fast(n, rng),
+                 lambda: SA.concentration_experiment(n, 1, seed=0)):
+        with pytest.raises(SamplerError) as ei:
+            call()
+        assert ei.value.kind == "BadParameter"
+        assert ei.value.detail == f"n = {n} exceeds the cap {SA.SAMPLE_CAP}"
+    assert rng.log == []
+
+
 # sha256 prefixes of the outcomes of seeds 0-39, recorded where decoding
 # every drawn triple gave the same outcomes
 PRETEST_OUTCOMES = {
@@ -576,8 +595,9 @@ def test_part_full_counts_pair_vs_geometry(even_decompositions):
 
 def test_enumerate_angulations_counts_and_validity():
     by_faces = Counter(m.n_faces
-                       for m in oracles.enumerate_angulations(3, 8))
-    assert by_faces == {2: 1, 4: 1, 6: 3, 8: 13}
+                       for m in oracles.enumerate_angulations(3, 12))
+    # Tutte's count of rooted simple triangulations
+    assert by_faces == {2: 1, 4: 1, 6: 3, 8: 13, 10: 68, 12: 399}
     maps = list(oracles.enumerate_angulations(4, 5))
     assert Counter(m.n_faces for m in maps) == {2: 1, 3: 2, 4: 6, 5: 22}
     codes = set()
